@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bounds import TABLE1_PAIRS, chang_bound, bijm_bound, comparison_table, cor_bound, fss_bound, new_bound
 from .construction import ConstructionTrace, construct
@@ -73,30 +74,30 @@ def load_setfile(text: str) -> SetFile:
     flags = []
     body = []
     for line in lines[2:]:
-        line = line.strip()
-        if not line:
+        parts = line.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            flag = line[1:].strip()
+        if parts[0].startswith("#"):
+            flag = line.strip()[1:].strip()
             if flag not in KNOWN_FLAGS:
                 raise SetFileError(f"unknown flag {flag!r}")
             if flag not in flags:
                 flags.append(flag)
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise SetFileError(f"expected 'i j', got {line!r}")
+            raise SetFileError(f"expected 'i j', got {line.strip()!r}")
         try:
             body.append(LatticePoint(int(parts[0]), int(parts[1])))
         except ValueError:
-            raise SetFileError(f"non-integer coordinate in {line!r}") from None
+            raise SetFileError(f"non-integer coordinate in {line.strip()!r}") from None
     if len(body) != count:
         raise SetFileError(f"header count {count} != {len(body)} body lines")
     if len(set(body)) != len(body):
         seen = set()
         dup = next(pt for pt in body if pt in seen or seen.add(pt))
         raise SetFileError(f"duplicate vertex {dup.i} {dup.j}")
-    return SetFile(k=k, m=m, n=n, points=VertexSet.from_iterable(body), flags=tuple(flags))
+    body.sort(key=itemgetter(1, 0))  # row-major, as VertexSet requires
+    return SetFile(k=k, m=m, n=n, points=VertexSet(tuple(body)), flags=tuple(flags))
 
 
 def render_ascii(sf: SetFile, coverage: bool = False) -> str:

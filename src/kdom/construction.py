@@ -19,7 +19,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CornerOverlapError, DomainError, GridTooSmallError, VerificationError
+from .errors import (
+    CornerOverlapError,
+    DomainError,
+    GridTooSmallError,
+    KdomError,
+    VerificationError,
+)
 from .gridmodel import GridDims, is_dominating, neighborhood_box, verify_domination
 from .lattice import (
     LatticePoint,
@@ -27,7 +33,7 @@ from .lattice import (
     Residue,
     VertexSet,
     _phi_raw,
-    count_in_box,
+    fiber_counts_in_box,
     inverse_image_in_box,
     row_major_key,
 )
@@ -118,18 +124,16 @@ def best_residue(dims: GridDims, k: Radius) -> tuple[Residue, int]:
     """The residue whose fiber meets Y in the fewest points.
 
     Ties break toward the smallest residue value; the winning count never
-    exceeds floor((m+2k)(n+2k)/p).
+    exceeds floor((m+2k)(n+2k)/p), the mean count.  O(p) work.
     """
     box = neighborhood_box(dims, k)
-    best: tuple[int, Residue] | None = None
-    for value in range(k.p):
-        ell = Residue(value, k.p)
-        c = count_in_box(k, ell, box)
-        if best is None or c < best[0]:
-            best = (c, ell)
-    count, ell = best
-    assert count <= box.area // k.p
-    return ell, count
+    counts = fiber_counts_in_box(k, box)
+    value = int(counts.argmin())
+    count = int(counts[value])
+    floor_mean = box.area // k.p
+    if count > floor_mean:
+        raise KdomError(f"best residue count {count} exceeds floor(|Y|/p) = {floor_mean}")
+    return Residue(value, k.p), count
 
 
 def base_set(dims: GridDims, k: Radius, ell: Residue) -> VertexSet:
@@ -276,6 +280,17 @@ def _apply_plan(s_set: VertexSet, plan: _CornerPlan) -> VertexSet:
     return VertexSet.from_iterable(current)
 
 
+def _corner_broke(
+    dims: GridDims, k: Radius, ctx: CornerContext, broken: VertexSet
+) -> VerificationError:
+    """The error for a corner edit that left vertices uncovered, listing them."""
+    uncovered = verify_domination(dims, k, broken).uncovered
+    return VerificationError(
+        f"{ctx.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
+        uncovered=uncovered,
+    )
+
+
 def apply_corner_case(
     ctx: CornerContext,
     s_set: VertexSet,
@@ -286,14 +301,8 @@ def apply_corner_case(
     """Apply one corner's removal and shifts; optionally verify domination."""
     plan = _corner_plan(ctx, dims, k)
     result = _apply_plan(s_set, plan)
-    if verify:
-        report = verify_domination(dims, k, result)
-        if len(report.uncovered) > 0:
-            raise VerificationError(
-                f"{ctx.corner.value} corner shift broke domination "
-                f"({len(report.uncovered)} uncovered)",
-                uncovered=report.uncovered,
-            )
+    if verify and not is_dominating(dims, k, result):
+        raise _corner_broke(dims, k, ctx, result)
     return result
 
 
@@ -370,25 +379,19 @@ def remove_corners(
     fallback_activations = 0
     for ctx, plan in zip(contexts, plans):
         candidate = _apply_plan(current, plan)
-        if verify or enable_fallback_repair:
-            report = verify_domination(dims, k, candidate)
-            if len(report.uncovered) > 0:
-                if not enable_fallback_repair:
-                    raise VerificationError(
-                        f"{ctx.corner.value} corner shift broke domination "
-                        f"({len(report.uncovered)} uncovered)",
-                        uncovered=report.uncovered,
-                    )
-                fallback_activations += 1
-                repaired = _fallback_repair(
-                    dims, k, ctx, VertexSet.from_iterable(set(current.points) - {plan.removed})
+        if (verify or enable_fallback_repair) and not is_dominating(dims, k, candidate):
+            if not enable_fallback_repair:
+                raise _corner_broke(dims, k, ctx, candidate)
+            fallback_activations += 1
+            repaired = _fallback_repair(
+                dims, k, ctx, VertexSet.from_iterable(set(current.points) - {plan.removed})
+            )
+            if repaired is None:
+                raise VerificationError(
+                    f"{ctx.corner.value} corner repair failed",
+                    uncovered=verify_domination(dims, k, candidate).uncovered,
                 )
-                if repaired is None:
-                    raise VerificationError(
-                        f"{ctx.corner.value} corner repair failed",
-                        uncovered=report.uncovered,
-                    )
-                candidate = repaired
+            candidate = repaired
         removed.append(plan.removed)
         shifted.extend(plan.moves)
         current = candidate
@@ -424,7 +427,8 @@ def construct(
     p = k.p
     ell, count = best_residue(dims, k)
     base = base_set(dims, k, ell)
-    assert len(base) == count
+    if len(base) != count:
+        raise KdomError(f"base set has {len(base)} points, the residue count says {count}")
     if dims.m > 2 * p and dims.n > 2 * p:
         shifted, trace = remove_corners(
             dims, k, ell, base,

@@ -82,8 +82,10 @@ def exact_gamma(
 ) -> ExactResult:
     """Exact minimum, or a budget-flagged best-known upper value.
 
-    The lower bound ceil(mn/p) holds because one dominator covers at
-    most p = 2k^2+2k+1 cells.
+    One dominator covers at most cap cells, the largest ball clipped to
+    the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path).  So
+    the search starts at ceil(mn/cap), and prunes a branch once
+    ceil(uncovered/cap) exceeds the dominators it may still add.
     """
     area = dims.area
     if area > max_cells:
@@ -93,8 +95,8 @@ def exact_gamma(
     m = dims.m
     balls = _balls(dims, k)
     full = (1 << area) - 1
-    p = k.p
-    lower = -(-area // p)
+    cap = max(ball.bit_count() for ball in balls)
+    lower = -(-area // cap)
     incumbent = _greedy(full, balls)
 
     nodes = 0
@@ -108,7 +110,7 @@ def exact_gamma(
             return list(chosen)
         slots = target - len(chosen)
         uncovered = full & ~covered
-        if slots == 0 or -(-uncovered.bit_count() // p) > slots:
+        if slots == 0 or -(-uncovered.bit_count() // cap) > slots:
             return None
         v = (uncovered & -uncovered).bit_length() - 1
         candidates = balls[v]

@@ -4,7 +4,9 @@ Grid vertices are the lattice points [0, m-1] x [0, n-1]; graph distance
 between orthogonal neighbors equals Manhattan distance.  Dominators may
 lie outside the grid (the construction keeps them in the enlarged box Y
 until the final projection), so the verifier works on the grid enlarged
-by k on every side and reads off the grid portion.
+by k on every side and reads off the grid portion.  One coverage kernel
+serves both checks: it costs O(mn k) array work and one
+(m+2k) x (n+2k+1) int32 array.
 """
 from __future__ import annotations
 
@@ -53,13 +55,12 @@ class GridDims:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Per-vertex nearest-dominator summary for one verification run."""
+    """Coverage summary of one verification run."""
 
     dims: GridDims
     k: Radius
     covered_count: int
     uncovered: VertexSet
-    max_nearest_distance: int
     multiplicity_histogram: dict[int, int]
 
 
@@ -78,80 +79,54 @@ def grid_distance(a: LatticePoint, b: LatticePoint) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _box_distance(dims: GridDims, point: LatticePoint) -> int:
-    """Manhattan distance from a point to the nearest grid vertex."""
-    i, j = point
-    di = max(0, -i, i - (dims.m - 1))
-    dj = max(0, -j, j - (dims.n - 1))
-    return di + dj
-
-
-def _relevant_sources(dims: GridDims, k: Radius, s: VertexSet) -> list[LatticePoint]:
-    # Points farther than k from the grid cannot cover any grid vertex;
-    # dropping them keeps the working array bounded by the k-margin.
-    return [q for q in s if _box_distance(dims, q) <= k.k]
-
-
-def _nearest_distances(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
-    """m x n array of nearest-dominator distances, truncated at k+1.
-
-    Synchronous min-plus dilation: after t rounds every vertex within
-    distance t of a source carries its exact distance; k+1 rounds leave
-    anything farther at the k+1 sentinel.
-    """
-    kk = k.k
-    m, n = dims.m, dims.n
-    sentinel = kk + 1
-    big = np.full((m + 2 * kk, n + 2 * kk), sentinel, dtype=np.int32)
-    for (i, j) in _relevant_sources(dims, k, s):
-        big[i + kk, j + kk] = 0
-    for _ in range(kk + 1):
-        prev = big
-        big = prev.copy()
-        np.minimum(big[1:, :], prev[:-1, :] + 1, out=big[1:, :])
-        np.minimum(big[:-1, :], prev[1:, :] + 1, out=big[:-1, :])
-        np.minimum(big[:, 1:], prev[:, :-1] + 1, out=big[:, 1:])
-        np.minimum(big[:, :-1], prev[:, 1:] + 1, out=big[:, :-1])
-        np.minimum(big, sentinel, out=big)
-    return big[kk:kk + m, kk:kk + n]
-
-
 def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
-    """m x n array counting dominators within distance k of each vertex."""
-    kk = k.k
-    m, n = dims.m, dims.n
-    ind = np.zeros((m + 2 * kk, n + 2 * kk), dtype=np.int32)
-    for (i, j) in _relevant_sources(dims, k, s):
-        ind[i + kk, j + kk] += 1
+    """m x n int32 array counting the dominators within distance k of each vertex.
+
+    The radius-k ball is 2k+1 segments along j, one per offset dx in i,
+    of half-width k-|dx|.  Prefix sums along j over the k-padded
+    indicator turn each segment into one subtraction, so the whole count
+    is 2k+1 pairs of m x n slice operations.  Points outside the padded
+    box cannot reach the grid and are skipped.
+    """
+    kk, m, n = k.k, dims.m, dims.n
+    prefix = np.zeros((m + 2 * kk, n + 2 * kk + 1), dtype=np.int32)
+    try:
+        pts = np.array(s.points, dtype=np.int64)
+    except OverflowError:  # coordinates beyond int64 lie far outside the padded box
+        pts = np.array([q for q in s.points if max(map(abs, q)) < 2 ** 62], dtype=np.int64)
+    pts = pts.reshape(-1, 2) + kk
+    inside = (
+        (pts[:, 0] >= 0) & (pts[:, 0] < m + 2 * kk)
+        & (pts[:, 1] >= 0) & (pts[:, 1] < n + 2 * kk)
+    )
+    pts = pts[inside]
+    prefix[pts[:, 0], pts[:, 1] + 1] = 1
+    np.cumsum(prefix, axis=1, out=prefix)
     mult = np.zeros((m, n), dtype=np.int32)
     for dx in range(-kk, kk + 1):
         span = kk - abs(dx)
-        for dy in range(-span, span + 1):
-            mult += ind[kk + dx:kk + dx + m, kk + dy:kk + dy + n]
+        band = prefix[kk + dx:kk + dx + m]
+        mult += band[:, kk + span + 1:kk + span + 1 + n]
+        mult -= band[:, kk - span:kk - span + n]
     return mult
 
 
 def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport:
     """Exact coverage report; an empty s yields all vertices uncovered."""
-    dist = _nearest_distances(dims, k, s)
-    uncovered_mask = dist > k.k
-    ui, uj = np.nonzero(uncovered_mask)
-    uncovered = VertexSet.from_iterable(
-        (int(i), int(j)) for i, j in zip(ui.tolist(), uj.tolist())
-    )
     mult = _multiplicity(dims, k, s)
-    counts, freqs = np.unique(mult, return_counts=True)
-    histogram = {int(c): int(f) for c, f in zip(counts, freqs)}
+    uj, ui = np.nonzero(mult.T == 0)
+    uncovered = VertexSet(tuple(map(LatticePoint, ui.tolist(), uj.tolist())))
+    freqs = np.bincount(mult.ravel())
+    histogram = {c: int(f) for c, f in enumerate(freqs) if f}
     return CoverageReport(
         dims=dims,
         k=k,
         covered_count=dims.area - len(uncovered),
         uncovered=uncovered,
-        max_nearest_distance=int(dist.max()),
         multiplicity_histogram=histogram,
     )
 
 
 def is_dominating(dims: GridDims, k: Radius, s: VertexSet) -> bool:
     """True iff every grid vertex has a dominator within distance k."""
-    return bool((_nearest_distances(dims, k, s) <= k.k).all())
+    return bool(_multiplicity(dims, k, s).all())

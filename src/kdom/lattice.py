@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
 
 MAX_RADIUS = 2000
@@ -152,13 +154,12 @@ def _phi_raw(k: int, p: int, i: int, j: int) -> int:
     return ((k + 1) * i + k * j) % p
 
 
-def _first_hit_in_row(k: int, p: int, ell: int, j: int, i_lo: int) -> int:
-    """Smallest i >= i_lo with (k+1)*i + k*j = ell (mod p).
+def _first_hit_in_row(inv: int, k: int, p: int, ell: int, j: int, i_lo: int) -> int:
+    """Smallest i >= i_lo with (k+1)*i + k*j = ell (mod p); inv = (k+1)^-1 mod p.
 
     Within a row the fiber's points are spaced exactly p apart, so the
     first hit determines the whole row.
     """
-    inv = pow(k + 1, -1, p)
     a = (inv * (ell - k * j)) % p
     return i_lo + ((a - i_lo) % p)
 
@@ -170,9 +171,10 @@ def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:
             f"residue modulus {ell.modulus} does not match p={k.p} for k={k.k}"
         )
     kk, p, e = k.k, k.p, ell.value
+    inv = pow(kk + 1, -1, p)
     pts = []
     for j in range(box.j_lo, box.j_hi + 1):
-        i = _first_hit_in_row(kk, p, e, j, box.i_lo)
+        i = _first_hit_in_row(inv, kk, p, e, j, box.i_lo)
         while i <= box.i_hi:
             pts.append(LatticePoint(i, j))
             i += p
@@ -186,12 +188,45 @@ def count_in_box(k: Radius, ell: Residue, box: Box) -> int:
             f"residue modulus {ell.modulus} does not match p={k.p} for k={k.k}"
         )
     kk, p, e = k.k, k.p, ell.value
+    inv = pow(kk + 1, -1, p)
     total = 0
     for j in range(box.j_lo, box.j_hi + 1):
-        first = _first_hit_in_row(kk, p, e, j, box.i_lo)
+        first = _first_hit_in_row(inv, kk, p, e, j, box.i_lo)
         if first <= box.i_hi:
             total += (box.i_hi - first) // p + 1
     return total
+
+
+def fiber_counts_in_box(k: Radius, box: Box) -> np.ndarray:
+    """count_in_box for every residue at once, as an int64 array indexed by ell.
+
+    A row of width W meets every fiber floor(W/p) times.  Its W mod p
+    extra hits, written in u = ell/(k+1) coordinates, fill one cyclic
+    interval of length W mod p that starts at i_lo + j*k/(k+1) (mod p).
+    Rows j and j+p start at the same place, and the starts of p
+    consecutive rows are all of Z_p, so every whole period of p rows
+    adds W mod p to each count and only height mod p rows go through the
+    difference array.  O(p) work, whatever the box size.
+    """
+    kk, p = k.k, k.p
+    inv = pow(kk + 1, -1, p)
+    per_row, r = divmod(box.width, p)
+    periods, rest = divmod(box.height, p)
+    j = np.arange(rest, dtype=np.int64) + box.j_lo % p
+    start = (box.i_lo + (inv * kk % p) * j) % p
+    end = start + r
+    diff = np.zeros(p, dtype=np.int64)
+    np.add.at(diff, start, 1)
+    np.add.at(diff, end % p, -1)
+    diff[0] += np.count_nonzero(end >= p)  # intervals that wrap past p - 1
+    np.cumsum(diff, out=diff)
+    ell = np.arange(p, dtype=np.int64)
+    ell *= kk + 1
+    ell %= p
+    counts = np.empty(p, dtype=np.int64)
+    counts[ell] = diff
+    counts += per_row * box.height + periods * r
+    return counts
 
 
 def ball_size(k: Radius) -> int:

@@ -22,6 +22,16 @@ def brute_uncovered(m, n, k, points):
     return out
 
 
+def brute_multiplicity(m, n, k, points):
+    """{(i, j): number of points within distance k} for every grid vertex."""
+    pts = list(points)
+    return {
+        (i, j): sum(1 for (a, b) in pts if abs(i - a) + abs(j - b) <= k)
+        for j in range(n)
+        for i in range(m)
+    }
+
+
 def brute_fiber(k, ell, box):
     """Direct double-loop fiber enumeration inside an (i_lo..i_hi, j_lo..j_hi) box."""
     rad = Radius(k)

@@ -49,6 +49,50 @@ def test_best_residue_51x52():
     assert ell.value == min(v for v, c in enumerate(counts) if c == count)
 
 
+def _assert_best_residue_is_min_count(m, n, k):
+    box = neighborhood_box(GridDims(m, n), k)
+    counts = [count_in_box(k, Residue(v, k.p), box) for v in range(k.p)]
+    ell, count = best_residue(GridDims(m, n), k)
+    assert count == min(counts), (m, n, k)
+    assert ell.value == counts.index(count), (m, n, k)  # ties go to the smallest residue
+
+
+@pytest.mark.parametrize("kk", [1, 2, 3, 4])
+def test_best_residue_closed_form_matches_counting(kk):
+    k = Radius(kk)
+    for m in range(1, 31):
+        for n in range(1, 31):
+            _assert_best_residue_is_min_count(m, n, k)
+
+
+def test_best_residue_closed_form_thin_and_wide_k_grids():
+    for kk in (1, 2, 3, 4):
+        for side in (1, 2, 7, 40, 97, 200):
+            _assert_best_residue_is_min_count(1, side, Radius(kk))
+            _assert_best_residue_is_min_count(side, 1, Radius(kk))
+    _assert_best_residue_is_min_count(200, 201, Radius(20))
+    _assert_best_residue_is_min_count(150, 151, Radius(40))
+
+
+def test_best_residue_count_bound_is_an_explicit_error(monkeypatch):
+    import numpy as np
+
+    from kdom import KdomError, construction
+
+    monkeypatch.setattr(construction, "fiber_counts_in_box",
+                        lambda k, box: np.full(k.p, box.area, dtype=np.int64))
+    with pytest.raises(KdomError):
+        best_residue(GridDims(6, 6), K1)
+
+
+def test_construct_base_size_mismatch_is_an_explicit_error(monkeypatch):
+    from kdom import KdomError, construction
+
+    monkeypatch.setattr(construction, "base_set", lambda dims, k, ell: VertexSet.empty())
+    with pytest.raises(KdomError):
+        construct(GridDims(6, 6), K1)
+
+
 def test_best_residue_tiny_grid():
     _, count = best_residue(GridDims(1, 1), K1)
     assert count <= 9 // 5 == 1

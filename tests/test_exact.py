@@ -77,6 +77,17 @@ def test_path_formula_matches_search():
             assert exact_gamma(GridDims(1, n), Radius(k)).gamma == path_gamma(n, Radius(k))
 
 
+def test_thin_grids_finish_within_budget():
+    # a dominator covers only 2k+1 cells of a path, far fewer than p
+    for k in (K1, K2):
+        for n in range(61, 65):
+            for dims in (GridDims(1, n), GridDims(n, 1)):
+                res = exact_gamma(dims, k)
+                assert not res.time_budget_exceeded, (dims, k)
+                assert res.gamma == path_gamma(n, k)
+                assert is_dominating(dims, k, res.witness)
+
+
 @pytest.mark.parametrize("n,k,expected", [(4, 1, 2), (5, 2, 1)])
 def test_path_gamma_examples(n, k, expected):
     assert path_gamma(n, Radius(k)) == expected

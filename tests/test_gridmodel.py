@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from conftest import brute_dominates, brute_uncovered
+from conftest import brute_dominates, brute_multiplicity, brute_uncovered
 from kdom import (
     Box,
     GridDims,
@@ -20,6 +20,7 @@ from kdom import (
     neighborhood_box,
     verify_domination,
 )
+from kdom.gridmodel import _multiplicity
 
 
 def bfs_distance(m, n, a, b):
@@ -91,7 +92,9 @@ def test_path_center_covers():
     assert len(rep.uncovered) == 0
     rep = verify_domination(GridDims(1, 5), Radius(2), VertexSet.from_iterable([(0, 2)]))
     assert len(rep.uncovered) == 0
-    assert rep.max_nearest_distance == 2
+    # the ends sit at distance exactly 2: at radius 1 they are the only gaps
+    rep = verify_domination(GridDims(1, 5), Radius(1), VertexSet.from_iterable([(0, 2)]))
+    assert [tuple(q) for q in rep.uncovered] == brute_uncovered(1, 5, 1, [(0, 2)]) == [(0, 0), (0, 4)]
 
 
 def test_single_cell_grid():
@@ -131,7 +134,7 @@ def test_report_counts_add_up():
         rep = verify_domination(GridDims(m, n), Radius(k), pts)
         assert rep.covered_count + len(rep.uncovered) == m * n
         assert sum(rep.multiplicity_histogram.values()) == m * n
-        assert (len(rep.uncovered) == 0) == (rep.max_nearest_distance <= k)
+        assert rep.covered_count == m * n - len(brute_uncovered(m, n, k, pts))
         # cross-check against the dumb oracle
         assert [tuple(q) for q in rep.uncovered] == brute_uncovered(m, n, k, pts)
 
@@ -177,3 +180,28 @@ def test_fiber_in_margin_box_always_dominates():
         ell = Residue(rng.randrange(p), p)
         pts = inverse_image_in_box(Radius(k), ell, neighborhood_box(dims, Radius(k)))
         assert is_dominating(dims, Radius(k), pts), (k, dims, ell)
+
+
+def test_multiplicity_matches_brute_ball_count():
+    # dominators anywhere: inside the grid, in the k-margin, and beyond it
+    rng = random.Random(51)
+    for _ in range(60):
+        m, n, k = rng.randint(1, 10), rng.randint(1, 10), rng.randint(1, 5)
+        pts = VertexSet.from_iterable(
+            (rng.randint(-3 * k, m + 3 * k), rng.randint(-3 * k, n + 3 * k))
+            for _ in range(rng.randint(0, 15))
+        )
+        want = brute_multiplicity(m, n, k, pts)
+        mult = _multiplicity(GridDims(m, n), Radius(k), pts)
+        assert mult.shape == (m, n)
+        assert {(i, j): int(mult[i, j]) for j in range(n) for i in range(m)} == want
+        hist = {}
+        for c in want.values():
+            hist[c] = hist.get(c, 0) + 1
+        assert verify_domination(GridDims(m, n), Radius(k), pts).multiplicity_histogram == hist
+
+
+def test_coordinates_beyond_int64_are_ignored():
+    pts = VertexSet.from_iterable([(1, 1), (10 ** 30, 0), (0, -(10 ** 30))])
+    rep = verify_domination(GridDims(3, 3), Radius(1), pts)
+    assert [tuple(q) for q in rep.uncovered] == brute_uncovered(3, 3, 1, [(1, 1)])

@@ -20,6 +20,7 @@ from kdom import (
     modulus,
     phi,
 )
+from kdom.lattice import fiber_counts_in_box
 
 
 @pytest.mark.parametrize("k,p", [(1, 5), (2, 13), (3, 25)])
@@ -140,6 +141,19 @@ def test_count_matches_enumeration_randomized():
         assert count_in_box(Radius(k), ell, box) == len(
             inverse_image_in_box(Radius(k), ell, box)
         )
+
+
+def test_fiber_counts_in_box_match_per_residue_counts():
+    rng = random.Random(321)
+    for _ in range(300):
+        k = Radius(rng.randint(1, 5))
+        i_lo = rng.randint(-80, 40)
+        j_lo = rng.randint(-80, 40)
+        # heights past p exercise the whole-period shortcut
+        box = Box(i_lo, i_lo + rng.randint(0, 3 * k.p), j_lo, j_lo + rng.randint(0, 3 * k.p))
+        counts = fiber_counts_in_box(k, box)
+        assert counts.tolist() == [count_in_box(k, Residue(v, k.p), box) for v in range(k.p)]
+        assert counts.sum() == box.area
 
 
 @pytest.mark.parametrize("k,size", [(1, 5), (5, 61)])
