@@ -50,10 +50,8 @@ from .lattice import (
     Radius,
     Residue,
     VertexSet,
-    ball_size,
     count_in_box,
     inverse_image_in_box,
-    modulus,
     phi,
 )
 

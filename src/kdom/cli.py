@@ -8,7 +8,6 @@ fixtures stay diffable.  Exit codes: 0 success, 1 verification negative,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -190,7 +189,6 @@ def trace_lines(trace: ConstructionTrace) -> list[str]:
     for src, dst in trace.shifted_pairs:
         lines.append(f"shift={src.i},{src.j}>{dst.i},{dst.j}")
     lines.append(f"projection_merged={trace.projection_merged}")
-    lines.append(f"fallback_activations={trace.fallback_activations}")
     lines.append(f"final_size={trace.final_size}")
     return lines
 
@@ -203,27 +201,8 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _threads_default() -> int:
-    env = os.environ.get("KDOM_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def cmd_construct(args) -> int:
-    if args.m < 1:
-        print("m must be >= 1", file=sys.stderr)
-        return 2
-    if args.n < 1:
-        print("n must be >= 1", file=sys.stderr)
-        return 2
-    if args.k < 1:
-        print("k must be >= 1", file=sys.stderr)
-        return 2
-    dims = GridDims(args.m, args.n)
-    k = Radius(args.k)
-    pts, trace = construct(dims, k, enable_fallback_repair=args.fallback_repair)
+    pts, trace = construct(GridDims(args.m, args.n), Radius(args.k))
     flags = ["projected"]
     if not trace.corner_removal_applied:
         flags.append("no-corner-removal")
@@ -290,34 +269,27 @@ def _parse_pairs(args) -> list[tuple[int, int]]:
     return list(TABLE1_PAIRS)
 
 
+def _cell(value) -> str:
+    return "n/a" if value is None else str(value)
+
+
 def cmd_table(args) -> int:
-    k = Radius(args.k)
-    pairs = _parse_pairs(args)
-    rows = comparison_table(pairs, k, build=args.build)
+    rows = comparison_table(_parse_pairs(args), Radius(args.k), build=args.build)
     header = ["M", "N", "New Bound", "Old Bound"]
     if args.build:
         header.append("Constructed")
-    out = []
+    table = [header]
+    for r in rows:
+        cells = [_cell(r.m), _cell(r.n), _cell(r.new_bound), _cell(r.fss_bound)]
+        if args.build:
+            cells.append(_cell(r.constructed_size))
+        table.append(cells)
     if args.csv:
-        out.append(",".join(header))
-        for r in rows:
-            cells = [str(r.m), str(r.n),
-                     "n/a" if r.new_bound is None else str(r.new_bound),
-                     str(r.fss_bound)]
-            if args.build:
-                cells.append("n/a" if r.constructed_size is None else str(r.constructed_size))
-            out.append(",".join(cells))
+        out = [",".join(cells) for cells in table]
     else:
-        out.append(f"# kdom table k={args.k}")
-        widths = [4, 4, 10, 10, 12]
-        out.append("".join(h.rjust(w) for h, w in zip(header, widths)))
-        for r in rows:
-            cells = [str(r.m), str(r.n),
-                     "n/a" if r.new_bound is None else str(r.new_bound),
-                     str(r.fss_bound)]
-            if args.build:
-                cells.append("n/a" if r.constructed_size is None else str(r.constructed_size))
-            out.append("".join(c.rjust(w) for c, w in zip(cells, widths)))
+        widths = (4, 4, 10, 10, 12)
+        out = [f"# kdom table k={args.k}"]
+        out += ["".join(c.rjust(w) for c, w in zip(cells, widths)) for cells in table]
     _write(args.output, "\n".join(out) + "\n")
     return 0
 
@@ -327,8 +299,7 @@ def cmd_exact(args) -> int:
     k = Radius(args.k)
     result = exact_gamma(dims, k, node_budget=args.budget)
     if result.time_budget_exceeded:
-        lower = -(-dims.area // k.p)
-        print(f"gamma>={lower} gamma<={result.gamma} budget exceeded "
+        print(f"gamma>={result.lower_bound} gamma<={result.gamma} budget exceeded "
               f"({result.nodes_explored} nodes)")
         return 3
     print(f"gamma={result.gamma}")
@@ -357,13 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kdom",
         description="k-distance dominating sets of m x n grid graphs",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_threads_default(),
-        help="worker threads (default from KDOM_THREADS; evaluation is "
-        "deterministic and currently sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a dominating set")
@@ -372,8 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("-k", type=int, required=True)
     c.add_argument("-o", "--output", default=None, help="set file (default stdout)")
     c.add_argument("--trace", default=None, help="write the construction trace here")
-    c.add_argument("--fallback-repair", action="store_true",
-                   help="enable the bounded local-search repair (off by default)")
     c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="check a set file for domination")
@@ -419,9 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (KdomError, OSError, ValueError) as exc:

@@ -16,7 +16,7 @@ products; no floating point enters this module.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -32,7 +32,6 @@ from .lattice import (
     Radius,
     Residue,
     VertexSet,
-    _phi_raw,
     fiber_counts_in_box,
     inverse_image_in_box,
     row_major_key,
@@ -56,16 +55,30 @@ CORNER_ORDER = (Corner.NW, Corner.NE, Corner.SW, Corner.SE)
 
 
 class _Frame:
-    """Rotation of the plane carrying one corner of Y onto the NW corner."""
+    """Rotation of the plane carrying one corner of Y onto the NW corner.
+
+    A rotation keeps the code a fiber of a linear form: in frame
+    coordinates phi(to_real(i, j)) = a*i + b*j + c (mod p), where |a| and
+    |b| are k and k+1, both units mod p.  So the code point of a row (or
+    a column) nearest any start is one modular solve away, and the hits
+    of a row are spaced exactly p apart.
+    """
 
     def __init__(self, corner: Corner, dims: GridDims, k: Radius, ell: Residue):
         self.corner = corner
-        self._m, self._n = dims.m, dims.n
-        self._k, self._p, self._ell = k.k, k.p, ell.value
-        if corner in (Corner.NW, Corner.SE):
-            self.dims = (dims.m, dims.n)
-        else:
-            self.dims = (dims.n, dims.m)
+        m, n = self._m, self._n = dims.m, dims.n
+        kk, p = k.k, k.p
+        a, b, c = {
+            Corner.NW: (kk + 1, kk, 0),
+            Corner.NE: (-kk, kk + 1, kk * (n - 1)),
+            Corner.SW: (kk, -(kk + 1), (kk + 1) * (m - 1)),
+            Corner.SE: (-(kk + 1), -kk, (kk + 1) * (m - 1) + kk * (n - 1)),
+        }[corner]
+        self._p, self._a, self._b = p, a, b
+        self._target = (ell.value - c) % p
+        self._inv_a, self._inv_b = pow(a, -1, p), pow(b, -1, p)
+        nf = n if corner in (Corner.NW, Corner.SE) else m
+        self.north = nf + kk - 1  # the frame's north boundary row of Y
 
     def to_real(self, q: tuple[int, int]) -> LatticePoint:
         i, j = q
@@ -78,9 +91,15 @@ class _Frame:
             return LatticePoint(m - 1 - j, i)
         return LatticePoint(m - 1 - i, n - 1 - j)
 
-    def is_code(self, q: tuple[int, int]) -> bool:
-        ri, rj = self.to_real(q)
-        return _phi_raw(self._k, self._p, ri, rj) == self._ell
+    def first_in_row(self, j: int, i_lo: int) -> int:
+        """Smallest i >= i_lo with (i, j) on the code."""
+        i0 = self._inv_a * (self._target - self._b * j) % self._p
+        return i_lo + (i0 - i_lo) % self._p
+
+    def last_in_column(self, i: int, j_hi: int) -> int:
+        """Largest j <= j_hi with (i, j) on the code."""
+        j0 = self._inv_b * (self._target - self._a * i) % self._p
+        return j_hi - (j_hi - j0) % self._p
 
 
 @dataclass(frozen=True)
@@ -116,8 +135,6 @@ class ConstructionTrace:
     shifted_pairs: tuple[tuple[LatticePoint, LatticePoint], ...]
     projection_merged: int
     final_size: int
-    fallback_activations: int
-    corner_processed: bool
 
 
 def best_residue(dims: GridDims, k: Radius) -> tuple[Residue, int]:
@@ -169,20 +186,8 @@ def classify_corner(dims: GridDims, k: Radius, ell: Residue, corner: Corner) -> 
     if ell.modulus != p:
         raise DomainError(f"residue modulus {ell.modulus} does not match p={p}")
     fr = _Frame(corner, dims, k, ell)
-    _, nf = fr.dims
-    north = nf + k.k - 1
-    s = None
-    for i in range(-k.k, -k.k + p):
-        if fr.is_code((i, north)):
-            s = LatticePoint(i, north)
-            break
-    assert s is not None, "a row of width > p always meets the fiber"
-    z = None
-    for j in range(north, north - p, -1):
-        if fr.is_code((-1, j)):
-            z = LatticePoint(-1, j)
-            break
-    assert z is not None
+    s = LatticePoint(fr.first_in_row(fr.north, -k.k), fr.north)
+    z = LatticePoint(-1, fr.last_in_column(-1, fr.north))
     slope_l2 = Fraction(k.k, k.k + 1)
     if s == z:
         # s sits on column -1: its ball misses the grid, like Case 1.
@@ -226,32 +231,34 @@ def _corner_plan(ctx: CornerContext, dims: GridDims, k: Radius) -> _CornerPlan:
       shallow:  code points on the line through s with slope k/(k+1) move
                 east one unit; code points strictly above that line move
                 down one unit.
+    Candidates lie in columns -k..s.i, a segment of at most p cells, so
+    each scanned row holds at most one code point.
     """
     kk, p = k.k, k.p
     fr = _Frame(ctx.corner, dims, k, ctx.residue)
-    _, nf = fr.dims
-    north = nf + kk - 1
     s, z = ctx.s, ctx.z
+
+    def west_of_s(bottom: int):
+        """Code points of rows north..bottom in columns -k..s.i, s excluded."""
+        for j in range(fr.north, bottom - 1, -1):
+            i = fr.first_in_row(j, -kk)
+            if i <= s.i and (i, j) != s:
+                yield i, j
+
     moves: dict[tuple[int, int], tuple[int, int]] = {}
     if ctx.case is CornerCase.STEEP_SLOPE:
         delta, rise = s.i - z.i, s.j - z.j
-        for j in range(north, z.j - 1, -1):
-            for i in range(-kk, s.i + 1):
-                if (i, j) == s or not fr.is_code((i, j)):
-                    continue
-                if delta * (j - z.j) - rise * (i - z.i) >= 0:
-                    moves[(i, j)] = (i + 1, j)
+        for i, j in west_of_s(z.j):
+            if delta * (j - z.j) - rise * (i - z.i) >= 0:
+                moves[(i, j)] = (i + 1, j)
         moves[z] = (z.i + 1, z.j + 1)
     elif ctx.case is CornerCase.SHALLOW_SLOPE:
-        for j in range(north, north - 2 * p - 1, -1):
-            for i in range(-kk, s.i + 1):
-                if (i, j) == s or not fr.is_code((i, j)):
-                    continue
-                cross = (j - s.j) * (kk + 1) - kk * (i - s.i)
-                if cross == 0:
-                    moves[(i, j)] = (i + 1, j)
-                elif cross > 0:
-                    moves[(i, j)] = (i, j - 1)
+        for i, j in west_of_s(fr.north - 2 * p):
+            cross = (j - s.j) * (kk + 1) - kk * (i - s.i)
+            if cross == 0:
+                moves[(i, j)] = (i + 1, j)
+            elif cross > 0:
+                moves[(i, j)] = (i, j - 1)
     real_moves = tuple(
         sorted(
             ((fr.to_real(a), fr.to_real(b)) for a, b in moves.items()),
@@ -276,19 +283,26 @@ def _apply_plan(s_set: VertexSet, plan: _CornerPlan) -> VertexSet:
         if dst in current:
             raise CornerOverlapError(f"shift target {dst} collides")
         current.add(dst)
-    assert len(current) == len(s_set) - 1
     return VertexSet.from_iterable(current)
 
 
-def _corner_broke(
-    dims: GridDims, k: Radius, ctx: CornerContext, broken: VertexSet
-) -> VerificationError:
-    """The error for a corner edit that left vertices uncovered, listing them."""
-    uncovered = verify_domination(dims, k, broken).uncovered
-    return VerificationError(
-        f"{ctx.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
-        uncovered=uncovered,
-    )
+def _apply_checked(
+    ctx: CornerContext,
+    plan: _CornerPlan,
+    s_set: VertexSet,
+    dims: GridDims,
+    k: Radius,
+    verify: bool,
+) -> VertexSet:
+    """Apply one corner's plan; with verify, raise if domination broke."""
+    result = _apply_plan(s_set, plan)
+    if verify and not is_dominating(dims, k, result):
+        uncovered = verify_domination(dims, k, result).uncovered
+        raise VerificationError(
+            f"{ctx.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
+            uncovered=uncovered,
+        )
+    return result
 
 
 def apply_corner_case(
@@ -299,50 +313,7 @@ def apply_corner_case(
     verify: bool = True,
 ) -> VertexSet:
     """Apply one corner's removal and shifts; optionally verify domination."""
-    plan = _corner_plan(ctx, dims, k)
-    result = _apply_plan(s_set, plan)
-    if verify and not is_dominating(dims, k, result):
-        raise _corner_broke(dims, k, ctx, result)
-    return result
-
-
-def _fallback_repair(
-    dims: GridDims, k: Radius, ctx: CornerContext, broken: VertexSet
-) -> VertexSet | None:
-    """Greedy bounded search over single-unit moves inside the corner window.
-
-    Insurance only: the main procedure is machine-verified over all
-    residue configurations, so this should never run on the main path.
-    """
-    fr = _Frame(ctx.corner, dims, k, ctx.residue)
-    p = k.p
-    window = {
-        fr.to_real((i, j))
-        for j in range(fr.dims[1] + k.k - 1, fr.dims[1] + k.k - 1 - 2 * p - 1, -1)
-        for i in range(-k.k, -k.k + 2 * p + 1)
-    }
-    directions = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    current = set(broken.points)
-    for _ in range(4 * p):
-        report = verify_domination(dims, k, VertexSet.from_iterable(current))
-        if len(report.uncovered) == 0:
-            return VertexSet.from_iterable(current)
-        best = None
-        for q in sorted(current & window, key=row_major_key):
-            for d in directions:
-                moved = LatticePoint(q.i + d[0], q.j + d[1])
-                if moved in current:
-                    continue
-                trial = current - {q} | {moved}
-                r = verify_domination(dims, k, VertexSet.from_iterable(trial))
-                score = len(r.uncovered)
-                if best is None or score < best[0]:
-                    best = (score, q, moved)
-        if best is None or best[0] >= len(report.uncovered):
-            return None
-        _, q, moved = best
-        current = current - {q} | {moved}
-    return None
+    return _apply_checked(ctx, _corner_plan(ctx, dims, k), s_set, dims, k, verify)
 
 
 def remove_corners(
@@ -350,18 +321,16 @@ def remove_corners(
     k: Radius,
     ell: Residue,
     s_set: VertexSet,
-    prior_trace: ConstructionTrace | None = None,
     verify: bool = True,
-    enable_fallback_repair: bool = False,
 ) -> tuple[VertexSet, ConstructionTrace]:
     """Remove one code point at each corner of Y, preserving domination.
 
     The four plans are computed from the same base set; their touched
-    points are pairwise disjoint (guaranteed for m, n > 2p, asserted
-    here) so the corners commute.
+    points are pairwise disjoint (guaranteed for m, n > 2p, checked
+    here) so the corners commute.  Every corner configuration for
+    k <= 8 is certified by the test suite; with verify, a corner that
+    breaks domination raises VerificationError.
     """
-    if prior_trace is not None and prior_trace.corner_processed:
-        raise DomainError("set already corner-processed; removal is not idempotent")
     contexts = tuple(classify_corner(dims, k, ell, c) for c in CORNER_ORDER)
     plans = [_corner_plan(ctx, dims, k) for ctx in contexts]
     touched = [plan.touched() for plan in plans]
@@ -374,27 +343,8 @@ def remove_corners(
                     f"regions overlap at {sorted(overlap)[:4]}"
                 )
     current = s_set
-    removed = []
-    shifted: list[tuple[LatticePoint, LatticePoint]] = []
-    fallback_activations = 0
     for ctx, plan in zip(contexts, plans):
-        candidate = _apply_plan(current, plan)
-        if (verify or enable_fallback_repair) and not is_dominating(dims, k, candidate):
-            if not enable_fallback_repair:
-                raise _corner_broke(dims, k, ctx, candidate)
-            fallback_activations += 1
-            repaired = _fallback_repair(
-                dims, k, ctx, VertexSet.from_iterable(set(current.points) - {plan.removed})
-            )
-            if repaired is None:
-                raise VerificationError(
-                    f"{ctx.corner.value} corner repair failed",
-                    uncovered=verify_domination(dims, k, candidate).uncovered,
-                )
-            candidate = repaired
-        removed.append(plan.removed)
-        shifted.extend(plan.moves)
-        current = candidate
+        current = _apply_checked(ctx, plan, current, dims, k, verify)
     trace = ConstructionTrace(
         dims=dims,
         k=k,
@@ -402,21 +352,16 @@ def remove_corners(
         base_size=len(s_set),
         corner_removal_applied=True,
         corner_cases=contexts,
-        removed=VertexSet.from_iterable(removed),
-        shifted_pairs=tuple(shifted),
+        removed=VertexSet.from_iterable(plan.removed for plan in plans),
+        shifted_pairs=tuple(move for plan in plans for move in plan.moves),
         projection_merged=0,
         final_size=len(current),
-        fallback_activations=fallback_activations,
-        corner_processed=True,
     )
     return current, trace
 
 
 def construct(
-    dims: GridDims,
-    k: Radius,
-    verify: bool = True,
-    enable_fallback_repair: bool = False,
+    dims: GridDims, k: Radius, verify: bool = True
 ) -> tuple[VertexSet, ConstructionTrace]:
     """Full pipeline: best residue, base set, corner removal, projection.
 
@@ -430,25 +375,9 @@ def construct(
     if len(base) != count:
         raise KdomError(f"base set has {len(base)} points, the residue count says {count}")
     if dims.m > 2 * p and dims.n > 2 * p:
-        shifted, trace = remove_corners(
-            dims, k, ell, base,
-            verify=verify, enable_fallback_repair=enable_fallback_repair,
-        )
+        shifted, trace = remove_corners(dims, k, ell, base, verify=verify)
         projected, merged = _project_counted(dims, shifted)
-        trace = ConstructionTrace(
-            dims=dims,
-            k=k,
-            chosen_residue=ell,
-            base_size=trace.base_size,
-            corner_removal_applied=True,
-            corner_cases=trace.corner_cases,
-            removed=trace.removed,
-            shifted_pairs=trace.shifted_pairs,
-            projection_merged=merged,
-            final_size=len(projected),
-            fallback_activations=trace.fallback_activations,
-            corner_processed=True,
-        )
+        trace = replace(trace, projection_merged=merged, final_size=len(projected))
     else:
         projected, merged = _project_counted(dims, base)
         trace = ConstructionTrace(
@@ -462,8 +391,6 @@ def construct(
             shifted_pairs=(),
             projection_merged=merged,
             final_size=len(projected),
-            fallback_activations=0,
-            corner_processed=False,
         )
     if verify and not is_dominating(dims, k, projected):
         report = verify_domination(dims, k, projected)

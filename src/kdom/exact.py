@@ -21,9 +21,13 @@ DEFAULT_NODE_BUDGET = 5_000_000
 
 @dataclass(frozen=True)
 class ExactResult:
+    """gamma is exact unless the node budget ran out; then it is the best
+    size found, and lower_bound the smallest size not yet ruled out."""
+
     dims: GridDims
     k: Radius
     gamma: int
+    lower_bound: int
     witness: VertexSet
     nodes_explored: int
     time_budget_exceeded: bool
@@ -128,12 +132,14 @@ def exact_gamma(
     def to_set(indices: list[int]) -> VertexSet:
         return VertexSet.from_iterable((idx % m, idx // m) for idx in indices)
 
+    best = len(incumbent)
     try:
-        for size in range(lower, len(incumbent)):
+        for size in range(lower, best):
             found = search(size, 0, [])
             if found is not None:
-                return ExactResult(dims, k, size, to_set(found), nodes, False)
+                return ExactResult(dims, k, size, size, to_set(found), nodes, False)
     except _BudgetExhausted:
-        return ExactResult(dims, k, len(incumbent), to_set(incumbent), nodes, True)
+        # every size below the one being searched has been exhausted
+        return ExactResult(dims, k, best, size, to_set(incumbent), nodes, True)
     # every size below the greedy solution is exhausted: greedy is optimal
-    return ExactResult(dims, k, len(incumbent), to_set(incumbent), nodes, False)
+    return ExactResult(dims, k, best, best, to_set(incumbent), nodes, False)

@@ -37,7 +37,10 @@ def row_major_key(point: LatticePoint) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Radius:
-    """Domination distance k >= 1 with its derived modulus p = 2k^2+2k+1."""
+    """Domination distance k >= 1 with its derived modulus p = 2k^2+2k+1.
+
+    p = k^2 + (k+1)^2 is also the point count of the closed radius-k ball.
+    """
 
     k: int
 
@@ -139,19 +142,9 @@ class VertexSet:
         return point in self._index
 
 
-def modulus(k: Radius) -> int:
-    """Size p = 2k^2+2k+1 of the closed radius-k ball; k^2 + (k+1)^2."""
-    return k.p
-
-
 def phi(k: Radius, point: LatticePoint) -> Residue:
     """The homomorphism (i, j) -> (k+1)*i + k*j reduced into [0, p-1]."""
     return Residue.reduce((k.k + 1) * point[0] + k.k * point[1], k)
-
-
-def _phi_raw(k: int, p: int, i: int, j: int) -> int:
-    # Hot-path variant used by fiber scans; same arithmetic as phi().
-    return ((k + 1) * i + k * j) % p
 
 
 def _first_hit_in_row(inv: int, k: int, p: int, ell: int, j: int, i_lo: int) -> int:
@@ -227,10 +220,3 @@ def fiber_counts_in_box(k: Radius, box: Box) -> np.ndarray:
     counts[ell] = diff
     counts += per_row * box.height + periods * r
     return counts
-
-
-def ball_size(k: Radius) -> int:
-    """Point count of the closed Manhattan ball of radius k; equals p."""
-    size = sum(2 * (k.k - abs(x)) + 1 for x in range(-k.k, k.k + 1))
-    assert size == k.p, "ball size must equal the modulus"
-    return size

@@ -54,7 +54,6 @@ def test_construct_writes_trace(tmp_path):
                  "-o", str(out), "--trace", str(tr)]) == 0
     text = tr.read_text()
     assert "residue=" in text
-    assert "fallback_activations=0" in text
     assert text.count("removed=") == 4
     assert "corner_NW_case=" in text
 
@@ -168,6 +167,12 @@ def test_exact_budget_exit_code(capsys):
     assert "budget exceeded" in capsys.readouterr().out
 
 
+def test_exact_budget_prints_the_solver_lower_bound(capsys):
+    # a 2-row grid caps a k=1 ball at 4 cells, so ceil(64/4) = 16, not ceil(64/5) = 13
+    assert main(["exact", "-m", "2", "-n", "32", "-k", "1", "--budget", "5"]) == 3
+    assert capsys.readouterr().out.startswith("gamma>=16 gamma<=17 budget exceeded")
+
+
 def test_exact_witness(capsys):
     assert main(["exact", "-m", "1", "-n", "5", "-k", "2", "--witness"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -213,14 +218,6 @@ def test_render_svg_is_wellformed(tmp_path, capsys):
 def test_render_malformed_exit_2(tmp_path, capsys):
     path = make_file(tmp_path, "garbage\n")
     assert main(["render", path]) == 2
-
-
-def test_threads_flag_and_env(tmp_path, monkeypatch, capsys):
-    assert main(["--threads", "4", "bound", "-m", "51", "-n", "52", "-k", "3"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("KDOM_THREADS", "2")
-    assert main(["bound", "-m", "51", "-n", "52", "-k", "3"]) == 0
-    assert main(["--threads", "0", "bound", "-m", "5", "-n", "5", "-k", "1"]) == 2
 
 
 def test_missing_file_exit_2(capsys):

@@ -38,6 +38,7 @@ def naive_gamma(m, n, k):
 def test_2x2_k1():
     res = exact_gamma(GridDims(2, 2), K1)
     assert res.gamma == 2 == naive_gamma(2, 2, 1)
+    assert res.lower_bound == res.gamma
     assert not res.time_budget_exceeded
 
 
@@ -116,8 +117,9 @@ def test_budget_flagging():
     assert res.time_budget_exceeded
     assert is_dominating(GridDims(8, 8), K1, res.witness)
     assert res.gamma == len(res.witness)
-    # the flagged value is only an upper bound
-    assert res.gamma >= exact_gamma(GridDims(8, 8), K1).gamma
+    # the flagged value is only an upper bound, and lower_bound a proven one
+    exact = exact_gamma(GridDims(8, 8), K1)
+    assert res.lower_bound <= exact.gamma == exact.lower_bound <= res.gamma
 
 
 def test_determinism():

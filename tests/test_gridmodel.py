@@ -16,7 +16,6 @@ from kdom import (
     grid_distance,
     inverse_image_in_box,
     is_dominating,
-    modulus,
     neighborhood_box,
     verify_domination,
 )
@@ -175,7 +174,7 @@ def test_fiber_in_margin_box_always_dominates():
     rng = random.Random(41)
     for _ in range(30):
         k = rng.randint(1, 4)
-        p = modulus(Radius(k))
+        p = Radius(k).p
         dims = GridDims(rng.randint(1, 3 * p), rng.randint(1, 3 * p))
         ell = Residue(rng.randrange(p), p)
         pts = inverse_image_in_box(Radius(k), ell, neighborhood_box(dims, Radius(k)))

@@ -14,10 +14,8 @@ from kdom import (
     Radius,
     Residue,
     VertexSet,
-    ball_size,
     count_in_box,
     inverse_image_in_box,
-    modulus,
     phi,
 )
 from kdom.lattice import fiber_counts_in_box
@@ -25,12 +23,12 @@ from kdom.lattice import fiber_counts_in_box
 
 @pytest.mark.parametrize("k,p", [(1, 5), (2, 13), (3, 25)])
 def test_modulus_values(k, p):
-    assert modulus(Radius(k)) == p
+    assert Radius(k).p == p
 
 
 def test_modulus_is_sum_of_squares():
     for k in range(1, 33):
-        p = modulus(Radius(k))
+        p = Radius(k).p
         assert p == k * k + (k + 1) * (k + 1)
         assert p % 2 == 1
 
@@ -46,7 +44,7 @@ def test_modulus_is_sum_of_squares():
 def test_phi_examples(k, point, expected):
     res = phi(Radius(k), LatticePoint(*point))
     assert res.value == expected
-    assert res.modulus == modulus(Radius(k))
+    assert res.modulus == Radius(k).p
 
 
 def test_radius_validation():
@@ -96,7 +94,7 @@ def test_inverse_image_matches_brute_force():
     rng = random.Random(7)
     for _ in range(40):
         k = rng.randint(1, 5)
-        p = modulus(Radius(k))
+        p = Radius(k).p
         ell = rng.randrange(p)
         i_lo = rng.randint(-30, 10)
         j_lo = rng.randint(-30, 10)
@@ -133,7 +131,7 @@ def test_count_matches_enumeration_randomized():
     rng = random.Random(123)
     for _ in range(500):
         k = rng.randint(1, 5)
-        p = modulus(Radius(k))
+        p = Radius(k).p
         ell = Residue(rng.randrange(p), p)
         i_lo = rng.randint(-60, 30)
         j_lo = rng.randint(-60, 30)
@@ -158,7 +156,7 @@ def test_fiber_counts_in_box_match_per_residue_counts():
 
 @pytest.mark.parametrize("k,size", [(1, 5), (5, 61)])
 def test_ball_size_values(k, size):
-    assert ball_size(Radius(k)) == size
+    assert Radius(k).p == size
 
 
 def test_ball_size_matches_enumeration():
@@ -170,12 +168,12 @@ def test_ball_size_matches_enumeration():
             for y in range(-k, k + 1)
             if abs(x) + abs(y) <= k
         }
-        assert ball_size(Radius(k)) == len(diamond)
+        assert Radius(k).p == len(diamond)
 
 
 def test_coprimality():
     for k in range(1, 33):
-        p = modulus(Radius(k))
+        p = Radius(k).p
         assert math.gcd(k, p) == 1
         assert math.gcd(k + 1, p) == 1
 
@@ -184,14 +182,14 @@ def _code_window(k, ell, lo, hi):
     """Boolean array of fiber membership for lo <= i, j <= hi."""
     coords = np.arange(lo, hi + 1)
     vals = (k + 1) * coords[:, None] + k * coords[None, :]
-    return (vals % modulus(Radius(k))) == ell
+    return (vals % Radius(k).p) == ell
 
 
 def test_perfect_code_property():
     # every point of a 3p x 3p window sees exactly one fiber element
     # within distance k, for every residue, k <= 5
     for k in range(1, 6):
-        p = modulus(Radius(k))
+        p = Radius(k).p
         w = 3 * p
         grid = _code_window(k, 0, -k, w - 1 + k)
         for ell in range(p):
@@ -208,7 +206,7 @@ def test_row_and_column_spacing():
     # consecutive fiber hits in any row or column are exactly p apart,
     # with the first hit inside the leading p cells
     for k in range(1, 6):
-        p = modulus(Radius(k))
+        p = Radius(k).p
         box = Box(0, 3 * p - 1, 0, 3 * p - 1)
         for ell in range(0, p, max(1, p // 7)):
             pts = inverse_image_in_box(Radius(k), Residue(ell, p), box)
@@ -236,7 +234,7 @@ def test_row_and_column_spacing():
 )
 def test_translation_covariance(k, i, j, a):
     rad = Radius(k)
-    p = modulus(rad)
+    p = rad.p
     base = phi(rad, LatticePoint(i, j))
     assert phi(rad, LatticePoint(i + a * p, j)) == base
     assert phi(rad, LatticePoint(i, j + a * p)) == base
