@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
+
+import numpy as np
 
 from .bounds import TABLE1_PAIRS, chang_bound, bijm_bound, comparison_table, cor_bound, fss_bound, new_bound
 from .construction import ConstructionTrace, construct
 from .errors import DomainError, KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
 from .gridmodel import GridDims, verify_domination
-from .lattice import LatticePoint, Radius, VertexSet
+from .lattice import LatticePoint, Radius, VertexSet, canonical_order, repeats
 
 MAGIC = "kdom v1"
 KNOWN_FLAGS = ("projected", "no-corner-removal")
@@ -40,11 +42,13 @@ class SetFile:
             if f not in KNOWN_FLAGS:
                 raise SetFileError(f"unknown flag {f!r}")
         if "projected" in self.flags:
-            for (i, j) in self.points:
-                if not (0 <= i < self.m and 0 <= j < self.n):
-                    raise SetFileError(
-                        f"point {i},{j} outside the {self.m}x{self.n} grid of a projected file"
-                    )
+            a = self.points.array
+            off = (a[:, 0] < 0) | (a[:, 0] >= self.m) | (a[:, 1] < 0) | (a[:, 1] >= self.n)
+            if off.any():
+                i, j = a[off.argmax()].tolist()
+                raise SetFileError(
+                    f"point {i},{j} outside the {self.m}x{self.n} grid of a projected file"
+                )
 
 
 def save_setfile(sf: SetFile) -> str:
@@ -52,9 +56,31 @@ def save_setfile(sf: SetFile) -> str:
     for flag in KNOWN_FLAGS:
         if flag in sf.flags:
             lines.append(f"# {flag}")
-    for (i, j) in sf.points:
-        lines.append(f"{i} {j}")
-    return "\n".join(lines) + "\n"
+    head = "\n".join(lines) + "\n"
+    return head + ("%d %d\n" * len(sf.points)) % tuple(sf.points.array.ravel().tolist())
+
+
+def _coordinates(data: list[list[str]]) -> np.ndarray:
+    """The "i j" rows as an (N, 2) integer array, object dtype beyond int64.
+
+    Raises ValueError if a token is not an integer.
+    """
+    flat = list(chain.from_iterable(data))
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(list(map(int, flat)), dtype=object).reshape(-1, 2)
+
+
+def _check_integers(body: list[str], rows: list[list[str]], odd: list[int], stop: int) -> None:
+    """Raise for the first "i j" line before body[stop] holding a non-integer."""
+    skip = set(odd)
+    for r in range(stop):
+        if r not in skip:
+            try:
+                int(rows[r][0]), int(rows[r][1])
+            except ValueError:
+                raise SetFileError(f"non-integer coordinate in {body[r].strip()!r}") from None
 
 
 def load_setfile(text: str) -> SetFile:
@@ -70,33 +96,40 @@ def load_setfile(text: str) -> SetFile:
         k, m, n, count = (int(x) for x in header)
     except ValueError as exc:
         raise SetFileError(f"non-integer header field: {exc}") from None
-    flags = []
-    body = []
-    for line in lines[2:]:
-        parts = line.split()
-        if not parts:
+    body = lines[2:]
+    rows = list(map(str.split, body))
+    # Lines other than "i j": blank lines, flags and malformed lines, in file order.
+    odd = [r for r, parts in enumerate(rows) if len(parts) != 2 or parts[0].startswith("#")]
+    flags, data, start = [], [], 0
+    for r in odd:
+        data += rows[start:r]
+        start = r + 1
+        if not rows[r]:
             continue
-        if parts[0].startswith("#"):
-            flag = line.strip()[1:].strip()
-            if flag not in KNOWN_FLAGS:
-                raise SetFileError(f"unknown flag {flag!r}")
+        flag = body[r].strip()[1:].strip()
+        if rows[r][0].startswith("#") and flag in KNOWN_FLAGS:
             if flag not in flags:
                 flags.append(flag)
             continue
-        if len(parts) != 2:
-            raise SetFileError(f"expected 'i j', got {line.strip()!r}")
-        try:
-            body.append(LatticePoint(int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise SetFileError(f"non-integer coordinate in {line.strip()!r}") from None
-    if len(body) != count:
-        raise SetFileError(f"header count {count} != {len(body)} body lines")
-    if len(set(body)) != len(body):
-        seen = set()
-        dup = next(pt for pt in body if pt in seen or seen.add(pt))
-        raise SetFileError(f"duplicate vertex {dup.i} {dup.j}")
-    body.sort(key=itemgetter(1, 0))  # row-major, as VertexSet requires
-    return SetFile(k=k, m=m, n=n, points=VertexSet(tuple(body)), flags=tuple(flags))
+        _check_integers(body, rows, odd, r)  # a bad coordinate on an earlier line is reported first
+        if rows[r][0].startswith("#"):
+            raise SetFileError(f"unknown flag {flag!r}")
+        raise SetFileError(f"expected 'i j', got {body[r].strip()!r}")
+    data += rows[start:]
+    try:
+        coords = _coordinates(data)
+    except ValueError:
+        _check_integers(body, rows, odd, len(rows))
+        raise
+    if len(coords) != count:
+        raise SetFileError(f"header count {count} != {len(coords)} body lines")
+    order = canonical_order(coords)  # stable, so each vertex's first line sorts first
+    coords = coords[order]
+    twice = repeats(coords)
+    if twice.any():
+        i, j = coords[np.flatnonzero(twice)[order[twice].argmin()]].tolist()
+        raise SetFileError(f"duplicate vertex {i} {j}")
+    return SetFile(k=k, m=m, n=n, points=VertexSet(coords), flags=tuple(flags))
 
 
 def render_ascii(sf: SetFile, coverage: bool = False) -> str:

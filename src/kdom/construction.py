@@ -19,6 +19,8 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     CornerOverlapError,
     DomainError,
@@ -26,7 +28,13 @@ from .errors import (
     KdomError,
     VerificationError,
 )
-from .gridmodel import GridDims, is_dominating, neighborhood_box, verify_domination
+from .gridmodel import (
+    GridDims,
+    check_dense_size,
+    is_dominating,
+    neighborhood_box,
+    verify_domination,
+)
 from .lattice import (
     LatticePoint,
     Radius,
@@ -34,7 +42,7 @@ from .lattice import (
     VertexSet,
     fiber_counts_in_box,
     inverse_image_in_box,
-    row_major_key,
+    row_major_keys,
 )
 
 
@@ -165,11 +173,7 @@ def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
 
 
 def _project_counted(dims: GridDims, s: VertexSet) -> tuple[VertexSet, int]:
-    m, n = dims.m, dims.n
-    clamped = [
-        LatticePoint(min(max(i, 0), m - 1), min(max(j, 0), n - 1)) for (i, j) in s
-    ]
-    result = VertexSet.from_iterable(clamped)
+    result = VertexSet.from_iterable(np.clip(s.array, 0, (dims.m - 1, dims.n - 1)))
     return result, len(s) - len(result)
 
 
@@ -262,28 +266,64 @@ def _corner_plan(ctx: CornerContext, dims: GridDims, k: Radius) -> _CornerPlan:
     real_moves = tuple(
         sorted(
             ((fr.to_real(a), fr.to_real(b)) for a, b in moves.items()),
-            key=lambda ab: row_major_key(ab[0]),
+            key=lambda ab: (ab[0].j, ab[0].i),  # row-major
         )
     )
     return _CornerPlan(removed=fr.to_real(s), moves=real_moves)
 
 
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys equal to an earlier key."""
+    seen, mask = set(), []
+    for key in keys.tolist():
+        mask.append(key in seen)
+        seen.add(key)
+    return np.array(mask, dtype=bool)
+
+
+def _find(have: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each key is, or would go, in the sorted have; and whether it is there."""
+    at = np.searchsorted(have, keys)
+    found = at < len(have)
+    found[found] = have[at[found]] == keys[found]
+    return at, found
+
+
 def _apply_plan(s_set: VertexSet, plan: _CornerPlan) -> VertexSet:
-    current = set(s_set.points)
-    if plan.removed not in current:
+    """Delete the removed point and the shift sources, insert the targets.
+
+    A plan touches only the rows near its corner, so the edit works on
+    the slice of the set holding those rows: points are found by binary
+    search on row-major keys, and only that slice is put back in order.
+    The rest of the set is copied, never sorted.
+    """
+    sources = [src for src, _ in plan.moves]
+    targets = [dst for _, dst in plan.moves]
+    gone = np.array([plan.removed, *sources], dtype=np.int64)
+    new = np.array(targets, dtype=np.int64).reshape(-1, 2)
+    touched_rows = np.concatenate((gone, new))[:, 1]
+    lo = np.searchsorted(s_set.array[:, 1], touched_rows.min())
+    hi = np.searchsorted(s_set.array[:, 1], touched_rows.max(), "right")
+    window = s_set.array[lo:hi]
+    have, gone_keys, new_keys = row_major_keys(window, gone, new)
+    at, found = _find(have, gone_keys)
+    if not found[0]:
         raise CornerOverlapError(
             f"corner point {plan.removed} missing; set does not match the plan"
         )
-    current.remove(plan.removed)
-    for src, _ in plan.moves:
-        if src not in current:
-            raise CornerOverlapError(f"shift source {src} missing from the set")
-        current.remove(src)
-    for _, dst in plan.moves:
-        if dst in current:
-            raise CornerOverlapError(f"shift target {dst} collides")
-        current.add(dst)
-    return VertexSet.from_iterable(current)
+    found &= ~_repeated(gone_keys)  # a point listed twice is gone the second time
+    if not found.all():
+        raise CornerOverlapError(f"shift source {sources[found.argmin() - 1]} missing from the set")
+    keep = np.ones(len(window), dtype=bool)
+    keep[at] = False
+    kept_keys = have[keep]
+    _, clash = _find(kept_keys, new_keys)
+    clash |= _repeated(new_keys)
+    if clash.any():
+        raise CornerOverlapError(f"shift target {targets[clash.argmax()]} collides")
+    order = np.argsort(np.concatenate((kept_keys, new_keys)), kind="stable")
+    edited = np.concatenate((window[keep], new))[order]
+    return VertexSet(np.concatenate((s_set.array[:lo], edited, s_set.array[hi:])))
 
 
 def _apply_checked(
@@ -369,6 +409,8 @@ def construct(
     points; otherwise corner removal is skipped and the floor bound
     holds without the -4.
     """
+    if verify:
+        check_dense_size(dims, k)
     p = k.p
     ell, count = best_residue(dims, k)
     base = base_set(dims, k, ell)

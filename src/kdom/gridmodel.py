@@ -6,7 +6,9 @@ lie outside the grid (the construction keeps them in the enlarged box Y
 until the final projection), so the verifier works on the grid enlarged
 by k on every side and reads off the grid portion.  One coverage kernel
 serves both checks: it costs O(mn k) array work and one
-(m+2k) x (n+2k+1) int32 array.
+(m+2k) x (n+2k+1) int32 array.  Grids that would need more than
+MAX_DENSE_CELLS such cells are rejected with DomainError before anything
+is allocated.
 """
 from __future__ import annotations
 
@@ -33,6 +35,11 @@ __all__ = [
     "verify_domination",
     "is_dominating",
 ]
+
+# The coverage kernel holds (m+2k) x (n+2k+1) int32 prefix sums and an
+# m x n int32 count: about 0.8 GB at this many cells.  8000x8001 at k=5
+# needs 64,176,120.
+MAX_DENSE_CELLS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,16 @@ def grid_distance(a: LatticePoint, b: LatticePoint) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def check_dense_size(dims: GridDims, k: Radius) -> None:
+    """Raise DomainError if the coverage kernel's arrays would exceed MAX_DENSE_CELLS."""
+    cells = (dims.m + 2 * k.k) * (dims.n + 2 * k.k + 1)
+    if cells > MAX_DENSE_CELLS:
+        raise DomainError(
+            f"{dims.m}x{dims.n} at k={k.k} needs {cells} verifier cells, "
+            f"above the cap of {MAX_DENSE_CELLS}"
+        )
+
+
 def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     """m x n int32 array counting the dominators within distance k of each vertex.
 
@@ -88,18 +105,15 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     is 2k+1 pairs of m x n slice operations.  Points outside the padded
     box cannot reach the grid and are skipped.
     """
+    check_dense_size(dims, k)
     kk, m, n = k.k, dims.m, dims.n
-    prefix = np.zeros((m + 2 * kk, n + 2 * kk + 1), dtype=np.int32)
-    try:
-        pts = np.array(s.points, dtype=np.int64)
-    except OverflowError:  # coordinates beyond int64 lie far outside the padded box
-        pts = np.array([q for q in s.points if max(map(abs, q)) < 2 ** 62], dtype=np.int64)
-    pts = pts.reshape(-1, 2) + kk
+    pts = s.array
     inside = (
-        (pts[:, 0] >= 0) & (pts[:, 0] < m + 2 * kk)
-        & (pts[:, 1] >= 0) & (pts[:, 1] < n + 2 * kk)
+        (pts[:, 0] >= -kk) & (pts[:, 0] < m + kk)
+        & (pts[:, 1] >= -kk) & (pts[:, 1] < n + kk)
     )
-    pts = pts[inside]
+    pts = pts[inside].astype(np.int64, copy=False) + kk
+    prefix = np.zeros((m + 2 * kk, n + 2 * kk + 1), dtype=np.int32)
     prefix[pts[:, 0], pts[:, 1] + 1] = 1
     np.cumsum(prefix, axis=1, out=prefix)
     mult = np.zeros((m, n), dtype=np.int32)
@@ -114,8 +128,8 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
 def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport:
     """Exact coverage report; an empty s yields all vertices uncovered."""
     mult = _multiplicity(dims, k, s)
-    uj, ui = np.nonzero(mult.T == 0)
-    uncovered = VertexSet(tuple(map(LatticePoint, ui.tolist(), uj.tolist())))
+    uj, ui = np.nonzero(mult.T == 0)  # row-major, as VertexSet requires
+    uncovered = VertexSet(np.column_stack((ui, uj)).astype(np.int64, copy=False))
     freqs = np.bincount(mult.ravel())
     histogram = {c: int(f) for c, f in enumerate(freqs) if f}
     return CoverageReport(

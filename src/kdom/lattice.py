@@ -6,13 +6,17 @@ fibers of this map are perfect Lee codes of Z^2: the radius-k balls around
 the fiber's points tile the plane.  This module provides the map, fiber
 enumeration inside finite boxes, and the closed-form fiber count.
 
-All arithmetic is exact integer arithmetic; Python integers cannot wrap,
-and the documented envelope (k <= 2000, box sides <= 2**31) is enforced
-at construction time.
+A vertex set is one (N, 2) array of (i, j) rows, deduplicated and sorted
+row-major (VertexSet).  Within the documented envelope (k <= 2000, box
+sides <= 2**31, enforced at construction time) every coordinate the
+construction and the verifier produce fits int64, and modular products
+are reduced first so they stay below p^2 < 2**46.  A set built from
+coordinates beyond int64 is held as an object array of Python integers;
+the same sorting, masking and key code serves it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -28,11 +32,6 @@ class LatticePoint(NamedTuple):
 
     i: int
     j: int
-
-
-def row_major_key(point: LatticePoint) -> tuple[int, int]:
-    """Canonical sort key: ascending row j, then ascending column i."""
-    return (point[1], point[0])
 
 
 @dataclass(frozen=True)
@@ -112,34 +111,105 @@ class Box:
         return self.i_lo <= point[0] <= self.i_hi and self.j_lo <= point[1] <= self.j_hi
 
 
-@dataclass(frozen=True)
+def _as_pairs(points) -> np.ndarray:
+    """The points as an (N, 2) array of (i, j) rows, int64 unless a coordinate overflows it."""
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    try:
+        return np.array(points, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array([(int(i), int(j)) for i, j in points], dtype=object).reshape(-1, 2)
+
+
+def canonical_order(pairs: np.ndarray) -> np.ndarray:
+    """Indices that sort (i, j) rows row-major: ascending j, then ascending i; stable."""
+    return np.lexsort((pairs[:, 0], pairs[:, 1]))
+
+
+def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a canonically sorted array that equal the row before them."""
+    mask = np.zeros(len(sorted_pairs), dtype=bool)
+    if len(sorted_pairs) > 1:
+        np.all(sorted_pairs[1:] == sorted_pairs[:-1], axis=1, out=mask[1:])
+    return mask
+
+
+def row_major_keys(*arrays: np.ndarray) -> list[np.ndarray]:
+    """One integer per point that orders the points of all the arrays row-major.
+
+    The key is (j - j0) * w + (i - i0) over the arrays' common bounding
+    box of width w.  It is int64 whenever that box has fewer than 2**63
+    cells, which holds for every box with sides up to 2**31, and a
+    Python integer otherwise.
+    """
+    pairs = np.concatenate(arrays)
+    if not len(pairs):
+        return [np.zeros(0, dtype=np.int64) for _ in arrays]
+    (i0, j0), (i1, j1) = pairs.min(axis=0).tolist(), pairs.max(axis=0).tolist()
+    w = i1 - i0 + 1
+    if w * (j1 - j0 + 1) >= 2 ** 63:
+        pairs = pairs.astype(object)
+    keys = (pairs[:, 1] - j0) * w + (pairs[:, 0] - i0)
+    ends = np.cumsum([len(a) for a in arrays]).tolist()
+    return [keys[end - len(a):end] for a, end in zip(arrays, ends)]
+
+
 class VertexSet:
-    """A deduplicated vertex set in canonical row-major order."""
+    """A deduplicated vertex set in canonical row-major order.
 
-    points: tuple[LatticePoint, ...]
-    _index: frozenset = field(init=False, repr=False, compare=False)
+    The set is one read-only (N, 2) array of (i, j) rows, sorted by j and
+    then by i.  Its dtype is int64, or object where a coordinate does not
+    fit int64.  `points`, iteration and membership build LatticePoint
+    views of it on first use.  Build sets with from_iterable; the
+    constructor takes an array that is already canonical.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", frozenset(self.points))
+    __slots__ = ("array", "_points", "_index")
+
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        self.array = array
+        self._points = None
+        self._index = None
 
     @classmethod
-    def from_iterable(cls, points: Iterable[tuple[int, int]]) -> "VertexSet":
-        """Canonicalize: dedupe and sort row-major."""
-        unique = {LatticePoint(int(i), int(j)) for (i, j) in points}
-        return cls(tuple(sorted(unique, key=row_major_key)))
+    def from_iterable(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "VertexSet":
+        """Canonicalize (i, j) pairs, or an (N, 2) array of them: dedupe and sort row-major."""
+        pairs = _as_pairs(points)
+        pairs = pairs[canonical_order(pairs)]
+        return cls(pairs[~repeats(pairs)])
 
     @classmethod
     def empty(cls) -> "VertexSet":
-        return cls(())
+        return cls(np.zeros((0, 2), dtype=np.int64))
+
+    @property
+    def points(self) -> tuple[LatticePoint, ...]:
+        if self._points is None:
+            self._points = tuple(map(LatticePoint._make, self.array.tolist()))
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.array)
 
     def __iter__(self) -> Iterator[LatticePoint]:
         return iter(self.points)
 
     def __contains__(self, point) -> bool:
+        if self._index is None:
+            self._index = frozenset(self.points)
         return point in self._index
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VertexSet):
+            return NotImplemented
+        return self.array.shape == other.array.shape and bool((self.array == other.array).all())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.array.ravel().tolist()))
+
+    def __repr__(self) -> str:
+        return f"VertexSet({list(self.points)!r})"
 
 
 def phi(k: Radius, point: LatticePoint) -> Residue:
@@ -158,20 +228,33 @@ def _first_hit_in_row(inv: int, k: int, p: int, ell: int, j: int, i_lo: int) -> 
 
 
 def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:
-    """All fiber points of ell inside the box, row-major ordered."""
+    """All fiber points of ell inside the box, row-major ordered.
+
+    Row j_lo + r first meets the fiber at column offset
+    (c0 - r*k/(k+1)) mod p from i_lo and then every p columns, so one
+    repeat over the rows lists the points already sorted.
+    """
     if ell.modulus != k.p:
         raise DomainError(
             f"residue modulus {ell.modulus} does not match p={k.p} for k={k.k}"
         )
-    kk, p, e = k.k, k.p, ell.value
+    kk, p = k.k, k.p
     inv = pow(kk + 1, -1, p)
-    pts = []
-    for j in range(box.j_lo, box.j_hi + 1):
-        i = _first_hit_in_row(inv, kk, p, e, j, box.i_lo)
-        while i <= box.i_hi:
-            pts.append(LatticePoint(i, j))
-            i += p
-    return VertexSet(tuple(pts))
+    c0 = (inv * (ell.value - kk * box.j_lo) - box.i_lo) % p
+    rows = np.arange(box.height, dtype=np.int64)
+    first = (c0 - (inv * kk % p) * (rows % p)) % p
+    hits = (box.width - 1 - first) // p + 1
+    starts = np.cumsum(hits) - hits
+    pairs = np.empty((int(hits.sum()), 2), dtype=np.int64)
+    pairs[:, 1] = np.repeat(rows, hits)
+    pairs[:, 0] = np.arange(len(pairs), dtype=np.int64)
+    pairs[:, 0] -= np.repeat(starts, hits)
+    pairs[:, 0] *= p
+    pairs[:, 0] += np.repeat(first, hits)
+    if min(box.i_lo, box.j_lo) < -(2 ** 63) or max(box.i_hi, box.j_hi) >= 2 ** 63:
+        pairs = pairs.astype(object)
+    pairs += (box.i_lo, box.j_lo)
+    return VertexSet(pairs)
 
 
 def count_in_box(k: Radius, ell: Residue, box: Box) -> int:

@@ -228,3 +228,11 @@ def test_malformed_pairs_exit_2(capsys):
     assert main(["table", "--pairs", "51xab"]) == 2
     assert main(["table", "--range", "51..x"]) == 2
     assert main(["exact", "-m", "2", "-n", "2", "-k", "2001"]) == 2
+
+
+def test_grid_beyond_the_dense_verifier_cap_exits_2(tmp_path, capsys):
+    side = str(2 ** 31)
+    path = make_file(tmp_path, f"kdom v1\n1 {side} {side} 0\n")
+    assert main(["verify", path]) == 2
+    assert main(["construct", "-m", side, "-n", side, "-k", "1"]) == 2
+    assert capsys.readouterr().err.count("verifier cells") == 2

@@ -26,7 +26,7 @@ from kdom import (
     remove_corners,
     verify_domination,
 )
-from kdom.construction import CORNER_ORDER, Corner, CornerCase
+from kdom.construction import CORNER_ORDER, Corner, CornerCase, _apply_plan, _CornerPlan
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
@@ -333,3 +333,65 @@ def test_verification_failure_carries_uncovered():
     # the vertex due south of s is the one the wrong case strands
     assert (7, 26) in {tuple(q) for q in err.value.uncovered}
 
+
+
+def _reference_apply_plan(points, plan):
+    """The set-based corner edit, kept as the reference for the array version."""
+    current = set(points)
+    if plan.removed not in current:
+        raise CornerOverlapError(f"corner point {plan.removed} missing; set does not match the plan")
+    current.remove(plan.removed)
+    for src, _ in plan.moves:
+        if src not in current:
+            raise CornerOverlapError(f"shift source {src} missing from the set")
+        current.remove(src)
+    for _, dst in plan.moves:
+        if dst in current:
+            raise CornerOverlapError(f"shift target {dst} collides")
+        current.add(dst)
+    return VertexSet.from_iterable(current)
+
+
+def _outcome(apply, points, plan):
+    try:
+        return apply(points, plan)
+    except CornerOverlapError as exc:
+        return str(exc)
+
+
+def test_apply_plan_matches_the_set_reference():
+    import random
+
+    rng = random.Random(23)
+
+    def pt():
+        return LatticePoint(rng.randint(-3, 4), rng.randint(-3, 4))
+
+    outcomes = set()
+    for _ in range(3000):
+        pts = VertexSet.from_iterable(pt() for _ in range(rng.randint(0, 30)))
+        pool = list(pts) or [pt()]
+        plan = _CornerPlan(
+            removed=rng.choice(pool) if rng.random() < 0.9 else pt(),
+            moves=tuple(
+                (rng.choice(pool) if rng.random() < 0.85 else pt(), pt())
+                for _ in range(rng.randint(0, 5))
+            ),
+        )
+        want = _outcome(_reference_apply_plan, pts, plan)
+        assert _outcome(_apply_plan, pts, plan) == want, (pts, plan)
+        outcomes.add(" ".join(want.split()[:2]) if isinstance(want, str) else "ok")
+    assert outcomes == {"ok", "corner point", "shift source", "shift target"}
+
+
+def test_apply_plan_rejects_missing_source_and_colliding_target():
+    pts = VertexSet.from_iterable([(0, 0), (3, 0), (1, 2)])
+    missing = _CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(4, 0)),
+                                              (LatticePoint(2, 2), LatticePoint(2, 3))))
+    with pytest.raises(CornerOverlapError, match=r"shift source LatticePoint\(i=2, j=2\) missing"):
+        _apply_plan(pts, missing)
+    collides = _CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(1, 2)),))
+    with pytest.raises(CornerOverlapError, match=r"shift target LatticePoint\(i=1, j=2\) collides"):
+        _apply_plan(pts, collides)
+    moved = _apply_plan(pts, _CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(0, 2)),)))
+    assert list(moved) == [LatticePoint(0, 2), LatticePoint(1, 2)]

@@ -1,0 +1,43 @@
+"""Golden-output guard: construct's set files and traces must not change.
+
+The digest below was computed from the set-file text and the trace lines
+of `construct` on GOLDEN_GRIDS.  Any change to the chosen residue, the
+corner plans, the projection, the point order or the file format changes
+it.  If an output change is intended, recompute the digest with
+`golden_text()` and say in the change log why the output moved.
+"""
+import hashlib
+
+from kdom import GridDims, Radius, construct
+from kdom.cli import SetFile, save_setfile, trace_lines
+
+# (m, n, k): corner removal needs m, n > 2p (p = 5, 13, 25, 41, 61 for k = 1..5).
+GOLDEN_GRIDS = (
+    (11, 12, 1), (17, 13, 1), (3, 4, 1), (1, 30, 1),
+    (27, 28, 2), (41, 30, 2), (9, 9, 2), (1, 45, 2),
+    (51, 52, 3), (60, 53, 3), (20, 25, 3), (40, 1, 3),
+    (83, 85, 4), (90, 84, 4), (40, 41, 4),
+    (123, 124, 5), (130, 127, 5), (70, 71, 5), (1, 200, 5),
+)
+
+GOLDEN_SHA256 = "a2fb403ac08fd0388534fa7b8cde161c8b2f7bfe1f424a9300244042db0b9e74"
+
+
+def golden_text() -> str:
+    parts = []
+    for m, n, kk in GOLDEN_GRIDS:
+        pts, trace = construct(GridDims(m, n), Radius(kk))
+        flags = ("projected",) if trace.corner_removal_applied else ("projected", "no-corner-removal")
+        parts.append(save_setfile(SetFile(kk, m, n, pts, flags)))
+        parts.append("\n".join(trace_lines(trace)) + "\n")
+    return "".join(parts)
+
+
+def test_golden_grids_cover_every_path():
+    kinds = {(kk, m > 2 * Radius(kk).p and n > 2 * Radius(kk).p) for m, n, kk in GOLDEN_GRIDS}
+    assert kinds == {(kk, c) for kk in range(1, 6) for c in (False, True)}
+    assert any(1 in (m, n) for m, n, _ in GOLDEN_GRIDS)
+
+
+def test_construct_outputs_match_the_golden_digest():
+    assert hashlib.sha256(golden_text().encode()).hexdigest() == GOLDEN_SHA256

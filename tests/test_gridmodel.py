@@ -19,7 +19,7 @@ from kdom import (
     neighborhood_box,
     verify_domination,
 )
-from kdom.gridmodel import _multiplicity
+from kdom.gridmodel import MAX_DENSE_CELLS, _multiplicity, check_dense_size
 
 
 def bfs_distance(m, n, a, b):
@@ -204,3 +204,16 @@ def test_coordinates_beyond_int64_are_ignored():
     pts = VertexSet.from_iterable([(1, 1), (10 ** 30, 0), (0, -(10 ** 30))])
     rep = verify_domination(GridDims(3, 3), Radius(1), pts)
     assert [tuple(q) for q in rep.uncovered] == brute_uncovered(3, 3, 1, [(1, 1)])
+
+
+def test_dense_verifier_cap_raises_before_allocating():
+    with pytest.raises(DomainError, match="verifier cells"):
+        _multiplicity(GridDims(2 ** 31, 2 ** 31), Radius(1), VertexSet.from_iterable([(0, 0)]))
+
+
+def test_dense_verifier_cap_admits_8000x8001_at_k5():
+    k = Radius(5)
+    assert (8000 + 2 * k.k) * (8001 + 2 * k.k + 1) <= MAX_DENSE_CELLS
+    check_dense_size(GridDims(8000, 8001), k)
+    with pytest.raises(DomainError):
+        check_dense_size(GridDims(MAX_DENSE_CELLS, 1), Radius(1))

@@ -247,3 +247,53 @@ def test_vertexset_canonical():
     assert len(vs) == 3
     assert LatticePoint(3, 1) in vs
     assert LatticePoint(9, 9) not in vs
+
+
+_coordinate = st.one_of(
+    st.integers(-40, 40),
+    st.sampled_from([10 ** 30, -(10 ** 30), 2 ** 63 - 1, -(2 ** 63), 2 ** 63]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=st.lists(st.tuples(_coordinate, _coordinate), max_size=30))
+def test_from_iterable_is_sorted_set(pts):
+    want = sorted(set(pts), key=lambda q: (q[1], q[0]))
+    from_list = VertexSet.from_iterable(pts)
+    assert [tuple(q) for q in from_list] == want
+    assert from_list.points == tuple(LatticePoint(*q) for q in want)
+    assert len(from_list) == len(want)
+    assert all(q in from_list for q in pts)
+    dtype = object if any(abs(c) >= 2 ** 62 for q in pts for c in q) else np.int64
+    from_array = VertexSet.from_iterable(np.array(pts, dtype=dtype).reshape(-1, 2))
+    assert from_array == from_list
+    assert hash(from_array) == hash(from_list)
+    assert from_array.array.tolist() == [list(q) for q in want]
+
+
+def test_vertexset_equality_is_by_content():
+    a = VertexSet.from_iterable([(1, 2), (0, 5)])
+    assert a == VertexSet.from_iterable(iter([(0, 5), (1, 2), (1, 2)]))
+    assert a != VertexSet.from_iterable([(1, 2)])
+    assert a != VertexSet.from_iterable([(1, 2), (0, 6)])
+    assert VertexSet.empty() == VertexSet.from_iterable([])
+    assert len({a, VertexSet.from_iterable([(0, 5), (1, 2)])}) == 1
+    assert not a.array.flags.writeable
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    ell=st.integers(0, 10 ** 6),
+    i_lo=st.one_of(st.integers(-60, 60), st.sampled_from([10 ** 30, -(10 ** 30), 2 ** 63 - 5])),
+    j_lo=st.one_of(st.integers(-60, 60), st.sampled_from([10 ** 30, -(10 ** 30)])),
+    w=st.integers(0, 45),
+    h=st.integers(0, 45),
+)
+def test_inverse_image_matches_brute_fiber(k, ell, i_lo, j_lo, w, h):
+    p = Radius(k).p
+    box = (i_lo, i_lo + w, j_lo, j_lo + h)
+    got = inverse_image_in_box(Radius(k), Residue(ell % p, p), Box(*box))
+    want = sorted(brute_fiber(k, ell, box), key=lambda q: (q[1], q[0]))
+    assert [tuple(q) for q in got] == want
+    assert got == VertexSet.from_iterable(want)
