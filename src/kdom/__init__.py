@@ -50,7 +50,6 @@ from .lattice import (
     Radius,
     Residue,
     VertexSet,
-    count_in_box,
     inverse_image_in_box,
     phi,
 )

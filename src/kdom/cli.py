@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .construction import ConstructionTrace, construct
 from .errors import DomainError, KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
 from .gridmodel import GridDims, verify_domination
-from .lattice import LatticePoint, Radius, VertexSet, canonical_order, repeats
+from .lattice import LatticePoint, Radius, VertexSet, _as_pairs, canonical_order, repeats
 
 MAGIC = "kdom v1"
 KNOWN_FLAGS = ("projected", "no-corner-removal")
@@ -60,18 +59,6 @@ def save_setfile(sf: SetFile) -> str:
     return head + ("%d %d\n" * len(sf.points)) % tuple(sf.points.array.ravel().tolist())
 
 
-def _coordinates(data: list[list[str]]) -> np.ndarray:
-    """The "i j" rows as an (N, 2) integer array, object dtype beyond int64.
-
-    Raises ValueError if a token is not an integer.
-    """
-    flat = list(chain.from_iterable(data))
-    try:
-        return np.array(flat, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        return np.array(list(map(int, flat)), dtype=object).reshape(-1, 2)
-
-
 def _check_integers(body: list[str], rows: list[list[str]], odd: list[int], stop: int) -> None:
     """Raise for the first "i j" line before body[stop] holding a non-integer."""
     skip = set(odd)
@@ -99,7 +86,11 @@ def load_setfile(text: str) -> SetFile:
     body = lines[2:]
     rows = list(map(str.split, body))
     # Lines other than "i j": blank lines, flags and malformed lines, in file order.
-    odd = [r for r, parts in enumerate(rows) if len(parts) != 2 or parts[0].startswith("#")]
+    lead = next((r for r, parts in enumerate(rows) if len(parts) != 2 or parts[0][0] != "#"), len(rows))
+    if set(map(len, rows)) <= {2} and "".join(body[:lead]).count("#") == text.count("#"):
+        odd = list(range(lead))  # two tokens a line, and no "#" after the leading flag lines
+    else:
+        odd = [r for r, parts in enumerate(rows) if len(parts) != 2 or parts[0].startswith("#")]
     flags, data, start = [], [], 0
     for r in odd:
         data += rows[start:r]
@@ -117,7 +108,7 @@ def load_setfile(text: str) -> SetFile:
         raise SetFileError(f"expected 'i j', got {body[r].strip()!r}")
     data += rows[start:]
     try:
-        coords = _coordinates(data)
+        coords = _as_pairs(data)
     except ValueError:
         _check_integers(body, rows, odd, len(rows))
         raise

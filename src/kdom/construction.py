@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,8 @@ from .errors import (
 )
 from .gridmodel import (
     GridDims,
+    _multiplicity,
+    ball_cells,
     check_dense_size,
     is_dominating,
     neighborhood_box,
@@ -42,6 +46,7 @@ from .lattice import (
     VertexSet,
     fiber_counts_in_box,
     inverse_image_in_box,
+    repeats,
     row_major_keys,
 )
 
@@ -173,7 +178,14 @@ def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
 
 
 def _project_counted(dims: GridDims, s: VertexSet) -> tuple[VertexSet, int]:
-    result = VertexSet.from_iterable(np.clip(s.array, 0, (dims.m - 1, dims.n - 1)))
+    n = dims.n
+    pts = np.clip(s.array, 0, (dims.m - 1, n - 1)).astype(np.int64, copy=False)
+    # Clamping i is monotone, so rows strictly inside the grid stay in order;
+    # only the rows merged into row 0 and row n-1 need a sort before the dedupe.
+    lo, hi = np.searchsorted(s.array[:, 1], (1, n - 1)) if n > 1 else (0, 0)
+    for a, b in ((0, lo), (hi, len(pts))):
+        pts[a:b] = pts[a:b][np.argsort(pts[a:b, 0], kind="stable")]
+    result = VertexSet(pts[~repeats(pts)])
     return result, len(s) - len(result)
 
 
@@ -210,19 +222,14 @@ def classify_corner(dims: GridDims, k: Radius, ell: Residue, corner: Corner) -> 
     return CornerContext(corner, ell, s, z, slope_l1, slope_l2, case)
 
 
-@dataclass(frozen=True)
-class _CornerPlan:
+class _CornerPlan(NamedTuple):  # a NamedTuple, not a dataclass: far cheaper to create at import
     """One corner's edit, in real coordinates: remove one point, move others."""
 
     removed: LatticePoint
     moves: tuple[tuple[LatticePoint, LatticePoint], ...]
 
     def touched(self) -> frozenset:
-        pts = {self.removed}
-        for a, b in self.moves:
-            pts.add(a)
-            pts.add(b)
-        return frozenset(pts)
+        return frozenset((self.removed, *chain.from_iterable(self.moves)))
 
 
 def _corner_plan(ctx: CornerContext, dims: GridDims, k: Radius) -> _CornerPlan:
@@ -289,102 +296,115 @@ def _find(have: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at, found
 
 
-def _apply_plan(s_set: VertexSet, plan: _CornerPlan) -> VertexSet:
-    """Delete the removed point and the shift sources, insert the targets.
+def _plan_points(plans: list[_CornerPlan]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plans' points (each plan's removed point, then each move's source and target),
+    their signs (-1 for a point a plan deletes, +1 for one it inserts) and where each plan ends."""
+    pts = np.array([q for plan in plans for q in (plan.removed, *chain.from_iterable(plan.moves))],
+                   dtype=np.int64).reshape(-1, 2)
+    sign = np.array([w for plan in plans for w in (-1, *(-1, 1) * len(plan.moves))])
+    return pts, sign, np.cumsum([1 + 2 * len(plan.moves) for plan in plans])
 
-    A plan touches only the rows near its corner, so the edit works on
-    the slice of the set holding those rows: points are found by binary
-    search on row-major keys, and only that slice is put back in order.
-    The rest of the set is copied, never sorted.
+
+def _apply_plans(s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
+    """Delete every plan's removed point and shift sources and insert its targets, in one edit.
+
+    The plans' touched points must be pairwise disjoint, so this equals
+    applying them one by one, faults included.  Only two row bands are
+    edited, split at the widest run of rows no plan touches (north and
+    south corners): points are found by binary search on row-major keys,
+    and the rest of the set is copied once, never sorted.
     """
-    sources = [src for src, _ in plan.moves]
-    targets = [dst for _, dst in plan.moves]
-    gone = np.array([plan.removed, *sources], dtype=np.int64)
-    new = np.array(targets, dtype=np.int64).reshape(-1, 2)
-    touched_rows = np.concatenate((gone, new))[:, 1]
-    lo = np.searchsorted(s_set.array[:, 1], touched_rows.min())
-    hi = np.searchsorted(s_set.array[:, 1], touched_rows.max(), "right")
-    window = s_set.array[lo:hi]
+    pts, sign, _ = _plan_points(plans)
+    gone, new = pts[sign < 0], pts[sign > 0]
+    rows = np.append(np.sort(pts[:, 1], kind="stable"), pts[:, 1].max() + 1)  # touched rows, a sentinel
+    t = np.diff(rows).argmax()  # band one ends at rows[t], band two starts at rows[t + 1]
+    whole = s_set.array
+    lo, mid_lo, mid_hi, hi = np.searchsorted(whole[:, 1], (rows[0], rows[t] + 1, rows[t + 1], rows[-1]))
+    window = np.concatenate((whole[lo:mid_lo], whole[mid_hi:hi]))
     have, gone_keys, new_keys = row_major_keys(window, gone, new)
     at, found = _find(have, gone_keys)
-    if not found[0]:
-        raise CornerOverlapError(
-            f"corner point {plan.removed} missing; set does not match the plan"
-        )
     found &= ~_repeated(gone_keys)  # a point listed twice is gone the second time
-    if not found.all():
-        raise CornerOverlapError(f"shift source {sources[found.argmin() - 1]} missing from the set")
     keep = np.ones(len(window), dtype=bool)
-    keep[at] = False
+    keep[at[found]] = False
     kept_keys = have[keep]
     _, clash = _find(kept_keys, new_keys)
     clash |= _repeated(new_keys)
+    if len(plans) > 1 and (not found.all() or clash.any()):
+        for plan in plans:  # the first plan that does not fit the set raises its own error
+            _apply_plans(s_set, [plan])
+    if not found[0]:
+        raise CornerOverlapError(f"corner point {plans[0].removed} missing; set does not match the plan")
+    if not found.all():
+        raise CornerOverlapError(f"shift source {plans[0].moves[found.argmin() - 1][0]} missing from the set")
     if clash.any():
-        raise CornerOverlapError(f"shift target {targets[clash.argmax()]} collides")
+        raise CornerOverlapError(f"shift target {plans[0].moves[clash.argmax()][1]} collides")
     order = np.argsort(np.concatenate((kept_keys, new_keys)), kind="stable")
     edited = np.concatenate((window[keep], new))[order]
-    return VertexSet(np.concatenate((s_set.array[:lo], edited, s_set.array[hi:])))
+    cut = np.searchsorted(edited[:, 1], rows[t + 1])
+    pieces = (whole[:lo], edited[:cut], whole[mid_lo:mid_hi], edited[cut:], whole[hi:])
+    return VertexSet(np.concatenate(pieces))
 
 
-def _apply_checked(
-    ctx: CornerContext,
-    plan: _CornerPlan,
-    s_set: VertexSet,
-    dims: GridDims,
-    k: Radius,
-    verify: bool,
-) -> VertexSet:
-    """Apply one corner's plan; with verify, raise if domination broke."""
-    result = _apply_plan(s_set, plan)
-    if verify and not is_dominating(dims, k, result):
+def _edit_corners(dims: GridDims, k: Radius, s_set: VertexSet, contexts: tuple[CornerContext, ...],
+                  plans: list[_CornerPlan], verify: bool) -> VertexSet:
+    """Apply the corners' plans in one edit; with verify, raise at the first corner that breaks domination.
+
+    Multiplicity is linear in the set, and a plan that fits the set
+    deletes points of it and inserts points not in it, so the input's
+    multiplicity plus the ball deltas of plans[:c+1] is that of the set
+    after corner c.  A plan that does not fit raises in _apply_plans.
+    """
+    broken = None
+    if verify:
+        mult = _multiplicity(dims, k, s_set)
+        pts, sign, ends = _plan_points(plans)
+        cells, owner = ball_cells(dims, k, pts)
+        sign = sign.astype(mult.dtype)[owner]
+        ends = np.searchsorted(owner, ends)
+        for c, (start, end) in enumerate(zip((0, *ends), ends)):
+            # add.at takes its fast path with a flat index and values in mult's own dtype
+            np.add.at(mult.reshape(-1), cells[start:end], sign[start:end])
+            if not mult.all():
+                broken, plans = contexts[c], plans[:c + 1]
+                break
+    result = _apply_plans(s_set, plans)
+    if broken is not None:
         uncovered = verify_domination(dims, k, result).uncovered
         raise VerificationError(
-            f"{ctx.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
+            f"{broken.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
             uncovered=uncovered,
         )
     return result
 
 
-def apply_corner_case(
-    ctx: CornerContext,
-    s_set: VertexSet,
-    dims: GridDims,
-    k: Radius,
-    verify: bool = True,
-) -> VertexSet:
+def apply_corner_case(ctx: CornerContext, s_set: VertexSet, dims: GridDims, k: Radius,
+                      verify: bool = True) -> VertexSet:
     """Apply one corner's removal and shifts; optionally verify domination."""
-    return _apply_checked(ctx, _corner_plan(ctx, dims, k), s_set, dims, k, verify)
+    return _edit_corners(dims, k, s_set, (ctx,), [_corner_plan(ctx, dims, k)], verify)
 
 
-def remove_corners(
-    dims: GridDims,
-    k: Radius,
-    ell: Residue,
-    s_set: VertexSet,
-    verify: bool = True,
-) -> tuple[VertexSet, ConstructionTrace]:
+def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
+                   verify: bool = True) -> tuple[VertexSet, ConstructionTrace]:
     """Remove one code point at each corner of Y, preserving domination.
 
     The four plans are computed from the same base set; their touched
     points are pairwise disjoint (guaranteed for m, n > 2p, checked
-    here) so the corners commute.  Every corner configuration for
-    k <= 8 is certified by the test suite; with verify, a corner that
-    breaks domination raises VerificationError.
+    here) so the corners commute and are applied in one edit.  Every
+    corner configuration for k <= 8 is certified by the test suite; with
+    verify, the first corner (in CORNER_ORDER) whose set no longer
+    dominates raises VerificationError.
     """
     contexts = tuple(classify_corner(dims, k, ell, c) for c in CORNER_ORDER)
     plans = [_corner_plan(ctx, dims, k) for ctx in contexts]
     touched = [plan.touched() for plan in plans]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            overlap = touched[a] & touched[b]
-            if overlap:
-                raise CornerOverlapError(
-                    f"{CORNER_ORDER[a].value} and {CORNER_ORDER[b].value} corner "
-                    f"regions overlap at {sorted(overlap)[:4]}"
-                )
-    current = s_set
-    for ctx, plan in zip(contexts, plans):
-        current = _apply_checked(ctx, plan, current, dims, k, verify)
+    for a, b in combinations(range(4), 2):
+        overlap = touched[a] & touched[b]
+        if overlap:
+            raise CornerOverlapError(
+                f"{CORNER_ORDER[a].value} and {CORNER_ORDER[b].value} corner "
+                f"regions overlap at {sorted(overlap)[:4]}"
+            )
+    current = _edit_corners(dims, k, s_set, contexts, plans, verify)
     trace = ConstructionTrace(
         dims=dims,
         k=k,

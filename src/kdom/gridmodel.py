@@ -25,17 +25,6 @@ from .lattice import (
     VertexSet,
 )
 
-__all__ = [
-    "GridDims",
-    "VertexSet",
-    "CoverageReport",
-    "grid_box",
-    "neighborhood_box",
-    "grid_distance",
-    "verify_domination",
-    "is_dominating",
-]
-
 # The coverage kernel holds (m+2k) x (n+2k+1) int32 prefix sums and an
 # m x n int32 count: about 0.8 GB at this many cells.  8000x8001 at k=5
 # needs 64,176,120.
@@ -125,12 +114,31 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     return mult
 
 
+def ball_cells(dims: GridDims, k: Radius, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid cells within distance k of each point, as flat indices into an m x n array.
+
+    Also returns, for each cell, the index of its point; cells come
+    grouped by point, in the points' order.  Balls are clipped to the
+    grid, so a point outside the k-padded box has no cells, as in
+    _multiplicity.
+    """
+    kk, m, n = k.k, dims.m, dims.n
+    d = np.arange(-kk, kk + 1)
+    di, dj = np.nonzero(np.abs(d[:, None]) + np.abs(d) <= kk)
+    i = (points[:, :1] + (di - kk)).ravel()
+    j = (points[:, 1:] + (dj - kk)).ravel()
+    on = (i >= 0) & (i < m) & (j >= 0) & (j < n)
+    return (i * n + j)[on], np.flatnonzero(on) // len(di)
+
+
 def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport:
     """Exact coverage report; an empty s yields all vertices uncovered."""
     mult = _multiplicity(dims, k, s)
-    uj, ui = np.nonzero(mult.T == 0)  # row-major, as VertexSet requires
-    uncovered = VertexSet(np.column_stack((ui, uj)).astype(np.int64, copy=False))
     freqs = np.bincount(mult.ravel())
+    uncovered = VertexSet.empty()
+    if freqs[0]:
+        uj, ui = np.nonzero(mult.T == 0)  # row-major, as VertexSet requires
+        uncovered = VertexSet(np.column_stack((ui, uj)).astype(np.int64, copy=False))
     histogram = {c: int(f) for c, f in enumerate(freqs) if f}
     return CoverageReport(
         dims=dims,

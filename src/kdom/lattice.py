@@ -17,6 +17,7 @@ the same sorting, masking and key code serves it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -107,18 +108,20 @@ class Box:
     def area(self) -> int:
         return self.width * self.height
 
-    def contains(self, point: LatticePoint) -> bool:
-        return self.i_lo <= point[0] <= self.i_hi and self.j_lo <= point[1] <= self.j_hi
-
 
 def _as_pairs(points) -> np.ndarray:
     """The points as an (N, 2) array of (i, j) rows, int64 unless a coordinate overflows it."""
-    if not isinstance(points, np.ndarray):
-        points = list(points)
+    pts = points.tolist() if isinstance(points, np.ndarray) else list(points)
     try:
-        return np.array(points, dtype=np.int64).reshape(-1, 2)
+        pairs = set(map(len, pts)) <= {2}
+    except TypeError:  # an item without a length
+        pairs = False
+    if not pairs:
+        raise DomainError("vertex set items must be (i, j) pairs")
+    try:
+        return np.fromiter(chain.from_iterable(pts), np.int64, 2 * len(pts)).reshape(-1, 2)
     except OverflowError:
-        return np.array([(int(i), int(j)) for i, j in points], dtype=object).reshape(-1, 2)
+        return np.array([(int(i), int(j)) for i, j in pts], dtype=object).reshape(-1, 2)
 
 
 def canonical_order(pairs: np.ndarray) -> np.ndarray:
@@ -174,7 +177,10 @@ class VertexSet:
 
     @classmethod
     def from_iterable(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "VertexSet":
-        """Canonicalize (i, j) pairs, or an (N, 2) array of them: dedupe and sort row-major."""
+        """Canonicalize (i, j) pairs, or an (N, 2) array of them: dedupe and sort row-major.
+
+        Raises DomainError if an item is not a pair.
+        """
         pairs = _as_pairs(points)
         pairs = pairs[canonical_order(pairs)]
         return cls(pairs[~repeats(pairs)])
@@ -186,7 +192,7 @@ class VertexSet:
     @property
     def points(self) -> tuple[LatticePoint, ...]:
         if self._points is None:
-            self._points = tuple(map(LatticePoint._make, self.array.tolist()))
+            self._points = tuple(map(tuple.__new__, repeat(LatticePoint), self.array.tolist()))
         return self._points
 
     def __len__(self) -> int:
@@ -215,16 +221,6 @@ class VertexSet:
 def phi(k: Radius, point: LatticePoint) -> Residue:
     """The homomorphism (i, j) -> (k+1)*i + k*j reduced into [0, p-1]."""
     return Residue.reduce((k.k + 1) * point[0] + k.k * point[1], k)
-
-
-def _first_hit_in_row(inv: int, k: int, p: int, ell: int, j: int, i_lo: int) -> int:
-    """Smallest i >= i_lo with (k+1)*i + k*j = ell (mod p); inv = (k+1)^-1 mod p.
-
-    Within a row the fiber's points are spaced exactly p apart, so the
-    first hit determines the whole row.
-    """
-    a = (inv * (ell - k * j)) % p
-    return i_lo + ((a - i_lo) % p)
 
 
 def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:
@@ -257,24 +253,8 @@ def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:
     return VertexSet(pairs)
 
 
-def count_in_box(k: Radius, ell: Residue, box: Box) -> int:
-    """|inverse_image_in_box(k, ell, box)| without materializing the set."""
-    if ell.modulus != k.p:
-        raise DomainError(
-            f"residue modulus {ell.modulus} does not match p={k.p} for k={k.k}"
-        )
-    kk, p, e = k.k, k.p, ell.value
-    inv = pow(kk + 1, -1, p)
-    total = 0
-    for j in range(box.j_lo, box.j_hi + 1):
-        first = _first_hit_in_row(inv, kk, p, e, j, box.i_lo)
-        if first <= box.i_hi:
-            total += (box.i_hi - first) // p + 1
-    return total
-
-
 def fiber_counts_in_box(k: Radius, box: Box) -> np.ndarray:
-    """count_in_box for every residue at once, as an int64 array indexed by ell.
+    """|inverse_image_in_box(k, ell, box)| for every residue ell, as an int64 array.
 
     A row of width W meets every fiber floor(W/p) times.  Its W mod p
     extra hits, written in u = ell/(k+1) coordinates, fill one cyclic

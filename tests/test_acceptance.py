@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from conftest import count_in_box
 from kdom import (
     Box,
     GridDims,
@@ -18,7 +19,6 @@ from kdom import (
     chang_bound,
     construct,
     cor_bound,
-    count_in_box,
     exact_gamma,
     fss_bound,
     inverse_image_in_box,

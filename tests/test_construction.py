@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_dominates
+from conftest import brute_dominates, count_in_box
 from kdom import (
     CornerOverlapError,
     DomainError,
@@ -11,13 +15,13 @@ from kdom import (
     LatticePoint,
     Radius,
     Residue,
+    VerificationError,
     VertexSet,
     apply_corner_case,
     base_set,
     best_residue,
     classify_corner,
     construct,
-    count_in_box,
     exact_gamma,
     is_dominating,
     neighborhood_box,
@@ -26,7 +30,15 @@ from kdom import (
     remove_corners,
     verify_domination,
 )
-from kdom.construction import CORNER_ORDER, Corner, CornerCase, _apply_plan, _CornerPlan
+from kdom.construction import (
+    CORNER_ORDER,
+    Corner,
+    CornerCase,
+    _apply_plans,
+    _corner_plan,
+    _CornerPlan,
+    _project_counted,
+)
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
@@ -379,7 +391,7 @@ def test_apply_plan_matches_the_set_reference():
             ),
         )
         want = _outcome(_reference_apply_plan, pts, plan)
-        assert _outcome(_apply_plan, pts, plan) == want, (pts, plan)
+        assert _outcome(lambda s, q: _apply_plans(s, [q]), pts, plan) == want, (pts, plan)
         outcomes.add(" ".join(want.split()[:2]) if isinstance(want, str) else "ok")
     assert outcomes == {"ok", "corner point", "shift source", "shift target"}
 
@@ -389,9 +401,143 @@ def test_apply_plan_rejects_missing_source_and_colliding_target():
     missing = _CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(4, 0)),
                                               (LatticePoint(2, 2), LatticePoint(2, 3))))
     with pytest.raises(CornerOverlapError, match=r"shift source LatticePoint\(i=2, j=2\) missing"):
-        _apply_plan(pts, missing)
+        _apply_plans(pts, [missing])
     collides = _CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(1, 2)),))
     with pytest.raises(CornerOverlapError, match=r"shift target LatticePoint\(i=1, j=2\) collides"):
-        _apply_plan(pts, collides)
-    moved = _apply_plan(pts, _CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(0, 2)),)))
+        _apply_plans(pts, [collides])
+    moved = _apply_plans(pts, [_CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(0, 2)),))])
     assert list(moved) == [LatticePoint(0, 2), LatticePoint(1, 2)]
+
+
+def _one_by_one(points, plans):
+    for plan in plans:
+        points = _apply_plans(points, [plan])
+    return points
+
+
+def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
+    # the four corner plans of real bases, whose north and south row bands
+    # are apart even at m, n = 2p + 1; the random plans below also merge
+    for kk in (1, 2, 3):
+        k = Radius(kk)
+        p = k.p
+        for m, n in ((2 * p + 1, 2 * p + 1), (2 * p + 2, 2 * p + 3), (3 * p, 3 * p + 1), (5 * p + 2, 4 * p)):
+            dims = GridDims(m, n)
+            for v in range(0, p, max(1, p // 6)):
+                ell = Residue(v, p)
+                base = base_set(dims, k, ell)
+                plans = [_corner_plan(classify_corner(dims, k, ell, c), dims, k) for c in CORNER_ORDER]
+                assert _apply_plans(base, plans) == _one_by_one(base, plans)
+
+
+def test_apply_plans_reports_the_fault_of_the_first_plan_that_does_not_fit():
+    rng = random.Random(31)
+    universe = [LatticePoint(i, j) for i in range(-3, 9) for j in range(-3, 9)]
+    outcomes, apart = set(), set()
+    for _ in range(1500):
+        rng.shuffle(universe)
+        pts = VertexSet.from_iterable(universe[:rng.randint(0, 60)])
+        inside = [q for q in universe if q in pts]
+        outside = [q for q in universe if q not in pts]
+
+        def draw(usual, other, p_usual):
+            pool = usual if usual and (rng.random() < p_usual or not other) else other
+            return pool.pop()
+
+        plans = []
+        for _ in range(rng.randint(1, 4)):  # points are popped, so the plans are disjoint
+            if len(inside) + len(outside) < 11:
+                break
+            removed = draw(inside, outside, 0.95)
+            moves = tuple((draw(inside, outside, 0.95), draw(outside, inside, 0.95))
+                          for _ in range(rng.randint(0, 5)))
+            plans.append(_CornerPlan(removed, moves))
+        want = _outcome(_one_by_one, pts, plans)
+        assert _outcome(_apply_plans, pts, plans) == want, (pts, plans)
+        outcomes.add(" ".join(want.split()[:2]) if isinstance(want, str) else "ok")
+        rows = sorted({q.j for plan in plans for q in plan.touched()})
+        apart.add(max(np.diff(rows), default=1) > 1)  # some row between the two bands
+    assert outcomes == {"ok", "corner point", "shift source", "shift target"}
+    assert apart == {True, False}
+
+
+def _reference_remove_corners(dims, k, ell, points):
+    """The corners one at a time, each edit followed by a whole-grid check."""
+    current = points
+    for corner in CORNER_ORDER:
+        ctx = classify_corner(dims, k, ell, corner)
+        current = _reference_apply_plan(current, _corner_plan(ctx, dims, k))
+        uncovered = verify_domination(dims, k, current).uncovered
+        if len(uncovered):
+            raise VerificationError(
+                f"{corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
+                uncovered=uncovered,
+            )
+    return current
+
+
+def _removal_outcome(remove, dims, k, ell, points):
+    try:
+        out = remove(dims, k, ell, points)
+    except (CornerOverlapError, VerificationError) as exc:
+        uncovered = getattr(exc, "uncovered", None)
+        return type(exc).__name__, str(exc), None if uncovered is None else uncovered.array.tolist()
+    if isinstance(out, tuple):  # remove_corners: the trace must list the same plans
+        out, trace = out
+        plans = [_corner_plan(ctx, dims, k) for ctx in trace.corner_cases]
+        assert [ctx.corner for ctx in trace.corner_cases] == list(CORNER_ORDER)
+        assert trace.removed == VertexSet.from_iterable(plan.removed for plan in plans)
+        assert trace.shifted_pairs == tuple(move for plan in plans for move in plan.moves)
+        assert (trace.base_size, trace.final_size) == (len(points), len(out))
+    return "ok", out.array.tolist()
+
+
+def test_remove_corners_matches_the_corner_by_corner_reference():
+    rng = random.Random(37)
+    # dropping base points 8 and 60 and adding (35, 19) on 52x53 at k=3
+    # breaks the NW check before the NE plan, which no longer fits, is reached
+    cases = [(GridDims(52, 53), K3, (8, 60), [(35, 19)])]
+    for _ in range(300):
+        k = Radius(rng.randint(1, 3))
+        p = k.p
+        dims = GridDims(rng.randint(2 * p + 1, 3 * p), rng.randint(2 * p + 1, 3 * p))
+        ell, _ = best_residue(dims, k)
+        size = len(base_set(dims, k, ell))
+        plans = [_corner_plan(classify_corner(dims, k, ell, c), dims, k) for c in CORNER_ORDER]
+        near = sorted(set().union(*(plan.touched() for plan in plans)))
+        drops = tuple(rng.randrange(size) for _ in range(rng.randint(0, 3)))
+        adds = [rng.choice(near) if rng.random() < 0.5 else
+                (rng.randint(-2 * k.k, dims.m + 2 * k.k), rng.randint(-2 * k.k, dims.n + 2 * k.k))
+                for _ in range(rng.randint(0, 3))]
+        cases.append((dims, k, drops, adds))
+    kinds = []
+    for dims, k, drops, adds in cases:
+        ell, _ = best_residue(dims, k)
+        base = base_set(dims, k, ell)
+        points = VertexSet.from_iterable([q for t, q in enumerate(base) if t not in drops] + adds)
+        want = _removal_outcome(_reference_remove_corners, dims, k, ell, points)
+        assert _removal_outcome(remove_corners, dims, k, ell, points) == want, (dims, k, drops, adds)
+        kinds.append(want[0] if want[0] != "CornerOverlapError" else " ".join(want[1].split()[:2]))
+    assert kinds[0] == "VerificationError"
+    assert set(kinds) == {"ok", "VerificationError", "corner point", "shift source", "shift target"}
+
+
+_coordinate = st.one_of(st.integers(-12, 20), st.sampled_from([10 ** 30, -(10 ** 30), 2 ** 63]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    pts=st.lists(st.tuples(_coordinate, _coordinate), max_size=40),
+)
+def test_projection_matches_clip_and_lexsort(m, n, pts):
+    s = VertexSet.from_iterable(pts)
+    clipped = np.clip(s.array, 0, (m - 1, n - 1)).astype(np.int64)
+    clipped = clipped[np.lexsort((clipped[:, 0], clipped[:, 1]))]
+    first = np.ones(len(clipped), dtype=bool)
+    first[1:] = (clipped[1:] != clipped[:-1]).any(axis=1)
+    got, merged = _project_counted(GridDims(m, n), s)
+    assert got.array.dtype == np.int64
+    assert got.array.tobytes() == clipped[first].tobytes()
+    assert merged == len(s) - int(first.sum())

@@ -1,7 +1,10 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_dominates, brute_multiplicity, brute_uncovered
 from kdom import (
@@ -19,7 +22,7 @@ from kdom import (
     neighborhood_box,
     verify_domination,
 )
-from kdom.gridmodel import MAX_DENSE_CELLS, _multiplicity, check_dense_size
+from kdom.gridmodel import MAX_DENSE_CELLS, _multiplicity, ball_cells, check_dense_size
 
 
 def bfs_distance(m, n, a, b):
@@ -217,3 +220,28 @@ def test_dense_verifier_cap_admits_8000x8001_at_k5():
     check_dense_size(GridDims(8000, 8001), k)
     with pytest.raises(DomainError):
         check_dense_size(GridDims(MAX_DENSE_CELLS, 1), Radius(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_ball_deltas_update_the_multiplicity_exactly(m, n, k, data):
+    # removing points of the set and adding points not in it, anywhere: in
+    # the grid, in the k-margin and beyond the k-padded box
+    dims, rad = GridDims(m, n), Radius(k)
+    point = st.tuples(st.integers(-3 * k, m + 3 * k), st.integers(-3 * k, n + 3 * k))
+    before = data.draw(st.sets(point, max_size=20))
+    gone = data.draw(st.sets(st.sampled_from(sorted(before)), max_size=6) if before else st.just(set()))
+    new = data.draw(st.sets(point, max_size=6).map(lambda q: q - before))
+    mult = _multiplicity(dims, rad, VertexSet.from_iterable(before))
+    pts = np.array(sorted(gone) + sorted(new), dtype=np.int64).reshape(-1, 2)
+    sign = np.array([-1] * len(gone) + [1] * len(new), dtype=mult.dtype)
+    cells, owner = ball_cells(dims, rad, pts)
+    assert (np.diff(owner) >= 0).all()  # grouped by point, in order
+    np.add.at(mult.reshape(-1), cells, sign[owner])
+    after = VertexSet.from_iterable((before - gone) | new)
+    assert (mult == _multiplicity(dims, rad, after)).all()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_fiber
+from conftest import brute_fiber, count_in_box
 from kdom import (
     Box,
     DomainError,
@@ -14,7 +14,6 @@ from kdom import (
     Radius,
     Residue,
     VertexSet,
-    count_in_box,
     inverse_image_in_box,
     phi,
 )
@@ -297,3 +296,16 @@ def test_inverse_image_matches_brute_fiber(k, ell, i_lo, j_lo, w, h):
     want = sorted(brute_fiber(k, ell, box), key=lambda q: (q[1], q[0]))
     assert [tuple(q) for q in got] == want
     assert got == VertexSet.from_iterable(want)
+
+
+@pytest.mark.parametrize("items", [
+    [(1, 2, 3), (4, 5, 6)],
+    [(1, 2), (3,)],
+    [1, 2],
+    [(1, 2), 3],
+    np.zeros((2, 3), dtype=np.int64),
+    np.arange(4),
+])
+def test_from_iterable_rejects_items_that_are_not_pairs(items):
+    with pytest.raises(DomainError, match="pairs"):
+        VertexSet.from_iterable(items)
