@@ -74,13 +74,21 @@ class _Frame:
     coordinates phi(to_real(i, j)) = a*i + b*j + c (mod p), where |a| and
     |b| are k and k+1, both units mod p.  So the code point of a row (or
     a column) nearest any start is one modular solve away, and the hits
-    of a row are spaced exactly p apart.
+    of a row are spaced exactly p apart.  Corner frames exist only for
+    m, n > 2p, where the four corner regions cannot interact.
     """
 
     def __init__(self, corner: Corner, dims: GridDims, k: Radius, ell: Residue):
-        self.corner = corner
+        p = k.p
+        if dims.m <= 2 * p or dims.n <= 2 * p:
+            raise GridTooSmallError(
+                f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}"
+            )
+        if ell.modulus != p:
+            raise DomainError(f"residue modulus {ell.modulus} does not match p={p}")
+        self.corner, self.k, self.ell = corner, k, ell
         m, n = self._m, self._n = dims.m, dims.n
-        kk, p = k.k, k.p
+        kk = k.k
         a, b, c = {
             Corner.NW: (kk + 1, kk, 0),
             Corner.NE: (-kk, kk + 1, kk * (n - 1)),
@@ -194,14 +202,12 @@ def classify_corner(dims: GridDims, k: Radius, ell: Residue, corner: Corner) -> 
 
     Requires m, n > 2p so the four corner regions cannot interact.
     """
-    p = k.p
-    if dims.m <= 2 * p or dims.n <= 2 * p:
-        raise GridTooSmallError(
-            f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}"
-        )
-    if ell.modulus != p:
-        raise DomainError(f"residue modulus {ell.modulus} does not match p={p}")
-    fr = _Frame(corner, dims, k, ell)
+    return _classify(_Frame(corner, dims, k, ell))
+
+
+def _classify(fr: _Frame) -> CornerContext:
+    """classify_corner in the corner's frame."""
+    corner, k, ell = fr.corner, fr.k, fr.ell
     s = LatticePoint(fr.first_in_row(fr.north, -k.k), fr.north)
     z = LatticePoint(-1, fr.last_in_column(-1, fr.north))
     slope_l2 = Fraction(k.k, k.k + 1)
@@ -233,7 +239,12 @@ class _CornerPlan(NamedTuple):  # a NamedTuple, not a dataclass: far cheaper to 
 
 
 def _corner_plan(ctx: CornerContext, dims: GridDims, k: Radius) -> _CornerPlan:
-    """Compute the shift plan for a classified corner.
+    """The shift plan for a classified corner."""
+    return _plan(_Frame(ctx.corner, dims, k, ctx.residue), ctx)
+
+
+def _plan(fr: _Frame, ctx: CornerContext) -> _CornerPlan:
+    """Compute the shift plan for a corner classified in the frame fr.
 
     Shift sets per case (frame coordinates; window of side 2p per design):
       negative: nothing moves, s is simply removed.
@@ -245,8 +256,7 @@ def _corner_plan(ctx: CornerContext, dims: GridDims, k: Radius) -> _CornerPlan:
     Candidates lie in columns -k..s.i, a segment of at most p cells, so
     each scanned row holds at most one code point.
     """
-    kk, p = k.k, k.p
-    fr = _Frame(ctx.corner, dims, k, ctx.residue)
+    kk, p = fr.k.k, fr.k.p
     s, z = ctx.s, ctx.z
 
     def west_of_s(bottom: int):
@@ -356,14 +366,15 @@ def _edit_corners(dims: GridDims, k: Radius, s_set: VertexSet, contexts: tuple[C
     """
     broken = None
     if verify:
-        mult = _multiplicity(dims, k, s_set)
+        # checked and updated through the same flat array, so a copying reshape cannot split them
+        mult = _multiplicity(dims, k, s_set).reshape(-1)
         pts, sign, ends = _plan_points(plans)
         cells, owner = ball_cells(dims, k, pts)
         sign = sign.astype(mult.dtype)[owner]
         ends = np.searchsorted(owner, ends)
         for c, (start, end) in enumerate(zip((0, *ends), ends)):
             # add.at takes its fast path with a flat index and values in mult's own dtype
-            np.add.at(mult.reshape(-1), cells[start:end], sign[start:end])
+            np.add.at(mult, cells[start:end], sign[start:end])
             if not mult.all():
                 broken, plans = contexts[c], plans[:c + 1]
                 break
@@ -394,8 +405,9 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
     verify, the first corner (in CORNER_ORDER) whose set no longer
     dominates raises VerificationError.
     """
-    contexts = tuple(classify_corner(dims, k, ell, c) for c in CORNER_ORDER)
-    plans = [_corner_plan(ctx, dims, k) for ctx in contexts]
+    frames = [_Frame(c, dims, k, ell) for c in CORNER_ORDER]
+    contexts = tuple(_classify(fr) for fr in frames)
+    plans = [_plan(fr, ctx) for fr, ctx in zip(frames, contexts)]
     touched = [plan.touched() for plan in plans]
     for a, b in combinations(range(4), 2):
         overlap = touched[a] & touched[b]

@@ -5,10 +5,10 @@ between orthogonal neighbors equals Manhattan distance.  Dominators may
 lie outside the grid (the construction keeps them in the enlarged box Y
 until the final projection), so the verifier works on the grid enlarged
 by k on every side and reads off the grid portion.  One coverage kernel
-serves both checks: it costs O(mn k) array work and one
-(m+2k) x (n+2k+1) int32 array.  Grids that would need more than
-MAX_DENSE_CELLS such cells are rejected with DomainError before anything
-is allocated.
+serves both checks: it costs O(|S| k + mn) array work and one
+(m+4k+1) x (n+4k) int32 difference array.  Grids whose difference array
+and one index chunk would exceed MAX_DENSE_CELLS are rejected with
+DomainError before anything is allocated.
 """
 from __future__ import annotations
 
@@ -25,10 +25,16 @@ from .lattice import (
     VertexSet,
 )
 
-# The coverage kernel holds (m+2k) x (n+2k+1) int32 prefix sums and an
-# m x n int32 count: about 0.8 GB at this many cells.  8000x8001 at k=5
-# needs 64,176,120.
+# The coverage kernel holds one (m+4k+1) x (n+4k) int32 difference array
+# and scatters into it SCATTER_CHUNK int64 flat indices at a time;
+# check_dense_size caps the difference array's cells plus one chunk.
+# With the m x n int32 count that is about 0.8 GB at the cap.  8000x8001
+# at k=5 needs 64,336,441 + 65,536.
 MAX_DENSE_CELLS = 100_000_000
+# Flat indices the kernel builds and scatters per step (at least one
+# point's 2k+1 per step), so a dense set at large k never holds
+# |S| (2k+1) indices at once.
+SCATTER_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ def grid_distance(a: LatticePoint, b: LatticePoint) -> int:
 
 def check_dense_size(dims: GridDims, k: Radius) -> None:
     """Raise DomainError if the coverage kernel's arrays would exceed MAX_DENSE_CELLS."""
-    cells = (dims.m + 2 * k.k) * (dims.n + 2 * k.k + 1)
+    cells = (dims.m + 4 * k.k + 1) * (dims.n + 4 * k.k) + SCATTER_CHUNK
     if cells > MAX_DENSE_CELLS:
         raise DomainError(
             f"{dims.m}x{dims.n} at k={k.k} needs {cells} verifier cells, "
@@ -88,30 +94,37 @@ def check_dense_size(dims: GridDims, k: Radius) -> None:
 def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     """m x n int32 array counting the dominators within distance k of each vertex.
 
-    The radius-k ball is 2k+1 segments along j, one per offset dx in i,
-    of half-width k-|dx|.  Prefix sums along j over the k-padded
-    indicator turn each segment into one subtraction, so the whole count
-    is 2k+1 pairs of m x n slice operations.  Points outside the padded
-    box cannot reach the grid and are skipped.
+    The radius-k ball is 2k+1 segments along i, one per offset dj in j,
+    of half-width k-|dj|.  Each segment adds 1 at its first cell and
+    subtracts 1 just past its last in a difference array padded by 2k
+    rows and columns on every side (and one more row below), so no
+    segment needs clipping; one cumulative sum along i then gives the
+    counts.  The work is O(|S| k + mn).  Points outside the k-padded box
+    cannot reach the grid and are skipped.  The result is a fresh
+    C-contiguous array, so callers may update it in place through
+    reshape(-1).
     """
     check_dense_size(dims, k)
     kk, m, n = k.k, dims.m, dims.n
     pts = s.array
-    inside = (
-        (pts[:, 0] >= -kk) & (pts[:, 0] < m + kk)
-        & (pts[:, 1] >= -kk) & (pts[:, 1] < n + kk)
-    )
-    pts = pts[inside].astype(np.int64, copy=False) + kk
-    prefix = np.zeros((m + 2 * kk, n + 2 * kk + 1), dtype=np.int32)
-    prefix[pts[:, 0], pts[:, 1] + 1] = 1
-    np.cumsum(prefix, axis=1, out=prefix)
-    mult = np.zeros((m, n), dtype=np.int32)
-    for dx in range(-kk, kk + 1):
-        span = kk - abs(dx)
-        band = prefix[kk + dx:kk + dx + m]
-        mult += band[:, kk + span + 1:kk + span + 1 + n]
-        mult -= band[:, kk - span:kk - span + n]
-    return mult
+    lo, hi = np.searchsorted(pts[:, 1], (-kk, n + kk))  # s is sorted by j, then i
+    pts = pts[lo:hi]
+    pts = pts[(pts[:, 0] >= -kk) & (pts[:, 0] < m + kk)].astype(np.int64, copy=False)
+    w = n + 4 * kk
+    diff = np.zeros((m + 4 * kk + 1, w), dtype=np.int32)
+    dj = np.arange(-kk, kk + 1)[:, None]
+    span = kk - np.abs(dj)
+    first, past = dj - span * w, dj + (span + 1) * w  # flat offsets from a point's cell
+    at = (pts[:, 0] + 2 * kk) * w + (pts[:, 1] + 2 * kk)
+    step = max(1, SCATTER_CHUNK // (2 * kk + 1))
+    flat, one = diff.reshape(-1), np.int32(1)  # add.at's fast path needs values in diff's own dtype
+    for a in range(0, len(at), step):
+        part = at[a:a + step]
+        np.add.at(flat, (first + part).ravel(), one)
+        np.subtract.at(flat, (past + part).ravel(), one)
+    top = diff[:2 * kk + m, 2 * kk:2 * kk + n]
+    np.cumsum(top, axis=0, out=top)
+    return diff[2 * kk:2 * kk + m, 2 * kk:2 * kk + n].copy()
 
 
 def ball_cells(dims: GridDims, k: Radius, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

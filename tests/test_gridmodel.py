@@ -22,7 +22,9 @@ from kdom import (
     neighborhood_box,
     verify_domination,
 )
+from kdom import gridmodel
 from kdom.gridmodel import MAX_DENSE_CELLS, _multiplicity, ball_cells, check_dense_size
+from kdom.lattice import MAX_RADIUS
 
 
 def bfs_distance(m, n, a, b):
@@ -184,23 +186,62 @@ def test_fiber_in_margin_box_always_dominates():
         assert is_dominating(dims, Radius(k), pts), (k, dims, ell)
 
 
-def test_multiplicity_matches_brute_ball_count():
+def _multiplicity_cases():
     # dominators anywhere: inside the grid, in the k-margin, and beyond it
     rng = random.Random(51)
     for _ in range(60):
         m, n, k = rng.randint(1, 10), rng.randint(1, 10), rng.randint(1, 5)
-        pts = VertexSet.from_iterable(
+        yield m, n, k, VertexSet.from_iterable(
             (rng.randint(-3 * k, m + 3 * k), rng.randint(-3 * k, n + 3 * k))
             for _ in range(rng.randint(0, 15))
         )
+    # k far larger than the grid
+    rng = random.Random(52)
+    for _ in range(30):
+        m, n, k = rng.randint(1, 10), rng.randint(1, 10), rng.randint(6, 40)
+        yield m, n, k, VertexSet.from_iterable(
+            (rng.randint(-3 * k, m + 3 * k), rng.randint(-3 * k, n + 3 * k))
+            for _ in range(rng.randint(0, 15))
+        )
+    for m, n in ((1, 1), (1, 3)):
+        k = MAX_RADIUS
+        edge = [(-k, 0), (m + k - 1, n - 1), (0, -k), (m - 1, n + k - 1), (-k - 1, 0), (0, n + k),
+                (-k, -k), (m + k - 1, n + k - 1), (-k // 2, n + k // 2), (m - 1, -k // 3)]
+        yield m, n, k, VertexSet.from_iterable(edge)
+        yield m, n, k, VertexSet.from_iterable(
+            (rng.randint(-2 * k, m + 2 * k), rng.randint(-2 * k, n + 2 * k)) for _ in range(20)
+        )
+    # dense sets: every cell of the k-padded box, and every cell of the grid
+    for m, n, k in ((1, 1, 1), (1, 6, 2), (4, 3, 1), (7, 5, 3), (3, 8, 5), (10, 9, 2)):
+        box = neighborhood_box(GridDims(m, n), Radius(k))
+        yield m, n, k, VertexSet.from_iterable(
+            (i, j) for j in range(box.j_lo, box.j_hi + 1) for i in range(box.i_lo, box.i_hi + 1)
+        )
+        yield m, n, k, VertexSet.from_iterable((i, j) for j in range(n) for i in range(m))
+
+
+def test_multiplicity_matches_brute_ball_count(monkeypatch):
+    for m, n, k, pts in _multiplicity_cases():
         want = brute_multiplicity(m, n, k, pts)
-        mult = _multiplicity(GridDims(m, n), Radius(k), pts)
-        assert mult.shape == (m, n)
-        assert {(i, j): int(mult[i, j]) for j in range(n) for i in range(m)} == want
         hist = {}
         for c in want.values():
             hist[c] = hist.get(c, 0) + 1
-        assert verify_domination(GridDims(m, n), Radius(k), pts).multiplicity_histogram == hist
+        # the real chunk, then chunks of one point and of a few points, so
+        # that the scatter takes more than one step
+        for chunk in (gridmodel.SCATTER_CHUNK, 1, 9):
+            monkeypatch.setattr(gridmodel, "SCATTER_CHUNK", chunk)
+            mult = _multiplicity(GridDims(m, n), Radius(k), pts)
+            assert mult.shape == (m, n) and mult.dtype == np.int32
+            assert {(i, j): int(mult[i, j]) for j in range(n) for i in range(m)} == want, (m, n, k, chunk)
+            assert verify_domination(GridDims(m, n), Radius(k), pts).multiplicity_histogram == hist
+
+
+def test_multiplicity_is_a_fresh_c_contiguous_array():
+    # callers update it in place through reshape(-1), which copies a non-contiguous array
+    for m, n, k, pts in _multiplicity_cases():
+        mult = _multiplicity(GridDims(m, n), Radius(k), pts)
+        assert mult.flags.c_contiguous and mult.flags.owndata
+        assert np.shares_memory(mult.reshape(-1), mult)
 
 
 def test_coordinates_beyond_int64_are_ignored():
