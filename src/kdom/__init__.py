@@ -38,8 +38,6 @@ from .exact import ExactResult, exact_gamma, path_gamma
 from .gridmodel import (
     CoverageReport,
     GridDims,
-    grid_box,
-    grid_distance,
     is_dominating,
     neighborhood_box,
     verify_domination,

@@ -82,7 +82,6 @@ def exact_gamma(
     dims: GridDims,
     k: Radius,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> ExactResult:
     """Exact minimum, or a budget-flagged best-known upper value.
 
@@ -92,9 +91,9 @@ def exact_gamma(
     ceil(uncovered/cap) exceeds the dominators it may still add.
     """
     area = dims.area
-    if area > max_cells:
+    if area > DEFAULT_MAX_CELLS:
         raise DomainError(
-            f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {max_cells}"
+            f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {DEFAULT_MAX_CELLS}"
         )
     m = dims.m
     balls = _balls(dims, k)

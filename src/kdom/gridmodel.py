@@ -20,7 +20,6 @@ from .errors import DomainError
 from .lattice import (
     MAX_BOX_SIDE,
     Box,
-    LatticePoint,
     Radius,
     VertexSet,
 )
@@ -66,19 +65,9 @@ class CoverageReport:
     multiplicity_histogram: dict[int, int]
 
 
-def grid_box(dims: GridDims) -> Box:
-    """The grid as a lattice box [0, m-1] x [0, n-1]."""
-    return Box(0, dims.m - 1, 0, dims.n - 1)
-
-
 def neighborhood_box(dims: GridDims, k: Radius) -> Box:
     """The grid enlarged by k rows and columns on every side."""
     return Box(-k.k, dims.m + k.k - 1, -k.k, dims.n + k.k - 1)
-
-
-def grid_distance(a: LatticePoint, b: LatticePoint) -> int:
-    """Graph distance on the grid lattice: |di| + |dj|."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
 def check_dense_size(dims: GridDims, k: Radius) -> None:
@@ -101,8 +90,7 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     segment needs clipping; one cumulative sum along i then gives the
     counts.  The work is O(|S| k + mn).  Points outside the k-padded box
     cannot reach the grid and are skipped.  The result is a fresh
-    C-contiguous array, so callers may update it in place through
-    reshape(-1).
+    C-contiguous array.
     """
     check_dense_size(dims, k)
     kk, m, n = k.k, dims.m, dims.n
@@ -125,23 +113,6 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     top = diff[:2 * kk + m, 2 * kk:2 * kk + n]
     np.cumsum(top, axis=0, out=top)
     return diff[2 * kk:2 * kk + m, 2 * kk:2 * kk + n].copy()
-
-
-def ball_cells(dims: GridDims, k: Radius, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The grid cells within distance k of each point, as flat indices into an m x n array.
-
-    Also returns, for each cell, the index of its point; cells come
-    grouped by point, in the points' order.  Balls are clipped to the
-    grid, so a point outside the k-padded box has no cells, as in
-    _multiplicity.
-    """
-    kk, m, n = k.k, dims.m, dims.n
-    d = np.arange(-kk, kk + 1)
-    di, dj = np.nonzero(np.abs(d[:, None]) + np.abs(d) <= kk)
-    i = (points[:, :1] + (di - kk)).ravel()
-    j = (points[:, 1:] + (dj - kk)).ravel()
-    on = (i >= 0) & (i < m) & (j >= 0) & (j < n)
-    return (i * n + j)[on], np.flatnonzero(on) // len(di)
 
 
 def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport:

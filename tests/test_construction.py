@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_dominates, count_in_box
+from conftest import brute_dominates, brute_uncovered, count_in_box
 from kdom import (
     CornerOverlapError,
     DomainError,
@@ -30,6 +30,7 @@ from kdom import (
     remove_corners,
     verify_domination,
 )
+from kdom import construction, gridmodel
 from kdom.construction import (
     CORNER_ORDER,
     Corner,
@@ -236,6 +237,63 @@ def test_apply_corner_case_every_corner_and_residue():
             assert len(seen) == p, (kk, corner)
 
 
+def _paint(points, k, lo, shape):
+    """Mask of the box of this shape at corner lo, marking the cells within distance k of a point.
+
+    The box must hold every point's whole ball."""
+    d = np.arange(-k, k + 1)
+    di, dj = np.nonzero(np.abs(d[:, None]) + np.abs(d) <= k)
+    ball = (di - k) * shape[1] + (dj - k)
+    at = (points - lo) @ (shape[1], 1)
+    mask = np.zeros(shape, dtype=bool)
+    mask.reshape(-1)[(at[:, None] + ball).ravel()] = True
+    return mask
+
+
+def _local_corner_certificate(kk):
+    """Check every corner plan of radius kk on the (2p+1)x(2p+2) grid, by local painting.
+
+    The base set is a perfect Lee code, so each grid cell is within k of
+    exactly one of its points.  A plan deletes code points (the removed point and
+    the sources) and inserts non-code points (the targets), so the edited
+    set dominates iff every grid cell within k of a deleted point is
+    within k of a target.  Those cells lie in the plan's bounding box
+    grown by k, so only that box is painted, and only its grid part
+    is compared.
+    """
+    k = Radius(kk)
+    p = k.p
+    dims = GridDims(2 * p + 1, 2 * p + 2)
+    grid_hi = np.array((dims.m - 1, dims.n - 1))
+    for corner in CORNER_ORDER:
+        offsets = set()
+        for v in range(p):
+            ctx = classify_corner(dims, k, Residue(v, p), corner)
+            offsets.add(ctx.s.i)
+            plan = _corner_plan(ctx, dims, k)
+            gone = np.array([plan.removed, *(src for src, _ in plan.moves)], dtype=np.int64)
+            new = np.array([dst for _, dst in plan.moves], dtype=np.int64).reshape(-1, 2)
+            assert ((gone @ (kk + 1, kk)) % p == v).all(), (kk, corner, v)
+            assert ((new @ (kk + 1, kk)) % p != v).all(), (kk, corner, v)
+            both = np.concatenate((gone, new))
+            lo, hi = both.min(axis=0) - kk, both.max(axis=0) + kk
+            shape = tuple(hi - lo + 1)
+            stranded = _paint(gone, kk, lo, shape) & ~_paint(new, kk, lo, shape)
+            a, b = np.maximum(lo, 0) - lo, np.minimum(hi, grid_hi) - lo + 1  # the grid part
+            stranded = stranded[a[0]:b[0], a[1]:b[1]]
+            assert not stranded.any(), (kk, corner, v, (np.argwhere(stranded) + np.maximum(lo, 0)).tolist())
+        assert len(offsets) == p, (kk, corner)
+
+
+def test_corner_plans_keep_domination_locally_up_to_k12():
+    # Certificate of the corner step for k <= 12.  In its own frame a
+    # corner sees the code s + L for one fixed lattice L, so its plan
+    # depends only on the offset s.i of s along the north row of Y; the
+    # p residues give p distinct offsets, every configuration of each k.
+    for kk in range(1, 13):
+        _local_corner_certificate(kk)
+
+
 def test_remove_corners_11x11_k1():
     dims = GridDims(11, 11)
     ell, _ = best_residue(dims, K1)
@@ -295,6 +353,39 @@ def test_construct_brute_force_cross_check():
     for dims, k in ((GridDims(11, 11), K1), (GridDims(13, 12), K1), (GridDims(8, 5), K2)):
         pts, _ = construct(dims, k)
         assert brute_dominates(dims.m, dims.n, k.k, [tuple(q) for q in pts])
+
+
+def test_construct_checks_domination_once_at_the_end(monkeypatch):
+    kernel = gridmodel._multiplicity
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    for module in (gridmodel, construction):  # wherever the kernel is bound
+        monkeypatch.setattr(module, "_multiplicity", counted, raising=False)
+    for dims, k in ((GridDims(30, 31), K1), (GridDims(30, 31), K2), (GridDims(53, 54), K3)):
+        calls.clear()
+        construct(dims, k)
+        assert calls == [dims]
+    # at k=2 the NW corner of 30x31 is steep and the NE corner shallow
+    dims, plan = GridDims(30, 31), construction._plan
+    for dropped, case in ((Corner.NW, CornerCase.STEEP_SLOPE), (Corner.NE, CornerCase.SHALLOW_SLOPE)):
+        monkeypatch.setattr(construction, "_plan", lambda fr, ctx: (
+            plan(fr, ctx)._replace(moves=()) if ctx.corner is dropped else plan(fr, ctx)))
+        with pytest.raises(VerificationError, match="constructed set fails domination") as err:
+            construct(dims, K2)
+        trace = err.value.trace
+        assert trace.corner_removal_applied
+        assert [ctx.corner for ctx in trace.corner_cases] == list(CORNER_ORDER)
+        assert trace.corner_cases[CORNER_ORDER.index(dropped)].case is case
+        edited = set(base_set(dims, K2, trace.chosen_residue)) - set(trace.removed)
+        edited = (edited - {src for src, _ in trace.shifted_pairs}) | {dst for _, dst in trace.shifted_pairs}
+        points = [tuple(q) for q in project_inward(dims, VertexSet.from_iterable(edited))]
+        assert len(points) == trace.final_size
+        want = brute_uncovered(dims.m, dims.n, 2, points)
+        assert want and [tuple(q) for q in err.value.uncovered] == want
 
 
 def test_construct_size_never_beats_exact_optimum():

@@ -3,32 +3,27 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import brute_dominates, brute_multiplicity, brute_uncovered
 from kdom import (
     Box,
     GridDims,
-    LatticePoint,
     Radius,
     Residue,
     VertexSet,
     DomainError,
-    grid_box,
-    grid_distance,
     inverse_image_in_box,
     is_dominating,
     neighborhood_box,
     verify_domination,
 )
 from kdom import gridmodel
-from kdom.gridmodel import MAX_DENSE_CELLS, _multiplicity, ball_cells, check_dense_size
+from kdom.gridmodel import MAX_DENSE_CELLS, _multiplicity, check_dense_size
 from kdom.lattice import MAX_RADIUS
 
 
 def bfs_distance(m, n, a, b):
-    """Plain BFS over the explicit grid adjacency; oracle for grid_distance."""
+    """Plain BFS over the explicit grid adjacency."""
     seen = {a: 0}
     queue = deque([a])
     while queue:
@@ -41,14 +36,6 @@ def bfs_distance(m, n, a, b):
                 seen[w] = seen[v] + 1
                 queue.append(w)
     raise AssertionError("grid is connected")
-
-
-@pytest.mark.parametrize(
-    "dims,box",
-    [((6, 6), (0, 5, 0, 5)), ((1, 1), (0, 0, 0, 0)), ((51, 52), (0, 50, 0, 51))],
-)
-def test_grid_box(dims, box):
-    assert grid_box(GridDims(*dims)) == Box(*box)
 
 
 def test_neighborhood_box():
@@ -67,27 +54,17 @@ def test_dims_validation():
 
 
 def test_grid_distance_basics():
-    assert grid_distance(LatticePoint(0, 0), LatticePoint(0, 0)) == 0
-    assert grid_distance(LatticePoint(0, 0), LatticePoint(2, 3)) == 5
+    assert bfs_distance(7, 7, (0, 0), (0, 0)) == 0
+    assert bfs_distance(7, 7, (0, 0), (2, 3)) == 5
 
 
 def test_grid_distance_matches_bfs():
+    # graph distance on the grid is |di| + |dj|: the oracles in conftest rely on it
     rng = random.Random(99)
     for _ in range(30):
         a = (rng.randrange(7), rng.randrange(7))
         b = (rng.randrange(7), rng.randrange(7))
-        assert grid_distance(LatticePoint(*a), LatticePoint(*b)) == bfs_distance(7, 7, a, b)
-
-
-def test_grid_distance_is_a_metric():
-    rng = random.Random(5)
-    for _ in range(200):
-        pts = [LatticePoint(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(3)]
-        a, b, c = pts
-        assert grid_distance(a, b) == grid_distance(b, a)
-        assert grid_distance(a, b) >= 0
-        assert grid_distance(a, c) <= grid_distance(a, b) + grid_distance(b, c)
-        assert (grid_distance(a, b) == 0) == (a == b)
+        assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == bfs_distance(7, 7, a, b)
 
 
 def test_path_center_covers():
@@ -261,28 +238,3 @@ def test_dense_verifier_cap_admits_8000x8001_at_k5():
     check_dense_size(GridDims(8000, 8001), k)
     with pytest.raises(DomainError):
         check_dense_size(GridDims(MAX_DENSE_CELLS, 1), Radius(1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    m=st.integers(1, 12),
-    n=st.integers(1, 12),
-    k=st.integers(1, 4),
-    data=st.data(),
-)
-def test_ball_deltas_update_the_multiplicity_exactly(m, n, k, data):
-    # removing points of the set and adding points not in it, anywhere: in
-    # the grid, in the k-margin and beyond the k-padded box
-    dims, rad = GridDims(m, n), Radius(k)
-    point = st.tuples(st.integers(-3 * k, m + 3 * k), st.integers(-3 * k, n + 3 * k))
-    before = data.draw(st.sets(point, max_size=20))
-    gone = data.draw(st.sets(st.sampled_from(sorted(before)), max_size=6) if before else st.just(set()))
-    new = data.draw(st.sets(point, max_size=6).map(lambda q: q - before))
-    mult = _multiplicity(dims, rad, VertexSet.from_iterable(before))
-    pts = np.array(sorted(gone) + sorted(new), dtype=np.int64).reshape(-1, 2)
-    sign = np.array([-1] * len(gone) + [1] * len(new), dtype=mult.dtype)
-    cells, owner = ball_cells(dims, rad, pts)
-    assert (np.diff(owner) >= 0).all()  # grouped by point, in order
-    np.add.at(mult.reshape(-1), cells, sign[owner])
-    after = VertexSet.from_iterable((before - gone) | new)
-    assert (mult == _multiplicity(dims, rad, after)).all()
