@@ -18,7 +18,6 @@ from .construction import (
     CornerCase,
     CornerContext,
     ConstructionTrace,
-    apply_corner_case,
     base_set,
     best_residue,
     classify_corner,

@@ -7,9 +7,11 @@ returning a number its proof does not back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
+from .construction import construct
 from .errors import DomainError
+from .gridmodel import GridDims
 from .lattice import Radius
 
 
@@ -81,20 +83,12 @@ def comparison_table(
     pairs: Sequence[tuple[int, int]],
     k: Radius,
     build: bool = False,
-    constructor: Callable | None = None,
 ) -> list[BoundRow]:
     """One BoundRow per (m, n); per-row domain errors never abort the table.
 
     With build=True the construction pipeline runs per row and its size
-    is recorded (constructor is injectable for tests).
+    is recorded.
     """
-    if build and constructor is None:
-        from .construction import construct
-        from .gridmodel import GridDims
-
-        def constructor(m, n):
-            return len(construct(GridDims(m, n), k)[0])
-
     rows = []
     for m, n in pairs:
         note = None
@@ -108,7 +102,7 @@ def comparison_table(
             chang = chang_bound(m, n)
         if k.k == 2 and m > 26 and n > 26:
             bijm = bijm_bound(m, n)
-        constructed = constructor(m, n) if (build and note is None) else None
+        constructed = len(construct(GridDims(m, n), k)[0]) if (build and note is None) else None
         rows.append(
             BoundRow(
                 m=m,

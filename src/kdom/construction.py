@@ -8,10 +8,11 @@ floor((m+2k)(n+2k)/p) - 4 points; smaller grids skip corner removal and
 get the floor bound without the -4.
 
 Corner geometry is always computed in a rotated frame that carries the
-corner onto the northwest corner of Y.  Rotations (never reflections)
-keep the rotated set inside the same code family, so one NW procedure
-serves all four corners.  Case classification uses exact integer cross
-products; no floating point enters this module.
+corner onto the northwest corner of Y.  A quarter turn (never a
+reflection) maps the code lattice onto itself, so every corner's case
+and plan are functions of k and the offset of s along Y's north row
+alone.  Case classification uses exact integer cross products; no
+floating point enters this module.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .lattice import (
     VertexSet,
     fiber_counts_in_box,
     inverse_image_in_box,
+    phi,
     repeats,
     row_major_keys,
 )
@@ -65,15 +67,24 @@ class CornerCase(enum.Enum):
 CORNER_ORDER = (Corner.NW, Corner.NE, Corner.SW, Corner.SE)
 
 
+# The rotation carrying each corner of Y onto NW, as real = matrix @ frame +
+# shift, with the shift in units of (m - 1, n - 1).
+_ROTATIONS = {
+    Corner.NW: (((1, 0), (0, 1)), (0, 0)),
+    Corner.NE: (((0, 1), (-1, 0)), (0, 1)),
+    Corner.SW: (((0, -1), (1, 0)), (1, 0)),
+    Corner.SE: (((-1, 0), (0, -1)), (1, 1)),
+}
+
+
 class _Frame:
     """Rotation of the plane carrying one corner of Y onto the NW corner.
 
-    A rotation keeps the code a fiber of a linear form: in frame
-    coordinates phi(to_real(i, j)) = a*i + b*j + c (mod p), where |a| and
-    |b| are k and k+1, both units mod p.  So the code point of a row (or
-    a column) nearest any start is one modular solve away, and the hits
-    of a row are spaced exactly p apart.  Corner frames exist only for
-    m, n > 2p, where the four corner regions cannot interact.
+    A quarter turn maps the Lee lattice L = {(k+1)i + kj = 0 (mod p)}
+    onto itself, so in every frame the code is s + L, where s = (si,
+    north) is the first code point from column -k on the north row of Y.
+    Corner frames exist only for m, n > 2p, where the four corner
+    regions cannot interact.
     """
 
     def __init__(self, corner: Corner, dims: GridDims, k: Radius, ell: Residue):
@@ -85,40 +96,20 @@ class _Frame:
         if ell.modulus != p:
             raise DomainError(f"residue modulus {ell.modulus} does not match p={p}")
         self.corner, self.k, self.ell = corner, k, ell
-        m, n = self._m, self._n = dims.m, dims.n
-        kk = k.k
-        a, b, c = {
-            Corner.NW: (kk + 1, kk, 0),
-            Corner.NE: (-kk, kk + 1, kk * (n - 1)),
-            Corner.SW: (kk, -(kk + 1), (kk + 1) * (m - 1)),
-            Corner.SE: (-(kk + 1), -kk, (kk + 1) * (m - 1) + kk * (n - 1)),
-        }[corner]
-        self._p, self._a, self._b = p, a, b
-        self._target = (ell.value - c) % p
-        self._inv_a, self._inv_b = pow(a, -1, p), pow(b, -1, p)
-        nf = n if corner in (Corner.NW, Corner.SE) else m
-        self.north = nf + kk - 1  # the frame's north boundary row of Y
+        self._matrix, (x0, y0) = _ROTATIONS[corner]
+        self._shift = (x0 * (dims.m - 1), y0 * (dims.n - 1))
+        height = dims.m if self._matrix[0][1] else dims.n  # at NE and SW, frame j runs along real i
+        self.north = height + k.k - 1  # the frame's north boundary row of Y
+        # Along the north row phi(to_real(i, north)) = origin + step * i (mod p).
+        origin = phi(k, self.to_real((0, self.north))).value
+        step = phi(k, self.to_real((1, self.north))).value - origin
+        self.si = (pow(step, -1, p) * (ell.value - origin) + k.k) % p - k.k
 
     def to_real(self, q: tuple[int, int]) -> LatticePoint:
         i, j = q
-        m, n = self._m, self._n
-        if self.corner is Corner.NW:
-            return LatticePoint(i, j)
-        if self.corner is Corner.NE:
-            return LatticePoint(j, n - 1 - i)
-        if self.corner is Corner.SW:
-            return LatticePoint(m - 1 - j, i)
-        return LatticePoint(m - 1 - i, n - 1 - j)
-
-    def first_in_row(self, j: int, i_lo: int) -> int:
-        """Smallest i >= i_lo with (i, j) on the code."""
-        i0 = self._inv_a * (self._target - self._b * j) % self._p
-        return i_lo + (i0 - i_lo) % self._p
-
-    def last_in_column(self, i: int, j_hi: int) -> int:
-        """Largest j <= j_hi with (i, j) on the code."""
-        j0 = self._inv_b * (self._target - self._a * i) % self._p
-        return j_hi - (j_hi - j0) % self._p
+        (a, b), (c, d) = self._matrix
+        x0, y0 = self._shift
+        return LatticePoint(a * i + b * j + x0, c * i + d * j + y0)
 
 
 @dataclass(frozen=True)
@@ -205,25 +196,31 @@ def classify_corner(dims: GridDims, k: Radius, ell: Residue, corner: Corner) -> 
 
 def _classify(fr: _Frame) -> CornerContext:
     """classify_corner in the corner's frame."""
-    corner, k, ell = fr.corner, fr.k, fr.ell
-    s = LatticePoint(fr.first_in_row(fr.north, -k.k), fr.north)
-    z = LatticePoint(-1, fr.last_in_column(-1, fr.north))
-    slope_l2 = Fraction(k.k, k.k + 1)
-    if s == z:
-        # s sits on column -1: its ball misses the grid, like Case 1.
-        return CornerContext(corner, ell, s, z, None, slope_l2, CornerCase.NEGATIVE_SLOPE)
-    slope_l1 = Fraction(s.j - z.j, s.i - z.i)
-    if s.i <= -1:
+    zj, slope_l1, case = _corner_shape(fr.k, fr.si)
+    s, z = LatticePoint(fr.si, fr.north), LatticePoint(-1, fr.north + zj)
+    return CornerContext(fr.corner, fr.ell, s, z, slope_l1, Fraction(fr.k.k, fr.k.k + 1), case)
+
+
+def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]:
+    """z.j, the slope of L1 and the case of the corner whose code is s + L, s = (si, 0).
+
+    Frame coordinates with the north row of Y at j = 0: z = (-1, zj) is
+    the northernmost code point on column -1.
+    """
+    kk, p = k.k, k.p
+    # (-1, zj) is on s + L iff zj = (k+1)(si+1)/k (mod p); z takes the largest zj <= 0.
+    zj = -(-(kk + 1) * (si + 1) * pow(kk, -1, p) % p)
+    if si == -1:
+        # s sits on column -1, so s = z: its ball misses the grid, like Case 1.
+        return zj, None, CornerCase.NEGATIVE_SLOPE
+    delta, rise = si + 1, -zj
+    if si < -1:
         case = CornerCase.NEGATIVE_SLOPE
+    elif (kk + 1) * rise > kk * delta:  # rise/delta > k/(k+1), by cross multiplication
+        case = CornerCase.STEEP_SLOPE
     else:
-        delta, rise = s.i + 1, s.j - z.j
-        # slope comparison by cross multiplication: rise/delta vs k/(k+1)
-        case = (
-            CornerCase.STEEP_SLOPE
-            if (k.k + 1) * rise > k.k * delta
-            else CornerCase.SHALLOW_SLOPE
-        )
-    return CornerContext(corner, ell, s, z, slope_l1, slope_l2, case)
+        case = CornerCase.SHALLOW_SLOPE
+    return zj, Fraction(rise, delta), case
 
 
 class _CornerPlan(NamedTuple):  # a NamedTuple, not a dataclass: far cheaper to create at import
@@ -236,55 +233,62 @@ class _CornerPlan(NamedTuple):  # a NamedTuple, not a dataclass: far cheaper to 
         return frozenset((self.removed, *chain.from_iterable(self.moves)))
 
 
-def _corner_plan(ctx: CornerContext, dims: GridDims, k: Radius) -> _CornerPlan:
-    """The shift plan for a classified corner."""
-    return _plan(_Frame(ctx.corner, dims, k, ctx.residue), ctx)
+def _corner_moves(k: Radius, si: int, zj: int,
+                  case: CornerCase) -> dict[tuple[int, int], tuple[int, int]]:
+    """The shifts, source -> target, of the corner whose code is s + L, s = (si, 0).
 
-
-def _plan(fr: _Frame, ctx: CornerContext) -> _CornerPlan:
-    """Compute the shift plan for a corner classified in the frame fr.
-
-    Shift sets per case (frame coordinates; window of side 2p per design):
+    Frame coordinates with the north row of Y at j = 0; z = (-1, zj).
+    Shift sets per case (window of side 2p per design):
       negative: nothing moves, s is simply removed.
       steep:    every code point on or northwest of L1 at or above z's row
                 moves east one unit; z additionally moves up one unit.
       shallow:  code points on the line through s with slope k/(k+1) move
                 east one unit; code points strictly above that line move
                 down one unit.
-    Candidates lie in columns -k..s.i, a segment of at most p cells, so
-    each scanned row holds at most one code point.
+    Candidates lie in columns -k..si, a segment of at most p cells, so
+    each scanned row holds at most one code point; on row 0 it is s.
     """
-    kk, p = fr.k.k, fr.k.p
-    s, z = ctx.s, ctx.z
+    kk, p = k.k, k.p
+    step = kk * pow(kk + 1, -1, p) % p  # row j - 1 meets s + L step columns east of row j
 
     def west_of_s(bottom: int):
-        """Code points of rows north..bottom in columns -k..s.i, s excluded."""
-        for j in range(fr.north, bottom - 1, -1):
-            i = fr.first_in_row(j, -kk)
-            if i <= s.i and (i, j) != s:
+        """Code points of rows -1..bottom in columns -k..si."""
+        for j in range(-1, bottom - 1, -1):
+            i = (si + kk - step * j) % p - kk
+            if i <= si:
                 yield i, j
 
     moves: dict[tuple[int, int], tuple[int, int]] = {}
-    if ctx.case is CornerCase.STEEP_SLOPE:
-        delta, rise = s.i - z.i, s.j - z.j
-        for i, j in west_of_s(z.j):
-            if delta * (j - z.j) - rise * (i - z.i) >= 0:
+    if case is CornerCase.STEEP_SLOPE:
+        delta, rise = si + 1, -zj
+        for i, j in west_of_s(zj):
+            if delta * (j - zj) - rise * (i + 1) >= 0:
                 moves[(i, j)] = (i + 1, j)
-        moves[z] = (z.i + 1, z.j + 1)
-    elif ctx.case is CornerCase.SHALLOW_SLOPE:
-        for i, j in west_of_s(fr.north - 2 * p):
-            cross = (j - s.j) * (kk + 1) - kk * (i - s.i)
+        moves[(-1, zj)] = (0, zj + 1)
+    elif case is CornerCase.SHALLOW_SLOPE:
+        for i, j in west_of_s(-2 * p):
+            cross = j * (kk + 1) - kk * (i - si)
             if cross == 0:
                 moves[(i, j)] = (i + 1, j)
             elif cross > 0:
                 moves[(i, j)] = (i, j - 1)
+    return moves
+
+
+def _plan(fr: _Frame, ctx: CornerContext) -> _CornerPlan:
+    """The shift plan of a corner classified in the frame fr, in real coordinates."""
+
+    def real(q: tuple[int, int]) -> LatticePoint:  # from the frame with its north row at j = 0
+        return fr.to_real((q[0], q[1] + fr.north))
+
+    moves = _corner_moves(fr.k, ctx.s.i, ctx.z.j - fr.north, ctx.case)
     real_moves = tuple(
         sorted(
-            ((fr.to_real(a), fr.to_real(b)) for a, b in moves.items()),
+            ((real(a), real(b)) for a, b in moves.items()),
             key=lambda ab: (ab[0].j, ab[0].i),  # row-major
         )
     )
-    return _CornerPlan(removed=fr.to_real(s), moves=real_moves)
+    return _CornerPlan(removed=fr.to_real(ctx.s), moves=real_moves)
 
 
 def _repeated(keys: np.ndarray) -> np.ndarray:
@@ -346,34 +350,6 @@ def _apply_plans(s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
     return VertexSet(np.concatenate(pieces))
 
 
-def _edit_corners(dims: GridDims, k: Radius, s_set: VertexSet, contexts: tuple[CornerContext, ...],
-                  plans: list[_CornerPlan], verify: bool) -> VertexSet:
-    """Apply the corners' plans; with verify, raise at the first corner that breaks domination.
-
-    Without verify, all plans go in one edit.  With verify, corner c
-    applies plans[:c+1] to the input in one edit and checks the whole
-    grid, so a plan that does not fit raises its own CornerOverlapError
-    in its own turn, as one corner at a time would.
-    """
-    if not verify:
-        return _apply_plans(s_set, plans)
-    for c, ctx in enumerate(contexts):
-        result = _apply_plans(s_set, plans[:c + 1])
-        if not is_dominating(dims, k, result):
-            uncovered = verify_domination(dims, k, result).uncovered
-            raise VerificationError(
-                f"{ctx.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
-                uncovered=uncovered,
-            )
-    return result
-
-
-def apply_corner_case(ctx: CornerContext, s_set: VertexSet, dims: GridDims, k: Radius,
-                      verify: bool = True) -> VertexSet:
-    """Apply one corner's removal and shifts; optionally verify domination."""
-    return _edit_corners(dims, k, s_set, (ctx,), [_corner_plan(ctx, dims, k)], verify)
-
-
 def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
                    verify: bool = True) -> tuple[VertexSet, ConstructionTrace]:
     """Remove one code point at each corner of Y, preserving domination.
@@ -381,10 +357,13 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
     The four plans are computed from the same base set; their touched
     points are pairwise disjoint (guaranteed for m, n > 2p, checked
     here) so the corners commute and are applied in one edit.  Every
-    corner configuration for k <= 12 is certified by the test suite, so
-    construct skips this check and relies on its own end check; with
-    verify, the first corner (in CORNER_ORDER) whose set no longer
-    dominates raises VerificationError.
+    corner plan for k <= 20 is certified by the test suite, so
+    construct skips this check and relies on its own end check.  With
+    verify, corner c applies plans[:c+1] to the input in one edit and
+    checks the whole grid: a plan that does not fit raises its own
+    CornerOverlapError in its own turn, and the first corner (in
+    CORNER_ORDER) whose set no longer dominates raises
+    VerificationError.
     """
     frames = [_Frame(c, dims, k, ell) for c in CORNER_ORDER]
     contexts = tuple(_classify(fr) for fr in frames)
@@ -397,7 +376,17 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
                 f"{CORNER_ORDER[a].value} and {CORNER_ORDER[b].value} corner "
                 f"regions overlap at {sorted(overlap)[:4]}"
             )
-    current = _edit_corners(dims, k, s_set, contexts, plans, verify)
+    if not verify:
+        current = _apply_plans(s_set, plans)
+    else:
+        for c, ctx in enumerate(contexts):
+            current = _apply_plans(s_set, plans[:c + 1])
+            if not is_dominating(dims, k, current):
+                uncovered = verify_domination(dims, k, current).uncovered
+                raise VerificationError(
+                    f"{ctx.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
+                    uncovered=uncovered,
+                )
     trace = ConstructionTrace(
         dims=dims,
         k=k,

@@ -44,6 +44,9 @@ class GridDims:
     n: int
 
     def __post_init__(self):
+        for side in (self.m, self.n):
+            if not isinstance(side, int) or isinstance(side, bool):
+                raise DomainError(f"grid dims must be integers, got {self.m!r}x{self.n!r}")
         if self.m < 1 or self.n < 1:
             raise DomainError(f"grid dims must be >= 1, got {self.m}x{self.n}")
         if self.m > MAX_BOX_SIDE or self.n > MAX_BOX_SIDE:

@@ -17,7 +17,6 @@ from kdom import (
     Residue,
     VerificationError,
     VertexSet,
-    apply_corner_case,
     base_set,
     best_residue,
     classify_corner,
@@ -36,12 +35,21 @@ from kdom.construction import (
     Corner,
     CornerCase,
     _apply_plans,
-    _corner_plan,
+    _corner_moves,
+    _corner_shape,
     _CornerPlan,
+    _Frame,
+    _plan,
     _project_counted,
 )
+from kdom.lattice import phi
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
+
+
+def _corner_plan(ctx, dims, k):
+    """The plan of one classified corner, in real coordinates."""
+    return _plan(_Frame(ctx.corner, dims, k, ctx.residue), ctx)
 
 
 def test_best_residue_uniform_when_side_is_p():
@@ -214,11 +222,11 @@ def test_equality_shallow_slope_is_k_over_k_plus_1():
 
 
 def test_apply_corner_case_every_corner_and_residue():
-    # Certificate of the corner step for k <= 8.  In its own frame a
-    # corner sees the code s + L for one fixed lattice L, so its plan
-    # depends only on the offset s.i of s along the north row of Y.  The
-    # p residues give p distinct offsets at each corner, so these cases
-    # cover every local corner configuration of each k.
+    # Whole-grid cross-check of the local certificate below, for k <= 8.
+    # In its own frame a corner sees the code s + L for one fixed lattice
+    # L, so its plan depends only on the offset s.i of s along the north
+    # row of Y.  The p residues give p distinct offsets at each corner, so
+    # these cases cover every local corner configuration of each k.
     for kk in range(1, 9):
         k = Radius(kk)
         p = k.p
@@ -230,8 +238,8 @@ def test_apply_corner_case_every_corner_and_residue():
             for corner in CORNER_ORDER:
                 ctx = classify_corner(dims, k, ell, corner)
                 offsets[corner].add(ctx.s.i)
-                # verify=True raises VerificationError if domination broke
-                out = apply_corner_case(ctx, pts, dims, k, verify=True)
+                out = _apply_plans(pts, [_corner_plan(ctx, dims, k)])
+                assert is_dominating(dims, k, out), (kk, v, corner)
                 assert len(out) == len(pts) - 1
         for corner, seen in offsets.items():
             assert len(seen) == p, (kk, corner)
@@ -250,48 +258,69 @@ def _paint(points, k, lo, shape):
     return mask
 
 
-def _local_corner_certificate(kk):
-    """Check every corner plan of radius kk on the (2p+1)x(2p+2) grid, by local painting.
+def _stranded(kk, gone, new):
+    """Cells of the frame quadrant i >= 0, j <= -k within k of a gone point and of no new point.
 
-    The base set is a perfect Lee code, so each grid cell is within k of
-    exactly one of its points.  A plan deletes code points (the removed point and
-    the sources) and inserts non-code points (the targets), so the edited
-    set dominates iff every grid cell within k of a deleted point is
-    within k of a target.  Those cells lie in the plan's bounding box
-    grown by k, so only that box is painted, and only its grid part
-    is compared.
+    Only the points' bounding box grown by k is painted.
     """
-    k = Radius(kk)
-    p = k.p
-    dims = GridDims(2 * p + 1, 2 * p + 2)
-    grid_hi = np.array((dims.m - 1, dims.n - 1))
-    for corner in CORNER_ORDER:
-        offsets = set()
-        for v in range(p):
-            ctx = classify_corner(dims, k, Residue(v, p), corner)
-            offsets.add(ctx.s.i)
-            plan = _corner_plan(ctx, dims, k)
-            gone = np.array([plan.removed, *(src for src, _ in plan.moves)], dtype=np.int64)
-            new = np.array([dst for _, dst in plan.moves], dtype=np.int64).reshape(-1, 2)
-            assert ((gone @ (kk + 1, kk)) % p == v).all(), (kk, corner, v)
-            assert ((new @ (kk + 1, kk)) % p != v).all(), (kk, corner, v)
-            both = np.concatenate((gone, new))
-            lo, hi = both.min(axis=0) - kk, both.max(axis=0) + kk
-            shape = tuple(hi - lo + 1)
-            stranded = _paint(gone, kk, lo, shape) & ~_paint(new, kk, lo, shape)
-            a, b = np.maximum(lo, 0) - lo, np.minimum(hi, grid_hi) - lo + 1  # the grid part
-            stranded = stranded[a[0]:b[0], a[1]:b[1]]
-            assert not stranded.any(), (kk, corner, v, (np.argwhere(stranded) + np.maximum(lo, 0)).tolist())
-        assert len(offsets) == p, (kk, corner)
+    both = np.concatenate((gone, new))
+    lo, hi = both.min(axis=0) - kk, both.max(axis=0) + kk
+    shape = tuple(hi - lo + 1)
+    stranded = _paint(gone, kk, lo, shape) & ~_paint(new, kk, lo, shape)
+    return stranded[max(-lo[0], 0):, :max(-kk - lo[1] + 1, 0)]
 
 
-def test_corner_plans_keep_domination_locally_up_to_k12():
-    # Certificate of the corner step for k <= 12.  In its own frame a
-    # corner sees the code s + L for one fixed lattice L, so its plan
-    # depends only on the offset s.i of s along the north row of Y; the
-    # p residues give p distinct offsets, every configuration of each k.
-    for kk in range(1, 13):
-        _local_corner_certificate(kk)
+def test_corner_plans_keep_domination_locally_up_to_k20():
+    # Certificate of the corner step for k <= 20.  A quarter turn maps the
+    # Lee lattice L = {(k+1)i + kj = 0 (mod p)} onto itself, so in its own
+    # frame, with the north row of Y at j = 0, every corner of every grid
+    # with m, n > 2p sees the code s + L for s = (si, 0), si in -k..p-1-k,
+    # and its plan is a function of (k, si) alone.  The base set is a
+    # perfect Lee code, so each grid cell is within k of exactly one of its
+    # points.  A plan deletes code points (s and the sources) and inserts
+    # non-code points (the targets), so the edited set dominates iff every
+    # grid cell within k of a deleted point is within k of a target.  The
+    # grid is the quadrant i >= 0, j <= -k: plans lie in columns -k..p-k
+    # and rows -2p..0, so for m, n > 2p no ball around them passes the far
+    # grid edges.
+    for kk in range(1, 21):
+        k = Radius(kk)
+        p = k.p
+        for si in range(-kk, p - kk):
+            zj, _, case = _corner_shape(k, si)
+            moves = _corner_moves(k, si, zj, case)
+            gone = np.array([(si, 0), *moves], dtype=np.int64)
+            new = np.array(list(moves.values()), dtype=np.int64).reshape(-1, 2)
+            assert ((gone - (si, 0)) @ (kk + 1, kk) % p == 0).all(), (kk, si)
+            assert ((new - (si, 0)) @ (kk + 1, kk) % p != 0).all(), (kk, si)
+            stranded = _stranded(kk, gone, new)
+            assert not stranded.any(), (kk, si, case)
+
+
+def test_frame_rotations_match_the_explicit_maps():
+    rng = random.Random(41)
+    for kk in range(1, 6):
+        k = Radius(kk)
+        p = k.p
+        for _ in range(3):
+            m, n = rng.randint(2 * p + 1, 5 * p), rng.randint(2 * p + 1, 5 * p)
+            explicit = {
+                Corner.NW: lambda i, j: (i, j),
+                Corner.NE: lambda i, j: (j, n - 1 - i),
+                Corner.SW: lambda i, j: (m - 1 - j, i),
+                Corner.SE: lambda i, j: (m - 1 - i, n - 1 - j),
+            }
+            height = {Corner.NW: n, Corner.NE: m, Corner.SW: m, Corner.SE: n}
+            points = [(rng.randint(-3 * p, 3 * p), rng.randint(-3 * p, 3 * p)) for _ in range(20)]
+            for v in range(p):
+                ell = Residue(v, p)
+                for corner in CORNER_ORDER:
+                    fr = _Frame(corner, GridDims(m, n), k, ell)
+                    for q in points:
+                        assert tuple(fr.to_real(q)) == explicit[corner](*q), (kk, m, n, corner, q)
+                    assert fr.north == height[corner] + kk - 1
+                    first = next(i for i in range(-kk, p - kk) if phi(k, fr.to_real((i, fr.north))) == ell)
+                    assert fr.si == first, (kk, m, n, v, corner)
 
 
 def test_remove_corners_11x11_k1():
@@ -412,15 +441,14 @@ def test_mismatched_residue_modulus_rejected():
         classify_corner(GridDims(27, 27), K2, Residue(0, 25), Corner.NW)
 
 
-def test_apply_corner_case_rejects_wrong_set():
+def test_remove_corners_rejects_wrong_set():
     dims = GridDims(27, 27)
     ell = Residue(4, 13)
-    ctx = classify_corner(dims, K2, ell, Corner.NW)
     with pytest.raises(CornerOverlapError):
-        apply_corner_case(ctx, VertexSet.from_iterable([(0, 0)]), dims, K2)
+        remove_corners(dims, K2, ell, VertexSet.from_iterable([(0, 0)]))
 
 
-def test_verification_failure_carries_uncovered():
+def test_verification_failure_carries_uncovered(monkeypatch):
     import dataclasses
 
     from kdom import VerificationError
@@ -429,9 +457,12 @@ def test_verification_failure_carries_uncovered():
     ell = Residue(12, 13)  # a genuinely shallow corner
     ctx = classify_corner(dims, K2, ell, Corner.NW)
     forged = dataclasses.replace(ctx, case=CornerCase.STEEP_SLOPE)
+    classify = construction._classify
+    monkeypatch.setattr(construction, "_classify",
+                        lambda fr: forged if fr.corner is Corner.NW else classify(fr))
     pts = base_set(dims, K2, ell)
-    with pytest.raises(VerificationError) as err:
-        apply_corner_case(forged, pts, dims, K2)
+    with pytest.raises(VerificationError, match="NW corner shift broke domination") as err:
+        remove_corners(dims, K2, ell, pts, verify=True)
     assert len(err.value.uncovered) > 0
     # the vertex due south of s is the one the wrong case strands
     assert (7, 26) in {tuple(q) for q in err.value.uncovered}

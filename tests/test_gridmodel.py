@@ -51,6 +51,9 @@ def test_dims_validation():
         GridDims(0, 4)
     with pytest.raises(DomainError):
         GridDims(4, -1)
+    for m, n in ((30.5, 31), (30, 31.0), (True, 40), (30, False), ("30", 31), (np.int64(30), 31)):
+        with pytest.raises(DomainError, match="must be integers"):
+            GridDims(m, n)
 
 
 def test_grid_distance_basics():
