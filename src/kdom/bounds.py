@@ -79,6 +79,14 @@ def bijm_bound(m: int, n: int) -> int:
     return (m + 4) * (n + 4) // 13 - 4
 
 
+def _in_domain(bound, *args) -> tuple[int | None, str | None]:
+    """bound(*args) and None, or None and the DomainError text outside the bound's domain."""
+    try:
+        return bound(*args), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
 def comparison_table(
     pairs: Sequence[tuple[int, int]],
     k: Radius,
@@ -86,22 +94,13 @@ def comparison_table(
 ) -> list[BoundRow]:
     """One BoundRow per (m, n); per-row domain errors never abort the table.
 
-    With build=True the construction pipeline runs per row and its size
-    is recorded.
+    chang_bound is filled in at k=1 and bijm_bound at k=2, each inside
+    its own domain.  With build=True the construction pipeline runs per
+    row and its size is recorded.
     """
     rows = []
     for m, n in pairs:
-        note = None
-        try:
-            nb = new_bound(m, n, k)
-        except DomainError as exc:
-            nb, note = None, str(exc)
-        chang = None
-        bijm = None
-        if k.k == 1 and m > 8 and n > 8:
-            chang = chang_bound(m, n)
-        if k.k == 2 and m > 26 and n > 26:
-            bijm = bijm_bound(m, n)
+        nb, note = _in_domain(new_bound, m, n, k)
         constructed = len(construct(GridDims(m, n), k)[0]) if (build and note is None) else None
         rows.append(
             BoundRow(
@@ -110,8 +109,8 @@ def comparison_table(
                 k=k.k,
                 new_bound=nb,
                 fss_bound=fss_bound(m, n, k),
-                chang_bound=chang,
-                bijm_bound=bijm,
+                chang_bound=_in_domain(chang_bound, m, n)[0] if k.k == 1 else None,
+                bijm_bound=_in_domain(bijm_bound, m, n)[0] if k.k == 2 else None,
                 constructed_size=constructed,
                 note=note,
             )

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import TABLE1_PAIRS, chang_bound, bijm_bound, comparison_table, cor_bound, fss_bound, new_bound
+from .bounds import TABLE1_PAIRS, comparison_table, cor_bound
 from .construction import ConstructionTrace, construct
-from .errors import DomainError, KdomError, SetFileError
+from .errors import KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
 from .gridmodel import GridDims, verify_domination
 from .lattice import LatticePoint, Radius, VertexSet, _as_pairs, canonical_order, repeats
@@ -108,7 +108,7 @@ def load_setfile(text: str) -> SetFile:
         raise SetFileError(f"expected 'i j', got {body[r].strip()!r}")
     data += rows[start:]
     try:
-        coords = _as_pairs(data)
+        coords = _as_pairs(data, tokens=True)
     except ValueError:
         _check_integers(body, rows, odd, len(rows))
         raise
@@ -253,24 +253,13 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     k = Radius(args.k)
-    fields = []
-    try:
-        fields.append(f"new={new_bound(args.m, args.n, k)}")
-    except DomainError:
-        fields.append("new=n/a (domain)")
-    fields.append(f"cor={cor_bound(args.m, args.n, k)}")
-    fields.append(f"fss={fss_bound(args.m, args.n, k)}")
+    row = comparison_table([(args.m, args.n)], k)[0]
+    fields = {"new": row.new_bound, "cor": cor_bound(args.m, args.n, k), "fss": row.fss_bound}
     if args.k == 1:
-        try:
-            fields.append(f"chang={chang_bound(args.m, args.n)}")
-        except DomainError:
-            fields.append("chang=n/a (domain)")
+        fields["chang"] = row.chang_bound
     if args.k == 2:
-        try:
-            fields.append(f"bijm={bijm_bound(args.m, args.n)}")
-        except DomainError:
-            fields.append("bijm=n/a (domain)")
-    print(" ".join(fields))
+        fields["bijm"] = row.bijm_bound
+    print(" ".join(f"{name}={'n/a (domain)' if value is None else value}" for name, value in fields.items()))
     return 0
 
 

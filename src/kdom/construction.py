@@ -17,7 +17,7 @@ floating point enters this module.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple
@@ -170,11 +170,6 @@ def base_set(dims: GridDims, k: Radius, ell: Residue) -> VertexSet:
 
 def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     """Clamp every point onto the grid box and dedupe."""
-    projected, _ = _project_counted(dims, s)
-    return projected
-
-
-def _project_counted(dims: GridDims, s: VertexSet) -> tuple[VertexSet, int]:
     n = dims.n
     pts = np.clip(s.array, 0, (dims.m - 1, n - 1)).astype(np.int64, copy=False)
     # Clamping i is monotone, so rows strictly inside the grid stay in order;
@@ -182,8 +177,7 @@ def _project_counted(dims: GridDims, s: VertexSet) -> tuple[VertexSet, int]:
     lo, hi = np.searchsorted(s.array[:, 1], (1, n - 1)) if n > 1 else (0, 0)
     for a, b in ((0, lo), (hi, len(pts))):
         pts[a:b] = pts[a:b][np.argsort(pts[a:b, 0], kind="stable")]
-    result = VertexSet(pts[~repeats(pts)])
-    return result, len(s) - len(result)
+    return VertexSet(pts[~repeats(pts)])
 
 
 def classify_corner(dims: GridDims, k: Radius, ell: Residue, corner: Corner) -> CornerContext:
@@ -350,20 +344,12 @@ def _apply_plans(s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
     return VertexSet(np.concatenate(pieces))
 
 
-def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
-                   verify: bool = True) -> tuple[VertexSet, ConstructionTrace]:
-    """Remove one code point at each corner of Y, preserving domination.
+def _corner_step(dims: GridDims, k: Radius,
+                 ell: Residue) -> tuple[tuple[CornerContext, ...], list[_CornerPlan]]:
+    """The four corners' contexts and plans, in CORNER_ORDER.
 
-    The four plans are computed from the same base set; their touched
-    points are pairwise disjoint (guaranteed for m, n > 2p, checked
-    here) so the corners commute and are applied in one edit.  Every
-    corner plan for k <= 20 is certified by the test suite, so
-    construct skips this check and relies on its own end check.  With
-    verify, corner c applies plans[:c+1] to the input in one edit and
-    checks the whole grid: a plan that does not fit raises its own
-    CornerOverlapError in its own turn, and the first corner (in
-    CORNER_ORDER) whose set no longer dominates raises
-    VerificationError.
+    Raises CornerOverlapError if two plans touch the same point, which
+    cannot happen for m, n > 2p.
     """
     frames = [_Frame(c, dims, k, ell) for c in CORNER_ORDER]
     contexts = tuple(_classify(fr) for fr in frames)
@@ -376,6 +362,43 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
                 f"{CORNER_ORDER[a].value} and {CORNER_ORDER[b].value} corner "
                 f"regions overlap at {sorted(overlap)[:4]}"
             )
+    return contexts, plans
+
+
+def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
+           contexts: tuple[CornerContext, ...] | None, plans: list[_CornerPlan],
+           merged: int, final: VertexSet) -> ConstructionTrace:
+    """The audit record of one run; contexts is None where corner removal is skipped."""
+    return ConstructionTrace(
+        dims=dims,
+        k=k,
+        chosen_residue=ell,
+        base_size=len(base),
+        corner_removal_applied=contexts is not None,
+        corner_cases=contexts,
+        removed=VertexSet.from_iterable(plan.removed for plan in plans),
+        shifted_pairs=tuple(move for plan in plans for move in plan.moves),
+        projection_merged=merged,
+        final_size=len(final),
+    )
+
+
+def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
+                   verify: bool = True) -> tuple[VertexSet, ConstructionTrace]:
+    """Remove one code point at each corner of Y, preserving domination.
+
+    The four plans are computed from the same base set; their touched
+    points are pairwise disjoint (guaranteed for m, n > 2p, checked
+    here) so the corners commute and are applied in one edit.  Every
+    corner plan for k <= 20 is certified by the test suite, and
+    construct applies the plans itself and checks only its final set.
+    With verify, corner c applies plans[:c+1] to the input in one edit
+    and checks the whole grid: a plan that does not fit raises its own
+    CornerOverlapError in its own turn, and the first corner (in
+    CORNER_ORDER) whose set no longer dominates raises
+    VerificationError.
+    """
+    contexts, plans = _corner_step(dims, k, ell)
     if not verify:
         current = _apply_plans(s_set, plans)
     else:
@@ -387,58 +410,31 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
                     f"{ctx.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
                     uncovered=uncovered,
                 )
-    trace = ConstructionTrace(
-        dims=dims,
-        k=k,
-        chosen_residue=ell,
-        base_size=len(s_set),
-        corner_removal_applied=True,
-        corner_cases=contexts,
-        removed=VertexSet.from_iterable(plan.removed for plan in plans),
-        shifted_pairs=tuple(move for plan in plans for move in plan.moves),
-        projection_merged=0,
-        final_size=len(current),
-    )
-    return current, trace
+    return current, _trace(dims, k, ell, s_set, contexts, plans, 0, current)
 
 
-def construct(
-    dims: GridDims, k: Radius, verify: bool = True
-) -> tuple[VertexSet, ConstructionTrace]:
+def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     """Full pipeline: best residue, base set, corner removal, projection.
 
     For m, n > 2p the result has at most floor((m+2k)(n+2k)/p) - 4
     points; otherwise corner removal is skipped and the floor bound
-    holds without the -4.  With verify, the final set is checked once on
-    the whole grid; a failure raises VerificationError carrying the
+    holds without the -4.  Grids too large for the coverage kernel are
+    rejected with DomainError up front.  The final set is checked once
+    on the whole grid; a failure raises VerificationError carrying the
     uncovered vertices and the trace.
     """
-    if verify:
-        check_dense_size(dims, k)
-    p = k.p
+    check_dense_size(dims, k)
     ell, count = best_residue(dims, k)
     base = base_set(dims, k, ell)
     if len(base) != count:
         raise KdomError(f"base set has {len(base)} points, the residue count says {count}")
-    if dims.m > 2 * p and dims.n > 2 * p:
-        shifted, trace = remove_corners(dims, k, ell, base, verify=False)
-        projected, merged = _project_counted(dims, shifted)
-        trace = replace(trace, projection_merged=merged, final_size=len(projected))
-    else:
-        projected, merged = _project_counted(dims, base)
-        trace = ConstructionTrace(
-            dims=dims,
-            k=k,
-            chosen_residue=ell,
-            base_size=len(base),
-            corner_removal_applied=False,
-            corner_cases=None,
-            removed=VertexSet.empty(),
-            shifted_pairs=(),
-            projection_merged=merged,
-            final_size=len(projected),
-        )
-    if verify and not is_dominating(dims, k, projected):
+    contexts, plans = None, []
+    if dims.m > 2 * k.p and dims.n > 2 * k.p:
+        contexts, plans = _corner_step(dims, k, ell)
+    shifted = _apply_plans(base, plans) if plans else base
+    projected = project_inward(dims, shifted)
+    trace = _trace(dims, k, ell, base, contexts, plans, len(shifted) - len(projected), projected)
+    if not is_dominating(dims, k, projected):
         report = verify_domination(dims, k, projected)
         raise VerificationError(
             "constructed set fails domination", uncovered=report.uncovered, trace=trace

@@ -22,6 +22,7 @@ from .lattice import (
     Box,
     Radius,
     VertexSet,
+    integers,
 )
 
 # The coverage kernel holds one (m+4k+1) x (n+4k) int32 difference array
@@ -44,9 +45,8 @@ class GridDims:
     n: int
 
     def __post_init__(self):
-        for side in (self.m, self.n):
-            if not isinstance(side, int) or isinstance(side, bool):
-                raise DomainError(f"grid dims must be integers, got {self.m!r}x{self.n!r}")
+        if not integers(self.m, self.n):
+            raise DomainError(f"grid dims must be integers, got {self.m!r}x{self.n!r}")
         if self.m < 1 or self.n < 1:
             raise DomainError(f"grid dims must be >= 1, got {self.m}x{self.n}")
         if self.m > MAX_BOX_SIDE or self.n > MAX_BOX_SIDE:

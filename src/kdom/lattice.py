@@ -16,6 +16,7 @@ the same sorting, masking and key code serves it.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
@@ -26,6 +27,11 @@ from .errors import DomainError
 
 MAX_RADIUS = 2000
 MAX_BOX_SIDE = 2 ** 31
+
+
+def integers(*values) -> bool:
+    """True iff every value is an int and none is a bool."""
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
 class LatticePoint(NamedTuple):
@@ -45,7 +51,7 @@ class Radius:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
+        if not integers(self.k):
             raise DomainError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
@@ -65,6 +71,8 @@ class Residue:
     modulus: int
 
     def __post_init__(self):
+        if not integers(self.value, self.modulus):
+            raise DomainError(f"residue fields must be integers, got {self!r}")
         if self.modulus < 1:
             raise DomainError(f"modulus must be positive, got {self.modulus}")
         if not 0 <= self.value < self.modulus:
@@ -89,6 +97,8 @@ class Box:
     j_hi: int
 
     def __post_init__(self):
+        if not integers(self.i_lo, self.i_hi, self.j_lo, self.j_hi):
+            raise DomainError(f"box bounds must be integers, got {self!r}")
         if self.i_lo > self.i_hi or self.j_lo > self.j_hi:
             raise DomainError(
                 f"empty box [{self.i_lo},{self.i_hi}]x[{self.j_lo},{self.j_hi}]"
@@ -109,8 +119,13 @@ class Box:
         return self.width * self.height
 
 
-def _as_pairs(points) -> np.ndarray:
-    """The points as an (N, 2) array of (i, j) rows, int64 unless a coordinate overflows it."""
+def _as_pairs(points, tokens: bool = False) -> np.ndarray:
+    """The points as an (N, 2) array of (i, j) rows, int64 unless a coordinate overflows it.
+
+    Coordinates go through operator.index, which raises TypeError on one
+    that is not an integer.  With tokens they are str tokens that numpy
+    parses itself, raising ValueError on one that is not an integer.
+    """
     pts = points.tolist() if isinstance(points, np.ndarray) else list(points)
     try:
         pairs = set(map(len, pts)) <= {2}
@@ -118,10 +133,12 @@ def _as_pairs(points) -> np.ndarray:
         pairs = False
     if not pairs:
         raise DomainError("vertex set items must be (i, j) pairs")
+    coordinate = int if tokens else operator.index
+    flat = chain.from_iterable(pts)
     try:
-        return np.fromiter(chain.from_iterable(pts), np.int64, 2 * len(pts)).reshape(-1, 2)
+        return np.fromiter(flat if tokens else map(coordinate, flat), np.int64, 2 * len(pts)).reshape(-1, 2)
     except OverflowError:
-        return np.array([(int(i), int(j)) for i, j in pts], dtype=object).reshape(-1, 2)
+        return np.array(list(map(coordinate, chain.from_iterable(pts))), dtype=object).reshape(-1, 2)
 
 
 def canonical_order(pairs: np.ndarray) -> np.ndarray:
@@ -179,9 +196,13 @@ class VertexSet:
     def from_iterable(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "VertexSet":
         """Canonicalize (i, j) pairs, or an (N, 2) array of them: dedupe and sort row-major.
 
-        Raises DomainError if an item is not a pair.
+        Raises DomainError if an item is not a pair or a coordinate is not
+        an integer; 1.9, Fraction(1, 2) and float arrays are never truncated.
         """
-        pairs = _as_pairs(points)
+        try:
+            pairs = _as_pairs(points)
+        except TypeError as exc:  # from operator.index
+            raise DomainError(f"vertex coordinates must be integers: {exc}") from None
         pairs = pairs[canonical_order(pairs)]
         return cls(pairs[~repeats(pairs)])
 

@@ -89,6 +89,36 @@ def test_malformed_files(tmp_path):
             load_setfile(text)
 
 
+@pytest.mark.parametrize("body, message", [
+    # the first faulty line wins, whether it holds a bad coordinate or a bad flag
+    ("1 3 3 1\n0 x\n# mystery\n", "non-integer coordinate in '0 x'"),
+    ("1 3 3 1\n# mystery\n0 x\n", "unknown flag 'mystery'"),
+    ("1 3 3 2\n0 x\n0 0 0\n", "non-integer coordinate in '0 x'"),
+    ("1 3 3 2\n0 0 0\n0 x\n", "expected 'i j', got '0 0 0'"),
+    ("1 3 3 1\n1.5 0\n", "non-integer coordinate in '1.5 0'"),
+    # the count is checked before duplicates; the line reported repeats an earlier one
+    ("1 3 3 3\n2 2\n1 1\n1 1\n2 2\n", "header count 3 != 4 body lines"),
+    ("1 3 3 4\n2 2\n1 1\n1 1\n2 2\n", "duplicate vertex 1 1"),
+    # the body is checked before the header's k >= 1 rule
+    ("0 3 3 1\n0 x\n", "non-integer coordinate in '0 x'"),
+    ("0 3 3 2\n1 1\n", "header count 2 != 1 body lines"),
+    ("0 3 3 1\n1 1\n", "header values must be >= 1: k=0 m=3 n=3"),
+    ("1 3 3 1\n# projected\n3 0\n", "point 3,0 outside the 3x3 grid of a projected file"),
+])
+def test_load_setfile_messages_and_their_order(body, message):
+    with pytest.raises(SetFileError) as err:
+        load_setfile("kdom v1\n" + body)
+    assert str(err.value) == message
+
+
+def test_load_setfile_accepts_repeated_and_trailing_flags():
+    sf = load_setfile("kdom v1\n1 3 3 2\n# projected\n# projected\n1 1\n0 0\n"
+                      "# no-corner-removal\n# projected\n")
+    assert sf.flags == ("projected", "no-corner-removal")
+    assert sf.points.array.tolist() == [[0, 0], [1, 1]]
+    assert load_setfile("kdom v1\n1 3 3 1\n3 0\n").points.array.tolist() == [[3, 0]]  # not projected
+
+
 def test_projected_flag_enforces_bounds():
     with pytest.raises(SetFileError):
         SetFile(k=1, m=3, n=3, points=VertexSet.from_iterable([(-1, 0)]),
@@ -126,6 +156,84 @@ def test_bound_output_k1_includes_chang(capsys):
 def test_bound_output_k2_includes_bijm(capsys):
     assert main(["bound", "-m", "30", "-n", "40", "-k", "2"]) == 0
     assert "bijm=111" in capsys.readouterr().out
+
+
+# Each side is 8 or 9 (the edge of chang_bound's domain), 26 or 27 (bijm_bound's),
+# or 2p and 2p + 1 (new_bound's); 0 is outside every bound's domain.
+BOUND_SIDES = {1: (0, 8, 9, 10, 11, 26, 27), 2: (0, 8, 9, 26, 27), 3: (0, 8, 9, 26, 27, 50, 51)}
+
+# `kdom bound -m M -n N -k K` for every 0 < M <= N of BOUND_SIDES[K], as "K M N: stdout".
+BOUND_OUTPUT = """\
+1 8 8: new=n/a (domain) cor=20 fss=22 chang=n/a (domain)
+1 8 9: new=n/a (domain) cor=22 fss=24 chang=n/a (domain)
+1 8 10: new=n/a (domain) cor=24 fss=26 chang=n/a (domain)
+1 8 11: new=n/a (domain) cor=26 fss=28 chang=n/a (domain)
+1 8 26: new=n/a (domain) cor=56 fss=58 chang=n/a (domain)
+1 8 27: new=n/a (domain) cor=58 fss=60 chang=n/a (domain)
+1 9 9: new=n/a (domain) cor=24 fss=26 chang=20
+1 9 10: new=n/a (domain) cor=26 fss=28 chang=22
+1 9 11: new=n/a (domain) cor=28 fss=30 chang=24
+1 9 26: new=n/a (domain) cor=61 fss=63 chang=57
+1 9 27: new=n/a (domain) cor=63 fss=66 chang=59
+1 10 10: new=n/a (domain) cor=28 fss=31 chang=24
+1 10 11: new=n/a (domain) cor=31 fss=33 chang=27
+1 10 26: new=n/a (domain) cor=67 fss=69 chang=63
+1 10 27: new=n/a (domain) cor=69 fss=71 chang=65
+1 11 11: new=29 cor=33 fss=36 chang=29
+1 11 26: new=68 cor=72 fss=75 chang=68
+1 11 27: new=71 cor=75 fss=77 chang=71
+1 26 26: new=152 cor=156 fss=159 chang=152
+1 26 27: new=158 cor=162 fss=164 chang=158
+1 27 27: new=164 cor=168 fss=170 chang=164
+2 8 8: new=n/a (domain) cor=11 fss=15 bijm=n/a (domain)
+2 8 9: new=n/a (domain) cor=12 fss=16 bijm=n/a (domain)
+2 8 26: new=n/a (domain) cor=27 fss=31 bijm=n/a (domain)
+2 8 27: new=n/a (domain) cor=28 fss=32 bijm=n/a (domain)
+2 9 9: new=n/a (domain) cor=13 fss=17 bijm=n/a (domain)
+2 9 26: new=n/a (domain) cor=30 fss=34 bijm=n/a (domain)
+2 9 27: new=n/a (domain) cor=31 fss=35 bijm=n/a (domain)
+2 26 26: new=n/a (domain) cor=69 fss=73 bijm=n/a (domain)
+2 26 27: new=n/a (domain) cor=71 fss=75 bijm=n/a (domain)
+2 27 27: new=69 cor=73 fss=78 bijm=69
+3 8 8: new=n/a (domain) cor=7 fss=15
+3 8 9: new=n/a (domain) cor=8 fss=15
+3 8 26: new=n/a (domain) cor=17 fss=25
+3 8 27: new=n/a (domain) cor=18 fss=25
+3 8 50: new=n/a (domain) cor=31 fss=38
+3 8 51: new=n/a (domain) cor=31 fss=39
+3 9 9: new=n/a (domain) cor=9 fss=16
+3 9 26: new=n/a (domain) cor=19 fss=26
+3 9 27: new=n/a (domain) cor=19 fss=27
+3 9 50: new=n/a (domain) cor=33 fss=40
+3 9 51: new=n/a (domain) cor=34 fss=41
+3 26 26: new=n/a (domain) cor=40 fss=48
+3 26 27: new=n/a (domain) cor=42 fss=49
+3 26 50: new=n/a (domain) cor=71 fss=78
+3 26 51: new=n/a (domain) cor=72 fss=80
+3 27 27: new=n/a (domain) cor=43 fss=50
+3 27 50: new=n/a (domain) cor=73 fss=81
+3 27 51: new=n/a (domain) cor=75 fss=82
+3 50 50: new=n/a (domain) cor=125 fss=132
+3 50 51: new=n/a (domain) cor=127 fss=134
+3 51 51: new=125 cor=129 fss=137
+"""
+
+
+def test_bound_output_is_pinned_at_every_domain_edge(capsys):
+    printed = {}
+    for k, sides in BOUND_SIDES.items():
+        for m in sides:
+            for n in sides:
+                code = main(["bound", "-m", str(m), "-n", str(n), "-k", str(k)])
+                out, err = capsys.readouterr()
+                if 0 in (m, n):
+                    assert (code, out, err) == (2, "", f"grid dims must be >= 1, got {m}x{n}\n")
+                else:
+                    assert (code, err) == (0, "")
+                    printed[k, m, n] = out
+    assert all(out == printed[k, n, m] for (k, m, n), out in printed.items())
+    lines = [f"{k} {m} {n}: {out}" for (k, m, n), out in printed.items() if m <= n]
+    assert "".join(lines) == BOUND_OUTPUT
 
 
 def test_table_default_reproduces_table1_csv(capsys):

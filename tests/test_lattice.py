@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from conftest import brute_fiber, count_in_box
 from kdom import (
     Box,
     DomainError,
+    GridDims,
     LatticePoint,
     Radius,
     Residue,
     VertexSet,
     inverse_image_in_box,
     phi,
+    verify_domination,
 )
 from kdom.lattice import fiber_counts_in_box
 
@@ -71,6 +74,20 @@ def test_box_validation():
         Box(0, 5, 3, 2)
     b = Box(-2, 2, -1, 3)
     assert (b.width, b.height, b.area) == (5, 5, 25)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Residue(2.0, 13),
+    lambda: Residue(True, 13),
+    lambda: Residue(2, 13.0),
+    lambda: Residue(np.int64(2), 13),
+    lambda: Box(True, 3, 0, 3),
+    lambda: Box(0, 3, 0.0, 3),
+    lambda: phi(Radius(2), (1.5, 2)),  # used to give Residue(8.5, 13)
+])
+def test_residue_and_box_reject_fields_that_are_not_integers(make):
+    with pytest.raises(DomainError, match="must be integers"):
+        make()
 
 
 def test_inverse_image_one_row():
@@ -309,3 +326,25 @@ def test_inverse_image_matches_brute_fiber(k, ell, i_lo, j_lo, w, h):
 def test_from_iterable_rejects_items_that_are_not_pairs(items):
     with pytest.raises(DomainError, match="pairs"):
         VertexSet.from_iterable(items)
+
+
+@pytest.mark.parametrize("points", [
+    [(1.9, 1.9)],
+    [(0, 0), (Fraction(1, 2), 1)],
+    np.array([[0.0, 1.0], [2.0, 2.0]]),
+    [(float("inf"), 0)],
+    [(0, float("nan"))],
+    [(10 ** 30, 0), (1.5, 0)],  # a float after an int64 overflow
+    [("1", "2")],
+])
+def test_from_iterable_rejects_coordinates_that_are_not_integers(points):
+    with pytest.raises(DomainError, match="vertex coordinates must be integers"):
+        VertexSet.from_iterable(points)
+
+
+def test_from_iterable_never_truncates_a_coordinate():
+    # (1.9, 1.9) once became (1, 1), and 3x3 k=1 then reported 4 uncovered cells
+    with pytest.raises(DomainError):
+        verify_domination(GridDims(3, 3), Radius(1), VertexSet.from_iterable([(1.9, 1.9)]))
+    got = VertexSet.from_iterable([(np.int64(4), 1), (10 ** 30, np.int32(-2))])
+    assert got.array.tolist() == [[10 ** 30, -2], [4, 1]]

@@ -1,0 +1,20 @@
+"""The README's examples run as written."""
+import re
+import shlex
+from pathlib import Path
+
+from kdom.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_library_quick_start_runs(capsys):
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", README, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "7"
+
+
+def test_cli_bound_example_prints_what_the_readme_shows(capsys):
+    command, shown = re.search(r"^(kdom bound .*?)\s+# (.*)$", README, re.M).groups()
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == shown + "\n"
