@@ -17,13 +17,13 @@ from .lattice import Radius
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One comparison-table row; new_bound is None on a domain error."""
+    """One comparison-table row; a bound is None outside its domain."""
 
     m: int
     n: int
     k: int
     new_bound: int | None
-    fss_bound: int
+    fss_bound: int | None
     chang_bound: int | None = None
     bijm_bound: int | None = None
     constructed_size: int | None = None
@@ -108,7 +108,7 @@ def comparison_table(
                 n=n,
                 k=k.k,
                 new_bound=nb,
-                fss_bound=fss_bound(m, n, k),
+                fss_bound=_in_domain(fss_bound, m, n, k)[0],
                 chang_bound=_in_domain(chang_bound, m, n)[0] if k.k == 1 else None,
                 bijm_bound=_in_domain(bijm_bound, m, n)[0] if k.k == 2 else None,
                 constructed_size=constructed,

@@ -1,9 +1,11 @@
 """Command-line surface: set files, rendering, and the kdom commands.
 
 Set files are line-oriented plain text ("kdom v1" magic, a "k m n count"
-header, optional "# <flag>" lines, then one "i j" pair per line) so test
-fixtures stay diffable.  Exit codes: 0 success, 1 verification negative,
-2 input or domain error, 3 search budget exceeded.
+header, then "# <flag>" lines and one "i j" pair per line, in any order)
+so test fixtures stay diffable.  Coordinates follow Python's int(), blank
+lines are skipped, a flag may repeat, and the first faulty line is the
+one reported.  Exit codes: 0 success, 1 verification negative, 2 input
+or domain error, 3 search budget exceeded.
 """
 from __future__ import annotations
 
@@ -59,15 +61,37 @@ def save_setfile(sf: SetFile) -> str:
     return head + ("%d %d\n" * len(sf.points)) % tuple(sf.points.array.ravel().tolist())
 
 
-def _check_integers(body: list[str], rows: list[list[str]], odd: list[int], stop: int) -> None:
-    """Raise for the first "i j" line before body[stop] holding a non-integer."""
-    skip = set(odd)
-    for r in range(stop):
-        if r not in skip:
+def _flag(line: str) -> str | None:
+    """The flag a line names if its first token starts with "#", else None."""
+    text = line.strip()
+    return text[1:].strip() if text.startswith("#") else None
+
+
+def _read_body(body: list[str]) -> tuple[list[str], np.ndarray]:
+    """Flags and (i, j) rows: numpy parses save_setfile's layout, the loop below any other text."""
+    head = next((r for r, line in enumerate(body) if _flag(line) not in KNOWN_FLAGS), len(body))
+    if any(map(str.strip, body[head:])):  # loadtxt warns on a text with no data line
+        try:
+            coords = np.loadtxt(body[head:], dtype=np.int64, comments=None, ndmin=2)
+            if coords.shape[1] == 2:
+                return list(map(_flag, body[:head])), coords
+        except ValueError:  # a token int64 cannot hold, or lines other than "i j"
+            pass
+    flags, pairs = [], []
+    for line in filter(str.strip, body):  # file order, so the first faulty line raises
+        flag, parts = _flag(line), line.split()
+        if flag in KNOWN_FLAGS:
+            flags.append(flag)
+        elif flag is not None:
+            raise SetFileError(f"unknown flag {flag!r}")
+        elif len(parts) != 2:
+            raise SetFileError(f"expected 'i j', got {line.strip()!r}")
+        else:
             try:
-                int(rows[r][0]), int(rows[r][1])
+                pairs.append((int(parts[0]), int(parts[1])))
             except ValueError:
-                raise SetFileError(f"non-integer coordinate in {body[r].strip()!r}") from None
+                raise SetFileError(f"non-integer coordinate in {line.strip()!r}") from None
+    return flags, _as_pairs(pairs)
 
 
 def load_setfile(text: str) -> SetFile:
@@ -83,35 +107,7 @@ def load_setfile(text: str) -> SetFile:
         k, m, n, count = (int(x) for x in header)
     except ValueError as exc:
         raise SetFileError(f"non-integer header field: {exc}") from None
-    body = lines[2:]
-    rows = list(map(str.split, body))
-    # Lines other than "i j": blank lines, flags and malformed lines, in file order.
-    lead = next((r for r, parts in enumerate(rows) if len(parts) != 2 or parts[0][0] != "#"), len(rows))
-    if set(map(len, rows)) <= {2} and "".join(body[:lead]).count("#") == text.count("#"):
-        odd = list(range(lead))  # two tokens a line, and no "#" after the leading flag lines
-    else:
-        odd = [r for r, parts in enumerate(rows) if len(parts) != 2 or parts[0].startswith("#")]
-    flags, data, start = [], [], 0
-    for r in odd:
-        data += rows[start:r]
-        start = r + 1
-        if not rows[r]:
-            continue
-        flag = body[r].strip()[1:].strip()
-        if rows[r][0].startswith("#") and flag in KNOWN_FLAGS:
-            if flag not in flags:
-                flags.append(flag)
-            continue
-        _check_integers(body, rows, odd, r)  # a bad coordinate on an earlier line is reported first
-        if rows[r][0].startswith("#"):
-            raise SetFileError(f"unknown flag {flag!r}")
-        raise SetFileError(f"expected 'i j', got {body[r].strip()!r}")
-    data += rows[start:]
-    try:
-        coords = _as_pairs(data, tokens=True)
-    except ValueError:
-        _check_integers(body, rows, odd, len(rows))
-        raise
+    flags, coords = _read_body(lines[2:])
     if len(coords) != count:
         raise SetFileError(f"header count {count} != {len(coords)} body lines")
     order = canonical_order(coords)  # stable, so each vertex's first line sorts first
@@ -120,7 +116,7 @@ def load_setfile(text: str) -> SetFile:
     if twice.any():
         i, j = coords[np.flatnonzero(twice)[order[twice].argmin()]].tolist()
         raise SetFileError(f"duplicate vertex {i} {j}")
-    return SetFile(k=k, m=m, n=n, points=VertexSet(coords), flags=tuple(flags))
+    return SetFile(k=k, m=m, n=n, points=VertexSet(coords), flags=tuple(dict.fromkeys(flags)))
 
 
 def render_ascii(sf: SetFile, coverage: bool = False) -> str:

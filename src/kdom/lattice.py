@@ -119,12 +119,11 @@ class Box:
         return self.width * self.height
 
 
-def _as_pairs(points, tokens: bool = False) -> np.ndarray:
+def _as_pairs(points) -> np.ndarray:
     """The points as an (N, 2) array of (i, j) rows, int64 unless a coordinate overflows it.
 
-    Coordinates go through operator.index, which raises TypeError on one
-    that is not an integer.  With tokens they are str tokens that numpy
-    parses itself, raising ValueError on one that is not an integer.
+    Raises TypeError on a bool coordinate, and through operator.index on
+    one that is not an integer.
     """
     pts = points.tolist() if isinstance(points, np.ndarray) else list(points)
     try:
@@ -133,12 +132,16 @@ def _as_pairs(points, tokens: bool = False) -> np.ndarray:
         pairs = False
     if not pairs:
         raise DomainError("vertex set items must be (i, j) pairs")
-    coordinate = int if tokens else operator.index
-    flat = chain.from_iterable(pts)
+    flat = list(chain.from_iterable(pts))
+    kinds = set(map(type, flat))
+    if bool in kinds:
+        raise TypeError("a bool is not a coordinate")
+    if not kinds <= {int}:
+        flat = list(map(operator.index, flat))
     try:
-        return np.fromiter(flat if tokens else map(coordinate, flat), np.int64, 2 * len(pts)).reshape(-1, 2)
+        return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
     except OverflowError:
-        return np.array(list(map(coordinate, chain.from_iterable(pts))), dtype=object).reshape(-1, 2)
+        return np.array(flat, dtype=object).reshape(-1, 2)
 
 
 def canonical_order(pairs: np.ndarray) -> np.ndarray:
@@ -196,12 +199,12 @@ class VertexSet:
     def from_iterable(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "VertexSet":
         """Canonicalize (i, j) pairs, or an (N, 2) array of them: dedupe and sort row-major.
 
-        Raises DomainError if an item is not a pair or a coordinate is not
-        an integer; 1.9, Fraction(1, 2) and float arrays are never truncated.
+        Raises DomainError if an item is not a pair or a coordinate is a bool
+        or not an integer; 1.9, Fraction(1, 2) and float arrays are never truncated.
         """
         try:
             pairs = _as_pairs(points)
-        except TypeError as exc:  # from operator.index
+        except TypeError as exc:  # a bool, or from operator.index
             raise DomainError(f"vertex coordinates must be integers: {exc}") from None
         pairs = pairs[canonical_order(pairs)]
         return cls(pairs[~repeats(pairs)])

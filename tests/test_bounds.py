@@ -117,11 +117,14 @@ def test_comparison_table_empty():
 
 
 def test_comparison_table_reports_domain_errors_per_row():
-    rows = comparison_table([(5, 5), (51, 52)], K3)
+    rows = comparison_table([(5, 5), (51, 52), (0, 5)], K3)
     assert rows[0].new_bound is None
     assert rows[0].note is not None
     assert rows[1].new_bound == 128
     assert rows[1].note is None
+    # no bound is defined on a grid without vertices; the row is still made
+    assert (rows[2].new_bound, rows[2].fss_bound, rows[2].note) == (
+        None, None, "new bound needs m, n > 2p = 50, got 0x5")
 
 
 def test_comparison_table_with_build():

@@ -344,3 +344,8 @@ def test_grid_beyond_the_dense_verifier_cap_exits_2(tmp_path, capsys):
     assert main(["verify", path]) == 2
     assert main(["construct", "-m", side, "-n", side, "-k", "1"]) == 2
     assert capsys.readouterr().err.count("verifier cells") == 2
+
+
+def test_table_prints_a_row_for_a_grid_without_vertices(capsys):
+    assert main(["table", "--csv", "--pairs", "0x5,51x52"]) == 0
+    assert capsys.readouterr() == ("M,N,New Bound,Old Bound\n0,5,n/a,n/a\n51,52,128,139\n", "")

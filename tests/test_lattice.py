@@ -336,6 +336,8 @@ def test_from_iterable_rejects_items_that_are_not_pairs(items):
     [(0, float("nan"))],
     [(10 ** 30, 0), (1.5, 0)],  # a float after an int64 overflow
     [("1", "2")],
+    [(True, 0)],  # a bool is not read as 1
+    np.array([[True, False]]),
 ])
 def test_from_iterable_rejects_coordinates_that_are_not_integers(points):
     with pytest.raises(DomainError, match="vertex coordinates must be integers"):

@@ -18,3 +18,14 @@ def test_cli_bound_example_prints_what_the_readme_shows(capsys):
     command, shown = re.search(r"^(kdom bound .*?)\s+# (.*)$", README, re.M).groups()
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == shown + "\n"
+
+
+def test_every_cli_example_runs_and_exits_0(tmp_path, monkeypatch, capsys):
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", README, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "kdom" for argv in commands)
+    for argv in commands:
+        assert (argv, main(argv[1:])) == (argv, 0)
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["set.kdom", "set.svg", "set.trace"]
