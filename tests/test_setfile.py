@@ -1,7 +1,9 @@
 """load_setfile against a line-by-line reference reader, on seeded random texts."""
 import random
+import warnings
 
 import numpy as np
+import pytest
 
 from kdom import SetFileError, VertexSet
 from kdom.cli import KNOWN_FLAGS, SetFile, load_setfile, save_setfile
@@ -112,3 +114,11 @@ def test_load_setfile_agrees_with_the_reference_reader(monkeypatch):
     assert 0 < sum(parsed) < len(texts)
     assert len(texts) // 4 < errors < 3 * len(texts) // 4
 
+
+@pytest.mark.parametrize("token", ["1.0", "1.5", "1e0"])
+def test_float_text_is_refused_with_warnings_ignored(token):
+    """numpy releases that read an integer via a float only warn, and outside tests warnings are hidden."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SetFileError, match="non-integer coordinate"):
+            load_setfile(f"kdom v1\n1 3 3 2\n0 0\n{token} 2\n")
