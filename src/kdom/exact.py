@@ -2,9 +2,10 @@
 
 Independent ground truth for the constructive pipeline: iterative
 deepening on the set size with branch-and-bound, branching on the
-first uncovered vertex in row-major order.  Grids are capped at 64
-cells so coverage states fit in a single integer bitmask and the
-search stays auditable.  The node budget (not wall time) makes runs
+first uncovered vertex in row-major order, and a memo of the coverage
+states that have already failed.  A coverage state is one Python int
+bitmask of any width; grids are capped at 144 cells (12 x 12) to keep
+a search desk-scale.  The node budget (not wall time) makes runs
 bit-reproducible.
 """
 from __future__ import annotations
@@ -15,8 +16,12 @@ from .errors import DomainError
 from .gridmodel import GridDims
 from .lattice import Radius, VertexSet
 
-DEFAULT_MAX_CELLS = 64
+DEFAULT_MAX_CELLS = 144
 DEFAULT_NODE_BUDGET = 5_000_000
+# Entries of the failed-state memo before it is cleared: about 30 MB at
+# 144 cells.  A full-budget search of 12 x 12 at k=1 would otherwise
+# store 652,173 of them (47 MB).
+MAX_FAILED_STATES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,13 @@ def exact_gamma(
     the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path).  So
     the search starts at ceil(mn/cap), and prunes a branch once
     ceil(uncovered/cap) exceeds the dominators it may still add.
+
+    Since the branch vertex is a function of the covered set, whether a
+    call fails depends only on (covered, slots), and a failure with s
+    slots implies one with fewer.  So the memo maps each covered set to
+    the most slots that failed from it, across the deepening sizes.  It
+    cuts only subtrees that would fail again, so the witness found is
+    the one the search finds without it; only nodes_explored falls.
     """
     area = dims.area
     if area > DEFAULT_MAX_CELLS:
@@ -103,6 +115,7 @@ def exact_gamma(
     incumbent = _greedy(full, balls)
 
     nodes = 0
+    failed: dict[int, int] = {}
 
     def search(target: int, covered: int, chosen: list[int]) -> list[int] | None:
         nonlocal nodes
@@ -112,6 +125,8 @@ def exact_gamma(
         if covered == full:
             return list(chosen)
         slots = target - len(chosen)
+        if failed.get(covered, -1) >= slots:
+            return None
         uncovered = full & ~covered
         if slots == 0 or -(-uncovered.bit_count() // cap) > slots:
             return None
@@ -126,6 +141,9 @@ def exact_gamma(
             chosen.pop()
             if hit is not None:
                 return hit
+        if len(failed) >= MAX_FAILED_STATES:
+            failed.clear()  # loses pruning, never a solution
+        failed[covered] = slots
         return None
 
     def to_set(indices: list[int]) -> VertexSet:
@@ -140,5 +158,9 @@ def exact_gamma(
     except _BudgetExhausted:
         # every size below the one being searched has been exhausted
         return ExactResult(dims, k, best, size, to_set(incumbent), nodes, True)
+    finally:
+        # search refers to itself through its closure; break that cycle so
+        # the memo is freed on return, not by the cyclic collector
+        del search
     # every size below the greedy solution is exhausted: greedy is optimal
     return ExactResult(dims, k, best, best, to_set(incumbent), nodes, False)

@@ -1,15 +1,22 @@
+import gc
 import itertools
 
 import pytest
 
+import kdom.exact
 from kdom import (
     DomainError,
+    ExactResult,
     GridDims,
     Radius,
+    VertexSet,
+    construct,
     is_dominating,
     exact_gamma,
+    new_bound,
     path_gamma,
 )
+from kdom.exact import _balls, _greedy
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
@@ -33,6 +40,47 @@ def naive_gamma(m, n, k):
             if acc == full:
                 return size
     raise AssertionError("unreachable: the full set always dominates")
+
+
+def reference_exact_gamma(dims, k):
+    """exact_gamma's branch-and-bound without the failed-state memo or a budget."""
+    area, m = dims.area, dims.m
+    balls = _balls(dims, k)
+    full = (1 << area) - 1
+    cap = max(ball.bit_count() for ball in balls)
+    incumbent = _greedy(full, balls)
+    nodes = 0
+
+    def search(target, covered, chosen):
+        nonlocal nodes
+        nodes += 1
+        if covered == full:
+            return list(chosen)
+        slots = target - len(chosen)
+        uncovered = full & ~covered
+        if slots == 0 or -(-uncovered.bit_count() // cap) > slots:
+            return None
+        v = (uncovered & -uncovered).bit_length() - 1
+        c = balls[v]
+        while c:
+            cand = (c & -c).bit_length() - 1
+            c &= c - 1
+            chosen.append(cand)
+            hit = search(target, covered | balls[cand], chosen)
+            chosen.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    def result(gamma, indices):
+        witness = VertexSet.from_iterable((idx % m, idx // m) for idx in indices)
+        return ExactResult(dims, k, gamma, gamma, witness, nodes, False)
+
+    for size in range(-(-area // cap), len(incumbent)):
+        found = search(size, 0, [])
+        if found is not None:
+            return result(size, found)
+    return result(len(incumbent), incumbent)
 
 
 def test_2x2_k1():
@@ -108,8 +156,58 @@ def test_path_gamma_validates():
 
 def test_cell_cap_enforced():
     with pytest.raises(DomainError):
-        exact_gamma(GridDims(9, 9), K1)
-    exact_gamma(GridDims(8, 8), K2, node_budget=200)  # 64 cells allowed
+        exact_gamma(GridDims(13, 12), K1)
+    exact_gamma(GridDims(12, 12), K2, node_budget=200)  # 144 cells allowed
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_memo_finds_what_the_memo_free_search_finds(k):
+    grids = [(m, n) for m in range(3, 37) for n in range(m, 37) if m * n <= 36]
+    for m, n in grids:
+        dims = GridDims(m, n)
+        res = exact_gamma(dims, Radius(k))
+        ref = reference_exact_gamma(dims, Radius(k))
+        assert (res.gamma, res.lower_bound, res.time_budget_exceeded) == (
+            ref.gamma, ref.lower_bound, False), (m, n)
+        assert res.witness == ref.witness, (m, n)
+        assert res.nodes_explored <= ref.nodes_explored, (m, n)
+
+
+@pytest.mark.parametrize("m,n,k", [(5, 5, 1), (6, 6, 2), (4, 9, 1)])
+def test_clearing_the_memo_loses_only_pruning(monkeypatch, m, n, k):
+    dims, rad = GridDims(m, n), Radius(k)
+    whole = exact_gamma(dims, rad)
+    monkeypatch.setattr(kdom.exact, "MAX_FAILED_STATES", 8)
+    cleared = exact_gamma(dims, rad)
+    assert (cleared.gamma, cleared.lower_bound) == (whole.gamma, whole.lower_bound)
+    assert cleared.witness == whole.witness
+    assert cleared.nodes_explored > whole.nodes_explored
+
+
+def test_search_leaves_nothing_for_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        exact_gamma(GridDims(6, 6), K1)
+        assert gc.collect() == 0
+        exact_gamma(GridDims(8, 8), K1, node_budget=50)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("m,n,k,gamma", [(10, 10, 1, 24), (11, 11, 1, 29), (10, 10, 2, 11)])
+def test_gamma_proven_at_the_edge_of_the_paper_domain(m, n, k, gamma):
+    dims, rad = GridDims(m, n), Radius(k)
+    res = exact_gamma(dims, rad)
+    assert not res.time_budget_exceeded
+    assert res.gamma == res.lower_bound == gamma
+    assert is_dominating(dims, rad, res.witness)
+    built = len(construct(dims, rad)[0])
+    assert built >= gamma
+    if min(m, n) > 2 * rad.p:
+        # the paper's bound is tight on the smallest grids of its domain
+        assert built == gamma == new_bound(m, n, rad)
 
 
 def test_budget_flagging():
