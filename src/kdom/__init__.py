@@ -20,7 +20,6 @@ from .construction import (
     ConstructionTrace,
     base_set,
     best_residue,
-    classify_corner,
     construct,
     project_inward,
     remove_corners,

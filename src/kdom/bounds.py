@@ -96,12 +96,13 @@ def comparison_table(
 
     chang_bound is filled in at k=1 and bijm_bound at k=2, each inside
     its own domain.  With build=True the construction pipeline runs per
-    row and its size is recorded.
+    row and its size is recorded, or None where construct raises
+    DomainError (a grid beyond the dense verifier's cap).
     """
     rows = []
     for m, n in pairs:
         nb, note = _in_domain(new_bound, m, n, k)
-        constructed = len(construct(GridDims(m, n), k)[0]) if (build and note is None) else None
+        built = _in_domain(lambda: len(construct(GridDims(m, n), k)[0]))[0] if build and note is None else None
         rows.append(
             BoundRow(
                 m=m,
@@ -111,7 +112,7 @@ def comparison_table(
                 fss_bound=_in_domain(fss_bound, m, n, k)[0],
                 chang_bound=_in_domain(chang_bound, m, n)[0] if k.k == 1 else None,
                 bijm_bound=_in_domain(bijm_bound, m, n)[0] if k.k == 2 else None,
-                constructed_size=constructed,
+                constructed_size=built,
                 note=note,
             )
         )

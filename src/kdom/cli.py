@@ -19,7 +19,7 @@ from .bounds import TABLE1_PAIRS, comparison_table, cor_bound
 from .construction import ConstructionTrace, construct
 from .errors import KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
-from .gridmodel import GridDims, verify_domination
+from .gridmodel import GridDims, check_dense_size, verify_domination
 from .lattice import LatticePoint, Radius, VertexSet, _as_pairs, canonical_order, repeats
 
 MAGIC = "kdom v1"
@@ -123,6 +123,7 @@ def render_ascii(sf: SetFile, coverage: bool = False) -> str:
     """Rows printed north to south; '#' marks set points."""
     dims = GridDims(sf.m, sf.n)
     k = Radius(sf.k)
+    check_dense_size(dims, k)
     uncovered = set()
     if coverage:
         report = verify_domination(dims, k, sf.points)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -123,11 +122,9 @@ class CornerContext:
     """
 
     corner: Corner
-    residue: Residue
     s: LatticePoint
     z: LatticePoint
     slope_l1: Fraction | None
-    slope_l2: Fraction
     case: CornerCase
 
 
@@ -180,19 +177,11 @@ def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     return VertexSet(pts[~repeats(pts)])
 
 
-def classify_corner(dims: GridDims, k: Radius, ell: Residue, corner: Corner) -> CornerContext:
-    """Locate s and z for the corner and classify the slope of L1.
-
-    Requires m, n > 2p so the four corner regions cannot interact.
-    """
-    return _classify(_Frame(corner, dims, k, ell))
-
-
 def _classify(fr: _Frame) -> CornerContext:
-    """classify_corner in the corner's frame."""
+    """Locate s and z for the frame's corner and classify the slope of L1."""
     zj, slope_l1, case = _corner_shape(fr.k, fr.si)
     s, z = LatticePoint(fr.si, fr.north), LatticePoint(-1, fr.north + zj)
-    return CornerContext(fr.corner, fr.ell, s, z, slope_l1, Fraction(fr.k.k, fr.k.k + 1), case)
+    return CornerContext(fr.corner, s, z, slope_l1, case)
 
 
 def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]:
@@ -223,16 +212,13 @@ class _CornerPlan(NamedTuple):  # a NamedTuple, not a dataclass: far cheaper to 
     removed: LatticePoint
     moves: tuple[tuple[LatticePoint, LatticePoint], ...]
 
-    def touched(self) -> frozenset:
-        return frozenset((self.removed, *chain.from_iterable(self.moves)))
-
 
 def _corner_moves(k: Radius, si: int, zj: int,
                   case: CornerCase) -> dict[tuple[int, int], tuple[int, int]]:
     """The shifts, source -> target, of the corner whose code is s + L, s = (si, 0).
 
     Frame coordinates with the north row of Y at j = 0; z = (-1, zj).
-    Shift sets per case (window of side 2p per design):
+    Shift sets per case, all in a p x p window (see _corner_step):
       negative: nothing moves, s is simply removed.
       steep:    every code point on or northwest of L1 at or above z's row
                 moves east one unit; z additionally moves up one unit.
@@ -260,7 +246,7 @@ def _corner_moves(k: Radius, si: int, zj: int,
                 moves[(i, j)] = (i + 1, j)
         moves[(-1, zj)] = (0, zj + 1)
     elif case is CornerCase.SHALLOW_SLOPE:
-        for i, j in west_of_s(-2 * p):
+        for i, j in west_of_s(1 - p):
             cross = j * (kk + 1) - kk * (i - si)
             if cross == 0:
                 moves[(i, j)] = (i + 1, j)
@@ -348,21 +334,17 @@ def _corner_step(dims: GridDims, k: Radius,
                  ell: Residue) -> tuple[tuple[CornerContext, ...], list[_CornerPlan]]:
     """The four corners' contexts and plans, in CORNER_ORDER.
 
-    Raises CornerOverlapError if two plans touch the same point, which
-    cannot happen for m, n > 2p.
+    No two plans touch the same point.  In its frame, with Y's north row
+    at j = 0, every point a plan removes, moves or fills lies in the p x p
+    window of columns -k..p-k-1 and rows -(p-1)..0: a steep scan stops at
+    z.j >= 1-p and lifts z to row z.j+1 <= 0; a shallow candidate moves
+    only if (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s lies
+    in column s.i within p rows, so east shifts end by column s.i.  The
+    four windows are disjoint once m, n > 2p-2k-1, implied by m, n > 2p.
     """
     frames = [_Frame(c, dims, k, ell) for c in CORNER_ORDER]
     contexts = tuple(_classify(fr) for fr in frames)
-    plans = [_plan(fr, ctx) for fr, ctx in zip(frames, contexts)]
-    touched = [plan.touched() for plan in plans]
-    for a, b in combinations(range(4), 2):
-        overlap = touched[a] & touched[b]
-        if overlap:
-            raise CornerOverlapError(
-                f"{CORNER_ORDER[a].value} and {CORNER_ORDER[b].value} corner "
-                f"regions overlap at {sorted(overlap)[:4]}"
-            )
-    return contexts, plans
+    return contexts, [_plan(fr, ctx) for fr, ctx in zip(frames, contexts)]
 
 
 def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
@@ -388,10 +370,10 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
     """Remove one code point at each corner of Y, preserving domination.
 
     The four plans are computed from the same base set; their touched
-    points are pairwise disjoint (guaranteed for m, n > 2p, checked
-    here) so the corners commute and are applied in one edit.  Every
-    corner plan for k <= 20 is certified by the test suite, and
-    construct applies the plans itself and checks only its final set.
+    points are pairwise disjoint (proved in _corner_step) so the corners
+    commute and are applied in one edit.  Every corner plan for k <= 20
+    is certified by the test suite, and construct applies the plans
+    itself and checks only its final set.
     With verify, corner c applies plans[:c+1] to the input in one edit
     and checks the whole grid: a plan that does not fit raises its own
     CornerOverlapError in its own turn, and the first corner (in

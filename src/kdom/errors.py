@@ -31,4 +31,4 @@ class VerificationError(KdomError):
 
 
 class CornerOverlapError(KdomError):
-    """Two corners' shift regions touched the same point."""
+    """A corner plan does not fit the set it edits."""

@@ -26,8 +26,8 @@ MAX_FAILED_STATES = 1 << 18
 
 @dataclass(frozen=True)
 class ExactResult:
-    """gamma is exact unless the node budget ran out; then it is the best
-    size found, and lower_bound the smallest size not yet ruled out."""
+    """gamma is exact unless the node budget ran out; then it is the size of
+    the greedy incumbent, and lower_bound the smallest size not ruled out."""
 
     dims: GridDims
     k: Radius
@@ -88,7 +88,7 @@ def exact_gamma(
     k: Radius,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExactResult:
-    """Exact minimum, or a budget-flagged best-known upper value.
+    """Exact minimum, or a budget-flagged greedy upper value.
 
     One dominator covers at most cap cells, the largest ball clipped to
     the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path).  So
@@ -102,6 +102,8 @@ def exact_gamma(
     cuts only subtrees that would fail again, so the witness found is
     the one the search finds without it; only nodes_explored falls.
     """
+    if node_budget < 0:
+        raise DomainError(f"node budget must be >= 0, got {node_budget}")
     area = dims.area
     if area > DEFAULT_MAX_CELLS:
         raise DomainError(

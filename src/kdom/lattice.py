@@ -80,12 +80,6 @@ class Residue:
                 f"residue value {self.value} outside [0, {self.modulus - 1}]"
             )
 
-    @classmethod
-    def reduce(cls, value: int, k: Radius) -> "Residue":
-        """Reduce an arbitrary integer into Z_p for the given radius."""
-        p = k.p
-        return cls(value % p, p)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -244,7 +238,7 @@ class VertexSet:
 
 def phi(k: Radius, point: LatticePoint) -> Residue:
     """The homomorphism (i, j) -> (k+1)*i + k*j reduced into [0, p-1]."""
-    return Residue.reduce((k.k + 1) * point[0] + k.k * point[1], k)
+    return Residue(((k.k + 1) * point[0] + k.k * point[1]) % k.p, k.p)
 
 
 def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:

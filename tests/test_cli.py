@@ -256,6 +256,12 @@ def test_table_build_range(capsys):
         assert int(constructed) <= int(new) < int(old)
 
 
+def test_table_build_prints_n_a_for_a_grid_beyond_the_verifier_cap(capsys):
+    assert main(["table", "--k", "3", "--build", "--csv", "--pairs", "51x52,20000x20001"]) == 0
+    assert capsys.readouterr() == (
+        "M,N,New Bound,Old Bound,Constructed\n51,52,128,139,128\n20000,20001,16010397,16010408,n/a\n", "")
+
+
 def test_table_text_mode(capsys):
     assert main(["table"]) == 0
     out = capsys.readouterr().out
@@ -336,6 +342,8 @@ def test_malformed_pairs_exit_2(capsys):
     assert main(["table", "--pairs", "51xab"]) == 2
     assert main(["table", "--range", "51..x"]) == 2
     assert main(["exact", "-m", "2", "-n", "2", "-k", "2001"]) == 2
+    assert main(["exact", "-m", "5", "-n", "5", "-k", "1", "--budget", "-3"]) == 2
+    assert "node budget must be >= 0, got -3" in capsys.readouterr().err
 
 
 def test_grid_beyond_the_dense_verifier_cap_exits_2(tmp_path, capsys):
@@ -343,7 +351,8 @@ def test_grid_beyond_the_dense_verifier_cap_exits_2(tmp_path, capsys):
     path = make_file(tmp_path, f"kdom v1\n1 {side} {side} 0\n")
     assert main(["verify", path]) == 2
     assert main(["construct", "-m", side, "-n", side, "-k", "1"]) == 2
-    assert capsys.readouterr().err.count("verifier cells") == 2
+    assert main(["render", path]) == 2
+    assert capsys.readouterr().err.count("verifier cells") == 3
 
 
 def test_table_prints_a_row_for_a_grid_without_vertices(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from kdom import (
     VertexSet,
     base_set,
     best_residue,
-    classify_corner,
     construct,
     exact_gamma,
     is_dominating,
@@ -35,6 +35,7 @@ from kdom.construction import (
     Corner,
     CornerCase,
     _apply_plans,
+    _classify,
     _corner_moves,
     _corner_shape,
     _CornerPlan,
@@ -46,9 +47,14 @@ from kdom.lattice import phi
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
 
-def _corner_plan(ctx, dims, k):
+def _classify_corner(dims, k, ell, corner):
+    """Locate s and z for one corner of a grid and classify the slope of L1."""
+    return _classify(_Frame(corner, dims, k, ell))
+
+
+def _corner_plan(ctx, dims, k, ell):
     """The plan of one classified corner, in real coordinates."""
-    return _plan(_Frame(ctx.corner, dims, k, ctx.residue), ctx)
+    return _plan(_Frame(ctx.corner, dims, k, ell), ctx)
 
 
 def test_best_residue_uniform_when_side_is_p():
@@ -174,39 +180,38 @@ def test_projection_preserves_domination():
 
 def test_classify_corner_requires_big_grid():
     with pytest.raises(GridTooSmallError):
-        classify_corner(GridDims(6, 6), K3, Residue(0, 25), Corner.NW)
+        _classify_corner(GridDims(6, 6), K3, Residue(0, 25), Corner.NW)
     with pytest.raises(GridTooSmallError):
-        classify_corner(GridDims(100, 26), K2, Residue(0, 13), Corner.NE)
+        _classify_corner(GridDims(100, 26), K2, Residue(0, 13), Corner.NE)
 
 
 def test_classify_corner_cases_27x27_k2():
     dims = GridDims(27, 27)
     # residues chosen so the NW corner hits each case; values derived by
     # solving 3*s_i + 2*28 = ell (mod 13) for the boundary scan
-    ctx = classify_corner(dims, K2, Residue(12, 13), Corner.NW)
+    ctx = _classify_corner(dims, K2, Residue(12, 13), Corner.NW)
     assert ctx.case is CornerCase.SHALLOW_SLOPE
     assert ctx.slope_l1 == Fraction(1, 8)
     assert (tuple(ctx.s), tuple(ctx.z)) == ((7, 28), (-1, 27))
 
-    ctx = classify_corner(dims, K2, Residue(11, 13), Corner.NW)
+    ctx = _classify_corner(dims, K2, Residue(11, 13), Corner.NW)
     assert ctx.case is CornerCase.NEGATIVE_SLOPE
     assert ctx.slope_l1 == Fraction(-8, 1)
 
-    ctx = classify_corner(dims, K2, Residue(1, 13), Corner.NW)
+    ctx = _classify_corner(dims, K2, Residue(1, 13), Corner.NW)
     assert ctx.case is CornerCase.NEGATIVE_SLOPE
     assert ctx.slope_l1 is None  # s and z coincide on column -1
     assert ctx.s == ctx.z
 
-    ctx = classify_corner(dims, K2, Residue(4, 13), Corner.NW)
+    ctx = _classify_corner(dims, K2, Residue(4, 13), Corner.NW)
     assert ctx.case is CornerCase.STEEP_SLOPE
     assert ctx.slope_l1 == Fraction(5, 1)
 
 
 def test_slopes_are_exact_rationals():
-    ctx = classify_corner(GridDims(27, 27), K2, Residue(4, 13), Corner.NW)
-    assert isinstance(ctx.slope_l2, Fraction)
-    assert ctx.slope_l2 == Fraction(2, 3)
+    ctx = _classify_corner(GridDims(27, 27), K2, Residue(4, 13), Corner.NW)
     assert isinstance(ctx.slope_l1, Fraction)
+    assert ctx.slope_l1 > Fraction(2, 3)  # steep: L1 rises faster than L2, of slope k/(k+1)
 
 
 def test_equality_shallow_slope_is_k_over_k_plus_1():
@@ -214,8 +219,8 @@ def test_equality_shallow_slope_is_k_over_k_plus_1():
     dims = GridDims(27, 27)
     found = False
     for v in range(13):
-        ctx = classify_corner(dims, K2, Residue(v, 13), Corner.NW)
-        if ctx.case is CornerCase.SHALLOW_SLOPE and ctx.slope_l1 == ctx.slope_l2:
+        ctx = _classify_corner(dims, K2, Residue(v, 13), Corner.NW)
+        if ctx.case is CornerCase.SHALLOW_SLOPE and ctx.slope_l1 == Fraction(2, 3):
             found = True
     assert found
 
@@ -235,9 +240,9 @@ def test_apply_corner_case_every_corner_and_residue():
             ell = Residue(v, p)
             pts = base_set(dims, k, ell)
             for corner in CORNER_ORDER:
-                ctx = classify_corner(dims, k, ell, corner)
+                ctx = _classify_corner(dims, k, ell, corner)
                 offsets[corner].add(ctx.s.i)
-                out = _apply_plans(pts, [_corner_plan(ctx, dims, k)])
+                out = _apply_plans(pts, [_corner_plan(ctx, dims, k, ell)])
                 assert is_dominating(dims, k, out), (kk, v, corner)
                 assert len(out) == len(pts) - 1
         for corner, seen in offsets.items():
@@ -279,9 +284,11 @@ def test_corner_plans_keep_domination_locally_up_to_k20():
     # points.  A plan deletes code points (s and the sources) and inserts
     # non-code points (the targets), so the edited set dominates iff every
     # grid cell within k of a deleted point is within k of a target.  The
-    # grid is the quadrant i >= 0, j <= -k: plans lie in columns -k..p-k
-    # and rows -2p..0, so for m, n > 2p no ball around them passes the far
-    # grid edges.
+    # grid is the quadrant i >= 0, j <= -k: every plan lies in the p x p
+    # window of columns -k..p-k-1 and rows -(p-1)..0 (asserted here), so
+    # for m, n > 2p no ball around it passes the far grid edges, and the
+    # four corners' windows are disjoint, which is why construction runs
+    # no overlap check.
     for kk in range(1, 21):
         k = Radius(kk)
         p = k.p
@@ -290,6 +297,9 @@ def test_corner_plans_keep_domination_locally_up_to_k20():
             moves = _corner_moves(k, si, zj, case)
             gone = np.array([(si, 0), *moves], dtype=np.int64)
             new = np.array(list(moves.values()), dtype=np.int64).reshape(-1, 2)
+            both = np.concatenate((gone, new))
+            assert (both.min(axis=0) >= (-kk, 1 - p)).all(), (kk, si, case)
+            assert (both.max(axis=0) <= (p - kk - 1, 0)).all(), (kk, si, case)
             assert ((gone - (si, 0)) @ (kk + 1, kk) % p == 0).all(), (kk, si)
             assert ((new - (si, 0)) @ (kk + 1, kk) % p != 0).all(), (kk, si)
             stranded = _stranded(kk, gone, new)
@@ -437,7 +447,7 @@ def test_construct_sweep_small():
 
 def test_mismatched_residue_modulus_rejected():
     with pytest.raises(DomainError):
-        classify_corner(GridDims(27, 27), K2, Residue(0, 25), Corner.NW)
+        _classify_corner(GridDims(27, 27), K2, Residue(0, 25), Corner.NW)
 
 
 def test_remove_corners_rejects_wrong_set():
@@ -454,7 +464,7 @@ def test_verification_failure_carries_uncovered(monkeypatch):
 
     dims = GridDims(27, 27)
     ell = Residue(12, 13)  # a genuinely shallow corner
-    ctx = classify_corner(dims, K2, ell, Corner.NW)
+    ctx = _classify_corner(dims, K2, ell, Corner.NW)
     forged = dataclasses.replace(ctx, case=CornerCase.STEEP_SLOPE)
     classify = construction._classify
     monkeypatch.setattr(construction, "_classify",
@@ -547,7 +557,7 @@ def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
             for v in range(0, p, max(1, p // 6)):
                 ell = Residue(v, p)
                 base = base_set(dims, k, ell)
-                plans = [_corner_plan(classify_corner(dims, k, ell, c), dims, k) for c in CORNER_ORDER]
+                plans = [_corner_plan(_classify_corner(dims, k, ell, c), dims, k, ell) for c in CORNER_ORDER]
                 assert _apply_plans(base, plans) == _one_by_one(base, plans)
 
 
@@ -576,7 +586,7 @@ def test_apply_plans_reports_the_fault_of_the_first_plan_that_does_not_fit():
         want = _outcome(_one_by_one, pts, plans)
         assert _outcome(_apply_plans, pts, plans) == want, (pts, plans)
         outcomes.add(" ".join(want.split()[:2]) if isinstance(want, str) else "ok")
-        rows = sorted({q.j for plan in plans for q in plan.touched()})
+        rows = sorted({q.j for plan in plans for q in (plan.removed, *chain(*plan.moves))})
         apart.add(max(np.diff(rows), default=1) > 1)  # some row between the two bands
     assert outcomes == {"ok", "corner point", "shift source", "shift target"}
     assert apart == {True, False}
@@ -586,8 +596,8 @@ def _reference_remove_corners(dims, k, ell, points):
     """The corners one at a time, each edit followed by a whole-grid check."""
     current = points
     for corner in CORNER_ORDER:
-        ctx = classify_corner(dims, k, ell, corner)
-        current = _reference_apply_plan(current, _corner_plan(ctx, dims, k))
+        ctx = _classify_corner(dims, k, ell, corner)
+        current = _reference_apply_plan(current, _corner_plan(ctx, dims, k, ell))
         uncovered = verify_domination(dims, k, current).uncovered
         if len(uncovered):
             raise VerificationError(
@@ -605,7 +615,7 @@ def _removal_outcome(remove, dims, k, ell, points):
         return type(exc).__name__, str(exc), None if uncovered is None else uncovered.array.tolist()
     if isinstance(out, tuple):  # remove_corners: the trace must list the same plans
         out, trace = out
-        plans = [_corner_plan(ctx, dims, k) for ctx in trace.corner_cases]
+        plans = [_corner_plan(ctx, dims, k, ell) for ctx in trace.corner_cases]
         assert [ctx.corner for ctx in trace.corner_cases] == list(CORNER_ORDER)
         assert trace.removed == VertexSet.from_iterable(plan.removed for plan in plans)
         assert trace.shifted_pairs == tuple(move for plan in plans for move in plan.moves)
@@ -624,8 +634,8 @@ def test_remove_corners_matches_the_corner_by_corner_reference():
         dims = GridDims(rng.randint(2 * p + 1, 3 * p), rng.randint(2 * p + 1, 3 * p))
         ell, _ = best_residue(dims, k)
         size = len(base_set(dims, k, ell))
-        plans = [_corner_plan(classify_corner(dims, k, ell, c), dims, k) for c in CORNER_ORDER]
-        near = sorted(set().union(*(plan.touched() for plan in plans)))
+        plans = [_corner_plan(_classify_corner(dims, k, ell, c), dims, k, ell) for c in CORNER_ORDER]
+        near = sorted({q for plan in plans for q in (plan.removed, *chain(*plan.moves))})
         drops = tuple(rng.randrange(size) for _ in range(rng.randint(0, 3)))
         adds = [rng.choice(near) if rng.random() < 0.5 else
                 (rng.randint(-2 * k.k, dims.m + 2 * k.k), rng.randint(-2 * k.k, dims.n + 2 * k.k))

@@ -218,6 +218,11 @@ def test_budget_flagging():
     # the flagged value is only an upper bound, and lower_bound a proven one
     exact = exact_gamma(GridDims(8, 8), K1)
     assert res.lower_bound <= exact.gamma == exact.lower_bound <= res.gamma
+    # a budget of 0 is valid and runs out at the first node; a negative one is not a budget
+    zero = exact_gamma(GridDims(8, 8), K1, node_budget=0)
+    assert (zero.time_budget_exceeded, zero.nodes_explored) == (True, 1)
+    with pytest.raises(DomainError):
+        exact_gamma(GridDims(8, 8), K1, node_budget=-1)
 
 
 def test_determinism():

@@ -64,7 +64,7 @@ def test_residue_validation():
         Residue(13, 13)
     with pytest.raises(DomainError):
         Residue(-1, 13)
-    assert Residue.reduce(-5, Radius(2)).value == 8
+    assert phi(Radius(2), LatticePoint(-1, -1)) == Residue(8, 13)  # -5 reduced into [0, p-1]
 
 
 def test_box_validation():
