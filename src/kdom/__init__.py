@@ -25,7 +25,6 @@ from .construction import (
     remove_corners,
 )
 from .errors import (
-    CornerOverlapError,
     DomainError,
     GridTooSmallError,
     KdomError,

@@ -23,13 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CornerOverlapError,
-    DomainError,
-    GridTooSmallError,
-    KdomError,
-    VerificationError,
-)
+from .errors import DomainError, GridTooSmallError, KdomError, VerificationError
 from .gridmodel import (
     GridDims,
     check_dense_size,
@@ -227,6 +221,12 @@ def _corner_moves(k: Radius, si: int, zj: int,
                 down one unit.
     Candidates lie in columns -k..si, a segment of at most p cells, so
     each scanned row holds at most one code point; on row 0 it is s.
+    The scan starts at row -1, so s is no source.  A target is a code
+    point moved by (1, 0), (0, -1) or (1, 1), changing phi by k+1, -k or
+    2k+1, none 0 mod p, so no target is deleted.  Two targets could meet
+    only if two code points differed by (1, 1) (shallow), or if column -1
+    held a code point one row above z (steep), but column -1 holds no
+    code point within p rows of z.
     """
     kk, p = k.k, k.p
     step = kk * pow(kk + 1, -1, p) % p  # row j - 1 meets s + L step columns east of row j
@@ -271,31 +271,17 @@ def _plan(fr: _Frame, ctx: CornerContext) -> _CornerPlan:
     return _CornerPlan(removed=fr.to_real(ctx.s), moves=real_moves)
 
 
-def _repeated(keys: np.ndarray) -> np.ndarray:
-    """Mask of the keys equal to an earlier key."""
-    seen, mask = set(), []
-    for key in keys.tolist():
-        mask.append(key in seen)
-        seen.add(key)
-    return np.array(mask, dtype=bool)
-
-
-def _find(have: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each key is, or would go, in the sorted have; and whether it is there."""
-    at = np.searchsorted(have, keys)
-    found = at < len(have)
-    found[found] = have[at[found]] == keys[found]
-    return at, found
-
-
 def _apply_plans(s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
     """Delete every plan's removed point and shift sources and insert its targets, in one edit.
 
-    The plans' touched points must be pairwise disjoint, so this equals
-    applying them one by one, faults included.  Only two row bands are
-    edited, split at the widest run of rows no plan touches (north and
-    south corners): points are found by binary search on row-major keys,
-    and the rest of the set is copied once, never sorted.
+    The plans must come from the set's own base set, through _corner_step
+    on the grid, k and residue it was built from.  Then every deleted
+    point is in the set, and the targets are distinct points outside it
+    that no plan deletes (_corner_moves), so no fault is checked for.
+    Only two row bands are edited, split at the widest run of rows no
+    plan touches (north and south corners): points are found by binary
+    search on row-major keys, and the rest of the set is copied once,
+    never sorted.
     """
     gone = np.array([q for plan in plans for q in (plan.removed, *(src for src, _ in plan.moves))],
                     dtype=np.int64).reshape(-1, 2)
@@ -307,23 +293,9 @@ def _apply_plans(s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
     lo, mid_lo, mid_hi, hi = np.searchsorted(whole[:, 1], (rows[0], rows[t] + 1, rows[t + 1], rows[-1]))
     window = np.concatenate((whole[lo:mid_lo], whole[mid_hi:hi]))
     have, gone_keys, new_keys = row_major_keys(window, gone, new)
-    at, found = _find(have, gone_keys)
-    found &= ~_repeated(gone_keys)  # a point listed twice is gone the second time
     keep = np.ones(len(window), dtype=bool)
-    keep[at[found]] = False
-    kept_keys = have[keep]
-    _, clash = _find(kept_keys, new_keys)
-    clash |= _repeated(new_keys)
-    if len(plans) > 1 and (not found.all() or clash.any()):
-        for plan in plans:  # the first plan that does not fit the set raises its own error
-            _apply_plans(s_set, [plan])
-    if not found[0]:
-        raise CornerOverlapError(f"corner point {plans[0].removed} missing; set does not match the plan")
-    if not found.all():
-        raise CornerOverlapError(f"shift source {plans[0].moves[found.argmin() - 1][0]} missing from the set")
-    if clash.any():
-        raise CornerOverlapError(f"shift target {plans[0].moves[clash.argmax()][1]} collides")
-    order = np.argsort(np.concatenate((kept_keys, new_keys)), kind="stable")
+    keep[np.searchsorted(have, gone_keys)] = False
+    order = np.argsort(np.concatenate((have[keep], new_keys)), kind="stable")
     edited = np.concatenate((window[keep], new))[order]
     cut = np.searchsorted(edited[:, 1], rows[t + 1])
     pieces = (whole[:lo], edited[:cut], whole[mid_lo:mid_hi], edited[cut:], whole[hi:])
@@ -369,29 +341,19 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
                    verify: bool = True) -> tuple[VertexSet, ConstructionTrace]:
     """Remove one code point at each corner of Y, preserving domination.
 
-    The four plans are computed from the same base set; their touched
-    points are pairwise disjoint (proved in _corner_step) so the corners
-    commute and are applied in one edit.  Every corner plan for k <= 20
-    is certified by the test suite, and construct applies the plans
-    itself and checks only its final set.
-    With verify, corner c applies plans[:c+1] to the input in one edit
-    and checks the whole grid: a plan that does not fit raises its own
-    CornerOverlapError in its own turn, and the first corner (in
-    CORNER_ORDER) whose set no longer dominates raises
-    VerificationError.
+    s_set must be base_set(dims, k, ell), the only set the corner plans
+    are proved for; any other set raises DomainError.  The four plans are
+    applied in one edit, as construct applies them.  With verify, the
+    edited set is checked once on the whole grid, and a failure raises
+    VerificationError carrying the uncovered vertices.
     """
     contexts, plans = _corner_step(dims, k, ell)
-    if not verify:
-        current = _apply_plans(s_set, plans)
-    else:
-        for c, ctx in enumerate(contexts):
-            current = _apply_plans(s_set, plans[:c + 1])
-            if not is_dominating(dims, k, current):
-                uncovered = verify_domination(dims, k, current).uncovered
-                raise VerificationError(
-                    f"{ctx.corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
-                    uncovered=uncovered,
-                )
+    if s_set != base_set(dims, k, ell):
+        raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
+    current = _apply_plans(s_set, plans)
+    if verify and not is_dominating(dims, k, current):
+        uncovered = verify_domination(dims, k, current).uncovered
+        raise VerificationError(f"corner shifts broke domination ({len(uncovered)} uncovered)", uncovered=uncovered)
     return current, _trace(dims, k, ell, s_set, contexts, plans, 0, current)
 
 

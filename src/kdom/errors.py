@@ -28,7 +28,3 @@ class VerificationError(KdomError):
         super().__init__(message)
         self.uncovered = uncovered
         self.trace = trace
-
-
-class CornerOverlapError(KdomError):
-    """A corner plan does not fit the set it edits."""

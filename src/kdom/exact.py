@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .construction import construct
 from .errors import DomainError
 from .gridmodel import GridDims
 from .lattice import Radius, VertexSet
@@ -27,7 +28,8 @@ MAX_FAILED_STATES = 1 << 18
 @dataclass(frozen=True)
 class ExactResult:
     """gamma is exact unless the node budget ran out; then it is the size of
-    the greedy incumbent, and lower_bound the smallest size not ruled out."""
+    the smaller of the greedy incumbent and construct's set (greedy on a
+    tie), the witness, and lower_bound the smallest size not ruled out."""
 
     dims: GridDims
     k: Radius
@@ -88,7 +90,7 @@ def exact_gamma(
     k: Radius,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExactResult:
-    """Exact minimum, or a budget-flagged greedy upper value.
+    """Exact minimum, or a budget-flagged upper value (see ExactResult).
 
     One dominator covers at most cap cells, the largest ball clipped to
     the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path).  So
@@ -158,8 +160,11 @@ def exact_gamma(
             if found is not None:
                 return ExactResult(dims, k, size, size, to_set(found), nodes, False)
     except _BudgetExhausted:
-        # every size below the one being searched has been exhausted
-        return ExactResult(dims, k, best, size, to_set(incumbent), nodes, True)
+        # every size below the one being searched has been exhausted; construct
+        # never seeds the search, so a search that finishes keeps its witness
+        built = construct(dims, k)[0]
+        witness = built if len(built) < best else to_set(incumbent)
+        return ExactResult(dims, k, len(witness), size, witness, nodes, True)
     finally:
         # search refers to itself through its closure; break that cycle so
         # the memo is freed on return, not by the cyclic collector

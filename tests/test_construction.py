@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import chain
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import brute_dominates, brute_uncovered, count_in_box
 from kdom import (
-    CornerOverlapError,
     DomainError,
     GridDims,
     GridTooSmallError,
@@ -302,6 +302,10 @@ def test_corner_plans_keep_domination_locally_up_to_k20():
             assert (both.max(axis=0) <= (p - kk - 1, 0)).all(), (kk, si, case)
             assert ((gone - (si, 0)) @ (kk + 1, kk) % p == 0).all(), (kk, si)
             assert ((new - (si, 0)) @ (kk + 1, kk) % p != 0).all(), (kk, si)
+            # deleted points distinct, targets distinct, and no target deleted:
+            # what the one-edit _apply_plans relies on instead of checking
+            for points in (gone, new, both):
+                assert len(set(map(tuple, points.tolist()))) == len(points), (kk, si, case)
             stranded = _stranded(kk, gone, new)
             assert not stranded.any(), (kk, si, case)
 
@@ -453,15 +457,11 @@ def test_mismatched_residue_modulus_rejected():
 def test_remove_corners_rejects_wrong_set():
     dims = GridDims(27, 27)
     ell = Residue(4, 13)
-    with pytest.raises(CornerOverlapError):
+    with pytest.raises(DomainError, match=r"takes only base_set\(dims, k, ell\)"):
         remove_corners(dims, K2, ell, VertexSet.from_iterable([(0, 0)]))
 
 
 def test_verification_failure_carries_uncovered(monkeypatch):
-    import dataclasses
-
-    from kdom import VerificationError
-
     dims = GridDims(27, 27)
     ell = Residue(12, 13)  # a genuinely shallow corner
     ctx = _classify_corner(dims, K2, ell, Corner.NW)
@@ -470,9 +470,10 @@ def test_verification_failure_carries_uncovered(monkeypatch):
     monkeypatch.setattr(construction, "_classify",
                         lambda fr: forged if fr.corner is Corner.NW else classify(fr))
     pts = base_set(dims, K2, ell)
-    with pytest.raises(VerificationError, match="NW corner shift broke domination") as err:
+    with pytest.raises(VerificationError) as err:
         remove_corners(dims, K2, ell, pts, verify=True)
     assert len(err.value.uncovered) > 0
+    assert str(err.value) == f"corner shifts broke domination ({len(err.value.uncovered)} uncovered)"
     # the vertex due south of s is the one the wrong case strands
     assert (7, 26) in {tuple(q) for q in err.value.uncovered}
 
@@ -480,62 +481,41 @@ def test_verification_failure_carries_uncovered(monkeypatch):
 
 def _reference_apply_plan(points, plan):
     """The set-based corner edit, kept as the reference for the array version."""
-    current = set(points)
-    if plan.removed not in current:
-        raise CornerOverlapError(f"corner point {plan.removed} missing; set does not match the plan")
-    current.remove(plan.removed)
-    for src, _ in plan.moves:
-        if src not in current:
-            raise CornerOverlapError(f"shift source {src} missing from the set")
-        current.remove(src)
-    for _, dst in plan.moves:
-        if dst in current:
-            raise CornerOverlapError(f"shift target {dst} collides")
-        current.add(dst)
-    return VertexSet.from_iterable(current)
+    current = set(points) - {plan.removed, *(src for src, _ in plan.moves)}
+    return VertexSet.from_iterable(current | {dst for _, dst in plan.moves})
 
 
-def _outcome(apply, points, plan):
-    try:
-        return apply(points, plan)
-    except CornerOverlapError as exc:
-        return str(exc)
+def _fitting_plans(rng, universe, count):
+    """A random set of the universe and up to count plans that fit it.
+
+    Each plan's removed point and sources are popped from the set's
+    points and its targets from the other points, so no two plans touch
+    the same point, as for the corner plans of a base set.
+    """
+    rng.shuffle(universe)
+    pts = VertexSet.from_iterable(universe[:rng.randint(1, len(universe) // 2)])
+    inside = [q for q in universe if q in pts]
+    outside = [q for q in universe if q not in pts]
+    plans = []
+    while inside and len(plans) < count:
+        moves = min(rng.randint(0, 5), len(inside) - 1, len(outside))
+        plans.append(_CornerPlan(inside.pop(), tuple((inside.pop(), outside.pop()) for _ in range(moves))))
+    return pts, plans
 
 
 def test_apply_plan_matches_the_set_reference():
-    import random
-
     rng = random.Random(23)
-
-    def pt():
-        return LatticePoint(rng.randint(-3, 4), rng.randint(-3, 4))
-
-    outcomes = set()
+    universe = [LatticePoint(i, j) for i in range(-3, 5) for j in range(-3, 5)]
+    sizes = set()
     for _ in range(3000):
-        pts = VertexSet.from_iterable(pt() for _ in range(rng.randint(0, 30)))
-        pool = list(pts) or [pt()]
-        plan = _CornerPlan(
-            removed=rng.choice(pool) if rng.random() < 0.9 else pt(),
-            moves=tuple(
-                (rng.choice(pool) if rng.random() < 0.85 else pt(), pt())
-                for _ in range(rng.randint(0, 5))
-            ),
-        )
-        want = _outcome(_reference_apply_plan, pts, plan)
-        assert _outcome(lambda s, q: _apply_plans(s, [q]), pts, plan) == want, (pts, plan)
-        outcomes.add(" ".join(want.split()[:2]) if isinstance(want, str) else "ok")
-    assert outcomes == {"ok", "corner point", "shift source", "shift target"}
+        pts, [plan] = _fitting_plans(rng, universe, 1)
+        assert _apply_plans(pts, [plan]) == _reference_apply_plan(pts, plan), (pts, plan)
+        sizes.add(len(plan.moves))
+    assert sizes == set(range(6))
 
 
-def test_apply_plan_rejects_missing_source_and_colliding_target():
+def test_apply_plan_moves_a_source_onto_a_free_target():
     pts = VertexSet.from_iterable([(0, 0), (3, 0), (1, 2)])
-    missing = _CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(4, 0)),
-                                              (LatticePoint(2, 2), LatticePoint(2, 3))))
-    with pytest.raises(CornerOverlapError, match=r"shift source LatticePoint\(i=2, j=2\) missing"):
-        _apply_plans(pts, [missing])
-    collides = _CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(1, 2)),))
-    with pytest.raises(CornerOverlapError, match=r"shift target LatticePoint\(i=1, j=2\) collides"):
-        _apply_plans(pts, [collides])
     moved = _apply_plans(pts, [_CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(0, 2)),))])
     assert list(moved) == [LatticePoint(0, 2), LatticePoint(1, 2)]
 
@@ -561,34 +541,18 @@ def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
                 assert _apply_plans(base, plans) == _one_by_one(base, plans)
 
 
-def test_apply_plans_reports_the_fault_of_the_first_plan_that_does_not_fit():
+def test_apply_plans_matches_the_set_reference_plan_by_plan():
     rng = random.Random(31)
     universe = [LatticePoint(i, j) for i in range(-3, 9) for j in range(-3, 9)]
-    outcomes, apart = set(), set()
+    apart = set()
     for _ in range(1500):
-        rng.shuffle(universe)
-        pts = VertexSet.from_iterable(universe[:rng.randint(0, 60)])
-        inside = [q for q in universe if q in pts]
-        outside = [q for q in universe if q not in pts]
-
-        def draw(usual, other, p_usual):
-            pool = usual if usual and (rng.random() < p_usual or not other) else other
-            return pool.pop()
-
-        plans = []
-        for _ in range(rng.randint(1, 4)):  # points are popped, so the plans are disjoint
-            if len(inside) + len(outside) < 11:
-                break
-            removed = draw(inside, outside, 0.95)
-            moves = tuple((draw(inside, outside, 0.95), draw(outside, inside, 0.95))
-                          for _ in range(rng.randint(0, 5)))
-            plans.append(_CornerPlan(removed, moves))
-        want = _outcome(_one_by_one, pts, plans)
-        assert _outcome(_apply_plans, pts, plans) == want, (pts, plans)
-        outcomes.add(" ".join(want.split()[:2]) if isinstance(want, str) else "ok")
+        pts, plans = _fitting_plans(rng, universe, rng.randint(1, 4))
+        want = pts
+        for plan in plans:
+            want = _reference_apply_plan(want, plan)
+        assert _apply_plans(pts, plans) == want, (pts, plans)
         rows = sorted({q.j for plan in plans for q in (plan.removed, *chain(*plan.moves))})
         apart.add(max(np.diff(rows), default=1) > 1)  # some row between the two bands
-    assert outcomes == {"ok", "corner point", "shift source", "shift target"}
     assert apart == {True, False}
 
 
@@ -598,59 +562,55 @@ def _reference_remove_corners(dims, k, ell, points):
     for corner in CORNER_ORDER:
         ctx = _classify_corner(dims, k, ell, corner)
         current = _reference_apply_plan(current, _corner_plan(ctx, dims, k, ell))
-        uncovered = verify_domination(dims, k, current).uncovered
-        if len(uncovered):
-            raise VerificationError(
-                f"{corner.value} corner shift broke domination ({len(uncovered)} uncovered)",
-                uncovered=uncovered,
-            )
+        assert is_dominating(dims, k, current), (dims, k, corner)
     return current
-
-
-def _removal_outcome(remove, dims, k, ell, points):
-    try:
-        out = remove(dims, k, ell, points)
-    except (CornerOverlapError, VerificationError) as exc:
-        uncovered = getattr(exc, "uncovered", None)
-        return type(exc).__name__, str(exc), None if uncovered is None else uncovered.array.tolist()
-    if isinstance(out, tuple):  # remove_corners: the trace must list the same plans
-        out, trace = out
-        plans = [_corner_plan(ctx, dims, k, ell) for ctx in trace.corner_cases]
-        assert [ctx.corner for ctx in trace.corner_cases] == list(CORNER_ORDER)
-        assert trace.removed == VertexSet.from_iterable(plan.removed for plan in plans)
-        assert trace.shifted_pairs == tuple(move for plan in plans for move in plan.moves)
-        assert (trace.base_size, trace.final_size) == (len(points), len(out))
-    return "ok", out.array.tolist()
 
 
 def test_remove_corners_matches_the_corner_by_corner_reference():
     rng = random.Random(37)
-    # dropping base points 8 and 60 and adding (35, 19) on 52x53 at k=3
-    # breaks the NW check before the NE plan, which no longer fits, is reached
-    cases = [(GridDims(52, 53), K3, (8, 60), [(35, 19)])]
+    changed = set()
     for _ in range(300):
         k = Radius(rng.randint(1, 3))
         p = k.p
         dims = GridDims(rng.randint(2 * p + 1, 3 * p), rng.randint(2 * p + 1, 3 * p))
         ell, _ = best_residue(dims, k)
-        size = len(base_set(dims, k, ell))
-        plans = [_corner_plan(_classify_corner(dims, k, ell, c), dims, k, ell) for c in CORNER_ORDER]
+        base = base_set(dims, k, ell)
+        out, trace = remove_corners(dims, k, ell, base)
+        assert out == _reference_remove_corners(dims, k, ell, base), (dims, k)
+        plans = [_corner_plan(ctx, dims, k, ell) for ctx in trace.corner_cases]
+        assert [ctx.corner for ctx in trace.corner_cases] == list(CORNER_ORDER)
+        assert trace.removed == VertexSet.from_iterable(plan.removed for plan in plans)
+        assert trace.shifted_pairs == tuple(move for plan in plans for move in plan.moves)
+        assert (trace.base_size, trace.final_size) == (len(base), len(out))
+        # the plans are proved only for the base set, so any other set is refused
         near = sorted({q for plan in plans for q in (plan.removed, *chain(*plan.moves))})
-        drops = tuple(rng.randrange(size) for _ in range(rng.randint(0, 3)))
+        drops = tuple(rng.randrange(len(base)) for _ in range(rng.randint(0, 3)))
         adds = [rng.choice(near) if rng.random() < 0.5 else
                 (rng.randint(-2 * k.k, dims.m + 2 * k.k), rng.randint(-2 * k.k, dims.n + 2 * k.k))
                 for _ in range(rng.randint(0, 3))]
-        cases.append((dims, k, drops, adds))
-    kinds = []
-    for dims, k, drops, adds in cases:
+        points = VertexSet.from_iterable([q for t, q in enumerate(base) if t not in drops] + adds)
+        changed.add(points != base)
+        if points == base:
+            assert remove_corners(dims, k, ell, points)[0] == out
+            continue
+        for verify in (True, False):
+            with pytest.raises(DomainError, match=r"takes only base_set\(dims, k, ell\)"):
+                remove_corners(dims, k, ell, points, verify=verify)
+    assert changed == {True, False}
+
+
+def test_remove_corners_in_both_bench_forms_matches_construct_before_projection():
+    for dims, k in ((GridDims(11, 11), K1), (GridDims(30, 31), K2), (GridDims(53, 54), K3)):
         ell, _ = best_residue(dims, k)
         base = base_set(dims, k, ell)
-        points = VertexSet.from_iterable([q for t, q in enumerate(base) if t not in drops] + adds)
-        want = _removal_outcome(_reference_remove_corners, dims, k, ell, points)
-        assert _removal_outcome(remove_corners, dims, k, ell, points) == want, (dims, k, drops, adds)
-        kinds.append(want[0] if want[0] != "CornerOverlapError" else " ".join(want[1].split()[:2]))
-    assert kinds[0] == "VerificationError"
-    assert set(kinds) == {"ok", "VerificationError", "corner point", "shift source", "shift target"}
+        checked, trace = remove_corners(dims, k, ell, base)
+        unchecked, unchecked_trace = remove_corners(dims, k, ell, base, verify=False)
+        built, built_trace = construct(dims, k)
+        assert checked == unchecked
+        assert project_inward(dims, checked) == built
+        assert trace == unchecked_trace
+        before_projection = dict(projection_merged=0, final_size=len(checked))
+        assert trace == dataclasses.replace(built_trace, **before_projection)
 
 
 _coordinate = st.one_of(st.integers(-12, 20), st.sampled_from([10 ** 30, -(10 ** 30), 2 ** 63]))

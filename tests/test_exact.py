@@ -225,6 +225,19 @@ def test_budget_flagging():
         exact_gamma(GridDims(8, 8), K1, node_budget=-1)
 
 
+def test_exhausted_search_answers_with_the_smaller_of_greedy_and_construct():
+    # construct's 35 beats greedy's 40 on 12x12; greedy's 17 beats construct's 27
+    # on 2x32; on 9x9 both have 24 points, and greedy's set is kept
+    for m, n, budget, winner in ((12, 12, 1000, "construct"), (2, 32, 5, "greedy"), (9, 9, 5, "greedy")):
+        dims = GridDims(m, n)
+        res = exact_gamma(dims, K1, node_budget=budget)
+        greedy = VertexSet.from_iterable((c % m, c // m) for c in _greedy((1 << dims.area) - 1, _balls(dims, K1)))
+        built = construct(dims, K1)[0]
+        assert res.time_budget_exceeded, (m, n)
+        assert res.witness == (built if winner == "construct" else greedy), (m, n)
+        assert res.gamma == len(res.witness), (m, n)
+
+
 def test_determinism():
     a = exact_gamma(GridDims(4, 4), K1)
     b = exact_gamma(GridDims(4, 4), K1)

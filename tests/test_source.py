@@ -13,3 +13,17 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_error_type_is_raised_somewhere():
+    # an error type nothing raises is dead API; this keeps one from coming back
+    package = Path(kdom.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    assert defined and sorted(defined - raised) == []
