@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +39,7 @@ from .lattice import (
     VertexSet,
     fiber_counts_in_box,
     inverse_image_in_box,
-    phi,
     repeats,
-    row_major_keys,
 )
 
 
@@ -73,36 +72,38 @@ _ROTATIONS = {
 class _Frame:
     """Rotation of the plane carrying one corner of Y onto the NW corner.
 
-    A quarter turn maps the Lee lattice L = {(k+1)i + kj = 0 (mod p)}
-    onto itself, so in every frame the code is s + L, where s = (si,
-    north) is the first code point from column -k on the north row of Y.
-    Corner frames exist only for m, n > 2p, where the four corner
-    regions cannot interact.
+    real = matrix @ frame + shift, in plain integers.  A quarter turn maps
+    the Lee lattice L = {(k+1)i + kj = 0 (mod p)} onto itself, so in every
+    frame the code is s + L, where s = (si, north) is the first code point
+    from column -k on the north row of Y.  Along that row phi is linear in
+    the frame's i, phi = origin + step * i (mod p) with step = (k+1)a + kc
+    for the matrix's first column (a, c), so si is one modular solve.
+    Corner frames exist only for m, n > 2p, where the four corner regions
+    cannot interact.
     """
 
     def __init__(self, corner: Corner, dims: GridDims, k: Radius, ell: Residue):
-        p = k.p
+        p, kk = k.p, k.k
         if dims.m <= 2 * p or dims.n <= 2 * p:
             raise GridTooSmallError(
                 f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}"
             )
         if ell.modulus != p:
             raise DomainError(f"residue modulus {ell.modulus} does not match p={p}")
-        self.corner, self.k, self.ell = corner, k, ell
-        self._matrix, (x0, y0) = _ROTATIONS[corner]
+        self.corner, self.k = corner, k
+        self.matrix, (x0, y0) = _ROTATIONS[corner]
+        (a, b), (c, _) = self.matrix
         self._shift = (x0 * (dims.m - 1), y0 * (dims.n - 1))
-        height = dims.m if self._matrix[0][1] else dims.n  # at NE and SW, frame j runs along real i
-        self.north = height + k.k - 1  # the frame's north boundary row of Y
-        # Along the north row phi(to_real(i, north)) = origin + step * i (mod p).
-        origin = phi(k, self.to_real((0, self.north))).value
-        step = phi(k, self.to_real((1, self.north))).value - origin
-        self.si = (pow(step, -1, p) * (ell.value - origin) + k.k) % p - k.k
+        self.north = (dims.m if b else dims.n) + kk - 1  # at NE and SW, frame j runs along real i
+        i, j = self.to_real((0, self.north))
+        origin, step = (kk + 1) * i + kk * j, (kk + 1) * a + kk * c
+        self.si = (pow(step, -1, p) * (ell.value - origin) + kk) % p - kk
 
-    def to_real(self, q: tuple[int, int]) -> LatticePoint:
+    def to_real(self, q: tuple[int, int]) -> tuple[int, int]:
         i, j = q
-        (a, b), (c, d) = self._matrix
+        (a, b), (c, d) = self.matrix
         x0, y0 = self._shift
-        return LatticePoint(a * i + b * j + x0, c * i + d * j + y0)
+        return a * i + b * j + x0, c * i + d * j + y0
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]
 class _CornerPlan(NamedTuple):  # a NamedTuple, not a dataclass: far cheaper to create at import
     """One corner's edit, in real coordinates: remove one point, move others."""
 
-    removed: LatticePoint
+    removed: tuple[int, int]
     moves: tuple[tuple[LatticePoint, LatticePoint], ...]
 
 
@@ -256,19 +257,18 @@ def _corner_moves(k: Radius, si: int, zj: int,
 
 
 def _plan(fr: _Frame, ctx: CornerContext) -> _CornerPlan:
-    """The shift plan of a corner classified in the frame fr, in real coordinates."""
+    """The shift plan of a corner classified in the frame fr, in real coordinates.
 
-    def real(q: tuple[int, int]) -> LatticePoint:  # from the frame with its north row at j = 0
-        return fr.to_real((q[0], q[1] + fr.north))
-
+    Every move is rotated with the frame's integer matrix, and one sort of
+    plain (j, i, ...) tuples puts the sources in row-major order.
+    """
+    (a, b), (c, d) = fr.matrix
+    x0, y0 = fr.to_real((0, fr.north))  # the frame's origin, with its north row at j = 0
     moves = _corner_moves(fr.k, ctx.s.i, ctx.z.j - fr.north, ctx.case)
-    real_moves = tuple(
-        sorted(
-            ((real(a), real(b)) for a, b in moves.items()),
-            key=lambda ab: (ab[0].j, ab[0].i),  # row-major
-        )
-    )
-    return _CornerPlan(removed=fr.to_real(ctx.s), moves=real_moves)
+    rotated = sorted((c * i + d * j + y0, a * i + b * j + x0, a * u + b * v + x0, c * u + d * v + y0)
+                     for (i, j), (u, v) in moves.items())
+    return _CornerPlan(fr.to_real(ctx.s), tuple((LatticePoint(i, j), LatticePoint(u, v))
+                                                for j, i, u, v in rotated))
 
 
 def _apply_plans(s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
@@ -278,25 +278,31 @@ def _apply_plans(s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
     on the grid, k and residue it was built from.  Then every deleted
     point is in the set, and the targets are distinct points outside it
     that no plan deletes (_corner_moves), so no fault is checked for.
-    Only two row bands are edited, split at the widest run of rows no
-    plan touches (north and south corners): points are found by binary
-    search on row-major keys, and the rest of the set is copied once,
-    never sorted.
+    Only two row bands are edited, split on Python ints at the widest run
+    of rows no plan touches (north and south corners).  A dot product
+    with (1, w), w the width of the bands' columns, keys points row-major,
+    as Python ints if a key would overflow int64: deleted points are found
+    by binary search on the bands' keys, and the edited bands are re-sorted
+    by theirs.  The rest of the set is copied once, never sorted.
     """
-    gone = np.array([q for plan in plans for q in (plan.removed, *(src for src, _ in plan.moves))],
-                    dtype=np.int64).reshape(-1, 2)
-    new = np.array([dst for plan in plans for _, dst in plan.moves], dtype=np.int64).reshape(-1, 2)
-    touched = np.concatenate((gone[:, 1], new[:, 1]))
-    rows = np.append(np.sort(touched, kind="stable"), touched.max() + 1)  # touched rows, a sentinel
-    t = np.diff(rows).argmax()  # band one ends at rows[t], band two starts at rows[t + 1]
+    gone = [plan.removed for plan in plans] + [src for plan in plans for src, _ in plan.moves]
+    new = [dst for plan in plans for _, dst in plan.moves]
+    rows = sorted({q[1] for q in chain(gone, new)})
+    rows.append(rows[-1] + 1)  # a sentinel: the bands end before it
+    gaps = [b - a for a, b in zip(rows, rows[1:])]
+    t = gaps.index(max(gaps))  # band one ends at rows[t], band two starts at rows[t + 1]
     whole = s_set.array
     lo, mid_lo, mid_hi, hi = np.searchsorted(whole[:, 1], (rows[0], rows[t] + 1, rows[t + 1], rows[-1]))
     window = np.concatenate((whole[lo:mid_lo], whole[mid_hi:hi]))
-    have, gone_keys, new_keys = row_major_keys(window, gone, new)
+    cols = [int(window[:, 0].min()), int(window[:, 0].max()), *(q[0] for q in new)]
+    w = max(cols) - min(cols) + 1
+    big = max(map(abs, cols)) + max(-rows[0], rows[-1]) * w >= 2 ** 63
+    key = np.array((1, w), dtype=object if big else np.int64)
     keep = np.ones(len(window), dtype=bool)
-    keep[np.searchsorted(have, gone_keys)] = False
-    order = np.argsort(np.concatenate((have[keep], new_keys)), kind="stable")
-    edited = np.concatenate((window[keep], new))[order]
+    keep[np.searchsorted(window.astype(key.dtype, copy=False) @ key, [i + j * w for i, j in gone])] = False
+    added = np.fromiter(chain.from_iterable(new), np.int64, 2 * len(new)).reshape(-1, 2)
+    edited = np.concatenate((window[keep], added))
+    edited = edited[np.argsort(edited.astype(key.dtype, copy=False) @ key, kind="stable")]
     cut = np.searchsorted(edited[:, 1], rows[t + 1])
     pieces = (whole[:lo], edited[:cut], whole[mid_lo:mid_hi], edited[cut:], whole[hi:])
     return VertexSet(np.concatenate(pieces))
@@ -306,13 +312,15 @@ def _corner_step(dims: GridDims, k: Radius,
                  ell: Residue) -> tuple[tuple[CornerContext, ...], list[_CornerPlan]]:
     """The four corners' contexts and plans, in CORNER_ORDER.
 
-    No two plans touch the same point.  In its frame, with Y's north row
-    at j = 0, every point a plan removes, moves or fills lies in the p x p
-    window of columns -k..p-k-1 and rows -(p-1)..0: a steep scan stops at
-    z.j >= 1-p and lifts z to row z.j+1 <= 0; a shallow candidate moves
-    only if (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s lies
-    in column s.i within p rows, so east shifts end by column s.i.  The
-    four windows are disjoint once m, n > 2p-2k-1, implied by m, n > 2p.
+    All of it is Python-int arithmetic on the frames' integer matrices,
+    with no numpy call.  No two plans touch the same point.  In its
+    frame, with Y's north row at j = 0, every point a plan removes, moves
+    or fills lies in the p x p window of columns -k..p-k-1 and rows
+    -(p-1)..0: a steep scan stops at z.j >= 1-p and lifts z to row
+    z.j+1 <= 0; a shallow candidate moves only if (k+1)j >= k(i - s.i)
+    >= -k(p-1); and no code point but s lies in column s.i within p rows,
+    so east shifts end by column s.i.  The four windows are disjoint once
+    m, n > 2p-2k-1, implied by m, n > 2p.
     """
     frames = [_Frame(c, dims, k, ell) for c in CORNER_ORDER]
     contexts = tuple(_classify(fr) for fr in frames)
@@ -322,7 +330,12 @@ def _corner_step(dims: GridDims, k: Radius,
 def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
            contexts: tuple[CornerContext, ...] | None, plans: list[_CornerPlan],
            merged: int, final: VertexSet) -> ConstructionTrace:
-    """The audit record of one run; contexts is None where corner removal is skipped."""
+    """The audit record of one run; contexts is None where corner removal is skipped.
+
+    The removed points need no dedupe: they lie in the four disjoint p x p
+    windows of _corner_step.
+    """
+    removed = sorted((plan.removed for plan in plans), key=lambda q: (q[1], q[0]))  # row-major
     return ConstructionTrace(
         dims=dims,
         k=k,
@@ -330,7 +343,7 @@ def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
         base_size=len(base),
         corner_removal_applied=contexts is not None,
         corner_cases=contexts,
-        removed=VertexSet.from_iterable(plan.removed for plan in plans),
+        removed=VertexSet(np.fromiter(chain.from_iterable(removed), np.int64, 2 * len(removed)).reshape(-1, 2)),
         shifted_pairs=tuple(move for plan in plans for move in plan.moves),
         projection_merged=merged,
         final_size=len(final),
@@ -348,7 +361,13 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
     VerificationError carrying the uncovered vertices.
     """
     contexts, plans = _corner_step(dims, k, ell)
-    if s_set != base_set(dims, k, ell):
+    box, pts = neighborhood_box(dims, k), s_set.array
+    # Distinct points of the fiber in Y, as many as it has, are all of it.  Rows are
+    # sorted, so the first and last points bound them; phi is taken only inside Y.
+    if not (len(pts) == fiber_counts_in_box(k, box)[ell.value]
+            and box.j_lo <= pts[0, 1] and pts[-1, 1] <= box.j_hi
+            and box.i_lo <= pts[:, 0].min() and pts[:, 0].max() <= box.i_hi
+            and (((k.k + 1) * pts[:, 0] + k.k * pts[:, 1]) % k.p == ell.value).all()):
         raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
     current = _apply_plans(s_set, plans)
     if verify and not is_dominating(dims, k, current):

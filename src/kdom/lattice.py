@@ -12,7 +12,7 @@ sides <= 2**31, enforced at construction time) every coordinate the
 construction and the verifier produce fits int64, and modular products
 are reduced first so they stay below p^2 < 2**46.  A set built from
 coordinates beyond int64 is held as an object array of Python integers;
-the same sorting, masking and key code serves it.
+the same sorting and masking code serves it.
 """
 from __future__ import annotations
 
@@ -149,26 +149,6 @@ def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
     if len(sorted_pairs) > 1:
         np.all(sorted_pairs[1:] == sorted_pairs[:-1], axis=1, out=mask[1:])
     return mask
-
-
-def row_major_keys(*arrays: np.ndarray) -> list[np.ndarray]:
-    """One integer per point that orders the points of all the arrays row-major.
-
-    The key is (j - j0) * w + (i - i0) over the arrays' common bounding
-    box of width w.  It is int64 whenever that box has fewer than 2**63
-    cells, which holds for every box with sides up to 2**31, and a
-    Python integer otherwise.
-    """
-    pairs = np.concatenate(arrays)
-    if not len(pairs):
-        return [np.zeros(0, dtype=np.int64) for _ in arrays]
-    (i0, j0), (i1, j1) = pairs.min(axis=0).tolist(), pairs.max(axis=0).tolist()
-    w = i1 - i0 + 1
-    if w * (j1 - j0 + 1) >= 2 ** 63:
-        pairs = pairs.astype(object)
-    keys = (pairs[:, 1] - j0) * w + (pairs[:, 0] - i0)
-    ends = np.cumsum([len(a) for a in arrays]).tolist()
-    return [keys[end - len(a):end] for a, end in zip(arrays, ends)]
 
 
 class VertexSet:

@@ -34,6 +34,7 @@ from kdom.construction import (
     CORNER_ORDER,
     Corner,
     CornerCase,
+    CornerContext,
     _apply_plans,
     _classify,
     _corner_moves,
@@ -310,6 +311,18 @@ def test_corner_plans_keep_domination_locally_up_to_k20():
             assert not stranded.any(), (kk, si, case)
 
 
+def _explicit_maps(m, n):
+    """Each corner's frame -> real map written out, and the frame's north row of Y."""
+    maps = {
+        Corner.NW: lambda i, j: (i, j),
+        Corner.NE: lambda i, j: (j, n - 1 - i),
+        Corner.SW: lambda i, j: (m - 1 - j, i),
+        Corner.SE: lambda i, j: (m - 1 - i, n - 1 - j),
+    }
+    height = {Corner.NW: n, Corner.NE: m, Corner.SW: m, Corner.SE: n}
+    return maps, height
+
+
 def test_frame_rotations_match_the_explicit_maps():
     rng = random.Random(41)
     for kk in range(1, 6):
@@ -317,13 +330,7 @@ def test_frame_rotations_match_the_explicit_maps():
         p = k.p
         for _ in range(3):
             m, n = rng.randint(2 * p + 1, 5 * p), rng.randint(2 * p + 1, 5 * p)
-            explicit = {
-                Corner.NW: lambda i, j: (i, j),
-                Corner.NE: lambda i, j: (j, n - 1 - i),
-                Corner.SW: lambda i, j: (m - 1 - j, i),
-                Corner.SE: lambda i, j: (m - 1 - i, n - 1 - j),
-            }
-            height = {Corner.NW: n, Corner.NE: m, Corner.SW: m, Corner.SE: n}
+            explicit, height = _explicit_maps(m, n)
             points = [(rng.randint(-3 * p, 3 * p), rng.randint(-3 * p, 3 * p)) for _ in range(20)]
             for v in range(p):
                 ell = Residue(v, p)
@@ -334,6 +341,46 @@ def test_frame_rotations_match_the_explicit_maps():
                     assert fr.north == height[corner] + kk - 1
                     first = next(i for i in range(-kk, p - kk) if phi(k, fr.to_real((i, fr.north))) == ell)
                     assert fr.si == first, (kk, m, n, v, corner)
+
+
+def _reference_corner_trace(dims, k, ell):
+    """corner_cases, removed and shifted_pairs of a trace, the slow way.
+
+    s.i is found by scanning the north row of Y through the explicit
+    maps; the moves of _corner_moves, in frame coordinates, are mapped
+    the same way and sorted row-major by source, corner by corner.
+    """
+    explicit, height = _explicit_maps(dims.m, dims.n)
+    contexts, removed, pairs = [], [], []
+    for corner in CORNER_ORDER:
+        north = height[corner] + k.k - 1
+
+        def real(q):
+            return LatticePoint(*explicit[corner](q[0], q[1] + north))  # from the frame with north at j = 0
+
+        si = next(i for i in range(-k.k, k.p - k.k) if phi(k, real((i, 0))) == ell)
+        zj, slope, case = _corner_shape(k, si)
+        contexts.append(CornerContext(corner, LatticePoint(si, north), LatticePoint(-1, north + zj), slope, case))
+        removed.append(real((si, 0)))
+        moves = [(real(a), real(b)) for a, b in _corner_moves(k, si, zj, case).items()]
+        pairs += sorted(moves, key=lambda ab: (ab[0].j, ab[0].i))
+    return tuple(contexts), VertexSet.from_iterable(removed), tuple(pairs)
+
+
+def test_corner_trace_matches_the_explicit_map_reference():
+    for kk in range(1, 7):
+        k = Radius(kk)
+        p = k.p
+        for m, n in ((2 * p + 1, 2 * p + 1), (3 * p + 2, 2 * p + 1), (2 * p + 3, 3 * p - 1)):
+            dims = GridDims(m, n)
+            for v in range(p):
+                ell = Residue(v, p)
+                _, trace = remove_corners(dims, k, ell, base_set(dims, k, ell), verify=False)
+                contexts, removed, pairs = _reference_corner_trace(dims, k, ell)
+                assert trace.corner_cases == contexts, (kk, m, n, v)
+                assert trace.removed == removed, (kk, m, n, v)
+                assert trace.shifted_pairs == pairs, (kk, m, n, v)
+                assert {type(q) for pair in trace.shifted_pairs for q in pair} <= {LatticePoint}
 
 
 def test_remove_corners_11x11_k1():
@@ -461,6 +508,24 @@ def test_remove_corners_rejects_wrong_set():
         remove_corners(dims, K2, ell, VertexSet.from_iterable([(0, 0)]))
 
 
+def test_remove_corners_rejects_a_same_size_set_off_the_fiber_or_outside_y():
+    # each set has the base set's size: one point leaves the fiber, or leaves Y along it
+    dims = GridDims(27, 27)
+    ell = Residue(4, 13)
+    base = base_set(dims, K2, ell)
+    box = neighborhood_box(dims, K2)
+    first, last = base.points[0], base.points[-1]
+    off_fiber = [q for q in base if q != first] + [(first.i + 1, first.j)]  # phi moves by k+1
+    outside = [q for q in base if q != last] + [(last.i + K2.p, last.j)]  # phi is kept
+    assert first.i + 1 <= box.i_hi < last.i + K2.p
+    for points in (off_fiber, outside):
+        wrong = VertexSet.from_iterable(points)
+        assert len(wrong) == len(base)
+        for verify in (True, False):
+            with pytest.raises(DomainError, match=r"takes only base_set\(dims, k, ell\)"):
+                remove_corners(dims, K2, ell, wrong, verify=verify)
+
+
 def test_verification_failure_carries_uncovered(monkeypatch):
     dims = GridDims(27, 27)
     ell = Residue(12, 13)  # a genuinely shallow corner
@@ -518,6 +583,41 @@ def test_apply_plan_moves_a_source_onto_a_free_target():
     pts = VertexSet.from_iterable([(0, 0), (3, 0), (1, 2)])
     moved = _apply_plans(pts, [_CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(0, 2)),))])
     assert list(moved) == [LatticePoint(0, 2), LatticePoint(1, 2)]
+
+
+def test_apply_plans_keys_past_int64_as_python_ints():
+    # the keys i + j * w of these bands pass 2**63, and the last set is held as Python ints
+    for far in (2 ** 40, 2 ** 62, 10 ** 30):
+        pts = VertexSet.from_iterable([(0, 0), (3, 0), (far, 0), (7, 2 ** 30), (far, 2 ** 30)])
+        plan = _CornerPlan(LatticePoint(0, 0), ((LatticePoint(7, 2 ** 30), LatticePoint(1, 2 ** 30)),))
+        assert _apply_plans(pts, [plan]) == _reference_apply_plan(pts, plan), far
+
+
+def test_corner_edit_sorts_only_the_two_row_bands(monkeypatch):
+    # ROADMAP aim 1: corner removal costs O(p^2) points per corner, never O(|S| log |S|).
+    # Each band is at most p rows of ceil((m+2k)/p) points, and each corner fills at most p targets.
+    lengths = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in ("sort", "argsort", "lexsort", "unique"):
+                return attr
+
+            def sort(a, *args, **kwargs):
+                lengths.append(np.shape(a)[-1] if name == "lexsort" else len(a))
+                return attr(a, *args, **kwargs)
+            return sort
+
+    dims, k = GridDims(1000, 1001), K3
+    ell, _ = best_residue(dims, k)
+    base = base_set(dims, k, ell)
+    _, plans = construction._corner_step(dims, k, ell)
+    monkeypatch.setattr(construction, "np", Recorder())
+    edited = _apply_plans(base, plans)
+    monkeypatch.undo()
+    assert lengths and max(lengths) <= 2 * (dims.m + 2 * k.k) + 6 * k.p < len(base) // 10
+    assert edited == _one_by_one(base, plans)
 
 
 def _one_by_one(points, plans):
