@@ -238,14 +238,17 @@ def cmd_verify(args) -> int:
     with open(args.setfile) as fh:
         sf = load_setfile(fh.read())
     k = Radius(args.k if args.k is not None else sf.k)
-    report = verify_domination(GridDims(sf.m, sf.n), k, sf.points)
-    if len(report.uncovered) == 0:
-        print(f"dominating: {len(sf.points)} points cover {sf.m}x{sf.n} at k={k.k}")
-        return 0
-    print(f"NOT dominating: {len(report.uncovered)} uncovered vertices")
+    dims = GridDims(sf.m, sf.n)
+    report = verify_domination(dims, k, sf.points)
+    hist, gaps = report.multiplicity_histogram, len(report.uncovered)
+    print(f"NOT dominating: {gaps} uncovered vertices" if gaps else
+          f"dominating: {len(sf.points)} points cover {sf.m}x{sf.n} at k={k.k}")
+    print(f"covered={report.covered_count}/{dims.area} "
+          f"redundancy={sum(c * f for c, f in hist.items()) - dims.area} "
+          f"multiplicity={','.join(f'{c}:{f}' for c, f in hist.items())}")
     for pt in report.uncovered:
         print(f"{pt.i} {pt.j}")
-    return 1
+    return 1 if gaps else 0
 
 
 def cmd_bound(args) -> int:

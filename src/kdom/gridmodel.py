@@ -6,9 +6,12 @@ lie outside the grid (the construction keeps them in the enlarged box Y
 until the final projection), so the verifier works on the grid enlarged
 by k on every side and reads off the grid portion.  One coverage kernel
 serves both checks: it costs O(|S| k + mn) array work and one
-(m+4k+1) x (n+4k) int32 difference array.  Grids whose difference array
-and one index chunk would exceed MAX_DENSE_CELLS are rejected with
-DomainError before anything is allocated.
+(m+4k+1) x (n+4k) int32 difference array.  The report adds one cheap
+pass over the multiplicities: the covered count and the cells above 1
+give the histogram (a good set has few such cells), and the uncovered
+cells are listed by a flat scan only when there are some.  Grids whose
+difference array and one index chunk would exceed MAX_DENSE_CELLS are
+rejected with DomainError before anything is allocated.
 """
 from __future__ import annotations
 
@@ -121,16 +124,19 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
 def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport:
     """Exact coverage report; an empty s yields all vertices uncovered."""
     mult = _multiplicity(dims, k, s)
-    freqs = np.bincount(mult.ravel())
+    excess = mult[mult > 1]
+    covered = int(np.count_nonzero(mult))
+    freqs = np.bincount(excess, minlength=2)
+    freqs[:2] = dims.area - covered, covered - len(excess)
     uncovered = VertexSet.empty()
     if freqs[0]:
-        uj, ui = np.nonzero(mult.T == 0)  # row-major, as VertexSet requires
+        uj, ui = np.divmod(np.flatnonzero(mult.T == 0), dims.m)  # j*m + i: row-major, as VertexSet requires
         uncovered = VertexSet(np.column_stack((ui, uj)).astype(np.int64, copy=False))
-    histogram = {c: int(f) for c, f in enumerate(freqs) if f}
+    histogram = {c: f for c, f in enumerate(freqs.tolist()) if f}
     return CoverageReport(
         dims=dims,
         k=k,
-        covered_count=dims.area - len(uncovered),
+        covered_count=covered,
         uncovered=uncovered,
         multiplicity_histogram=histogram,
     )

@@ -139,8 +139,19 @@ def _as_pairs(points) -> np.ndarray:
 
 
 def canonical_order(pairs: np.ndarray) -> np.ndarray:
-    """Indices that sort (i, j) rows row-major: ascending j, then ascending i; stable."""
-    return np.lexsort((pairs[:, 0], pairs[:, 1]))
+    """Indices that sort (i, j) rows row-major: ascending j, then ascending i; stable.
+
+    One stable argsort of the key (j - j_min) w + (i - i_min), w the column
+    span; the key is built from Python ints when it could pass 2**63.
+    """
+    if not len(pairs):
+        return np.arange(0)
+    i, j = pairs[:, 0], pairs[:, 1]
+    i_lo, j_lo = int(i.min()), int(j.min())
+    w = int(i.max()) - i_lo + 1
+    if (int(j.max()) - j_lo + 1) * w >= 2 ** 63:
+        i, j = i.astype(object), j.astype(object)
+    return np.argsort((j - j_lo) * w + (i - i_lo), kind="stable")
 
 
 def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
@@ -190,7 +201,7 @@ class VertexSet:
     @property
     def points(self) -> tuple[LatticePoint, ...]:
         if self._points is None:
-            self._points = tuple(map(tuple.__new__, repeat(LatticePoint), self.array.tolist()))
+            self._points = tuple(map(tuple.__new__, repeat(LatticePoint), zip(*self.array.T.tolist())))
         return self._points
 
     def __len__(self) -> int:

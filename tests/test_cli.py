@@ -65,6 +65,21 @@ def test_verify_negative_lists_uncovered(tmp_path, capsys):
     assert "1 1" in out
 
 
+def test_verify_prints_the_coverage_summary_after_the_first_line(tmp_path, capsys):
+    # 2x2 at k=1: (0, 0) alone misses (1, 1); with (1, 1) the two off-diagonal cells are covered twice
+    assert main(["verify", make_file(tmp_path, "kdom v1\n1 2 2 2\n0 0\n1 1\n")]) == 0
+    assert capsys.readouterr().out == (
+        "dominating: 2 points cover 2x2 at k=1\n"
+        "covered=4/4 redundancy=2 multiplicity=1:2,2:2\n"
+    )
+    assert main(["verify", make_file(tmp_path, "kdom v1\n1 2 2 1\n0 0\n")]) == 1
+    assert capsys.readouterr().out == (
+        "NOT dominating: 1 uncovered vertices\n"
+        "covered=3/4 redundancy=-1 multiplicity=0:1,1:3\n"
+        "1 1\n"
+    )
+
+
 def test_verify_k_override(tmp_path):
     path = make_file(tmp_path, "kdom v1\n1 2 2 1\n0 0\n")
     assert main(["verify", path, "--k", "2"]) == 0

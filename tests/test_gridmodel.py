@@ -191,8 +191,16 @@ def _multiplicity_cases():
         yield m, n, k, VertexSet.from_iterable(
             (rng.randint(-2 * k, m + 2 * k), rng.randint(-2 * k, n + 2 * k)) for _ in range(20)
         )
+    # paths: 1 x n and m x 1, with dominators on and off the path
+    rng = random.Random(53)
+    for m, n in ((1, 17), (17, 1), (1, 2), (2, 1), (1, 40), (40, 1)):
+        for k in (1, 2, 5):
+            yield m, n, k, VertexSet.from_iterable(
+                (rng.randint(-2 * k, m + 2 * k), rng.randint(-2 * k, n + 2 * k))
+                for _ in range(rng.randint(0, 8))
+            )
     # dense sets: every cell of the k-padded box, and every cell of the grid
-    for m, n, k in ((1, 1, 1), (1, 6, 2), (4, 3, 1), (7, 5, 3), (3, 8, 5), (10, 9, 2)):
+    for m, n, k in ((1, 1, 1), (1, 6, 2), (4, 3, 1), (7, 5, 3), (3, 8, 5), (10, 9, 2), (12, 1, 2), (1, 11, 3)):
         box = neighborhood_box(GridDims(m, n), Radius(k))
         yield m, n, k, VertexSet.from_iterable(
             (i, j) for j in range(box.j_lo, box.j_hi + 1) for i in range(box.i_lo, box.i_hi + 1)
@@ -214,6 +222,22 @@ def test_multiplicity_matches_brute_ball_count(monkeypatch):
             assert mult.shape == (m, n) and mult.dtype == np.int32
             assert {(i, j): int(mult[i, j]) for j in range(n) for i in range(m)} == want, (m, n, k, chunk)
             assert verify_domination(GridDims(m, n), Radius(k), pts).multiplicity_histogram == hist
+
+
+def test_whole_report_matches_brute_force():
+    reached_p = empty = False
+    for m, n, k, pts in _multiplicity_cases():
+        counts = brute_multiplicity(m, n, k, pts)
+        hist = {c: list(counts.values()).count(c) for c in sorted(set(counts.values()))}
+        rep = verify_domination(GridDims(m, n), Radius(k), pts)
+        assert rep.covered_count == m * n - hist.get(0, 0), (m, n, k)
+        assert [tuple(q) for q in rep.uncovered] == brute_uncovered(m, n, k, pts), (m, n, k)
+        assert rep.uncovered.array.dtype == np.int64
+        assert list(rep.multiplicity_histogram.items()) == list(hist.items()), (m, n, k)
+        assert all(type(v) is int for v in (rep.covered_count, *rep.multiplicity_histogram.values()))
+        reached_p |= max(hist) == Radius(k).p
+        empty |= len(pts) == 0
+    assert reached_p and empty
 
 
 def test_multiplicity_is_a_fresh_c_contiguous_array():

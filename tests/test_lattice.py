@@ -20,7 +20,7 @@ from kdom import (
     phi,
     verify_domination,
 )
-from kdom.lattice import fiber_counts_in_box
+from kdom.lattice import canonical_order, fiber_counts_in_box
 
 
 @pytest.mark.parametrize("k,p", [(1, 5), (2, 13), (3, 25)])
@@ -278,6 +278,7 @@ def test_from_iterable_is_sorted_set(pts):
     from_list = VertexSet.from_iterable(pts)
     assert [tuple(q) for q in from_list] == want
     assert from_list.points == tuple(LatticePoint(*q) for q in want)
+    assert all(type(q) is LatticePoint and type(q.i) is type(q.j) is int for q in from_list.points)
     assert len(from_list) == len(want)
     assert all(q in from_list for q in pts)
     dtype = object if any(abs(c) >= 2 ** 62 for q in pts for c in q) else np.int64
@@ -285,6 +286,31 @@ def test_from_iterable_is_sorted_set(pts):
     assert from_array == from_list
     assert hash(from_array) == hash(from_list)
     assert from_array.array.tolist() == [list(q) for q in want]
+
+
+def _canonical_order_cases():
+    rng = np.random.default_rng(61)
+    for size, span in ((1, 1), (2, 0), (60, 3), (400, 20), (300, 10 ** 6), (200, 2 ** 40)):
+        a = rng.integers(-span, span + 1, size=(size, 2))
+        yield np.concatenate((a, a[rng.integers(0, size, size=size // 2 + 1)]))  # repeated rows
+    yield np.zeros((0, 2), dtype=np.int64)
+    yield np.array([(10 ** 30, 1), (-(10 ** 30), 1), (5, -(2 ** 70)), (5, 1), (10 ** 30, 1)], dtype=object)
+    yield np.array([(2 ** 63, 7), (2 ** 63 + 2, 7), (2 ** 63, 6), (2 ** 63, 7)], dtype=object)  # small span
+    # int64 coordinates whose key (j - j_min) w + (i - i_min) would pass 2**63
+    top, bottom = 2 ** 63 - 1, -(2 ** 63)
+    yield np.array([(top, 0), (bottom, 1), (0, 1), (bottom, 0), (top, 1), (0, 0), (bottom, 0)], dtype=np.int64)
+    yield np.array([(0, top), (0, bottom), (1, 0), (0, bottom), (1, top), (-1, 0)], dtype=np.int64)
+    yield np.array([(0, 0), (2 ** 62 - 1, 1), (0, 1), (2 ** 62 - 1, 0), (0, 0)], dtype=np.int64)  # h w = 2**63
+    yield np.array([(top, 3), (0, 3), (5, 3), (0, 3)], dtype=np.int64)  # w = 2**63 on one row
+    yield np.array([(0, 0), (2 ** 62 - 1, 0), (5, 0), (0, 0)], dtype=np.int64)  # h w = 2**62 fits
+
+
+@pytest.mark.parametrize("pairs", list(_canonical_order_cases()), ids=lambda a: f"{a.dtype}-{len(a)}")
+def test_canonical_order_is_lexsort_permutation(pairs):
+    # the identical permutation: load_setfile relies on ties keeping file order
+    order = canonical_order(pairs)
+    assert order.dtype == np.intp
+    assert order.tolist() == np.lexsort((pairs[:, 0], pairs[:, 1])).tolist()
 
 
 def test_vertexset_equality_is_by_content():
