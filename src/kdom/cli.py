@@ -120,26 +120,18 @@ def load_setfile(text: str) -> SetFile:
 
 
 def render_ascii(sf: SetFile, coverage: bool = False) -> str:
-    """Rows printed north to south; '#' marks set points."""
+    """Rows printed north to south; '#' marks set points, '!' uncovered vertices."""
     dims = GridDims(sf.m, sf.n)
     k = Radius(sf.k)
     check_dense_size(dims, k)
-    uncovered = set()
+    cells = np.full((sf.n, sf.m), "+" if coverage else ".")
     if coverage:
-        report = verify_domination(dims, k, sf.points)
-        uncovered = {(pt.i, pt.j) for pt in report.uncovered}
-    rows = []
-    for j in range(sf.n - 1, -1, -1):
-        cells = []
-        for i in range(sf.m):
-            if LatticePoint(i, j) in sf.points:
-                cells.append("#")
-            elif coverage:
-                cells.append("!" if (i, j) in uncovered else "+")
-            else:
-                cells.append(".")
-        rows.append(" ".join(cells))
-    return "\n".join(rows) + "\n"
+        uncovered = verify_domination(dims, k, sf.points).uncovered.array
+        cells[uncovered[:, 1], uncovered[:, 0]] = "!"
+    pts = sf.points.array
+    on = ((pts >= 0) & (pts < (sf.m, sf.n))).all(axis=1)
+    cells[pts[on, 1].astype(np.int64), pts[on, 0].astype(np.int64)] = "#"
+    return "".join(" ".join(row) + "\n" for row in cells[::-1].tolist())
 
 
 def render_svg(sf: SetFile, diamonds: tuple[LatticePoint, ...] = ()) -> str:

@@ -69,43 +69,6 @@ _ROTATIONS = {
 }
 
 
-class _Frame:
-    """Rotation of the plane carrying one corner of Y onto the NW corner.
-
-    real = matrix @ frame + shift, in plain integers.  A quarter turn maps
-    the Lee lattice L = {(k+1)i + kj = 0 (mod p)} onto itself, so in every
-    frame the code is s + L, where s = (si, north) is the first code point
-    from column -k on the north row of Y.  Along that row phi is linear in
-    the frame's i, phi = origin + step * i (mod p) with step = (k+1)a + kc
-    for the matrix's first column (a, c), so si is one modular solve.
-    Corner frames exist only for m, n > 2p, where the four corner regions
-    cannot interact.
-    """
-
-    def __init__(self, corner: Corner, dims: GridDims, k: Radius, ell: Residue):
-        p, kk = k.p, k.k
-        if dims.m <= 2 * p or dims.n <= 2 * p:
-            raise GridTooSmallError(
-                f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}"
-            )
-        if ell.modulus != p:
-            raise DomainError(f"residue modulus {ell.modulus} does not match p={p}")
-        self.corner, self.k = corner, k
-        self.matrix, (x0, y0) = _ROTATIONS[corner]
-        (a, b), (c, _) = self.matrix
-        self._shift = (x0 * (dims.m - 1), y0 * (dims.n - 1))
-        self.north = (dims.m if b else dims.n) + kk - 1  # at NE and SW, frame j runs along real i
-        i, j = self.to_real((0, self.north))
-        origin, step = (kk + 1) * i + kk * j, (kk + 1) * a + kk * c
-        self.si = (pow(step, -1, p) * (ell.value - origin) + kk) % p - kk
-
-    def to_real(self, q: tuple[int, int]) -> tuple[int, int]:
-        i, j = q
-        (a, b), (c, d) = self.matrix
-        x0, y0 = self._shift
-        return a * i + b * j + x0, c * i + d * j + y0
-
-
 @dataclass(frozen=True)
 class CornerContext:
     """Geometry of one corner in its own (rotated) frame.
@@ -142,17 +105,13 @@ class ConstructionTrace:
 def best_residue(dims: GridDims, k: Radius) -> tuple[Residue, int]:
     """The residue whose fiber meets Y in the fewest points.
 
-    Ties break toward the smallest residue value; the winning count never
-    exceeds floor((m+2k)(n+2k)/p), the mean count.  O(p) work.
+    Ties break toward the smallest residue value.  The p fibers partition
+    Y, so the counts sum to |Y| and the winning count never exceeds
+    floor((m+2k)(n+2k)/p), the mean count.  O(p) work.
     """
-    box = neighborhood_box(dims, k)
-    counts = fiber_counts_in_box(k, box)
+    counts = fiber_counts_in_box(k, neighborhood_box(dims, k))
     value = int(counts.argmin())
-    count = int(counts[value])
-    floor_mean = box.area // k.p
-    if count > floor_mean:
-        raise KdomError(f"best residue count {count} exceeds floor(|Y|/p) = {floor_mean}")
-    return Residue(value, k.p), count
+    return Residue(value, k.p), int(counts[value])
 
 
 def base_set(dims: GridDims, k: Radius, ell: Residue) -> VertexSet:
@@ -170,13 +129,6 @@ def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     for a, b in ((0, lo), (hi, len(pts))):
         pts[a:b] = pts[a:b][np.argsort(pts[a:b, 0], kind="stable")]
     return VertexSet(pts[~repeats(pts)])
-
-
-def _classify(fr: _Frame) -> CornerContext:
-    """Locate s and z for the frame's corner and classify the slope of L1."""
-    zj, slope_l1, case = _corner_shape(fr.k, fr.si)
-    s, z = LatticePoint(fr.si, fr.north), LatticePoint(-1, fr.north + zj)
-    return CornerContext(fr.corner, s, z, slope_l1, case)
 
 
 def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]:
@@ -256,75 +208,91 @@ def _corner_moves(k: Radius, si: int, zj: int,
     return moves
 
 
-def _plan(fr: _Frame, ctx: CornerContext) -> _CornerPlan:
-    """The shift plan of a corner classified in the frame fr, in real coordinates.
+def _corner(corner: Corner, dims: GridDims, k: Radius, ell: Residue) -> tuple[CornerContext, _CornerPlan]:
+    """One corner's context, in its frame, and its plan, in real coordinates.
 
-    Every move is rotated with the frame's integer matrix, and one sort of
-    plain (j, i, ...) tuples puts the sources in row-major order.
+    The frame is the rotation real = matrix @ frame + shift of _ROTATIONS,
+    in plain integers, that carries the corner onto the NW corner of Y.
+    A quarter turn maps the Lee lattice L = {(k+1)i + kj = 0 (mod p)}
+    onto itself, so in the frame the code is s + L, where s = (si, north)
+    is the first code point from column -k on the north row of Y.  Along
+    that row phi is linear in the frame's i, phi = origin + step * i
+    (mod p) with step = (k+1)a + kc for the matrix's first column (a, c),
+    so si is one modular solve.  Every move is rotated with the integer
+    matrix, and one sort of plain (j, i, ...) tuples puts the sources in
+    row-major order.  _corner_step checks m, n > 2p and ell's modulus.
     """
-    (a, b), (c, d) = fr.matrix
-    x0, y0 = fr.to_real((0, fr.north))  # the frame's origin, with its north row at j = 0
-    moves = _corner_moves(fr.k, ctx.s.i, ctx.z.j - fr.north, ctx.case)
+    kk, p = k.k, k.p
+    ((a, b), (c, d)), (sx, sy) = _ROTATIONS[corner]
+    north = (dims.m if b else dims.n) + kk - 1  # at NE and SW, frame j runs along real i
+    # the real point of frame (0, north): the origin of the frame with its north row at j = 0
+    x0, y0 = b * north + sx * (dims.m - 1), d * north + sy * (dims.n - 1)
+    origin, step = (kk + 1) * x0 + kk * y0, (kk + 1) * a + kk * c
+    si = (pow(step, -1, p) * (ell.value - origin) + kk) % p - kk
+    zj, slope_l1, case = _corner_shape(k, si)
     rotated = sorted((c * i + d * j + y0, a * i + b * j + x0, a * u + b * v + x0, c * u + d * v + y0)
-                     for (i, j), (u, v) in moves.items())
-    return _CornerPlan(fr.to_real(ctx.s), tuple((LatticePoint(i, j), LatticePoint(u, v))
-                                                for j, i, u, v in rotated))
+                     for (i, j), (u, v) in _corner_moves(k, si, zj, case).items())
+    moves = tuple((LatticePoint(i, j), LatticePoint(u, v)) for j, i, u, v in rotated)
+    ctx = CornerContext(corner, LatticePoint(si, north), LatticePoint(-1, north + zj), slope_l1, case)
+    return ctx, _CornerPlan((a * si + x0, c * si + y0), moves)
 
 
-def _apply_plans(s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
+def _apply_plans(dims: GridDims, k: Radius, s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
     """Delete every plan's removed point and shift sources and insert its targets, in one edit.
 
     The plans must come from the set's own base set, through _corner_step
     on the grid, k and residue it was built from.  Then every deleted
     point is in the set, and the targets are distinct points outside it
     that no plan deletes (_corner_moves), so no fault is checked for.
-    Only two row bands are edited, split on Python ints at the widest run
-    of rows no plan touches (north and south corners).  A dot product
-    with (1, w), w the width of the bands' columns, keys points row-major,
-    as Python ints if a key would overflow int64: deleted points are found
-    by binary search on the bands' keys, and the edited bands are re-sorted
-    by theirs.  The rest of the set is copied once, never sorted.
+    Only the two bands that hold every plan (_corner_step) are edited:
+    Y's south p rows (j < p-k) and its north p rows (j >= n+k-p), which
+    one binary search on the row column bounds.  The edit works on keys,
+    Y's row-major index (j+k)(m+2k) + (i+k), below 2**62 since Y's sides
+    are at most 2**31, so int64 holds it: deleted points are found by
+    binary search on the bands' keys, the targets' keys are added, and
+    one sort and one divmod give the edited bands back as points.  The
+    rest of the set is copied once, never sorted.
     """
-    gone = [plan.removed for plan in plans] + [src for plan in plans for src, _ in plan.moves]
-    new = [dst for plan in plans for _, dst in plan.moves]
-    rows = sorted({q[1] for q in chain(gone, new)})
-    rows.append(rows[-1] + 1)  # a sentinel: the bands end before it
-    gaps = [b - a for a, b in zip(rows, rows[1:])]
-    t = gaps.index(max(gaps))  # band one ends at rows[t], band two starts at rows[t + 1]
+    kk, w, north = k.k, dims.m + 2 * k.k, dims.n + k.k - k.p
     whole = s_set.array
-    lo, mid_lo, mid_hi, hi = np.searchsorted(whole[:, 1], (rows[0], rows[t] + 1, rows[t + 1], rows[-1]))
-    window = np.concatenate((whole[lo:mid_lo], whole[mid_hi:hi]))
-    cols = [int(window[:, 0].min()), int(window[:, 0].max()), *(q[0] for q in new)]
-    w = max(cols) - min(cols) + 1
-    big = max(map(abs, cols)) + max(-rows[0], rows[-1]) * w >= 2 ** 63
-    key = np.array((1, w), dtype=object if big else np.int64)
-    keep = np.ones(len(window), dtype=bool)
-    keep[np.searchsorted(window.astype(key.dtype, copy=False) @ key, [i + j * w for i, j in gone])] = False
-    added = np.fromiter(chain.from_iterable(new), np.int64, 2 * len(new)).reshape(-1, 2)
-    edited = np.concatenate((window[keep], added))
-    edited = edited[np.argsort(edited.astype(key.dtype, copy=False) @ key, kind="stable")]
-    cut = np.searchsorted(edited[:, 1], rows[t + 1])
-    pieces = (whole[:lo], edited[:cut], whole[mid_lo:mid_hi], edited[cut:], whole[hi:])
-    return VertexSet(np.concatenate(pieces))
+    lo, hi = np.searchsorted(whole[:, 1], (k.p - kk, north))
+    keys = (np.concatenate((whole[:lo], whole[hi:])) + kk) @ (1, w)
+    gone = [plan.removed for plan in plans] + [src for plan in plans for src, _ in plan.moves]
+    keep = np.ones(len(keys), dtype=bool)
+    keep[np.searchsorted(keys, [(i + kk) + (j + kk) * w for i, j in gone])] = False
+    added = np.array([(i + kk) + (j + kk) * w for plan in plans for _, (i, j) in plan.moves], dtype=np.int64)
+    j, i = np.divmod(np.sort(np.concatenate((keys[keep], added))), w)
+    edited = np.column_stack((i, j)) - kk
+    cut = np.searchsorted(j, north + kk)
+    return VertexSet(np.concatenate((edited[:cut], whole[lo:hi], edited[cut:])))
 
 
 def _corner_step(dims: GridDims, k: Radius,
                  ell: Residue) -> tuple[tuple[CornerContext, ...], list[_CornerPlan]]:
     """The four corners' contexts and plans, in CORNER_ORDER.
 
-    All of it is Python-int arithmetic on the frames' integer matrices,
+    Corner plans exist only for m, n > 2p, where the four corners cannot
+    interact, and for a residue mod p; both are checked once here.  The
+    rest is Python-int arithmetic on the rotations' integer matrices,
     with no numpy call.  No two plans touch the same point.  In its
     frame, with Y's north row at j = 0, every point a plan removes, moves
     or fills lies in the p x p window of columns -k..p-k-1 and rows
     -(p-1)..0: a steep scan stops at z.j >= 1-p and lifts z to row
     z.j+1 <= 0; a shallow candidate moves only if (k+1)j >= k(i - s.i)
     >= -k(p-1); and no code point but s lies in column s.i within p rows,
-    so east shifts end by column s.i.  The four windows are disjoint once
-    m, n > 2p-2k-1, implied by m, n > 2p.
+    so east shifts end by column s.i.  In real coordinates the windows
+    lie in Y's columns, NW and NE in Y's north p rows (j >= n+k-p), SW
+    and SE in its south p rows (j < p-k).  The two bands are disjoint
+    once n > 2p-2k-1, and the two windows within a band once
+    m > 2p-2k-1, both implied by m, n > 2p.
     """
-    frames = [_Frame(c, dims, k, ell) for c in CORNER_ORDER]
-    contexts = tuple(_classify(fr) for fr in frames)
-    return contexts, [_plan(fr, ctx) for fr, ctx in zip(frames, contexts)]
+    p = k.p
+    if dims.m <= 2 * p or dims.n <= 2 * p:
+        raise GridTooSmallError(f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}")
+    if ell.modulus != p:
+        raise DomainError(f"residue modulus {ell.modulus} does not match p={p}")
+    contexts, plans = zip(*(_corner(corner, dims, k, ell) for corner in CORNER_ORDER))
+    return contexts, list(plans)
 
 
 def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
@@ -369,7 +337,7 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
             and box.i_lo <= pts[:, 0].min() and pts[:, 0].max() <= box.i_hi
             and (((k.k + 1) * pts[:, 0] + k.k * pts[:, 1]) % k.p == ell.value).all()):
         raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
-    current = _apply_plans(s_set, plans)
+    current = _apply_plans(dims, k, s_set, plans)
     if verify and not is_dominating(dims, k, current):
         uncovered = verify_domination(dims, k, current).uncovered
         raise VerificationError(f"corner shifts broke domination ({len(uncovered)} uncovered)", uncovered=uncovered)
@@ -394,7 +362,7 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     contexts, plans = None, []
     if dims.m > 2 * k.p and dims.n > 2 * k.p:
         contexts, plans = _corner_step(dims, k, ell)
-    shifted = _apply_plans(base, plans) if plans else base
+    shifted = _apply_plans(dims, k, base, plans) if plans else base
     projected = project_inward(dims, shifted)
     trace = _trace(dims, k, ell, base, contexts, plans, len(shifted) - len(projected), projected)
     if not is_dominating(dims, k, projected):

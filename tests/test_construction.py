@@ -36,12 +36,11 @@ from kdom.construction import (
     CornerCase,
     CornerContext,
     _apply_plans,
-    _classify,
+    _corner,
     _corner_moves,
     _corner_shape,
+    _corner_step,
     _CornerPlan,
-    _Frame,
-    _plan,
 )
 from kdom.lattice import phi
 
@@ -50,12 +49,13 @@ K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
 def _classify_corner(dims, k, ell, corner):
     """Locate s and z for one corner of a grid and classify the slope of L1."""
-    return _classify(_Frame(corner, dims, k, ell))
+    contexts, _ = _corner_step(dims, k, ell)
+    return contexts[CORNER_ORDER.index(corner)]
 
 
 def _corner_plan(ctx, dims, k, ell):
     """The plan of one classified corner, in real coordinates."""
-    return _plan(_Frame(ctx.corner, dims, k, ell), ctx)
+    return _corner(ctx.corner, dims, k, ell)[1]
 
 
 def test_best_residue_uniform_when_side_is_p():
@@ -99,17 +99,6 @@ def test_best_residue_closed_form_thin_and_wide_k_grids():
             _assert_best_residue_is_min_count(side, 1, Radius(kk))
     _assert_best_residue_is_min_count(200, 201, Radius(20))
     _assert_best_residue_is_min_count(150, 151, Radius(40))
-
-
-def test_best_residue_count_bound_is_an_explicit_error(monkeypatch):
-    import numpy as np
-
-    from kdom import KdomError, construction
-
-    monkeypatch.setattr(construction, "fiber_counts_in_box",
-                        lambda k, box: np.full(k.p, box.area, dtype=np.int64))
-    with pytest.raises(KdomError):
-        best_residue(GridDims(6, 6), K1)
 
 
 def test_construct_base_size_mismatch_is_an_explicit_error(monkeypatch):
@@ -181,9 +170,9 @@ def test_projection_preserves_domination():
 
 def test_classify_corner_requires_big_grid():
     with pytest.raises(GridTooSmallError):
-        _classify_corner(GridDims(6, 6), K3, Residue(0, 25), Corner.NW)
+        _corner_step(GridDims(6, 6), K3, Residue(0, 25))
     with pytest.raises(GridTooSmallError):
-        _classify_corner(GridDims(100, 26), K2, Residue(0, 13), Corner.NE)
+        _corner_step(GridDims(100, 26), K2, Residue(0, 13))
 
 
 def test_classify_corner_cases_27x27_k2():
@@ -243,11 +232,32 @@ def test_apply_corner_case_every_corner_and_residue():
             for corner in CORNER_ORDER:
                 ctx = _classify_corner(dims, k, ell, corner)
                 offsets[corner].add(ctx.s.i)
-                out = _apply_plans(pts, [_corner_plan(ctx, dims, k, ell)])
+                out = _apply_plans(dims, k, pts, [_corner_plan(ctx, dims, k, ell)])
                 assert is_dominating(dims, k, out), (kk, v, corner)
                 assert len(out) == len(pts) - 1
         for corner, seen in offsets.items():
             assert len(seen) == p, (kk, corner)
+
+
+def test_corner_plans_lie_in_the_edge_bands_of_y():
+    # The premise of the one-edit _apply_plans, in real coordinates: every
+    # point a plan removes, moves or fills lies in Y's columns, and in Y's
+    # north p rows (j >= n+k-p) at NW and NE, its south p rows (j < p-k)
+    # at SW and SE.
+    for kk in range(1, 9):
+        k = Radius(kk)
+        p = k.p
+        for m, n in ((2 * p + 1, 2 * p + 2), (2 * p + 3, 3 * p + 2)):
+            dims = GridDims(m, n)
+            rows = {Corner.NW: (n + kk - p, n + kk - 1), Corner.NE: (n + kk - p, n + kk - 1),
+                    Corner.SW: (-kk, p - kk - 1), Corner.SE: (-kk, p - kk - 1)}
+            for v in range(p):
+                contexts, plans = _corner_step(dims, k, Residue(v, p))
+                for ctx, plan in zip(contexts, plans):
+                    points = np.array([plan.removed, *chain(*plan.moves)], dtype=np.int64)
+                    lo, hi = rows[ctx.corner]
+                    assert (points.min(axis=0) >= (-kk, lo)).all(), (kk, m, n, v, ctx.corner)
+                    assert (points.max(axis=0) <= (m + kk - 1, hi)).all(), (kk, m, n, v, ctx.corner)
 
 
 def _paint(points, k, lo, shape):
@@ -331,16 +341,15 @@ def test_frame_rotations_match_the_explicit_maps():
         for _ in range(3):
             m, n = rng.randint(2 * p + 1, 5 * p), rng.randint(2 * p + 1, 5 * p)
             explicit, height = _explicit_maps(m, n)
-            points = [(rng.randint(-3 * p, 3 * p), rng.randint(-3 * p, 3 * p)) for _ in range(20)]
             for v in range(p):
                 ell = Residue(v, p)
                 for corner in CORNER_ORDER:
-                    fr = _Frame(corner, GridDims(m, n), k, ell)
-                    for q in points:
-                        assert tuple(fr.to_real(q)) == explicit[corner](*q), (kk, m, n, corner, q)
-                    assert fr.north == height[corner] + kk - 1
-                    first = next(i for i in range(-kk, p - kk) if phi(k, fr.to_real((i, fr.north))) == ell)
-                    assert fr.si == first, (kk, m, n, v, corner)
+                    ctx, plan = _corner(corner, GridDims(m, n), k, ell)
+                    north = height[corner] + kk - 1
+                    assert ctx.s.j == north, (kk, m, n, corner)
+                    assert plan.removed == explicit[corner](*ctx.s), (kk, m, n, v, corner)
+                    first = next(i for i in range(-kk, p - kk) if phi(k, explicit[corner](i, north)) == ell)
+                    assert ctx.s.i == first, (kk, m, n, v, corner)
 
 
 def _reference_corner_trace(dims, k, ell):
@@ -459,10 +468,16 @@ def test_construct_checks_domination_once_at_the_end(monkeypatch):
         construct(dims, k)
         assert calls == [dims]
     # at k=2 the NW corner of 30x31 is steep and the NE corner shallow
-    dims, plan = GridDims(30, 31), construction._plan
+    dims, corner_of = GridDims(30, 31), construction._corner
+
+    def without_moves(dropped):
+        def corner(c, *args):
+            ctx, plan = corner_of(c, *args)
+            return ctx, plan._replace(moves=()) if c is dropped else plan
+        return corner
+
     for dropped, case in ((Corner.NW, CornerCase.STEEP_SLOPE), (Corner.NE, CornerCase.SHALLOW_SLOPE)):
-        monkeypatch.setattr(construction, "_plan", lambda fr, ctx: (
-            plan(fr, ctx)._replace(moves=()) if ctx.corner is dropped else plan(fr, ctx)))
+        monkeypatch.setattr(construction, "_corner", without_moves(dropped))
         with pytest.raises(VerificationError, match="constructed set fails domination") as err:
             construct(dims, K2)
         trace = err.value.trace
@@ -498,7 +513,7 @@ def test_construct_sweep_small():
 
 def test_mismatched_residue_modulus_rejected():
     with pytest.raises(DomainError):
-        _classify_corner(GridDims(27, 27), K2, Residue(0, 25), Corner.NW)
+        _corner_step(GridDims(27, 27), K2, Residue(0, 25))
 
 
 def test_remove_corners_rejects_wrong_set():
@@ -531,9 +546,15 @@ def test_verification_failure_carries_uncovered(monkeypatch):
     ell = Residue(12, 13)  # a genuinely shallow corner
     ctx = _classify_corner(dims, K2, ell, Corner.NW)
     forged = dataclasses.replace(ctx, case=CornerCase.STEEP_SLOPE)
-    classify = construction._classify
-    monkeypatch.setattr(construction, "_classify",
-                        lambda fr: forged if fr.corner is Corner.NW else classify(fr))
+    # the steep moves of the NW corner, whose frame is the real plane
+    north = ctx.s.j
+    moves = _corner_moves(K2, ctx.s.i, ctx.z.j - north, CornerCase.STEEP_SLOPE)
+    steep = _CornerPlan(tuple(ctx.s), tuple(sorted(
+        ((LatticePoint(i, j + north), LatticePoint(u, v + north)) for (i, j), (u, v) in moves.items()),
+        key=lambda pair: (pair[0].j, pair[0].i))))
+    corner_of = construction._corner
+    monkeypatch.setattr(construction, "_corner",
+                        lambda c, *args: (forged, steep) if c is Corner.NW else corner_of(c, *args))
     pts = base_set(dims, K2, ell)
     with pytest.raises(VerificationError) as err:
         remove_corners(dims, K2, ell, pts, verify=True)
@@ -543,11 +564,14 @@ def test_verification_failure_carries_uncovered(monkeypatch):
     assert (7, 26) in {tuple(q) for q in err.value.uncovered}
 
 
-
 def _reference_apply_plan(points, plan):
     """The set-based corner edit, kept as the reference for the array version."""
     current = set(points) - {plan.removed, *(src for src, _ in plan.moves)}
     return VertexSet.from_iterable(current | {dst for _, dst in plan.moves})
+
+
+# Y's south band, rows -k..p-k-1 in Y's columns, holds every point of the random universes
+_BAND_DIMS, _BAND_K = GridDims(51, 51), K3
 
 
 def _fitting_plans(rng, universe, count):
@@ -574,23 +598,15 @@ def test_apply_plan_matches_the_set_reference():
     sizes = set()
     for _ in range(3000):
         pts, [plan] = _fitting_plans(rng, universe, 1)
-        assert _apply_plans(pts, [plan]) == _reference_apply_plan(pts, plan), (pts, plan)
+        assert _apply_plans(_BAND_DIMS, _BAND_K, pts, [plan]) == _reference_apply_plan(pts, plan), (pts, plan)
         sizes.add(len(plan.moves))
     assert sizes == set(range(6))
 
 
 def test_apply_plan_moves_a_source_onto_a_free_target():
     pts = VertexSet.from_iterable([(0, 0), (3, 0), (1, 2)])
-    moved = _apply_plans(pts, [_CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(0, 2)),))])
+    moved = _apply_plans(_BAND_DIMS, _BAND_K, pts, [_CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(0, 2)),))])
     assert list(moved) == [LatticePoint(0, 2), LatticePoint(1, 2)]
-
-
-def test_apply_plans_keys_past_int64_as_python_ints():
-    # the keys i + j * w of these bands pass 2**63, and the last set is held as Python ints
-    for far in (2 ** 40, 2 ** 62, 10 ** 30):
-        pts = VertexSet.from_iterable([(0, 0), (3, 0), (far, 0), (7, 2 ** 30), (far, 2 ** 30)])
-        plan = _CornerPlan(LatticePoint(0, 0), ((LatticePoint(7, 2 ** 30), LatticePoint(1, 2 ** 30)),))
-        assert _apply_plans(pts, [plan]) == _reference_apply_plan(pts, plan), far
 
 
 def test_corner_edit_sorts_only_the_two_row_bands(monkeypatch):
@@ -614,21 +630,21 @@ def test_corner_edit_sorts_only_the_two_row_bands(monkeypatch):
     base = base_set(dims, k, ell)
     _, plans = construction._corner_step(dims, k, ell)
     monkeypatch.setattr(construction, "np", Recorder())
-    edited = _apply_plans(base, plans)
+    edited = _apply_plans(dims, k, base, plans)
     monkeypatch.undo()
     assert lengths and max(lengths) <= 2 * (dims.m + 2 * k.k) + 6 * k.p < len(base) // 10
-    assert edited == _one_by_one(base, plans)
+    assert edited == _one_by_one(dims, k, base, plans)
 
 
-def _one_by_one(points, plans):
+def _one_by_one(dims, k, points, plans):
     for plan in plans:
-        points = _apply_plans(points, [plan])
+        points = _apply_plans(dims, k, points, [plan])
     return points
 
 
 def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
-    # the four corner plans of real bases, whose north and south row bands
-    # are apart even at m, n = 2p + 1; the random plans below also merge
+    # the four corner plans of real bases, in Y's south and north row bands,
+    # which are apart even at m, n = 2p + 1
     for kk in (1, 2, 3):
         k = Radius(kk)
         p = k.p
@@ -638,22 +654,18 @@ def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
                 ell = Residue(v, p)
                 base = base_set(dims, k, ell)
                 plans = [_corner_plan(_classify_corner(dims, k, ell, c), dims, k, ell) for c in CORNER_ORDER]
-                assert _apply_plans(base, plans) == _one_by_one(base, plans)
+                assert _apply_plans(dims, k, base, plans) == _one_by_one(dims, k, base, plans)
 
 
 def test_apply_plans_matches_the_set_reference_plan_by_plan():
     rng = random.Random(31)
     universe = [LatticePoint(i, j) for i in range(-3, 9) for j in range(-3, 9)]
-    apart = set()
     for _ in range(1500):
         pts, plans = _fitting_plans(rng, universe, rng.randint(1, 4))
         want = pts
         for plan in plans:
             want = _reference_apply_plan(want, plan)
-        assert _apply_plans(pts, plans) == want, (pts, plans)
-        rows = sorted({q.j for plan in plans for q in (plan.removed, *chain(*plan.moves))})
-        apart.add(max(np.diff(rows), default=1) > 1)  # some row between the two bands
-    assert apart == {True, False}
+        assert _apply_plans(_BAND_DIMS, _BAND_K, pts, plans) == want, (pts, plans)
 
 
 def _reference_remove_corners(dims, k, ell, points):
