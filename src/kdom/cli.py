@@ -111,7 +111,7 @@ def load_setfile(text: str) -> SetFile:
     if len(coords) != count:
         raise SetFileError(f"header count {count} != {len(coords)} body lines")
     order = canonical_order(coords)  # stable, so each vertex's first line sorts first
-    coords = coords[order]
+    coords = coords.take(order, axis=0)
     twice = repeats(coords)
     if twice.any():
         i, j = coords[np.flatnonzero(twice)[order[twice].argmin()]].tolist()

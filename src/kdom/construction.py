@@ -128,7 +128,7 @@ def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     lo, hi = np.searchsorted(s.array[:, 1], (1, n - 1)) if n > 1 else (0, 0)
     for a, b in ((0, lo), (hi, len(pts))):
         pts[a:b] = pts[a:b][np.argsort(pts[a:b, 0], kind="stable")]
-    return VertexSet(pts[~repeats(pts)])
+    return VertexSet(pts.compress(~repeats(pts), axis=0))
 
 
 def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]:

@@ -2,15 +2,20 @@
 
 Independent ground truth for the constructive pipeline: iterative
 deepening on the set size with branch-and-bound, branching on the
-first uncovered vertex in row-major order, and a memo of the coverage
-states that have already failed.  A coverage state is one Python int
-bitmask of any width; grids are capped at 144 cells (12 x 12) to keep
-a search desk-scale.  The node budget (not wall time) makes runs
+first uncovered vertex in row-major order.  A branch is cut by two
+lower bounds on the dominators it still needs (the uncovered area over
+the largest ball, and a packing of uncovered cells that share no
+candidate dominator) and by a memo of the coverage states that have
+already failed.  A coverage state is one Python int bitmask of any
+width; grids are capped at 144 cells (12 x 12) to keep a search
+desk-scale.  The node budget (not wall time) makes runs
 bit-reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .construction import construct
 from .errors import DomainError
@@ -53,21 +58,36 @@ def path_gamma(n: int, k: Radius) -> int:
 
 
 def _balls(dims: GridDims, k: Radius) -> list[int]:
-    """Bitmask of cells within distance k of each cell (row-major index)."""
-    m, n = dims.m, dims.n
+    """Bitmask of cells within distance k of each cell (row-major index).
+
+    Each ball row is one run of set bits, so a ball costs 2k+1 big-int
+    operations, not one per cell.
+    """
+    m, n, kk = dims.m, dims.n, k.k
     masks = []
     for j in range(n):
         for i in range(m):
             mask = 0
-            for dj in range(-k.k, k.k + 1):
-                span = k.k - abs(dj)
-                jj = j + dj
-                if not 0 <= jj < n:
-                    continue
-                for ii in range(max(0, i - span), min(m - 1, i + span) + 1):
-                    mask |= 1 << (jj * m + ii)
+            for jj in range(max(0, j - kk), min(n - 1, j + kk) + 1):
+                span = kk - abs(jj - j)
+                a = max(0, i - span)
+                mask |= ((1 << (min(m - 1, i + span) - a + 1)) - 1) << (jj * m + a)
             masks.append(mask)
     return masks
+
+
+def _far(balls: list[int]) -> list[int]:
+    """Cells that share a candidate dominator with each cell: the union of the
+    balls of the cells in its ball (the radius-2k ball, since a grid is
+    convex in the Manhattan metric)."""
+    far = []
+    for ball in balls:
+        mask, c = 0, ball
+        while c:
+            mask |= balls[(c & -c).bit_length() - 1]
+            c &= c - 1
+        far.append(mask)
+    return far
 
 
 def _greedy(full: int, balls: list[int]) -> list[int]:
@@ -97,12 +117,22 @@ def exact_gamma(
     the search starts at ceil(mn/cap), and prunes a branch once
     ceil(uncovered/cap) exceeds the dominators it may still add.
 
+    The second bound is a packing.  Two cells share a candidate dominator
+    iff they lie within 2k of each other; far[v], the union of the balls
+    of v's candidates, holds the cells that share one with v.  The search
+    picks the lowest uncovered cell, drops the cells of its far mask, and
+    repeats.  The picked cells are uncovered and pairwise share no
+    candidate, so each needs its own new dominator, and a branch with
+    fewer dominators left than picked cells is cut.  A greedy packing need
+    not be the largest; any packing is a sound bound.
+
     Since the branch vertex is a function of the covered set, whether a
     call fails depends only on (covered, slots), and a failure with s
     slots implies one with fewer.  So the memo maps each covered set to
-    the most slots that failed from it, across the deepening sizes.  It
-    cuts only subtrees that would fail again, so the witness found is
-    the one the search finds without it; only nodes_explored falls.
+    the most slots that failed from it, across the deepening sizes.
+    Both bounds and the memo cut only subtrees that would fail: the
+    branch order is unchanged, so the search finds the same witness as
+    one without them, and only nodes_explored falls.
     """
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
@@ -117,6 +147,7 @@ def exact_gamma(
     cap = max(ball.bit_count() for ball in balls)
     lower = -(-area // cap)
     incumbent = _greedy(full, balls)
+    apart = [full ^ far for far in _far(balls)]
 
     nodes = 0
     failed: dict[int, int] = {}
@@ -135,8 +166,13 @@ def exact_gamma(
         if slots == 0 or -(-uncovered.bit_count() // cap) > slots:
             return None
         v = (uncovered & -uncovered).bit_length() - 1
-        candidates = balls[v]
-        c = candidates
+        # pack uncovered cells that pairwise share no candidate, lowest first;
+        # each needs its own dominator
+        rest, need = uncovered & apart[v], 1
+        while rest and need <= slots:
+            rest &= apart[(rest & -rest).bit_length() - 1]
+            need += 1
+        c = balls[v] if need <= slots else 0
         while c:
             cand = (c & -c).bit_length() - 1
             c &= c - 1
@@ -151,7 +187,9 @@ def exact_gamma(
         return None
 
     def to_set(indices: list[int]) -> VertexSet:
-        return VertexSet.from_iterable((idx % m, idx // m) for idx in indices)
+        # distinct cells, and index j*m + i sorts row-major, as VertexSet requires
+        j, i = np.divmod(np.array(sorted(indices), dtype=np.int64), m)
+        return VertexSet(np.column_stack((i, j)))
 
     best = len(incumbent)
     try:

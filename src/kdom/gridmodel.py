@@ -103,7 +103,7 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     pts = s.array
     lo, hi = np.searchsorted(pts[:, 1], (-kk, n + kk))  # s is sorted by j, then i
     pts = pts[lo:hi]
-    pts = pts[(pts[:, 0] >= -kk) & (pts[:, 0] < m + kk)].astype(np.int64, copy=False)
+    pts = pts.compress((pts[:, 0] >= -kk) & (pts[:, 0] < m + kk), axis=0).astype(np.int64, copy=False)
     w = n + 4 * kk
     diff = np.zeros((m + 4 * kk + 1, w), dtype=np.int32)
     dj = np.arange(-kk, kk + 1)[:, None]

@@ -191,8 +191,8 @@ class VertexSet:
             pairs = _as_pairs(points)
         except TypeError as exc:  # a bool, or from operator.index
             raise DomainError(f"vertex coordinates must be integers: {exc}") from None
-        pairs = pairs[canonical_order(pairs)]
-        return cls(pairs[~repeats(pairs)])
+        pairs = pairs.take(canonical_order(pairs), axis=0)
+        return cls(pairs.compress(~repeats(pairs), axis=0))
 
     @classmethod
     def empty(cls) -> "VertexSet":

@@ -1,6 +1,9 @@
 import gc
 import itertools
+import random
+from functools import cache
 
+import numpy as np
 import pytest
 
 import kdom.exact
@@ -16,7 +19,7 @@ from kdom import (
     new_bound,
     path_gamma,
 )
-from kdom.exact import _balls, _greedy
+from kdom.exact import _balls, _far, _greedy
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
@@ -43,7 +46,7 @@ def naive_gamma(m, n, k):
 
 
 def reference_exact_gamma(dims, k):
-    """exact_gamma's branch-and-bound without the failed-state memo or a budget."""
+    """exact_gamma's branch-and-bound without the packing bound, the failed-state memo or a budget."""
     area, m = dims.area, dims.m
     balls = _balls(dims, k)
     full = (1 << area) - 1
@@ -173,7 +176,8 @@ def test_memo_finds_what_the_memo_free_search_finds(k):
         assert res.nodes_explored <= ref.nodes_explored, (m, n)
 
 
-@pytest.mark.parametrize("m,n,k", [(5, 5, 1), (6, 6, 2), (4, 9, 1)])
+# 7x7 at k=2, since on 6x6 the packing bound leaves the memo nothing to save
+@pytest.mark.parametrize("m,n,k", [(5, 5, 1), (7, 7, 2), (4, 9, 1)])
 def test_clearing_the_memo_loses_only_pruning(monkeypatch, m, n, k):
     dims, rad = GridDims(m, n), Radius(k)
     whole = exact_gamma(dims, rad)
@@ -228,7 +232,7 @@ def test_budget_flagging():
 def test_exhausted_search_answers_with_the_smaller_of_greedy_and_construct():
     # construct's 35 beats greedy's 40 on 12x12; greedy's 17 beats construct's 27
     # on 2x32; on 9x9 both have 24 points, and greedy's set is kept
-    for m, n, budget, winner in ((12, 12, 1000, "construct"), (2, 32, 5, "greedy"), (9, 9, 5, "greedy")):
+    for m, n, budget, winner in ((12, 12, 1000, "construct"), (2, 32, 3, "greedy"), (9, 9, 5, "greedy")):
         dims = GridDims(m, n)
         res = exact_gamma(dims, K1, node_budget=budget)
         greedy = VertexSet.from_iterable((c % m, c // m) for c in _greedy((1 << dims.area) - 1, _balls(dims, K1)))
@@ -243,3 +247,67 @@ def test_determinism():
     b = exact_gamma(GridDims(4, 4), K1)
     assert a == b
     assert a.nodes_explored == b.nodes_explored
+
+
+def manhattan_masks(m, n, radius):
+    """All-pairs reference: bitmask of the cells within radius of each cell, row-major."""
+    j, i = np.divmod(np.arange(m * n), m)
+    near = np.abs(i[:, None] - i) + np.abs(j[:, None] - j) <= radius
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in near]
+
+
+def test_balls_and_far_masks_match_all_pairs_distances():
+    for k in (1, 2, 3):
+        for m in range(1, 65):
+            for n in range(1, 64 // m + 1):
+                balls = _balls(GridDims(m, n), Radius(k))
+                assert balls == manhattan_masks(m, n, k), (m, n, k)
+                assert _far(balls) == manhattan_masks(m, n, 2 * k), (m, n, k)
+
+
+def greedy_packing(uncovered, far):
+    """The search's packing count: lowest uncovered cell first, dropping its far mask."""
+    count = 0
+    while uncovered:
+        uncovered &= ~far[(uncovered & -uncovered).bit_length() - 1]
+        count += 1
+    return count
+
+
+def union_of_balls(balls, rng):
+    """The cells covered by up to three random dominators."""
+    covered = 0
+    for c in rng.sample(range(len(balls)), rng.randint(0, min(3, len(balls)))):
+        covered |= balls[c]
+    return covered
+
+
+def test_packing_bound_never_exceeds_the_dominators_still_needed():
+    rng = random.Random(17)
+    for k in (K1, K2):
+        for m in range(1, 17):
+            for n in range(1, 16 // m + 1):
+                balls = _balls(GridDims(m, n), k)
+                far = _far(balls)
+
+                @cache
+                def needed(uncovered):
+                    if not uncovered:
+                        return 0
+                    v = (uncovered & -uncovered).bit_length() - 1
+                    cands = balls[v]
+                    return 1 + min(needed(uncovered & ~balls[c]) for c in range(m * n) if cands >> c & 1)
+
+                full = (1 << m * n) - 1
+                for _ in range(60):
+                    # an arbitrary uncovered set, and one left by a few dominators
+                    for uncovered in (rng.getrandbits(m * n), full & ~union_of_balls(balls, rng)):
+                        assert greedy_packing(uncovered, far) <= needed(uncovered), (m, n, k, uncovered)
+
+
+def test_nodes_on_the_benchmark_grids():
+    # the exact workload's grids: regression guard for the pruning (243,476 before
+    # the packing bound, 3,059,965 before the memo)
+    grids = [(m, n, k) for k in (1, 2) for m in range(3, 65) for n in range(m, 65) if m * n <= 64]
+    grids.append((1, 64, 1))
+    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 61_778
