@@ -1,15 +1,19 @@
 """Exact minimum k-distance domination for desk-scale grids.
 
 Independent ground truth for the constructive pipeline: iterative
-deepening on the set size with branch-and-bound, branching on the
-first uncovered vertex in row-major order.  A branch is cut by two
+deepening on the set size with branch-and-bound.  Each node branches on
+v, the lowest uncovered cell in row-major order, and only on the cells
+of v's ball at or after v: every cell before v is covered, and a
+dominator x before v moves to x + (0, 1) from a lower row, or to
+x + (1, 1) (x + (1, 0) on the top row) from v's row, still in v's ball
+and still covering every cell >= v it covered.  A branch is cut by two
 lower bounds on the dominators it still needs (the uncovered area over
 the largest ball, and a packing of uncovered cells that share no
 candidate dominator) and by a memo of the coverage states that have
 already failed.  A coverage state is one Python int bitmask of any
 width; grids are capped at 144 cells (12 x 12) to keep a search
-desk-scale.  The node budget (not wall time) makes runs
-bit-reproducible.
+desk-scale, and are searched with rows no longer than columns.  The
+node budget (not wall time) makes runs bit-reproducible.
 """
 from __future__ import annotations
 
@@ -60,20 +64,21 @@ def path_gamma(n: int, k: Radius) -> int:
 def _balls(dims: GridDims, k: Radius) -> list[int]:
     """Bitmask of cells within distance k of each cell (row-major index).
 
-    Each ball row is one run of set bits, so a ball costs 2k+1 big-int
-    operations, not one per cell.
+    One template per column holds that column's ball on a strip of 2k+1
+    unclipped rows, as 2k+1 runs of set bits; the ball of (i, j) is
+    column i's template shifted to rows j-k..j+k and masked to the grid.
     """
     m, n, kk = dims.m, dims.n, k.k
-    masks = []
-    for j in range(n):
-        for i in range(m):
-            mask = 0
-            for jj in range(max(0, j - kk), min(n - 1, j + kk) + 1):
-                span = kk - abs(jj - j)
-                a = max(0, i - span)
-                mask |= ((1 << (min(m - 1, i + span) - a + 1)) - 1) << (jj * m + a)
-            masks.append(mask)
-    return masks
+    full = (1 << m * n) - 1
+    templates = []
+    for i in range(m):
+        mask = 0
+        for row in range(2 * kk + 1):
+            span = kk - abs(row - kk)
+            a = max(0, i - span)
+            mask |= ((1 << (min(m - 1, i + span) - a + 1)) - 1) << (row * m + a)
+        templates.append(mask)
+    return [(mask << j * m) >> kk * m & full for j in range(n) for mask in templates]
 
 
 def _far(balls: list[int]) -> list[int]:
@@ -112,6 +117,17 @@ def exact_gamma(
 ) -> ExactResult:
     """Exact minimum, or a budget-flagged upper value (see ExactResult).
 
+    The search branches on the lowest uncovered cell v and only on the
+    candidates x >= v in its ball.  Every cell before v is covered, so a
+    candidate x < v can be swapped for x + (0, 1) if it lies in a row
+    below v's, and for x + (1, 1) (x + (1, 0) on the top row) if it lies
+    west of v.  The swap stays in v's ball, has a higher index and
+    covers every uncovered cell that x covers, so a chain of swaps turns
+    any cover into one that uses a candidate >= v: at most k^2+k+1
+    branches instead of p.  A grid with m > n is searched as its n x m transpose,
+    so rows are never longer than columns, and the witness is transposed
+    back.
+
     One dominator covers at most cap cells, the largest ball clipped to
     the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path).  So
     the search starts at ceil(mn/cap), and prunes a branch once
@@ -119,9 +135,9 @@ def exact_gamma(
 
     The second bound is a packing.  Two cells share a candidate dominator
     iff they lie within 2k of each other; far[v], the union of the balls
-    of v's candidates, holds the cells that share one with v.  The search
-    picks the lowest uncovered cell, drops the cells of its far mask, and
-    repeats.  The picked cells are uncovered and pairwise share no
+    of the cells in v's ball, holds the cells that share one with v.  The
+    search picks the lowest uncovered cell, drops the cells of its far
+    mask, and repeats.  The picked cells are uncovered and pairwise share no
     candidate, so each needs its own new dominator, and a branch with
     fewer dominators left than picked cells is cut.  A greedy packing need
     not be the largest; any packing is a sound bound.
@@ -132,7 +148,9 @@ def exact_gamma(
     the most slots that failed from it, across the deepening sizes.
     Both bounds and the memo cut only subtrees that would fail: the
     branch order is unchanged, so the search finds the same witness as
-    one without them, and only nodes_explored falls.
+    one without them, and only nodes_explored falls.  The bounds count
+    dominators of any kind, so the forward-candidate rule keeps them
+    sound.
     """
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
@@ -141,8 +159,8 @@ def exact_gamma(
         raise DomainError(
             f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {DEFAULT_MAX_CELLS}"
         )
-    m = dims.m
-    balls = _balls(dims, k)
+    width, flip = min(dims.m, dims.n), dims.m > dims.n
+    balls = _balls(GridDims(width, area // width), k)
     full = (1 << area) - 1
     cap = max(ball.bit_count() for ball in balls)
     lower = -(-area // cap)
@@ -172,7 +190,7 @@ def exact_gamma(
         while rest and need <= slots:
             rest &= apart[(rest & -rest).bit_length() - 1]
             need += 1
-        c = balls[v] if need <= slots else 0
+        c = balls[v] >> v << v if need <= slots else 0
         while c:
             cand = (c & -c).bit_length() - 1
             c &= c - 1
@@ -187,8 +205,10 @@ def exact_gamma(
         return None
 
     def to_set(indices: list[int]) -> VertexSet:
-        # distinct cells, and index j*m + i sorts row-major, as VertexSet requires
-        j, i = np.divmod(np.array(sorted(indices), dtype=np.int64), m)
+        # distinct cells; the caller's index j*m + i sorts row-major, as VertexSet requires
+        if flip:
+            indices = [c % width * dims.m + c // width for c in indices]
+        j, i = np.divmod(np.array(sorted(indices), dtype=np.int64), dims.m)
         return VertexSet(np.column_stack((i, j)))
 
     best = len(incumbent)

@@ -302,7 +302,7 @@ def test_exact_budget_prints_the_solver_lower_bound(capsys):
     assert capsys.readouterr().out.startswith("gamma>=16 gamma<=17 budget exceeded")
     # the upper value is the smaller of the greedy set (40) and construct's (35)
     assert main(["exact", "-m", "12", "-n", "12", "-k", "1", "--budget", "1000"]) == 3
-    assert capsys.readouterr().out == "gamma>=30 gamma<=35 budget exceeded (1001 nodes)\n"
+    assert capsys.readouterr().out == "gamma>=31 gamma<=35 budget exceeded (1001 nodes)\n"
 
 
 def test_exact_witness(capsys):

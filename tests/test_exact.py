@@ -45,8 +45,13 @@ def naive_gamma(m, n, k):
     raise AssertionError("unreachable: the full set always dominates")
 
 
-def reference_exact_gamma(dims, k):
-    """exact_gamma's branch-and-bound without the packing bound, the failed-state memo or a budget."""
+def reference_exact_gamma(dims, k, forward=True):
+    """exact_gamma's branch-and-bound without the packing bound, the failed-state memo or a budget.
+
+    It branches on the candidates at or after the branch cell, as exact_gamma
+    does, or with forward=False on its whole ball.  It searches the caller's
+    orientation, so compare witnesses only on grids with m <= n.
+    """
     area, m = dims.area, dims.m
     balls = _balls(dims, k)
     full = (1 << area) - 1
@@ -64,7 +69,7 @@ def reference_exact_gamma(dims, k):
         if slots == 0 or -(-uncovered.bit_count() // cap) > slots:
             return None
         v = (uncovered & -uncovered).bit_length() - 1
-        c = balls[v]
+        c = balls[v] >> v << v if forward else balls[v]
         while c:
             cand = (c & -c).bit_length() - 1
             c &= c - 1
@@ -176,8 +181,58 @@ def test_memo_finds_what_the_memo_free_search_finds(k):
         assert res.nodes_explored <= ref.nodes_explored, (m, n)
 
 
-# 7x7 at k=2, since on 6x6 the packing bound leaves the memo nothing to save
-@pytest.mark.parametrize("m,n,k", [(5, 5, 1), (7, 7, 2), (4, 9, 1)])
+def test_forward_candidates_keep_gamma_and_lower_bound():
+    # the whole-ball search is the independent check of the forward-candidate rule
+    for k in (K1, K2):
+        for m in range(1, 37):
+            for n in range(1, 36 // m + 1):
+                res = exact_gamma(GridDims(m, n), k)
+                ref = reference_exact_gamma(GridDims(m, n), k, forward=False)
+                assert (res.gamma, res.lower_bound) == (ref.gamma, ref.lower_bound), (m, n, k)
+
+
+def forward_step(x, v, n):
+    """The swap for a candidate x before the branch cell v: one row up if x lies
+    in a row below v's, else one column east and one row up (east only on the top row)."""
+    (a, b), j = x, v[1]
+    if b < j:
+        return a, b + 1
+    return (a + 1, b + 1) if b + 1 < n else (a + 1, b)
+
+
+def test_a_candidate_before_the_branch_cell_is_dominated_by_a_later_one():
+    for k in (1, 2, 3):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                balls = manhattan_masks(m, n, k)
+                for v in range(m * n):
+                    cell = (v % m, v // m)
+                    for x in range(v):
+                        if not balls[v] >> x & 1:
+                            continue
+                        a, b = forward_step((x % m, x // m), cell, n)
+                        assert 0 <= a < m and 0 <= b < n, (m, n, k, v, x)
+                        y = b * m + a
+                        assert balls[v] >> y & 1 and y > x, (m, n, k, v, x)
+                        # every cell from v on that x covers, y covers too
+                        assert (balls[x] & ~balls[y]) >> v == 0, (m, n, k, v, x)
+
+
+def test_a_grid_is_searched_with_its_shorter_rows():
+    # searched with its long rows, 21x3 k=1 took 13,189 nodes against 687 for 3x21
+    for m, n, k in ((21, 3, K1), (9, 4, K2), (7, 5, K1), (16, 2, K3)):
+        res = exact_gamma(GridDims(m, n), k)
+        tr = exact_gamma(GridDims(n, m), k)
+        assert not res.time_budget_exceeded
+        assert (res.gamma, res.lower_bound, res.nodes_explored) == (tr.gamma, tr.lower_bound, tr.nodes_explored)
+        assert res.dims == GridDims(m, n)
+        assert is_dominating(GridDims(m, n), k, res.witness)
+        assert res.witness == VertexSet.from_iterable((j, i) for i, j in tr.witness)
+
+
+# 6x6 at k=1 and 7x7 at k=2, since on 5x5 k=1 and 6x6 k=2 the other bounds
+# leave the memo nothing to save
+@pytest.mark.parametrize("m,n,k", [(6, 6, 1), (7, 7, 2), (4, 9, 1)])
 def test_clearing_the_memo_loses_only_pruning(monkeypatch, m, n, k):
     dims, rad = GridDims(m, n), Radius(k)
     whole = exact_gamma(dims, rad)
@@ -200,7 +255,7 @@ def test_search_leaves_nothing_for_the_cyclic_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("m,n,k,gamma", [(10, 10, 1, 24), (11, 11, 1, 29), (10, 10, 2, 11)])
+@pytest.mark.parametrize("m,n,k,gamma", [(10, 10, 1, 24), (11, 11, 1, 29), (12, 12, 1, 35), (10, 10, 2, 11)])
 def test_gamma_proven_at_the_edge_of_the_paper_domain(m, n, k, gamma):
     dims, rad = GridDims(m, n), Radius(k)
     res = exact_gamma(dims, rad)
@@ -256,6 +311,29 @@ def manhattan_masks(m, n, radius):
     return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in near]
 
 
+def per_row_balls(dims, k):
+    """Ball masks built one run of set bits per ball row, cell by cell."""
+    m, n, kk = dims.m, dims.n, k.k
+    masks = []
+    for j in range(n):
+        for i in range(m):
+            mask = 0
+            for jj in range(max(0, j - kk), min(n - 1, j + kk) + 1):
+                span = kk - abs(jj - j)
+                a = max(0, i - span)
+                mask |= ((1 << (min(m - 1, i + span) - a + 1)) - 1) << (jj * m + a)
+            masks.append(mask)
+    return masks
+
+
+def test_shifted_ball_templates_match_the_per_row_construction():
+    for k in (1, 2, 3, 5):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                dims = GridDims(m, n)
+                assert _balls(dims, Radius(k)) == per_row_balls(dims, Radius(k)), (m, n, k)
+
+
 def test_balls_and_far_masks_match_all_pairs_distances():
     for k in (1, 2, 3):
         for m in range(1, 65):
@@ -306,8 +384,9 @@ def test_packing_bound_never_exceeds_the_dominators_still_needed():
 
 
 def test_nodes_on_the_benchmark_grids():
-    # the exact workload's grids: regression guard for the pruning (243,476 before
-    # the packing bound, 3,059,965 before the memo)
+    # the exact workload's grids: regression guard for the pruning (61,778 before
+    # the forward-candidate rule, 243,476 before the packing bound, 3,059,965
+    # before the memo)
     grids = [(m, n, k) for k in (1, 2) for m in range(3, 65) for n in range(m, 65) if m * n <= 64]
     grids.append((1, 64, 1))
-    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 61_778
+    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 28_722
