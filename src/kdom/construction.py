@@ -322,26 +322,22 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
                    verify: bool = True) -> tuple[VertexSet, ConstructionTrace]:
     """Remove one code point at each corner of Y, preserving domination.
 
-    s_set must be base_set(dims, k, ell), the only set the corner plans
-    are proved for; any other set raises DomainError.  The four plans are
-    applied in one edit, as construct applies them.  With verify, the
-    edited set is checked once on the whole grid, and a failure raises
-    VerificationError carrying the uncovered vertices.
+    s_set must equal base_set(dims, k, ell), the only set the corner plans
+    are proved for, which is rebuilt to compare with; any other set raises
+    DomainError.  The four plans are applied to the rebuild in one edit,
+    as construct applies them.  With verify, the edited set is checked
+    once on the whole grid, and a failure raises VerificationError
+    carrying the uncovered vertices.
     """
     contexts, plans = _corner_step(dims, k, ell)
-    box, pts = neighborhood_box(dims, k), s_set.array
-    # Distinct points of the fiber in Y, as many as it has, are all of it.  Rows are
-    # sorted, so the first and last points bound them; phi is taken only inside Y.
-    if not (len(pts) == fiber_counts_in_box(k, box)[ell.value]
-            and box.j_lo <= pts[0, 1] and pts[-1, 1] <= box.j_hi
-            and box.i_lo <= pts[:, 0].min() and pts[:, 0].max() <= box.i_hi
-            and (((k.k + 1) * pts[:, 0] + k.k * pts[:, 1]) % k.p == ell.value).all()):
+    base = base_set(dims, k, ell)
+    if s_set != base:
         raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
-    current = _apply_plans(dims, k, s_set, plans)
+    current = _apply_plans(dims, k, base, plans)
     if verify and not is_dominating(dims, k, current):
         uncovered = verify_domination(dims, k, current).uncovered
         raise VerificationError(f"corner shifts broke domination ({len(uncovered)} uncovered)", uncovered=uncovered)
-    return current, _trace(dims, k, ell, s_set, contexts, plans, 0, current)
+    return current, _trace(dims, k, ell, base, contexts, plans, 0, current)
 
 
 def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:

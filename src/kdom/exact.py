@@ -9,11 +9,12 @@ x + (1, 1) (x + (1, 0) on the top row) from v's row, still in v's ball
 and still covering every cell >= v it covered.  A branch is cut by two
 lower bounds on the dominators it still needs (the uncovered area over
 the largest ball, and a packing of uncovered cells that share no
-candidate dominator) and by a memo of the coverage states that have
-already failed.  A coverage state is one Python int bitmask of any
-width; grids are capped at 144 cells (12 x 12) to keep a search
-desk-scale, and are searched with rows no longer than columns.  The
-node budget (not wall time) makes runs bit-reproducible.
+candidate dominator, read off each cell's radius-2k ball, its far mask)
+and by a memo of the coverage states that have already failed.  A
+coverage state is one Python int bitmask of any width; grids are capped
+at 144 cells (12 x 12) to keep a search desk-scale, and are searched
+with rows no longer than columns.  The node budget (not wall time)
+makes runs bit-reproducible.
 """
 from __future__ import annotations
 
@@ -61,38 +62,27 @@ def path_gamma(n: int, k: Radius) -> int:
     return -(-n // window)
 
 
-def _balls(dims: GridDims, k: Radius) -> list[int]:
-    """Bitmask of cells within distance k of each cell (row-major index).
+def _balls(dims: GridDims, radius: int) -> list[int]:
+    """Bitmask of cells within distance radius of each cell (row-major index).
 
-    One template per column holds that column's ball on a strip of 2k+1
-    unclipped rows, as 2k+1 runs of set bits; the ball of (i, j) is
-    column i's template shifted to rows j-k..j+k and masked to the grid.
+    One template per column holds that column's ball on a strip of 2r+1
+    unclipped rows, as 2r+1 runs of set bits; the ball of (i, j) is
+    column i's template shifted to rows j-r..j+r and masked to the grid.
+    r is radius clamped to m+n-2, the grid's diameter, past which every
+    ball is the whole grid.
     """
-    m, n, kk = dims.m, dims.n, k.k
+    m, n = dims.m, dims.n
+    r = min(radius, m + n - 2)
     full = (1 << m * n) - 1
     templates = []
     for i in range(m):
         mask = 0
-        for row in range(2 * kk + 1):
-            span = kk - abs(row - kk)
+        for row in range(2 * r + 1):
+            span = r - abs(row - r)
             a = max(0, i - span)
             mask |= ((1 << (min(m - 1, i + span) - a + 1)) - 1) << (row * m + a)
         templates.append(mask)
-    return [(mask << j * m) >> kk * m & full for j in range(n) for mask in templates]
-
-
-def _far(balls: list[int]) -> list[int]:
-    """Cells that share a candidate dominator with each cell: the union of the
-    balls of the cells in its ball (the radius-2k ball, since a grid is
-    convex in the Manhattan metric)."""
-    far = []
-    for ball in balls:
-        mask, c = 0, ball
-        while c:
-            mask |= balls[(c & -c).bit_length() - 1]
-            c &= c - 1
-        far.append(mask)
-    return far
+    return [(mask << j * m) >> r * m & full for j in range(n) for mask in templates]
 
 
 def _greedy(full: int, balls: list[int]) -> list[int]:
@@ -134,13 +124,14 @@ def exact_gamma(
     ceil(uncovered/cap) exceeds the dominators it may still add.
 
     The second bound is a packing.  Two cells share a candidate dominator
-    iff they lie within 2k of each other; far[v], the union of the balls
-    of the cells in v's ball, holds the cells that share one with v.  The
-    search picks the lowest uncovered cell, drops the cells of its far
-    mask, and repeats.  The picked cells are uncovered and pairwise share no
-    candidate, so each needs its own new dominator, and a branch with
-    fewer dominators left than picked cells is cut.  A greedy packing need
-    not be the largest; any packing is a sound bound.
+    iff they lie within 2k of each other; far[v], the radius-2k ball of v
+    (built from the same column templates as the balls), holds the cells
+    that share one with v.  The search picks the lowest uncovered cell,
+    drops the cells of its far mask, and repeats.  The picked cells are
+    uncovered and pairwise share no candidate, so each needs its own new
+    dominator, and a branch with fewer dominators left than picked cells
+    is cut.  A greedy packing need not be the largest; any packing is a
+    sound bound.
 
     Since the branch vertex is a function of the covered set, whether a
     call fails depends only on (covered, slots), and a failure with s
@@ -160,12 +151,13 @@ def exact_gamma(
             f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {DEFAULT_MAX_CELLS}"
         )
     width, flip = min(dims.m, dims.n), dims.m > dims.n
-    balls = _balls(GridDims(width, area // width), k)
+    shape = GridDims(width, area // width)
+    balls = _balls(shape, k.k)
     full = (1 << area) - 1
     cap = max(ball.bit_count() for ball in balls)
     lower = -(-area // cap)
     incumbent = _greedy(full, balls)
-    apart = [full ^ far for far in _far(balls)]
+    apart = [full ^ far for far in _balls(shape, 2 * k.k)]
 
     nodes = 0
     failed: dict[int, int] = {}
@@ -181,7 +173,7 @@ def exact_gamma(
         if failed.get(covered, -1) >= slots:
             return None
         uncovered = full & ~covered
-        if slots == 0 or -(-uncovered.bit_count() // cap) > slots:
+        if -(-uncovered.bit_count() // cap) > slots:
             return None
         v = (uncovered & -uncovered).bit_length() - 1
         # pack uncovered cells that pairwise share no candidate, lowest first;

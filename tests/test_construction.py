@@ -541,6 +541,17 @@ def test_remove_corners_rejects_a_same_size_set_off_the_fiber_or_outside_y():
                 remove_corners(dims, K2, ell, wrong, verify=verify)
 
 
+def test_remove_corners_accepts_an_object_dtype_copy_of_the_base_set():
+    dims = GridDims(27, 27)
+    ell = Residue(4, 13)
+    base = base_set(dims, K2, ell)
+    as_objects = VertexSet(base.array.astype(object))
+    assert as_objects.array.dtype == object
+    for verify in (True, False):
+        assert remove_corners(dims, K2, ell, as_objects, verify=verify) == remove_corners(
+            dims, K2, ell, base, verify=verify)
+
+
 def test_verification_failure_carries_uncovered(monkeypatch):
     dims = GridDims(27, 27)
     ell = Residue(12, 13)  # a genuinely shallow corner

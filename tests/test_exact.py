@@ -19,7 +19,7 @@ from kdom import (
     new_bound,
     path_gamma,
 )
-from kdom.exact import _balls, _far, _greedy
+from kdom.exact import _balls, _greedy
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
@@ -53,7 +53,7 @@ def reference_exact_gamma(dims, k, forward=True):
     orientation, so compare witnesses only on grids with m <= n.
     """
     area, m = dims.area, dims.m
-    balls = _balls(dims, k)
+    balls = _balls(dims, k.k)
     full = (1 << area) - 1
     cap = max(ball.bit_count() for ball in balls)
     incumbent = _greedy(full, balls)
@@ -290,7 +290,7 @@ def test_exhausted_search_answers_with_the_smaller_of_greedy_and_construct():
     for m, n, budget, winner in ((12, 12, 1000, "construct"), (2, 32, 3, "greedy"), (9, 9, 5, "greedy")):
         dims = GridDims(m, n)
         res = exact_gamma(dims, K1, node_budget=budget)
-        greedy = VertexSet.from_iterable((c % m, c // m) for c in _greedy((1 << dims.area) - 1, _balls(dims, K1)))
+        greedy = VertexSet.from_iterable((c % m, c // m) for c in _greedy((1 << dims.area) - 1, _balls(dims, K1.k)))
         built = construct(dims, K1)[0]
         assert res.time_budget_exceeded, (m, n)
         assert res.witness == (built if winner == "construct" else greedy), (m, n)
@@ -331,16 +331,29 @@ def test_shifted_ball_templates_match_the_per_row_construction():
         for m in range(1, 13):
             for n in range(1, 13):
                 dims = GridDims(m, n)
-                assert _balls(dims, Radius(k)) == per_row_balls(dims, Radius(k)), (m, n, k)
+                assert _balls(dims, k) == per_row_balls(dims, Radius(k)), (m, n, k)
 
 
 def test_balls_and_far_masks_match_all_pairs_distances():
     for k in (1, 2, 3):
         for m in range(1, 65):
             for n in range(1, 64 // m + 1):
-                balls = _balls(GridDims(m, n), Radius(k))
-                assert balls == manhattan_masks(m, n, k), (m, n, k)
-                assert _far(balls) == manhattan_masks(m, n, 2 * k), (m, n, k)
+                assert _balls(GridDims(m, n), k) == manhattan_masks(m, n, k), (m, n, k)
+                assert _balls(GridDims(m, n), 2 * k) == manhattan_masks(m, n, 2 * k), (m, n, k)
+
+
+def test_balls_past_the_diameter_are_the_whole_grid():
+    for m, n in ((1, 12), (3, 7), (12, 12)):
+        full = (1 << m * n) - 1
+        for radius in (m + n - 2, m + n + 5):
+            balls = _balls(GridDims(m, n), radius)
+            assert balls == manhattan_masks(m, n, radius), (m, n, radius)
+            assert set(balls) == {full}, (m, n, radius)
+    # the k = 2000 balls and far masks are built from 45-row templates, not 4,001-row ones
+    dims = GridDims(12, 12)
+    res = exact_gamma(dims, Radius(2000))
+    assert (res.gamma, res.lower_bound, res.nodes_explored) == (1, 1, 0)
+    assert is_dominating(dims, Radius(2000), res.witness)
 
 
 def greedy_packing(uncovered, far):
@@ -365,8 +378,8 @@ def test_packing_bound_never_exceeds_the_dominators_still_needed():
     for k in (K1, K2):
         for m in range(1, 17):
             for n in range(1, 16 // m + 1):
-                balls = _balls(GridDims(m, n), k)
-                far = _far(balls)
+                balls = _balls(GridDims(m, n), k.k)
+                far = _balls(GridDims(m, n), 2 * k.k)
 
                 @cache
                 def needed(uncovered):
