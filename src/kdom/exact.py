@@ -6,7 +6,9 @@ v, the lowest uncovered cell in row-major order, and only on the cells
 of v's ball at or after v: every cell before v is covered, and a
 dominator x before v moves to x + (0, 1) from a lower row, or to
 x + (1, 1) (x + (1, 0) on the top row) from v's row, still in v's ball
-and still covering every cell >= v it covered.  A branch is cut by two
+and still covering every cell >= v it covered.  Of those candidates it
+tries the ones covering the most uncovered cells first, and skips one
+whose uncovered cells an earlier one already covers.  A branch is cut by two
 lower bounds on the dominators it still needs (the uncovered area over
 the largest ball, and a packing of uncovered cells that share no
 candidate dominator, read off each cell's radius-2k ball, its far mask)
@@ -37,9 +39,11 @@ MAX_FAILED_STATES = 1 << 18
 
 @dataclass(frozen=True)
 class ExactResult:
-    """gamma is exact unless the node budget ran out; then it is the size of
-    the smaller of the greedy incumbent and construct's set (greedy on a
-    tie), the witness, and lower_bound the smallest size not ruled out."""
+    """gamma is exact unless the node budget ran out (a greedy cover no
+    larger than the size being searched is still proven optimal); then it
+    is the size of the smaller of a greedy cover and construct's set
+    (greedy on a tie), the witness, and lower_bound the smallest size not
+    ruled out."""
 
     dims: GridDims
     k: Radius
@@ -86,7 +90,7 @@ def _balls(dims: GridDims, radius: int) -> list[int]:
 
 
 def _greedy(full: int, balls: list[int]) -> list[int]:
-    """Deterministic greedy cover used as the search incumbent."""
+    """Deterministic greedy cover, the answer when the node budget runs out."""
     covered = 0
     chosen = []
     while covered != full:
@@ -118,6 +122,14 @@ def exact_gamma(
     so rows are never longer than columns, and the witness is transposed
     back.
 
+    The candidates are tried by the number of uncovered cells they cover,
+    most first, then by index, and a candidate x is skipped when one
+    already tried, y, covers every uncovered cell that x covers: a cover
+    that uses x still covers with y in its place.  Of candidates that
+    cover the same uncovered cells only the lowest is tried.  The order
+    and the skips are functions of the covered set, so the search stays
+    complete and the memo below stays sound.
+
     One dominator covers at most cap cells, the largest ball clipped to
     the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path).  So
     the search starts at ceil(mn/cap), and prunes a branch once
@@ -140,8 +152,12 @@ def exact_gamma(
     Both bounds and the memo cut only subtrees that would fail: the
     branch order is unchanged, so the search finds the same witness as
     one without them, and only nodes_explored falls.  The bounds count
-    dominators of any kind, so the forward-candidate rule keeps them
-    sound.
+    dominators of any kind, so the candidate rules keep them sound.
+
+    Sizes are searched upward from ceil(mn/cap) until one succeeds.  If
+    the node budget runs out at some size, every smaller size has
+    failed, so a greedy cover of at most that size is returned as exact;
+    otherwise the answer is the budget-flagged upper value.
     """
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
@@ -156,7 +172,6 @@ def exact_gamma(
     full = (1 << area) - 1
     cap = max(ball.bit_count() for ball in balls)
     lower = -(-area // cap)
-    incumbent = _greedy(full, balls)
     apart = [full ^ far for far in _balls(shape, 2 * k.k)]
 
     nodes = 0
@@ -183,14 +198,25 @@ def exact_gamma(
             rest &= apart[(rest & -rest).bit_length() - 1]
             need += 1
         c = balls[v] >> v << v if need <= slots else 0
+        options = []
         while c:
             cand = (c & -c).bit_length() - 1
             c &= c - 1
-            chosen.append(cand)
-            hit = search(target, covered | balls[cand], chosen)
-            chosen.pop()
-            if hit is not None:
-                return hit
+            gain = balls[cand] & uncovered
+            options.append((-gain.bit_count(), cand, gain))
+        options.sort()
+        kept = []
+        for _, cand, gain in options:
+            for other in kept:
+                if gain | other == other:
+                    break  # a kept candidate covers all that this one would
+            else:
+                kept.append(gain)
+                chosen.append(cand)
+                hit = search(target, covered | gain, chosen)
+                chosen.pop()
+                if hit is not None:
+                    return hit
         if len(failed) >= MAX_FAILED_STATES:
             failed.clear()  # loses pruning, never a solution
         failed[covered] = slots
@@ -203,21 +229,21 @@ def exact_gamma(
         j, i = np.divmod(np.array(sorted(indices), dtype=np.int64), dims.m)
         return VertexSet(np.column_stack((i, j)))
 
-    best = len(incumbent)
+    size = lower
     try:
-        for size in range(lower, best):
-            found = search(size, 0, [])
-            if found is not None:
-                return ExactResult(dims, k, size, size, to_set(found), nodes, False)
+        while (found := search(size, 0, [])) is None:
+            size += 1
+        return ExactResult(dims, k, size, size, to_set(found), nodes, False)
     except _BudgetExhausted:
-        # every size below the one being searched has been exhausted; construct
-        # never seeds the search, so a search that finishes keeps its witness
+        # every size below the one being searched has been exhausted, so a
+        # greedy cover of at most that size is optimal
+        greedy = _greedy(full, balls)
+        if len(greedy) <= size:
+            return ExactResult(dims, k, size, size, to_set(greedy), nodes, False)
         built = construct(dims, k)[0]
-        witness = built if len(built) < best else to_set(incumbent)
+        witness = built if len(built) < len(greedy) else to_set(greedy)
         return ExactResult(dims, k, len(witness), size, witness, nodes, True)
     finally:
         # search refers to itself through its closure; break that cycle so
         # the memo is freed on return, not by the cyclic collector
         del search
-    # every size below the greedy solution is exhausted: greedy is optimal
-    return ExactResult(dims, k, best, best, to_set(incumbent), nodes, False)

@@ -95,8 +95,8 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     rows and columns on every side (and one more row below), so no
     segment needs clipping; one cumulative sum along i then gives the
     counts.  The work is O(|S| k + mn).  Points outside the k-padded box
-    cannot reach the grid and are skipped.  The result is a fresh
-    C-contiguous array.
+    cannot reach the grid and are skipped.  The result is a view of the
+    call's own difference array, not a copy: its callers only read it.
     """
     check_dense_size(dims, k)
     kk, m, n = k.k, dims.m, dims.n
@@ -118,7 +118,7 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
         np.subtract.at(flat, (past + part).ravel(), one)
     top = diff[:2 * kk + m, 2 * kk:2 * kk + n]
     np.cumsum(top, axis=0, out=top)
-    return diff[2 * kk:2 * kk + m, 2 * kk:2 * kk + n].copy()
+    return diff[2 * kk:2 * kk + m, 2 * kk:2 * kk + n]
 
 
 def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport:

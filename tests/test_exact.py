@@ -45,18 +45,32 @@ def naive_gamma(m, n, k):
     raise AssertionError("unreachable: the full set always dominates")
 
 
+def kept_candidates(balls, v, uncovered):
+    """The forward candidates of v that the search tries, in its order: most
+    uncovered cells covered first, then lowest index, skipping any whose
+    uncovered cells an earlier one covers."""
+    order = sorted((c for c in range(v, len(balls)) if balls[v] >> c & 1),
+                   key=lambda c: (-(balls[c] & uncovered).bit_count(), c))
+    kept = []
+    for c in order:
+        if all(balls[c] & uncovered & ~balls[d] for d in kept):
+            kept.append(c)
+    return kept
+
+
 def reference_exact_gamma(dims, k, forward=True):
     """exact_gamma's branch-and-bound without the packing bound, the failed-state memo or a budget.
 
-    It branches on the candidates at or after the branch cell, as exact_gamma
-    does, or with forward=False on its whole ball.  It searches the caller's
-    orientation, so compare witnesses only on grids with m <= n.
+    It branches on the candidates at or after the branch cell, most
+    uncovered cells covered first, and skips one whose uncovered cells an
+    earlier one covers, as exact_gamma does; with forward=False it tries
+    the whole ball in index order and skips none.  It searches the
+    caller's orientation, so compare witnesses only on grids with m <= n.
     """
     area, m = dims.area, dims.m
     balls = _balls(dims, k.k)
     full = (1 << area) - 1
     cap = max(ball.bit_count() for ball in balls)
-    incumbent = _greedy(full, balls)
     nodes = 0
 
     def search(target, covered, chosen):
@@ -69,10 +83,11 @@ def reference_exact_gamma(dims, k, forward=True):
         if slots == 0 or -(-uncovered.bit_count() // cap) > slots:
             return None
         v = (uncovered & -uncovered).bit_length() - 1
-        c = balls[v] >> v << v if forward else balls[v]
-        while c:
-            cand = (c & -c).bit_length() - 1
-            c &= c - 1
+        if forward:
+            branches = kept_candidates(balls, v, uncovered)
+        else:
+            branches = [c for c in range(area) if balls[v] >> c & 1]
+        for cand in branches:
             chosen.append(cand)
             hit = search(target, covered | balls[cand], chosen)
             chosen.pop()
@@ -80,15 +95,11 @@ def reference_exact_gamma(dims, k, forward=True):
                 return hit
         return None
 
-    def result(gamma, indices):
-        witness = VertexSet.from_iterable((idx % m, idx // m) for idx in indices)
-        return ExactResult(dims, k, gamma, gamma, witness, nodes, False)
-
-    for size in range(-(-area // cap), len(incumbent)):
-        found = search(size, 0, [])
-        if found is not None:
-            return result(size, found)
-    return result(len(incumbent), incumbent)
+    size = -(-area // cap)
+    while (found := search(size, 0, [])) is None:
+        size += 1
+    witness = VertexSet.from_iterable((idx % m, idx // m) for idx in found)
+    return ExactResult(dims, k, size, size, witness, nodes, False)
 
 
 def test_2x2_k1():
@@ -218,6 +229,33 @@ def test_a_candidate_before_the_branch_cell_is_dominated_by_a_later_one():
                         assert (balls[x] & ~balls[y]) >> v == 0, (m, n, k, v, x)
 
 
+def test_kept_candidates_reach_the_minimum_cover_of_all_forward_candidates():
+    # a cover that uses a skipped candidate still covers with the kept one that covers all it does
+    rng = random.Random(23)
+    for k in (1, 2):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                balls = manhattan_masks(m, n, k)
+                full = (1 << m * n) - 1
+
+                @cache
+                def needed(uncovered):
+                    if not uncovered:
+                        return 0
+                    v = (uncovered & -uncovered).bit_length() - 1
+                    return 1 + min(needed(uncovered & ~balls[c]) for c in range(m * n) if balls[v] >> c & 1)
+
+                for _ in range(40):
+                    # covered below v, v uncovered, and any cells after v
+                    v = rng.randrange(m * n)
+                    uncovered = (rng.getrandbits(m * n) | 1 << v) >> v << v & full
+                    forward = [c for c in range(v, m * n) if balls[v] >> c & 1]
+                    kept = kept_candidates(balls, v, uncovered)
+                    assert kept and set(kept) <= set(forward), (m, n, k, uncovered)
+                    assert min(needed(uncovered & ~balls[c]) for c in kept) == min(
+                        needed(uncovered & ~balls[c]) for c in forward), (m, n, k, uncovered)
+
+
 def test_a_grid_is_searched_with_its_shorter_rows():
     # searched with its long rows, 21x3 k=1 took 13,189 nodes against 687 for 3x21
     for m, n, k in ((21, 3, K1), (9, 4, K2), (7, 5, K1), (16, 2, K3)):
@@ -230,9 +268,9 @@ def test_a_grid_is_searched_with_its_shorter_rows():
         assert res.witness == VertexSet.from_iterable((j, i) for i, j in tr.witness)
 
 
-# 6x6 at k=1 and 7x7 at k=2, since on 5x5 k=1 and 6x6 k=2 the other bounds
+# 6x6 at k=1 and 8x8 at k=2, since on 5x5 k=1 and 7x7 k=2 the other bounds
 # leave the memo nothing to save
-@pytest.mark.parametrize("m,n,k", [(6, 6, 1), (7, 7, 2), (4, 9, 1)])
+@pytest.mark.parametrize("m,n,k", [(6, 6, 1), (8, 8, 2), (4, 9, 1)])
 def test_clearing_the_memo_loses_only_pruning(monkeypatch, m, n, k):
     dims, rad = GridDims(m, n), Radius(k)
     whole = exact_gamma(dims, rad)
@@ -282,6 +320,17 @@ def test_budget_flagging():
     assert (zero.time_budget_exceeded, zero.nodes_explored) == (True, 1)
     with pytest.raises(DomainError):
         exact_gamma(GridDims(8, 8), K1, node_budget=-1)
+
+
+def test_a_greedy_cover_of_the_size_being_searched_is_exact():
+    # 1x64 k=1 starts at ceil(64/3) = 22, the size of greedy's cover, so when
+    # the budget runs out there every smaller size has failed
+    dims = GridDims(1, 64)
+    res = exact_gamma(dims, K1, node_budget=5)
+    greedy = _greedy((1 << 64) - 1, _balls(dims, K1.k))
+    assert (res.gamma, res.lower_bound, res.time_budget_exceeded, res.nodes_explored) == (22, 22, False, 6)
+    assert len(greedy) == 22
+    assert res.witness == VertexSet.from_iterable((0, c) for c in greedy)
 
 
 def test_exhausted_search_answers_with_the_smaller_of_greedy_and_construct():
@@ -349,10 +398,11 @@ def test_balls_past_the_diameter_are_the_whole_grid():
             balls = _balls(GridDims(m, n), radius)
             assert balls == manhattan_masks(m, n, radius), (m, n, radius)
             assert set(balls) == {full}, (m, n, radius)
-    # the k = 2000 balls and far masks are built from 45-row templates, not 4,001-row ones
+    # the k = 2000 balls and far masks are built from 45-row templates, not 4,001-row ones;
+    # the search takes the root and its first candidate, which covers the grid
     dims = GridDims(12, 12)
     res = exact_gamma(dims, Radius(2000))
-    assert (res.gamma, res.lower_bound, res.nodes_explored) == (1, 1, 0)
+    assert (res.gamma, res.lower_bound, res.nodes_explored) == (1, 1, 2)
     assert is_dominating(dims, Radius(2000), res.witness)
 
 
@@ -397,9 +447,10 @@ def test_packing_bound_never_exceeds_the_dominators_still_needed():
 
 
 def test_nodes_on_the_benchmark_grids():
-    # the exact workload's grids: regression guard for the pruning (61,778 before
+    # the exact workload's grids: regression guard for the pruning (28,722 before
+    # the most-coverage-first order and the dominated-candidate skip, 61,778 before
     # the forward-candidate rule, 243,476 before the packing bound, 3,059,965
     # before the memo)
     grids = [(m, n, k) for k in (1, 2) for m in range(3, 65) for n in range(m, 65) if m * n <= 64]
     grids.append((1, 64, 1))
-    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 28_722
+    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 9_461
