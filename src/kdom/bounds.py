@@ -6,7 +6,7 @@ returning a number its proof does not back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .construction import construct
@@ -15,19 +15,15 @@ from .gridmodel import GridDims
 from .lattice import Radius
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    """One comparison-table row; a bound is None outside its domain."""
+class BoundRow(namedtuple(
+        "BoundRow",
+        "m n k new_bound fss_bound chang_bound bijm_bound constructed_size note",
+        defaults=(None, None, None, None))):
+    """One comparison-table row; a bound is None outside its domain, and so
+    is constructed_size where it was not built.  note holds the new
+    bound's domain error."""
 
-    m: int
-    n: int
-    k: int
-    new_bound: int | None
-    fss_bound: int | None
-    chang_bound: int | None = None
-    bijm_bound: int | None = None
-    constructed_size: int | None = None
-    note: str | None = None
+    __slots__ = ()
 
 
 def new_bound(m: int, n: int, k: Radius) -> int:

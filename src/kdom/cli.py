@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,23 +20,21 @@ from .construction import ConstructionTrace, construct
 from .errors import KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
 from .gridmodel import GridDims, check_dense_size, verify_domination
-from .lattice import LatticePoint, Radius, VertexSet, _as_pairs, canonical_order, repeats
+from .lattice import LatticePoint, Radius, Validated, VertexSet, _as_pairs, canonical_order, repeats
 
 MAGIC = "kdom v1"
 KNOWN_FLAGS = ("projected", "no-corner-removal")
 
 
-@dataclass(frozen=True)
-class SetFile:
-    """A dominating-set file: header (k, m, n, count), flags, points."""
+class SetFile(Validated, namedtuple("SetFile", "k m n points flags", defaults=((),))):
+    """A dominating-set file: header (k, m, n, count), flags, points.
 
-    k: int
-    m: int
-    n: int
-    points: VertexSet
-    flags: tuple[str, ...] = ()
+    points is a VertexSet, flags a tuple of KNOWN_FLAGS entries.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def _check(self):
         if self.k < 1 or self.m < 1 or self.n < 1:
             raise SetFileError(f"header values must be >= 1: k={self.k} m={self.m} n={self.n}")
         for f in self.flags:

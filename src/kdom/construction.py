@@ -17,10 +17,10 @@ floating point enters this module.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,26 +69,28 @@ _ROTATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CornerContext:
+class CornerContext(namedtuple("CornerContext", "corner s z slope_l1 case")):
     """Geometry of one corner in its own (rotated) frame.
 
     s is the westernmost code point on the frame's north boundary row of
     Y; z the northernmost code point one column west of the frame grid.
-    slope_l1 is None exactly when s and z coincide (s on column -1), a
-    degenerate configuration handled like the negative-slope case.
+    slope_l1 (a Fraction) is None exactly when s and z coincide (s on
+    column -1), a degenerate configuration handled like the negative-slope
+    case.
     """
 
-    corner: Corner
-    s: LatticePoint
-    z: LatticePoint
-    slope_l1: Fraction | None
-    case: CornerCase
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    """Audit record of one construction run."""
+    """Audit record of one construction run.
+
+    The package's one dataclass.  The other value types are named tuples,
+    far cheaper to create at import, but this record is to gain per-stage
+    timing spans as fields left out of equality (compare=False), which a
+    tuple cannot have.
+    """
 
     dims: GridDims
     k: Radius
@@ -153,11 +155,11 @@ def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]
     return zj, Fraction(rise, delta), case
 
 
-class _CornerPlan(NamedTuple):  # a NamedTuple, not a dataclass: far cheaper to create at import
-    """One corner's edit, in real coordinates: remove one point, move others."""
+class _CornerPlan(namedtuple("_CornerPlan", "removed moves")):
+    """One corner's edit, in real coordinates: remove one point (an (i, j)
+    tuple), and move others (a tuple of LatticePoint pairs, source first)."""
 
-    removed: tuple[int, int]
-    moves: tuple[tuple[LatticePoint, LatticePoint], ...]
+    __slots__ = ()
 
 
 def _corner_moves(k: Radius, si: int, zj: int,

@@ -20,7 +20,7 @@ makes runs bit-reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,21 +37,16 @@ DEFAULT_NODE_BUDGET = 5_000_000
 MAX_FAILED_STATES = 1 << 18
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(namedtuple(
+        "ExactResult",
+        "dims k gamma lower_bound witness nodes_explored time_budget_exceeded")):
     """gamma is exact unless the node budget ran out (a greedy cover no
     larger than the size being searched is still proven optimal); then it
     is the size of the smaller of a greedy cover and construct's set
     (greedy on a tie), the witness, and lower_bound the smallest size not
     ruled out."""
 
-    dims: GridDims
-    k: Radius
-    gamma: int
-    lower_bound: int
-    witness: VertexSet
-    nodes_explored: int
-    time_budget_exceeded: bool
+    __slots__ = ()
 
 
 class _BudgetExhausted(Exception):

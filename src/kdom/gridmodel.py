@@ -15,7 +15,7 @@ rejected with DomainError before anything is allocated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .lattice import (
     MAX_BOX_SIDE,
     Box,
     Radius,
+    Validated,
     VertexSet,
     integers,
 )
@@ -40,14 +41,12 @@ MAX_DENSE_CELLS = 100_000_000
 SCATTER_CHUNK = 2 ** 16
 
 
-@dataclass(frozen=True)
-class GridDims:
+class GridDims(Validated, namedtuple("GridDims", "m n")):
     """Grid dimensions: m columns (i in [0, m-1]), n rows (j in [0, n-1])."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not integers(self.m, self.n):
             raise DomainError(f"grid dims must be integers, got {self.m!r}x{self.n!r}")
         if self.m < 1 or self.n < 1:
@@ -60,15 +59,15 @@ class GridDims:
         return self.m * self.n
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Coverage summary of one verification run."""
+class CoverageReport(namedtuple(
+        "CoverageReport", "dims k covered_count uncovered multiplicity_histogram")):
+    """Coverage summary of one verification run.
 
-    dims: GridDims
-    k: Radius
-    covered_count: int
-    uncovered: VertexSet
-    multiplicity_histogram: dict[int, int]
+    uncovered is a VertexSet; multiplicity_histogram maps a cover count
+    to the number of grid vertices with that many dominators in range.
+    """
+
+    __slots__ = ()
 
 
 def neighborhood_box(dims: GridDims, k: Radius) -> Box:

@@ -17,9 +17,9 @@ the same sorting and masking code serves it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,23 +34,44 @@ def integers(*values) -> bool:
     return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
-class LatticePoint(NamedTuple):
+class LatticePoint(namedtuple("LatticePoint", "i j")):
     """A point of Z^2; i is the column (west->east), j the row (south->north)."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Radius:
+class Validated:
+    """Base of a namedtuple subclass whose _check method validates the fields.
+
+    Put it first among the bases.  The call, _make, _replace, copying and
+    unpickling all build through __new__, so each runs _check; a plain
+    namedtuple's _make, and so its _replace, would skip it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class Radius(Validated, namedtuple("Radius", "k")):
     """Domination distance k >= 1 with its derived modulus p = 2k^2+2k+1.
 
     p = k^2 + (k+1)^2 is also the point count of the closed radius-k ball.
     """
 
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not integers(self.k):
             raise DomainError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
@@ -63,14 +84,12 @@ class Radius:
         return 2 * self.k * self.k + 2 * self.k + 1
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Validated, namedtuple("Residue", "value modulus")):
     """An element of Z_p, stored as its canonical representative in [0, p-1]."""
 
-    value: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not integers(self.value, self.modulus):
             raise DomainError(f"residue fields must be integers, got {self!r}")
         if self.modulus < 1:
@@ -81,16 +100,12 @@ class Residue:
             )
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Validated, namedtuple("Box", "i_lo i_hi j_lo j_hi")):
     """Axis-aligned integer rectangle [i_lo, i_hi] x [j_lo, j_hi], inclusive."""
 
-    i_lo: int
-    i_hi: int
-    j_lo: int
-    j_hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not integers(self.i_lo, self.i_hi, self.j_lo, self.j_hi):
             raise DomainError(f"box bounds must be integers, got {self!r}")
         if self.i_lo > self.i_hi or self.j_lo > self.j_hi:

@@ -556,7 +556,7 @@ def test_verification_failure_carries_uncovered(monkeypatch):
     dims = GridDims(27, 27)
     ell = Residue(12, 13)  # a genuinely shallow corner
     ctx = _classify_corner(dims, K2, ell, Corner.NW)
-    forged = dataclasses.replace(ctx, case=CornerCase.STEEP_SLOPE)
+    forged = ctx._replace(case=CornerCase.STEEP_SLOPE)
     # the steep moves of the NW corner, whose frame is the real plane
     north = ctx.s.j
     moves = _corner_moves(K2, ctx.s.i, ctx.z.j - north, CornerCase.STEEP_SLOPE)

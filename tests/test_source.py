@@ -27,3 +27,17 @@ def test_every_error_type_is_raised_somewhere():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", None))
     assert defined and sorted(defined - raised) == []
+
+
+def test_value_types_are_not_dataclasses():
+    # a dataclass generates and execs its methods on every import of kdom;
+    # ConstructionTrace alone stays one, for its planned compare=False fields
+    found = []
+    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and node.name != "ConstructionTrace":
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                        found.append(f"{path.name}:{node.name}")
+    assert found == []
