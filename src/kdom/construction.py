@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmallError, KdomError, VerificationError
+from .errors import DomainError, GridTooSmallError, VerificationError
 from .gridmodel import (
     GridDims,
     check_dense_size,
@@ -82,26 +81,15 @@ class CornerContext(namedtuple("CornerContext", "corner s z slope_l1 case")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(namedtuple("ConstructionTrace", "dims k chosen_residue base_size corner_removal_applied"
+                                   " corner_cases removed shifted_pairs projection_merged final_size")):
     """Audit record of one construction run.
 
-    The package's one dataclass.  The other value types are named tuples,
-    far cheaper to create at import, but this record is to gain per-stage
-    timing spans as fields left out of equality (compare=False), which a
-    tuple cannot have.
+    corner_cases is None where corner removal is skipped; removed is a
+    VertexSet, and shifted_pairs holds (source, target) LatticePoint pairs.
     """
 
-    dims: GridDims
-    k: Radius
-    chosen_residue: Residue
-    base_size: int
-    corner_removal_applied: bool
-    corner_cases: tuple[CornerContext, ...] | None
-    removed: VertexSet
-    shifted_pairs: tuple[tuple[LatticePoint, LatticePoint], ...]
-    projection_merged: int
-    final_size: int
+    __slots__ = ()
 
 
 def best_residue(dims: GridDims, k: Radius) -> tuple[Residue, int]:
@@ -351,12 +339,18 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     rejected with DomainError up front.  The final set is checked once
     on the whole grid; a failure raises VerificationError carrying the
     uncovered vertices and the trace.
+
+    The base set's size needs no check against best_residue's count:
+    fiber_counts_in_box counts floor(W/p) points per row of width W, plus
+    one where the row's W mod p leftover columns hold a fiber point,
+    which is what inverse_image_in_box lists.  Tests check both against
+    a row-by-row reference count on random boxes (acceptance criterion 5,
+    test_count_matches_enumeration_randomized and
+    test_fiber_counts_in_box_match_per_residue_counts).
     """
     check_dense_size(dims, k)
-    ell, count = best_residue(dims, k)
+    ell, _ = best_residue(dims, k)
     base = base_set(dims, k, ell)
-    if len(base) != count:
-        raise KdomError(f"base set has {len(base)} points, the residue count says {count}")
     contexts, plans = None, []
     if dims.m > 2 * k.p and dims.n > 2 * k.p:
         contexts, plans = _corner_step(dims, k, ell)

@@ -184,7 +184,8 @@ class VertexSet:
     then by i.  Its dtype is int64, or object where a coordinate does not
     fit int64.  `points`, iteration and membership build LatticePoint
     views of it on first use.  Build sets with from_iterable; the
-    constructor takes an array that is already canonical.
+    constructor takes an array that is already canonical.  Copying and
+    unpickling go through the constructor, so the copy is read-only too.
     """
 
     __slots__ = ("array", "_points", "_index")
@@ -237,6 +238,9 @@ class VertexSet:
 
     def __hash__(self) -> int:
         return hash(tuple(self.array.ravel().tolist()))
+
+    def __reduce__(self):
+        return type(self), (self.array,)
 
     def __repr__(self) -> str:
         return f"VertexSet({list(self.points)!r})"

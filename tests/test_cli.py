@@ -119,6 +119,8 @@ def test_malformed_files(tmp_path):
     ("0 3 3 2\n1 1\n", "header count 2 != 1 body lines"),
     ("0 3 3 1\n1 1\n", "header values must be >= 1: k=0 m=3 n=3"),
     ("1 3 3 1\n# projected\n3 0\n", "point 3,0 outside the 3x3 grid of a projected file"),
+    ("", "missing header line"),
+    ("1 x 3 3\n", "non-integer header field: invalid literal for int() with base 10: 'x'"),
 ])
 def test_load_setfile_messages_and_their_order(body, message):
     with pytest.raises(SetFileError) as err:

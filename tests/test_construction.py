@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import chain
@@ -99,14 +98,6 @@ def test_best_residue_closed_form_thin_and_wide_k_grids():
             _assert_best_residue_is_min_count(side, 1, Radius(kk))
     _assert_best_residue_is_min_count(200, 201, Radius(20))
     _assert_best_residue_is_min_count(150, 151, Radius(40))
-
-
-def test_construct_base_size_mismatch_is_an_explicit_error(monkeypatch):
-    from kdom import KdomError, construction
-
-    monkeypatch.setattr(construction, "base_set", lambda dims, k, ell: VertexSet.empty())
-    with pytest.raises(KdomError):
-        construct(GridDims(6, 6), K1)
 
 
 def test_best_residue_tiny_grid():
@@ -733,7 +724,7 @@ def test_remove_corners_in_both_bench_forms_matches_construct_before_projection(
         assert project_inward(dims, checked) == built
         assert trace == unchecked_trace
         before_projection = dict(projection_merged=0, final_size=len(checked))
-        assert trace == dataclasses.replace(built_trace, **before_projection)
+        assert trace == built_trace._replace(**before_projection)
 
 
 _coordinate = st.one_of(st.integers(-12, 20), st.sampled_from([10 ** 30, -(10 ** 30), 2 ** 63]))

@@ -263,6 +263,7 @@ def test_vertexset_canonical():
     assert len(vs) == 3
     assert LatticePoint(3, 1) in vs
     assert LatticePoint(9, 9) not in vs
+    assert repr(VertexSet.from_iterable([(3, -1)])) == "VertexSet([LatticePoint(i=3, j=-1)])"
 
 
 _coordinate = st.one_of(
@@ -320,6 +321,7 @@ def test_vertexset_equality_is_by_content():
     assert a != VertexSet.from_iterable([(1, 2), (0, 6)])
     assert VertexSet.empty() == VertexSet.from_iterable([])
     assert len({a, VertexSet.from_iterable([(0, 5), (1, 2)])}) == 1
+    assert (a == ()) is False and a != ()  # __eq__ returns NotImplemented for a non-set
     assert not a.array.flags.writeable
 
 
