@@ -26,7 +26,6 @@ from .construction import (
 )
 from .errors import (
     DomainError,
-    GridTooSmallError,
     KdomError,
     SetFileError,
     VerificationError,

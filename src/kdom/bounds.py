@@ -15,13 +15,10 @@ from .gridmodel import GridDims
 from .lattice import Radius
 
 
-class BoundRow(namedtuple(
-        "BoundRow",
-        "m n k new_bound fss_bound chang_bound bijm_bound constructed_size note",
-        defaults=(None, None, None, None))):
+class BoundRow(namedtuple("BoundRow", "m n new_bound fss_bound chang_bound bijm_bound constructed_size",
+                          defaults=(None, None, None))):
     """One comparison-table row; a bound is None outside its domain, and so
-    is constructed_size where it was not built.  note holds the new
-    bound's domain error."""
+    is constructed_size where it was not built."""
 
     __slots__ = ()
 
@@ -75,12 +72,12 @@ def bijm_bound(m: int, n: int) -> int:
     return (m + 4) * (n + 4) // 13 - 4
 
 
-def _in_domain(bound, *args) -> tuple[int | None, str | None]:
-    """bound(*args) and None, or None and the DomainError text outside the bound's domain."""
+def _in_domain(bound, *args) -> int | None:
+    """bound(*args), or None outside the bound's domain."""
     try:
-        return bound(*args), None
-    except DomainError as exc:
-        return None, str(exc)
+        return bound(*args)
+    except DomainError:
+        return None
 
 
 def comparison_table(
@@ -97,19 +94,17 @@ def comparison_table(
     """
     rows = []
     for m, n in pairs:
-        nb, note = _in_domain(new_bound, m, n, k)
-        built = _in_domain(lambda: len(construct(GridDims(m, n), k)[0]))[0] if build and note is None else None
+        nb = _in_domain(new_bound, m, n, k)
+        built = _in_domain(lambda: len(construct(GridDims(m, n), k)[0])) if build and nb is not None else None
         rows.append(
             BoundRow(
                 m=m,
                 n=n,
-                k=k.k,
                 new_bound=nb,
-                fss_bound=_in_domain(fss_bound, m, n, k)[0],
-                chang_bound=_in_domain(chang_bound, m, n)[0] if k.k == 1 else None,
-                bijm_bound=_in_domain(bijm_bound, m, n)[0] if k.k == 2 else None,
+                fss_bound=_in_domain(fss_bound, m, n, k),
+                chang_bound=_in_domain(chang_bound, m, n) if k.k == 1 else None,
+                bijm_bound=_in_domain(bijm_bound, m, n) if k.k == 2 else None,
                 constructed_size=built,
-                note=note,
             )
         )
     return rows

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmallError, VerificationError
+from .errors import DomainError, VerificationError
 from .gridmodel import (
     GridDims,
     check_dense_size,
@@ -210,7 +210,8 @@ def _corner(corner: Corner, dims: GridDims, k: Radius, ell: Residue) -> tuple[Co
     (mod p) with step = (k+1)a + kc for the matrix's first column (a, c),
     so si is one modular solve.  Every move is rotated with the integer
     matrix, and one sort of plain (j, i, ...) tuples puts the sources in
-    row-major order.  _corner_step checks m, n > 2p and ell's modulus.
+    row-major order.  _corner_step checks m, n > 2p; ell is mod p, since
+    its callers have built base_set(dims, k, ell), which checks that.
     """
     kk, p = k.k, k.p
     ((a, b), (c, d)), (sx, sy) = _ROTATIONS[corner]
@@ -262,25 +263,23 @@ def _corner_step(dims: GridDims, k: Radius,
     """The four corners' contexts and plans, in CORNER_ORDER.
 
     Corner plans exist only for m, n > 2p, where the four corners cannot
-    interact, and for a residue mod p; both are checked once here.  The
-    rest is Python-int arithmetic on the rotations' integer matrices,
-    with no numpy call.  No two plans touch the same point.  In its
-    frame, with Y's north row at j = 0, every point a plan removes, moves
-    or fills lies in the p x p window of columns -k..p-k-1 and rows
-    -(p-1)..0: a steep scan stops at z.j >= 1-p and lifts z to row
-    z.j+1 <= 0; a shallow candidate moves only if (k+1)j >= k(i - s.i)
-    >= -k(p-1); and no code point but s lies in column s.i within p rows,
-    so east shifts end by column s.i.  In real coordinates the windows
-    lie in Y's columns, NW and NE in Y's north p rows (j >= n+k-p), SW
-    and SE in its south p rows (j < p-k).  The two bands are disjoint
-    once n > 2p-2k-1, and the two windows within a band once
-    m > 2p-2k-1, both implied by m, n > 2p.
+    interact, which is checked here, and for a residue mod p, which
+    base_set has checked before any call.  The rest is Python-int
+    arithmetic on the rotations' integer matrices, with no numpy call.  No
+    two plans touch the same point.  In its frame, with Y's north row at
+    j = 0, every point a plan removes, moves or fills lies in the p x p
+    window of columns -k..p-k-1 and rows -(p-1)..0: a steep scan stops at
+    z.j >= 1-p and lifts z to row z.j+1 <= 0; a shallow candidate moves
+    only if (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s lies
+    in column s.i within p rows, so east shifts end by column s.i.  In
+    real coordinates the windows lie in Y's columns, NW and NE in Y's
+    north p rows (j >= n+k-p), SW and SE in its south p rows (j < p-k).
+    The two bands are disjoint once n > 2p-2k-1, and the two windows
+    within a band once m > 2p-2k-1, both implied by m, n > 2p.
     """
     p = k.p
     if dims.m <= 2 * p or dims.n <= 2 * p:
-        raise GridTooSmallError(f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}")
-    if ell.modulus != p:
-        raise DomainError(f"residue modulus {ell.modulus} does not match p={p}")
+        raise DomainError(f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}")
     contexts, plans = zip(*(_corner(corner, dims, k, ell) for corner in CORNER_ORDER))
     return contexts, list(plans)
 
@@ -313,14 +312,16 @@ def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
     """Remove one code point at each corner of Y, preserving domination.
 
     s_set must equal base_set(dims, k, ell), the only set the corner plans
-    are proved for, which is rebuilt to compare with; any other set raises
-    DomainError.  The four plans are applied to the rebuild in one edit,
-    as construct applies them.  With verify, the edited set is checked
-    once on the whole grid, and a failure raises VerificationError
-    carrying the uncovered vertices.
+    are proved for.  The base set is rebuilt first, which refuses a
+    residue not mod p; then the plans, which refuse m or n <= 2p; then
+    any set but the rebuild is refused.  Each raises DomainError.  The
+    four plans are applied to the rebuild in one edit, as construct
+    applies them.  With verify, the edited set is checked once on the
+    whole grid, and a failure raises VerificationError carrying the
+    uncovered vertices.
     """
-    contexts, plans = _corner_step(dims, k, ell)
     base = base_set(dims, k, ell)
+    contexts, plans = _corner_step(dims, k, ell)
     if s_set != base:
         raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
     current = _apply_plans(dims, k, base, plans)

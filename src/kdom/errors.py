@@ -9,10 +9,6 @@ class DomainError(KdomError):
     """An argument is outside the supported or proven domain."""
 
 
-class GridTooSmallError(DomainError):
-    """Corner removal requested on a grid with a side not exceeding 2p."""
-
-
 class SetFileError(KdomError):
     """A vertex-set file is malformed or violates its header."""
 

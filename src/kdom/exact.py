@@ -37,9 +37,7 @@ DEFAULT_NODE_BUDGET = 5_000_000
 MAX_FAILED_STATES = 1 << 18
 
 
-class ExactResult(namedtuple(
-        "ExactResult",
-        "dims k gamma lower_bound witness nodes_explored time_budget_exceeded")):
+class ExactResult(namedtuple("ExactResult", "gamma lower_bound witness nodes_explored time_budget_exceeded")):
     """gamma is exact unless the node budget ran out (a greedy cover no
     larger than the size being searched is still proven optimal); then it
     is the size of the smaller of a greedy cover and construct's set
@@ -228,16 +226,16 @@ def exact_gamma(
     try:
         while (found := search(size, 0, [])) is None:
             size += 1
-        return ExactResult(dims, k, size, size, to_set(found), nodes, False)
+        return ExactResult(size, size, to_set(found), nodes, False)
     except _BudgetExhausted:
         # every size below the one being searched has been exhausted, so a
         # greedy cover of at most that size is optimal
         greedy = _greedy(full, balls)
         if len(greedy) <= size:
-            return ExactResult(dims, k, size, size, to_set(greedy), nodes, False)
+            return ExactResult(size, size, to_set(greedy), nodes, False)
         built = construct(dims, k)[0]
         witness = built if len(built) < len(greedy) else to_set(greedy)
-        return ExactResult(dims, k, len(witness), size, witness, nodes, True)
+        return ExactResult(len(witness), size, witness, nodes, True)
     finally:
         # search refers to itself through its closure; break that cycle so
         # the memo is freed on return, not by the cyclic collector

@@ -59,8 +59,7 @@ class GridDims(Validated, namedtuple("GridDims", "m n")):
         return self.m * self.n
 
 
-class CoverageReport(namedtuple(
-        "CoverageReport", "dims k covered_count uncovered multiplicity_histogram")):
+class CoverageReport(namedtuple("CoverageReport", "covered_count uncovered multiplicity_histogram")):
     """Coverage summary of one verification run.
 
     uncovered is a VertexSet; multiplicity_histogram maps a cover count
@@ -132,13 +131,7 @@ def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport
         uj, ui = np.divmod(np.flatnonzero(mult.T == 0), dims.m)  # j*m + i: row-major, as VertexSet requires
         uncovered = VertexSet(np.column_stack((ui, uj)).astype(np.int64, copy=False))
     histogram = {c: f for c, f in enumerate(freqs.tolist()) if f}
-    return CoverageReport(
-        dims=dims,
-        k=k,
-        covered_count=covered,
-        uncovered=uncovered,
-        multiplicity_histogram=histogram,
-    )
+    return CoverageReport(covered, uncovered, histogram)
 
 
 def is_dominating(dims: GridDims, k: Radius, s: VertexSet) -> bool:

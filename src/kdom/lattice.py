@@ -182,19 +182,18 @@ class VertexSet:
 
     The set is one read-only (N, 2) array of (i, j) rows, sorted by j and
     then by i.  Its dtype is int64, or object where a coordinate does not
-    fit int64.  `points`, iteration and membership build LatticePoint
-    views of it on first use.  Build sets with from_iterable; the
-    constructor takes an array that is already canonical.  Copying and
-    unpickling go through the constructor, so the copy is read-only too.
+    fit int64.  `points` and iteration build LatticePoint views of it on
+    first use.  Build sets with from_iterable; the constructor takes an
+    array that is already canonical.  Copying and unpickling go through
+    the constructor, so the copy is read-only too.
     """
 
-    __slots__ = ("array", "_points", "_index")
+    __slots__ = ("array", "_points")
 
     def __init__(self, array: np.ndarray):
         array.flags.writeable = False
         self.array = array
         self._points = None
-        self._index = None
 
     @classmethod
     def from_iterable(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "VertexSet":
@@ -225,11 +224,6 @@ class VertexSet:
 
     def __iter__(self) -> Iterator[LatticePoint]:
         return iter(self.points)
-
-    def __contains__(self, point) -> bool:
-        if self._index is None:
-            self._index = frozenset(self.points)
-        return point in self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VertexSet):
@@ -297,7 +291,7 @@ def fiber_counts_in_box(k: Radius, box: Box) -> np.ndarray:
     per_row, r = divmod(box.width, p)
     periods, rest = divmod(box.height, p)
     j = np.arange(rest, dtype=np.int64) + box.j_lo % p
-    start = (box.i_lo + (inv * kk % p) * j) % p
+    start = (box.i_lo % p + (inv * kk % p) * j) % p
     end = start + r
     diff = np.zeros(p, dtype=np.int64)
     np.add.at(diff, start, 1)

@@ -119,12 +119,9 @@ def test_comparison_table_empty():
 def test_comparison_table_reports_domain_errors_per_row():
     rows = comparison_table([(5, 5), (51, 52), (0, 5)], K3)
     assert rows[0].new_bound is None
-    assert rows[0].note is not None
     assert rows[1].new_bound == 128
-    assert rows[1].note is None
     # no bound is defined on a grid without vertices; the row is still made
-    assert (rows[2].new_bound, rows[2].fss_bound, rows[2].note) == (
-        None, None, "new bound needs m, n > 2p = 50, got 0x5")
+    assert (rows[2].new_bound, rows[2].fss_bound) == (None, None)
 
 
 def test_comparison_table_with_build():
@@ -137,5 +134,5 @@ def test_comparison_table_with_build():
 
 
 def test_bound_row_is_plain_data():
-    row = BoundRow(m=51, n=52, k=3, new_bound=128, fss_bound=139)
+    row = BoundRow(m=51, n=52, new_bound=128, fss_bound=139)
     assert row.chang_bound is None and row.bijm_bound is None

@@ -11,7 +11,6 @@ from conftest import brute_dominates, brute_uncovered, count_in_box
 from kdom import (
     DomainError,
     GridDims,
-    GridTooSmallError,
     LatticePoint,
     Radius,
     Residue,
@@ -160,9 +159,9 @@ def test_projection_preserves_domination():
 
 
 def test_classify_corner_requires_big_grid():
-    with pytest.raises(GridTooSmallError):
+    with pytest.raises(DomainError, match="corner removal needs"):
         _corner_step(GridDims(6, 6), K3, Residue(0, 25))
-    with pytest.raises(GridTooSmallError):
+    with pytest.raises(DomainError, match="corner removal needs"):
         _corner_step(GridDims(100, 26), K2, Residue(0, 13))
 
 
@@ -503,8 +502,9 @@ def test_construct_sweep_small():
 
 
 def test_mismatched_residue_modulus_rejected():
-    with pytest.raises(DomainError):
-        _corner_step(GridDims(27, 27), K2, Residue(0, 25))
+    # base_set refuses the foreign modulus before remove_corners plans anything
+    with pytest.raises(DomainError, match="residue modulus 25 does not match p=13"):
+        remove_corners(GridDims(27, 27), K2, Residue(0, 25), VertexSet.empty())
 
 
 def test_remove_corners_rejects_wrong_set():

@@ -99,7 +99,7 @@ def reference_exact_gamma(dims, k, forward=True):
     while (found := search(size, 0, [])) is None:
         size += 1
     witness = VertexSet.from_iterable((idx % m, idx // m) for idx in found)
-    return ExactResult(dims, k, size, size, witness, nodes, False)
+    return ExactResult(size, size, witness, nodes, False)
 
 
 def test_2x2_k1():
@@ -263,7 +263,6 @@ def test_a_grid_is_searched_with_its_shorter_rows():
         tr = exact_gamma(GridDims(n, m), k)
         assert not res.time_budget_exceeded
         assert (res.gamma, res.lower_bound, res.nodes_explored) == (tr.gamma, tr.lower_bound, tr.nodes_explored)
-        assert res.dims == GridDims(m, n)
         assert is_dominating(GridDims(m, n), k, res.witness)
         assert res.witness == VertexSet.from_iterable((j, i) for i, j in tr.witness)
 

@@ -1,15 +1,18 @@
-"""Golden-output guard: construct's set files and traces must not change.
+"""Golden-output guard: construct's set files and traces, and the Table 1
+CSV, must not change.
 
-The digest below was computed from the set-file text and the trace lines
+GOLDEN_SHA256 was computed from the set-file text and the trace lines
 of `construct` on GOLDEN_GRIDS.  Any change to the chosen residue, the
 corner plans, the projection, the point order or the file format changes
-it.  If an output change is intended, recompute the digest with
-`golden_text()` and say in the change log why the output moved.
+it.  TABLE_CSV_SHA256 is the digest of `kdom table --csv --build` at
+k = 2 and then k = 3.  If an output change is intended, recompute the
+digest with `golden_text()` or the CLI and say in the change log why the
+output moved.
 """
 import hashlib
 
 from kdom import GridDims, Radius, construct
-from kdom.cli import SetFile, save_setfile, trace_lines
+from kdom.cli import SetFile, main, save_setfile, trace_lines
 
 # (m, n, k): corner removal needs m, n > 2p (p = 5, 13, 25, 41, 61 for k = 1..5).
 GOLDEN_GRIDS = (
@@ -21,6 +24,7 @@ GOLDEN_GRIDS = (
 )
 
 GOLDEN_SHA256 = "a2fb403ac08fd0388534fa7b8cde161c8b2f7bfe1f424a9300244042db0b9e74"
+TABLE_CSV_SHA256 = "90538857bf42cbb8c5bd758320ce6269981fb84d96fa052ec17096e8e974a8e1"
 
 
 def golden_text() -> str:
@@ -41,3 +45,9 @@ def test_golden_grids_cover_every_path():
 
 def test_construct_outputs_match_the_golden_digest():
     assert hashlib.sha256(golden_text().encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_table_csv_matches_the_golden_digest(capsys):
+    for kk in (2, 3):
+        assert main(["table", "--csv", "--build", "--k", str(kk)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TABLE_CSV_SHA256

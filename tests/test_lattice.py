@@ -159,12 +159,21 @@ def test_count_matches_enumeration_randomized():
 
 def test_fiber_counts_in_box_match_per_residue_counts():
     rng = random.Random(321)
+    cases = []
     for _ in range(300):
         k = Radius(rng.randint(1, 5))
         i_lo = rng.randint(-80, 40)
         j_lo = rng.randint(-80, 40)
         # heights past p exercise the whole-period shortcut
-        box = Box(i_lo, i_lo + rng.randint(0, 3 * k.p), j_lo, j_lo + rng.randint(0, 3 * k.p))
+        cases.append((k, Box(i_lo, i_lo + rng.randint(0, 3 * k.p), j_lo, j_lo + rng.randint(0, 3 * k.p))))
+    # corners at and past the int64 limits, which inverse_image_in_box accepts too
+    cases += [(Radius(1), Box(2 ** 63 - 10, 2 ** 63 - 8, 4, 4)), (Radius(1), Box(10 ** 30, 10 ** 30 + 2, 0, 0))]
+    for edge in (2 ** 63, -2 ** 63, 10 ** 30, -10 ** 30):
+        for _ in range(20):
+            k = Radius(rng.randint(1, 5))
+            i_lo, j_lo = edge + rng.randint(-3 * k.p, 3 * k.p), rng.choice((0, edge)) + rng.randint(-40, 40)
+            cases.append((k, Box(i_lo, i_lo + rng.randint(0, 3 * k.p), j_lo, j_lo + rng.randint(0, 3 * k.p))))
+    for k, box in cases:
         counts = fiber_counts_in_box(k, box)
         assert counts.tolist() == [count_in_box(k, Residue(v, k.p), box) for v in range(k.p)]
         assert counts.sum() == box.area

@@ -49,3 +49,22 @@ def test_value_types_are_not_dataclasses():
                     if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
                         found.append(f"{path.name}:{node.name}")
     assert found == []
+
+
+def test_every_public_name_has_a_caller():
+    # a name kdom exports that no other module of the package, nor the benchmark,
+    # reads is surface kept for nothing; the test oracles are the exception
+    package = Path(kdom.__file__).parent
+    exported = {alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    callers.append(Path(__file__).resolve().parents[1] / "bench" / "run.py")
+    read = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(exported - read - {"path_gamma", "phi"}) == []
