@@ -90,7 +90,8 @@ def comparison_table(
     chang_bound is filled in at k=1 and bijm_bound at k=2, each inside
     its own domain.  With build=True the construction pipeline runs per
     row and its size is recorded, or None where construct raises
-    DomainError (a grid beyond the dense verifier's cap).
+    DomainError: a grid beyond the dense cap, which construct keeps so
+    that kdom verify can check every set it returns.
     """
     rows = []
     for m, n in pairs:

@@ -119,12 +119,9 @@ def load_setfile(text: str) -> SetFile:
 
 def render_ascii(sf: SetFile, coverage: bool = False) -> str:
     """Rows printed north to south; '#' marks set points, '!' uncovered vertices."""
-    dims = GridDims(sf.m, sf.n)
-    k = Radius(sf.k)
-    check_dense_size(dims, k)
     cells = np.full((sf.n, sf.m), "+" if coverage else ".")
     if coverage:
-        uncovered = verify_domination(dims, k, sf.points).uncovered.array
+        uncovered = verify_domination(GridDims(sf.m, sf.n), Radius(sf.k), sf.points).uncovered.array
         cells[uncovered[:, 1], uncovered[:, 0]] = "!"
     pts = sf.points.array
     on = ((pts >= 0) & (pts < (sf.m, sf.n))).all(axis=1)
@@ -315,6 +312,7 @@ def cmd_exact(args) -> int:
 def cmd_render(args) -> int:
     with open(args.setfile) as fh:
         sf = load_setfile(fh.read())
+    check_dense_size(GridDims(sf.m, sf.n), Radius(sf.k))  # both formats draw every cell
     if args.format == "ascii":
         _write(args.output, render_ascii(sf, coverage=args.coverage))
     else:

@@ -14,13 +14,10 @@ class SetFileError(KdomError):
 
 
 class VerificationError(KdomError):
-    """A shifted set failed the domination check.
+    """remove_corners(verify=True) found that its edit broke domination; carries the uncovered vertices.
 
-    Carries the uncovered vertices and the construction trace so the
-    failing configuration can be reproduced.
-    """
+    construct never raises it: its result dominates by proof."""
 
-    def __init__(self, message, uncovered=None, trace=None):
+    def __init__(self, message, uncovered=None):
         super().__init__(message)
         self.uncovered = uncovered
-        self.trace = trace

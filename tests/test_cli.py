@@ -354,6 +354,15 @@ def test_render_malformed_exit_2(tmp_path, capsys):
     assert main(["render", path]) == 2
 
 
+def test_render_refuses_a_grid_beyond_the_dense_cap_in_both_formats(tmp_path, capsys):
+    # both formats draw every cell, so both check the header's size before drawing
+    path = make_file(tmp_path, "kdom v1\n1 300000 300000 1\n0 0\n")
+    for fmt in ("ascii", "svg"):
+        assert main(["render", path, "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("300000x300000 at k=1 needs") == 2
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["verify", "/nonexistent/path.kdom"]) == 2
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_dominates, brute_uncovered, count_in_box
+from conftest import brute_dominates, count_in_box
+from corner_certificate import certify
 from kdom import (
     DomainError,
     GridDims,
@@ -250,65 +251,12 @@ def test_corner_plans_lie_in_the_edge_bands_of_y():
                     assert (points.max(axis=0) <= (m + kk - 1, hi)).all(), (kk, m, n, v, ctx.corner)
 
 
-def _paint(points, k, lo, shape):
-    """Mask of the box of this shape at corner lo, marking the cells within distance k of a point.
-
-    The box must hold every point's whole ball."""
-    d = np.arange(-k, k + 1)
-    di, dj = np.nonzero(np.abs(d[:, None]) + np.abs(d) <= k)
-    ball = (di - k) * shape[1] + (dj - k)
-    at = (points - lo) @ (shape[1], 1)
-    mask = np.zeros(shape, dtype=bool)
-    mask.reshape(-1)[(at[:, None] + ball).ravel()] = True
-    return mask
-
-
-def _stranded(kk, gone, new):
-    """Cells of the frame quadrant i >= 0, j <= -k within k of a gone point and of no new point.
-
-    Only the points' bounding box grown by k is painted.
-    """
-    both = np.concatenate((gone, new))
-    lo, hi = both.min(axis=0) - kk, both.max(axis=0) + kk
-    shape = tuple(hi - lo + 1)
-    stranded = _paint(gone, kk, lo, shape) & ~_paint(new, kk, lo, shape)
-    return stranded[max(-lo[0], 0):, :max(-kk - lo[1] + 1, 0)]
-
-
 def test_corner_plans_keep_domination_locally_up_to_k20():
-    # Certificate of the corner step for k <= 20.  A quarter turn maps the
-    # Lee lattice L = {(k+1)i + kj = 0 (mod p)} onto itself, so in its own
-    # frame, with the north row of Y at j = 0, every corner of every grid
-    # with m, n > 2p sees the code s + L for s = (si, 0), si in -k..p-1-k,
-    # and its plan is a function of (k, si) alone.  The base set is a
-    # perfect Lee code, so each grid cell is within k of exactly one of its
-    # points.  A plan deletes code points (s and the sources) and inserts
-    # non-code points (the targets), so the edited set dominates iff every
-    # grid cell within k of a deleted point is within k of a target.  The
-    # grid is the quadrant i >= 0, j <= -k: every plan lies in the p x p
-    # window of columns -k..p-k-1 and rows -(p-1)..0 (asserted here), so
-    # for m, n > 2p no ball around it passes the far grid edges, and the
-    # four corners' windows are disjoint, which is why construction runs
-    # no overlap check.
+    # corner_certificate's docstring gives the argument; a script run of it
+    # certifies 21 <= k <= 48, the rest of the range where construct reaches
+    # corner removal (test_corner_removal_reaches_k48_and_no_further)
     for kk in range(1, 21):
-        k = Radius(kk)
-        p = k.p
-        for si in range(-kk, p - kk):
-            zj, _, case = _corner_shape(k, si)
-            moves = _corner_moves(k, si, zj, case)
-            gone = np.array([(si, 0), *moves], dtype=np.int64)
-            new = np.array(list(moves.values()), dtype=np.int64).reshape(-1, 2)
-            both = np.concatenate((gone, new))
-            assert (both.min(axis=0) >= (-kk, 1 - p)).all(), (kk, si, case)
-            assert (both.max(axis=0) <= (p - kk - 1, 0)).all(), (kk, si, case)
-            assert ((gone - (si, 0)) @ (kk + 1, kk) % p == 0).all(), (kk, si)
-            assert ((new - (si, 0)) @ (kk + 1, kk) % p != 0).all(), (kk, si)
-            # deleted points distinct, targets distinct, and no target deleted:
-            # what the one-edit _apply_plans relies on instead of checking
-            for points in (gone, new, both):
-                assert len(set(map(tuple, points.tolist()))) == len(points), (kk, si, case)
-            stranded = _stranded(kk, gone, new)
-            assert not stranded.any(), (kk, si, case)
+        assert certify(kk)[2] == [], kk
 
 
 def _explicit_maps(m, n):
@@ -443,7 +391,8 @@ def test_construct_brute_force_cross_check():
         assert brute_dominates(dims.m, dims.n, k.k, [tuple(q) for q in pts])
 
 
-def test_construct_checks_domination_once_at_the_end(monkeypatch):
+def test_construct_runs_no_coverage_kernel(monkeypatch):
+    # the result dominates by proof (construct's docstring), so no build checks it
     kernel = gridmodel._multiplicity
     calls = []
 
@@ -453,33 +402,20 @@ def test_construct_checks_domination_once_at_the_end(monkeypatch):
 
     for module in (gridmodel, construction):  # wherever the kernel is bound
         monkeypatch.setattr(module, "_multiplicity", counted, raising=False)
-    for dims, k in ((GridDims(30, 31), K1), (GridDims(30, 31), K2), (GridDims(53, 54), K3)):
-        calls.clear()
+    for dims, k in ((GridDims(30, 31), K1), (GridDims(30, 31), K2), (GridDims(53, 54), K3), (GridDims(5, 6), K2)):
         construct(dims, k)
-        assert calls == [dims]
-    # at k=2 the NW corner of 30x31 is steep and the NE corner shallow
-    dims, corner_of = GridDims(30, 31), construction._corner
+    assert calls == []
 
-    def without_moves(dropped):
-        def corner(c, *args):
-            ctx, plan = corner_of(c, *args)
-            return ctx, plan._replace(moves=()) if c is dropped else plan
-        return corner
 
-    for dropped, case in ((Corner.NW, CornerCase.STEEP_SLOPE), (Corner.NE, CornerCase.SHALLOW_SLOPE)):
-        monkeypatch.setattr(construction, "_corner", without_moves(dropped))
-        with pytest.raises(VerificationError, match="constructed set fails domination") as err:
-            construct(dims, K2)
-        trace = err.value.trace
-        assert trace.corner_removal_applied
-        assert [ctx.corner for ctx in trace.corner_cases] == list(CORNER_ORDER)
-        assert trace.corner_cases[CORNER_ORDER.index(dropped)].case is case
-        edited = set(base_set(dims, K2, trace.chosen_residue)) - set(trace.removed)
-        edited = (edited - {src for src, _ in trace.shifted_pairs}) | {dst for _, dst in trace.shifted_pairs}
-        points = [tuple(q) for q in project_inward(dims, VertexSet.from_iterable(edited))]
-        assert len(points) == trace.final_size
-        want = brute_uncovered(dims.m, dims.n, 2, points)
-        assert want and [tuple(q) for q in err.value.uncovered] == want
+def test_corner_removal_reaches_k48_and_no_further():
+    # corner_certificate certifies the plans for k <= 48; the dense cap keeps
+    # construct from any grid with corners, m, n > 2p, at k = 49
+    p = Radius(48).p
+    _, trace = construct(GridDims(2 * p + 1, 2 * p + 1), Radius(48))
+    assert trace.corner_removal_applied
+    p = Radius(49).p
+    with pytest.raises(DomainError, match="verifier cells"):
+        construct(GridDims(2 * p + 1, 2 * p + 1), Radius(49))
 
 
 def test_construct_size_never_beats_exact_optimum():
