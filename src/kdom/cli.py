@@ -3,9 +3,9 @@
 Set files are line-oriented plain text ("kdom v1" magic, a "k m n count"
 header, then "# <flag>" lines and one "i j" pair per line, in any order)
 so test fixtures stay diffable.  Coordinates follow Python's int(), blank
-lines are skipped, a flag may repeat, and the first faulty line is the
-one reported.  Exit codes: 0 success, 1 verification negative, 2 input
-or domain error, 3 search budget exceeded.
+lines are skipped, a flag may repeat, the first faulty line is the one
+reported, and then any |c| >= 2**62 is refused.  Exit codes: 0 success,
+1 verification negative, 2 input or domain error, 3 search budget exceeded.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import TABLE1_PAIRS, comparison_table, cor_bound
 from .construction import ConstructionTrace, construct
-from .errors import KdomError, SetFileError
+from .errors import DomainError, KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
 from .gridmodel import GridDims, check_dense_size, verify_domination
 from .lattice import LatticePoint, Radius, Validated, VertexSet, _as_pairs, canonical_order, repeats
@@ -105,10 +105,13 @@ def load_setfile(text: str) -> SetFile:
         k, m, n, count = (int(x) for x in header)
     except ValueError as exc:
         raise SetFileError(f"non-integer header field: {exc}") from None
-    flags, coords = _read_body(lines[2:])
+    try:
+        flags, coords = _read_body(lines[2:])
+        order = canonical_order(coords)  # stable, so each vertex's first line sorts first
+    except DomainError as exc:  # a coordinate past +-2**62
+        raise SetFileError(str(exc)) from None
     if len(coords) != count:
         raise SetFileError(f"header count {count} != {len(coords)} body lines")
-    order = canonical_order(coords)  # stable, so each vertex's first line sorts first
     coords = coords.take(order, axis=0)
     twice = repeats(coords)
     if twice.any():
@@ -125,7 +128,7 @@ def render_ascii(sf: SetFile, coverage: bool = False) -> str:
         cells[uncovered[:, 1], uncovered[:, 0]] = "!"
     pts = sf.points.array
     on = ((pts >= 0) & (pts < (sf.m, sf.n))).all(axis=1)
-    cells[pts[on, 1].astype(np.int64), pts[on, 0].astype(np.int64)] = "#"
+    cells[pts[on, 1], pts[on, 0]] = "#"
     return "".join(" ".join(row) + "\n" for row in cells[::-1].tolist())
 
 
@@ -148,16 +151,9 @@ def render_svg(sf: SetFile, diamonds: tuple[LatticePoint, ...] = ()) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for i in range(m):
-        parts.append(
-            f'<line x1="{x(i)}" y1="{y(n - 1)}" x2="{x(i)}" y2="{y(0)}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
-    for j in range(n):
-        parts.append(
-            f'<line x1="{x(0)}" y1="{y(j)}" x2="{x(m - 1)}" y2="{y(j)}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
+    grey = 'stroke="#cccccc" stroke-width="1"/>'
+    parts += [f'<line x1="{x(i)}" y1="{y(n - 1)}" x2="{x(i)}" y2="{y(0)}" {grey}' for i in range(m)]
+    parts += [f'<line x1="{x(0)}" y1="{y(j)}" x2="{x(m - 1)}" y2="{y(j)}" {grey}' for j in range(n)]
     parts.append(
         f'<rect x="{x(-k)}" y="{y(n - 1 + k)}" width="{(m + 2 * k - 1) * cell}" '
         f'height="{(n + 2 * k - 1) * cell}" fill="none" stroke="green" stroke-width="3"/>'
@@ -166,8 +162,7 @@ def render_svg(sf: SetFile, diamonds: tuple[LatticePoint, ...] = ()) -> str:
         f'<rect x="{x(0)}" y="{y(n - 1)}" width="{(m - 1) * cell}" '
         f'height="{(n - 1) * cell}" fill="none" stroke="red" stroke-width="2"/>'
     )
-    for (i, j) in sf.points:
-        parts.append(f'<circle cx="{x(i)}" cy="{y(j)}" r="5" fill="blue"/>')
+    parts += [f'<circle cx="{x(i)}" cy="{y(j)}" r="5" fill="blue"/>' for i, j in sf.points]
     for (i, j) in diamonds:
         pts = f"{x(i + k)},{y(j)} {x(i)},{y(j + k)} {x(i - k)},{y(j)} {x(i)},{y(j - k)}"
         parts.append(f'<polygon points="{pts}" fill="none" stroke="red" stroke-width="2"/>')

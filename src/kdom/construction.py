@@ -111,7 +111,7 @@ def base_set(dims: GridDims, k: Radius, ell: Residue) -> VertexSet:
 def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     """Clamp every point onto the grid box and dedupe."""
     n = dims.n
-    pts = np.clip(s.array, 0, (dims.m - 1, n - 1)).astype(np.int64, copy=False)
+    pts = np.clip(s.array, 0, (dims.m - 1, n - 1))
     # Clamping i is monotone, so rows strictly inside the grid stay in order;
     # only the rows merged into row 0 and row n-1 need a sort before the dedupe.
     lo, hi = np.searchsorted(s.array[:, 1], (1, n - 1)) if n > 1 else (0, 0)

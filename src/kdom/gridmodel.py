@@ -101,7 +101,7 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     pts = s.array
     lo, hi = np.searchsorted(pts[:, 1], (-kk, n + kk))  # s is sorted by j, then i
     pts = pts[lo:hi]
-    pts = pts.compress((pts[:, 0] >= -kk) & (pts[:, 0] < m + kk), axis=0).astype(np.int64, copy=False)
+    pts = pts.compress((pts[:, 0] >= -kk) & (pts[:, 0] < m + kk), axis=0)
     w = n + 4 * kk
     diff = np.zeros((m + 4 * kk + 1, w), dtype=np.int32)
     dj = np.arange(-kk, kk + 1)[:, None]
@@ -129,7 +129,7 @@ def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport
     uncovered = VertexSet.empty()
     if freqs[0]:
         uj, ui = np.divmod(np.flatnonzero(mult.T == 0), dims.m)  # j*m + i: row-major, as VertexSet requires
-        uncovered = VertexSet(np.column_stack((ui, uj)).astype(np.int64, copy=False))
+        uncovered = VertexSet(np.column_stack((ui, uj)))
     histogram = {c: f for c, f in enumerate(freqs.tolist()) if f}
     return CoverageReport(covered, uncovered, histogram)
 

@@ -6,13 +6,12 @@ fibers of this map are perfect Lee codes of Z^2: the radius-k balls around
 the fiber's points tile the plane.  This module provides the map, fiber
 enumeration inside finite boxes, and the closed-form fiber count.
 
-A vertex set is one (N, 2) array of (i, j) rows, deduplicated and sorted
-row-major (VertexSet).  Within the documented envelope (k <= 2000, box
-sides <= 2**31, enforced at construction time) every coordinate the
-construction and the verifier produce fits int64, and modular products
-are reduced first so they stay below p^2 < 2**46.  A set built from
-coordinates beyond int64 is held as an object array of Python integers;
-the same sorting and masking code serves it.
+A vertex set is one (N, 2) int64 array of (i, j) rows, deduplicated and
+sorted row-major (VertexSet).  Sets and boxes refuse a coordinate with
+|c| >= COORD_LIMIT = 2**62, so the difference of two coordinates fits
+int64.  The documented envelope (k <= 2000, box sides <= 2**31, enforced
+at construction time) lies far inside it, and modular products are
+reduced first so they stay below p^2 < 2**46.
 """
 from __future__ import annotations
 
@@ -27,6 +26,8 @@ from .errors import DomainError
 
 MAX_RADIUS = 2000
 MAX_BOX_SIDE = 2 ** 31
+COORD_LIMIT = 2 ** 62
+OUT_OF_RANGE = "vertex coordinates must satisfy |c| < 2**62"
 
 
 def integers(*values) -> bool:
@@ -101,7 +102,7 @@ class Residue(Validated, namedtuple("Residue", "value modulus")):
 
 
 class Box(Validated, namedtuple("Box", "i_lo i_hi j_lo j_hi")):
-    """Axis-aligned integer rectangle [i_lo, i_hi] x [j_lo, j_hi], inclusive."""
+    """Axis-aligned integer rectangle [i_lo, i_hi] x [j_lo, j_hi], inclusive, within +-COORD_LIMIT."""
 
     __slots__ = ()
 
@@ -112,6 +113,8 @@ class Box(Validated, namedtuple("Box", "i_lo i_hi j_lo j_hi")):
             raise DomainError(
                 f"empty box [{self.i_lo},{self.i_hi}]x[{self.j_lo},{self.j_hi}]"
             )
+        if min(self.i_lo, self.j_lo) <= -COORD_LIMIT or max(self.i_hi, self.j_hi) >= COORD_LIMIT:
+            raise DomainError(f"box bounds must satisfy |c| < 2**62, got {self!r}")
         if self.width > MAX_BOX_SIDE or self.height > MAX_BOX_SIDE:
             raise DomainError(f"box side exceeds the supported cap {MAX_BOX_SIDE}")
 
@@ -129,10 +132,10 @@ class Box(Validated, namedtuple("Box", "i_lo i_hi j_lo j_hi")):
 
 
 def _as_pairs(points) -> np.ndarray:
-    """The points as an (N, 2) array of (i, j) rows, int64 unless a coordinate overflows it.
+    """The points as an (N, 2) int64 array of (i, j) rows.
 
-    Raises TypeError on a bool coordinate, and through operator.index on
-    one that is not an integer.
+    Raises TypeError on a bool coordinate, through operator.index on one
+    that is not an integer, and DomainError on one that int64 cannot hold.
     """
     pts = points.tolist() if isinstance(points, np.ndarray) else list(points)
     try:
@@ -150,22 +153,24 @@ def _as_pairs(points) -> np.ndarray:
     try:
         return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
     except OverflowError:
-        return np.array(flat, dtype=object).reshape(-1, 2)
+        raise DomainError(OUT_OF_RANGE) from None
 
 
 def canonical_order(pairs: np.ndarray) -> np.ndarray:
     """Indices that sort (i, j) rows row-major: ascending j, then ascending i; stable.
 
-    One stable argsort of the key (j - j_min) w + (i - i_min), w the column
-    span; the key is built from Python ints when it could pass 2**63.
+    Raises DomainError if |c| >= COORD_LIMIT, which the extremes show for free.  One stable argsort
+    of the key (j - j_min) w + (i - i_min) while the spans give h w < 2**63; np.lexsort, slower, past that.
     """
     if not len(pairs):
         return np.arange(0)
     i, j = pairs[:, 0], pairs[:, 1]
-    i_lo, j_lo = int(i.min()), int(j.min())
-    w = int(i.max()) - i_lo + 1
-    if (int(j.max()) - j_lo + 1) * w >= 2 ** 63:
-        i, j = i.astype(object), j.astype(object)
+    i_lo, i_hi, j_lo, j_hi = int(i.min()), int(i.max()), int(j.min()), int(j.max())
+    if min(i_lo, j_lo) <= -COORD_LIMIT or max(i_hi, j_hi) >= COORD_LIMIT:
+        raise DomainError(OUT_OF_RANGE)
+    w = i_hi - i_lo + 1
+    if (j_hi - j_lo + 1) * w >= 2 ** 63:
+        return np.lexsort((i, j))
     return np.argsort((j - j_lo) * w + (i - i_lo), kind="stable")
 
 
@@ -180,17 +185,19 @@ def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
 class VertexSet:
     """A deduplicated vertex set in canonical row-major order.
 
-    The set is one read-only (N, 2) array of (i, j) rows, sorted by j and
-    then by i.  Its dtype is int64, or object where a coordinate does not
-    fit int64.  `points` and iteration build LatticePoint views of it on
-    first use.  Build sets with from_iterable; the constructor takes an
-    array that is already canonical.  Copying and unpickling go through
-    the constructor, so the copy is read-only too.
+    The set is one read-only (N, 2) int64 array of (i, j) rows, sorted by
+    j and then by i, every |c| < COORD_LIMIT.  `points` and iteration
+    build LatticePoint views of it on first use.  Build sets with
+    from_iterable; the constructor takes an array that is already
+    canonical and refuses any dtype but int64.  Copying and unpickling
+    go through the constructor, so the copy is read-only too.
     """
 
     __slots__ = ("array", "_points")
 
     def __init__(self, array: np.ndarray):
+        if array.dtype != np.int64:  # __hash__ reads the bytes, so equal sets must share a dtype
+            raise DomainError(f"a vertex set is an int64 array, got {array.dtype}")
         array.flags.writeable = False
         self.array = array
         self._points = None
@@ -199,8 +206,8 @@ class VertexSet:
     def from_iterable(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "VertexSet":
         """Canonicalize (i, j) pairs, or an (N, 2) array of them: dedupe and sort row-major.
 
-        Raises DomainError if an item is not a pair or a coordinate is a bool
-        or not an integer; 1.9, Fraction(1, 2) and float arrays are never truncated.
+        Raises DomainError if an item is not a pair or a coordinate is a bool, not an integer or
+        past COORD_LIMIT; 1.9, Fraction(1, 2) and float arrays are never truncated.
         """
         try:
             pairs = _as_pairs(points)
@@ -231,7 +238,7 @@ class VertexSet:
         return self.array.shape == other.array.shape and bool((self.array == other.array).all())
 
     def __hash__(self) -> int:
-        return hash(tuple(self.array.ravel().tolist()))
+        return hash(self.array.tobytes())
 
     def __reduce__(self):
         return type(self), (self.array,)
@@ -269,8 +276,6 @@ def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:
     pairs[:, 0] -= np.repeat(starts, hits)
     pairs[:, 0] *= p
     pairs[:, 0] += np.repeat(first, hits)
-    if min(box.i_lo, box.j_lo) < -(2 ** 63) or max(box.i_hi, box.j_hi) >= 2 ** 63:
-        pairs = pairs.astype(object)
     pairs += (box.i_lo, box.j_lo)
     return VertexSet(pairs)
 

@@ -363,6 +363,14 @@ def test_render_refuses_a_grid_beyond_the_dense_cap_in_both_formats(tmp_path, ca
     assert out == "" and err.count("300000x300000 at k=1 needs") == 2
 
 
+def test_verify_exits_2_on_a_coordinate_past_the_limit(tmp_path, capsys):
+    path = make_file(tmp_path, f"kdom v1\n1 3 3 2\n{2 ** 62 - 1} 0\n0 0\n")
+    assert main(["verify", path]) == 1  # the point is far off the grid, so 8 cells are uncovered
+    path = make_file(tmp_path, f"kdom v1\n1 3 3 2\n{2 ** 62} 0\n0 0\n")
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().err == "vertex coordinates must satisfy |c| < 2**62\n"
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["verify", "/nonexistent/path.kdom"]) == 2
 

@@ -19,7 +19,7 @@ from kdom import (
 )
 from kdom import gridmodel
 from kdom.gridmodel import MAX_DENSE_CELLS, _multiplicity, check_dense_size
-from kdom.lattice import MAX_RADIUS
+from kdom.lattice import COORD_LIMIT, MAX_RADIUS
 
 
 def bfs_distance(m, n, a, b):
@@ -249,8 +249,8 @@ def test_multiplicity_is_a_view_of_its_own_difference_array():
         assert not np.shares_memory(mult, again)
 
 
-def test_coordinates_beyond_int64_are_ignored():
-    pts = VertexSet.from_iterable([(1, 1), (10 ** 30, 0), (0, -(10 ** 30))])
+def test_coordinates_at_the_limit_are_ignored():
+    pts = VertexSet.from_iterable([(1, 1), (COORD_LIMIT - 1, 0), (0, 1 - COORD_LIMIT)])
     rep = verify_domination(GridDims(3, 3), Radius(1), pts)
     assert [tuple(q) for q in rep.uncovered] == brute_uncovered(3, 3, 1, [(1, 1)])
 

@@ -20,7 +20,9 @@ from kdom import (
     phi,
     verify_domination,
 )
-from kdom.lattice import canonical_order, fiber_counts_in_box
+from kdom.lattice import COORD_LIMIT, canonical_order, fiber_counts_in_box
+
+TOP = COORD_LIMIT - 1  # the largest coordinate a set or a box may hold; -TOP the smallest
 
 
 @pytest.mark.parametrize("k,p", [(1, 5), (2, 13), (3, 25)])
@@ -166,13 +168,19 @@ def test_fiber_counts_in_box_match_per_residue_counts():
         j_lo = rng.randint(-80, 40)
         # heights past p exercise the whole-period shortcut
         cases.append((k, Box(i_lo, i_lo + rng.randint(0, 3 * k.p), j_lo, j_lo + rng.randint(0, 3 * k.p))))
-    # corners at and past the int64 limits, which inverse_image_in_box accepts too
-    cases += [(Radius(1), Box(2 ** 63 - 10, 2 ** 63 - 8, 4, 4)), (Radius(1), Box(10 ** 30, 10 ** 30 + 2, 0, 0))]
-    for edge in (2 ** 63, -2 ** 63, 10 ** 30, -10 ** 30):
+    # corners at the coordinate limit, which inverse_image_in_box accepts too
+    cases += [(Radius(1), Box(TOP - 2, TOP, 4, 4)), (Radius(1), Box(-TOP, 2 - TOP, 0, 0))]
+
+    def near(edge, span):
+        """The low end of a span-long side that lies within 3p + 40 of edge, inside the limit."""
+        return edge - span - rng.randint(0, 3 * k.p + 40) if edge > 0 else edge + rng.randint(0, 3 * k.p + 40)
+
+    for edge in (TOP, -TOP):
         for _ in range(20):
             k = Radius(rng.randint(1, 5))
-            i_lo, j_lo = edge + rng.randint(-3 * k.p, 3 * k.p), rng.choice((0, edge)) + rng.randint(-40, 40)
-            cases.append((k, Box(i_lo, i_lo + rng.randint(0, 3 * k.p), j_lo, j_lo + rng.randint(0, 3 * k.p))))
+            w, h = rng.randint(0, 3 * k.p), rng.randint(0, 3 * k.p)
+            i_lo, j_lo = near(edge, w), rng.choice((rng.randint(-40, 40), near(edge, h)))
+            cases.append((k, Box(i_lo, i_lo + w, j_lo, j_lo + h)))
     for k, box in cases:
         counts = fiber_counts_in_box(k, box)
         assert counts.tolist() == [count_in_box(k, Residue(v, k.p), box) for v in range(k.p)]
@@ -275,10 +283,7 @@ def test_vertexset_canonical():
     assert repr(VertexSet.from_iterable([(3, -1)])) == "VertexSet([LatticePoint(i=3, j=-1)])"
 
 
-_coordinate = st.one_of(
-    st.integers(-40, 40),
-    st.sampled_from([10 ** 30, -(10 ** 30), 2 ** 63 - 1, -(2 ** 63), 2 ** 63]),
-)
+_coordinate = st.one_of(st.integers(-40, 40), st.sampled_from([TOP, -TOP, TOP - 1]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,8 +296,7 @@ def test_from_iterable_is_sorted_set(pts):
     assert all(type(q) is LatticePoint and type(q.i) is type(q.j) is int for q in from_list.points)
     assert len(from_list) == len(want)
     assert all(q in from_list for q in pts)
-    dtype = object if any(abs(c) >= 2 ** 62 for q in pts for c in q) else np.int64
-    from_array = VertexSet.from_iterable(np.array(pts, dtype=dtype).reshape(-1, 2))
+    from_array = VertexSet.from_iterable(np.array(pts, dtype=np.int64).reshape(-1, 2))
     assert from_array == from_list
     assert hash(from_array) == hash(from_list)
     assert from_array.array.tolist() == [list(q) for q in want]
@@ -304,20 +308,24 @@ def _canonical_order_cases():
         a = rng.integers(-span, span + 1, size=(size, 2))
         yield np.concatenate((a, a[rng.integers(0, size, size=size // 2 + 1)]))  # repeated rows
     yield np.zeros((0, 2), dtype=np.int64)
+    # Python ints past the limit, which canonical_order refuses whatever their span
     yield np.array([(10 ** 30, 1), (-(10 ** 30), 1), (5, -(2 ** 70)), (5, 1), (10 ** 30, 1)], dtype=object)
     yield np.array([(2 ** 63, 7), (2 ** 63 + 2, 7), (2 ** 63, 6), (2 ** 63, 7)], dtype=object)  # small span
-    # int64 coordinates whose key (j - j_min) w + (i - i_min) would pass 2**63
-    top, bottom = 2 ** 63 - 1, -(2 ** 63)
-    yield np.array([(top, 0), (bottom, 1), (0, 1), (bottom, 0), (top, 1), (0, 0), (bottom, 0)], dtype=np.int64)
-    yield np.array([(0, top), (0, bottom), (1, 0), (0, bottom), (1, top), (-1, 0)], dtype=np.int64)
-    yield np.array([(0, 0), (2 ** 62 - 1, 1), (0, 1), (2 ** 62 - 1, 0), (0, 0)], dtype=np.int64)  # h w = 2**63
-    yield np.array([(top, 3), (0, 3), (5, 3), (0, 3)], dtype=np.int64)  # w = 2**63 on one row
-    yield np.array([(0, 0), (2 ** 62 - 1, 0), (5, 0), (0, 0)], dtype=np.int64)  # h w = 2**62 fits
+    # coordinates at the limit, whose key (j - j_min) w + (i - i_min) would pass 2**63: np.lexsort sorts them
+    yield np.array([(TOP, 0), (-TOP, 1), (0, 1), (-TOP, 0), (TOP, 1), (0, 0), (-TOP, 0)], dtype=np.int64)
+    yield np.array([(0, TOP), (0, -TOP), (1, 0), (0, -TOP), (1, TOP), (-1, 0)], dtype=np.int64)
+    yield np.array([(0, 0), (TOP, 1), (0, 1), (TOP, 0), (0, 0)], dtype=np.int64)  # h w = 2**63
+    yield np.array([(TOP, 3), (0, 3), (5, 3), (-TOP, 3)], dtype=np.int64)  # w = 2**63 - 1 on one row: the key fits
+    yield np.array([(0, 0), (TOP, 0), (5, 0), (0, 0)], dtype=np.int64)  # h w = 2**62 fits
 
 
 @pytest.mark.parametrize("pairs", list(_canonical_order_cases()), ids=lambda a: f"{a.dtype}-{len(a)}")
 def test_canonical_order_is_lexsort_permutation(pairs):
     # the identical permutation: load_setfile relies on ties keeping file order
+    if pairs.dtype == object:
+        with pytest.raises(DomainError, match=r"\|c\| < 2\*\*62"):
+            canonical_order(pairs)
+        return
     order = canonical_order(pairs)
     assert order.dtype == np.intp
     assert order.tolist() == np.lexsort((pairs[:, 0], pairs[:, 1])).tolist()
@@ -338,8 +346,8 @@ def test_vertexset_equality_is_by_content():
 @given(
     k=st.integers(1, 4),
     ell=st.integers(0, 10 ** 6),
-    i_lo=st.one_of(st.integers(-60, 60), st.sampled_from([10 ** 30, -(10 ** 30), 2 ** 63 - 5])),
-    j_lo=st.one_of(st.integers(-60, 60), st.sampled_from([10 ** 30, -(10 ** 30)])),
+    i_lo=st.one_of(st.integers(-60, 60), st.sampled_from([-TOP, TOP - 45])),
+    j_lo=st.one_of(st.integers(-60, 60), st.sampled_from([-TOP, TOP - 45])),
     w=st.integers(0, 45),
     h=st.integers(0, 45),
 )
@@ -371,7 +379,7 @@ def test_from_iterable_rejects_items_that_are_not_pairs(items):
     np.array([[0.0, 1.0], [2.0, 2.0]]),
     [(float("inf"), 0)],
     [(0, float("nan"))],
-    [(10 ** 30, 0), (1.5, 0)],  # a float after an int64 overflow
+    [(10 ** 30, 0), (1.5, 0)],  # a float after a coordinate past the limit: the type error wins
     [("1", "2")],
     [(True, 0)],  # a bool is not read as 1
     np.array([[True, False]]),
@@ -381,9 +389,30 @@ def test_from_iterable_rejects_coordinates_that_are_not_integers(points):
         VertexSet.from_iterable(points)
 
 
+@pytest.mark.parametrize("edge", [COORD_LIMIT, -COORD_LIMIT, 2 ** 63, -(2 ** 63) - 1, 10 ** 30])
+def test_from_iterable_takes_the_limit_and_refuses_past_it(edge):
+    inside = [(TOP, -TOP), (0, 0), (-TOP, TOP)]
+    assert VertexSet.from_iterable(inside).array.tolist() == [[TOP, -TOP], [0, 0], [-TOP, TOP]]
+    assert VertexSet.from_iterable(np.array(inside)) == VertexSet.from_iterable(inside)
+    for pts in ([(edge, 0), (0, 0)], [(0, 0), (1, edge)]):
+        with pytest.raises(DomainError, match=r"\|c\| < 2\*\*62"):
+            VertexSet.from_iterable(pts)
+        if abs(edge) < 2 ** 63:  # an array that int64 holds
+            with pytest.raises(DomainError, match=r"\|c\| < 2\*\*62"):
+                VertexSet.from_iterable(np.array(pts, dtype=np.int64))
+
+
+def test_box_takes_the_limit_and_refuses_past_it():
+    assert Box(TOP - 4, TOP, -TOP, 3 - TOP).area == 20
+    for bounds in ((COORD_LIMIT - 4, COORD_LIMIT, 0, 0), (-COORD_LIMIT, 1 - COORD_LIMIT, 0, 0),
+                   (0, 0, COORD_LIMIT, COORD_LIMIT), (0, 0, -COORD_LIMIT, 3 - COORD_LIMIT)):
+        with pytest.raises(DomainError, match=r"\|c\| < 2\*\*62"):
+            Box(*bounds)
+
+
 def test_from_iterable_never_truncates_a_coordinate():
     # (1.9, 1.9) once became (1, 1), and 3x3 k=1 then reported 4 uncovered cells
     with pytest.raises(DomainError):
         verify_domination(GridDims(3, 3), Radius(1), VertexSet.from_iterable([(1.9, 1.9)]))
-    got = VertexSet.from_iterable([(np.int64(4), 1), (10 ** 30, np.int32(-2))])
-    assert got.array.tolist() == [[10 ** 30, -2], [4, 1]]
+    got = VertexSet.from_iterable([(np.int64(4), 1), (TOP, np.int32(-2))])
+    assert got.array.tolist() == [[TOP, -2], [4, 1]]

@@ -9,7 +9,7 @@ from kdom import SetFileError, VertexSet
 from kdom.cli import KNOWN_FLAGS, SetFile, load_setfile, save_setfile
 
 TOKENS = ("0", "1", "2", "5", "-1", "1_000", "+3", "007", "١", str(2 ** 63),
-          str(-2 ** 63 - 1), "1.5", "x", "#")
+          str(-2 ** 63 - 1), str(2 ** 62 - 1), str(-2 ** 62), "1.5", "x", "#")
 FLAG_LINES = ("# projected", "#projected", "# no-corner-removal", "  # projected ",
               "# mystery", "#", "#x y")
 BLANK_LINES = ("", "   ", "\t", "　")
@@ -37,6 +37,8 @@ def reference_load(text):
                 pairs.append((int(tokens[0]), int(tokens[1])))
             except ValueError:
                 raise SetFileError(f"non-integer coordinate in {line.strip()!r}") from None
+    if any(abs(c) >= 2 ** 62 for pair in pairs for c in pair):
+        raise SetFileError("vertex coordinates must satisfy |c| < 2**62")
     if len(pairs) != count:
         raise SetFileError(f"header count {count} != {len(pairs)} body lines")
     seen = set()
@@ -104,7 +106,8 @@ def test_load_setfile_agrees_with_the_reference_reader(monkeypatch):
     texts += [
         "kdom v1\n1 2 2 0\n",  # no body, and a body of flags only: loadtxt would warn
         "kdom v1\n1 2 2 0\n# projected\n\n#no-corner-removal\n  \n",
-        f"kdom v1\n1 3 3 3\n1_000 +3\n007 ١\n{2 ** 63} 0\n",  # int() reads all of these
+        f"kdom v1\n1 3 3 3\n1_000 +3\n007 ١\n{2 ** 62 - 1} 0\n",  # int() reads all of these
+        f"kdom v1\n1 3 3 3\n1_000 +3\n007 ١\n{2 ** 63} 0\n",  # and the bound refuses the last
     ]
     results = [(outcome(load_setfile, t), outcome(reference_load, t)) for t in texts]
     for text, (got, want) in zip(texts, results):
@@ -122,3 +125,13 @@ def test_float_text_is_refused_with_warnings_ignored(token):
         warnings.simplefilter("ignore")
         with pytest.raises(SetFileError, match="non-integer coordinate"):
             load_setfile(f"kdom v1\n1 3 3 2\n0 0\n{token} 2\n")
+
+
+@pytest.mark.parametrize("i", [2 ** 62, -(2 ** 62), 2 ** 63, 10 ** 30], ids=["2**62", "-2**62", "2**63", "10**30"])
+def test_load_setfile_takes_the_limit_and_refuses_past_it(i):
+    top = 2 ** 62 - 1
+    inside = load_setfile(f"kdom v1\n1 3 3 3\n{top} 0\n0 {-top}\n+1 1\n")
+    assert inside.points.array.tolist() == [[0, -top], [top, 0], [1, 1]]
+    for body in (f"{i} 0\n0 0\n", f"0 0\n0_0 {i}\n"):  # numpy's parse (while int64 holds i), then the line loop
+        with pytest.raises(SetFileError, match=r"\|c\| < 2\*\*62"):
+            load_setfile(f"kdom v1\n1 3 3 2\n{body}")

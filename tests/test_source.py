@@ -68,3 +68,20 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(exported - read - {"path_gamma", "phi"}) == []
+
+
+def test_no_module_builds_an_object_array():
+    # every vertex set is one int64 array; an object array of Python ints would be a second form
+    def is_object(node):
+        return (getattr(node, "id", None) == "object" or getattr(node, "attr", None) == "object_"
+                or getattr(node, "value", None) in ("object", "O"))
+
+    found = []
+    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func, dtypes = node.func, [kw.value for kw in node.keywords if kw.arg == "dtype"]
+                if isinstance(func, ast.Attribute) and (func.attr == "astype" or getattr(func.value, "id", None) == "np"):
+                    dtypes += node.args  # astype's dtype, or a numpy call's positional one
+                found += [f"{path.name}:{node.lineno}" for arg in dtypes if is_object(arg)]
+    assert found == []

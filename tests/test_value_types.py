@@ -2,6 +2,7 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from kdom import (
@@ -16,9 +17,11 @@ from kdom import (
     comparison_table,
     construct,
     exact_gamma,
+    inverse_image_in_box,
     verify_domination,
 )
-from kdom.cli import SetFile
+from kdom.cli import SetFile, load_setfile
+from kdom.lattice import COORD_LIMIT
 
 
 def _values():
@@ -64,6 +67,7 @@ def test_value_types_are_tuples_that_survive_pickle_and_copy(value):
     (Radius(2), "k", 2.0, DomainError),
     (Residue(0, 13), "modulus", 0, DomainError),
     (Box(0, 3, 0, 3), "i_hi", 2 ** 31, DomainError),
+    (Box(0, 3, 0, 3), "j_lo", -(2 ** 62), DomainError),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_validated_types_reject_the_same_fields_on_every_path(good, field, bad, error):
     cls = type(good)
@@ -82,8 +86,8 @@ def test_validated_types_reject_the_same_fields_on_every_path(good, field, bad, 
         assert str(built.value) == message
 
 
-@pytest.mark.parametrize("points", [[(1, -2), (0, 5)], [(2 ** 63, 0), (-(10 ** 30), 1)]],
-                         ids=["int64", "object"])
+@pytest.mark.parametrize("points", [[(1, -2), (0, 5)], [(COORD_LIMIT - 1, 0), (1 - COORD_LIMIT, 1)]],
+                         ids=["int64", "limit"])
 def test_vertex_set_copies_and_unpickles_read_only(points):
     # a copy goes through the constructor, so a caller cannot break its order and hash
     vs = VertexSet.from_iterable(points)
@@ -93,3 +97,29 @@ def test_vertex_set_copies_and_unpickles_read_only(points):
         assert not back.array.flags.writeable
         with pytest.raises(ValueError):
             back.array[0, 0] = 99
+
+
+def test_every_vertex_set_the_library_builds_is_int64():
+    # one representation: __hash__ hashes the array's bytes, which only int64 rows make canonical
+    dims, k = GridDims(27, 27), Radius(2)
+    built, trace = construct(dims, k)
+    sets = [
+        VertexSet.empty(),
+        VertexSet.from_iterable([]),
+        VertexSet.from_iterable([(3, -1), (COORD_LIMIT - 1, 2)]),
+        inverse_image_in_box(k, Residue(5, 13), Box(1 - COORD_LIMIT, 60 - COORD_LIMIT, -7, 40)),
+        load_setfile("kdom v1\n2 5 5 2\n4 4\n0 1\n").points,
+        load_setfile("kdom v1\n2 5 5 2\n+4 4\n0 1\n").points,  # the line-by-line reader
+        built,
+        trace.removed,
+        construct(GridDims(6, 6), Radius(3))[0],
+        verify_domination(dims, k, VertexSet.from_iterable([(13, 13)])).uncovered,
+        verify_domination(dims, k, built).uncovered,
+        exact_gamma(GridDims(3, 4), Radius(1)).witness,
+        exact_gamma(GridDims(4, 3), Radius(1)).witness,
+    ]
+    assert [(vs.array.dtype, vs.array.ndim) for vs in sets] == [(np.int64, 2)] * len(sets)
+    # the constructor refuses any other dtype, since __hash__ hashes the array's bytes
+    for dtype in (np.int32, np.uint64, object):
+        with pytest.raises(DomainError, match=f"int64 array, got {np.dtype(dtype)}"):
+            VertexSet(np.array([[1, 2]], dtype=dtype))
