@@ -16,9 +16,10 @@ floating point enters this module.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def base_set(dims: GridDims, k: Radius, ell: Residue) -> VertexSet:
 def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     """Clamp every point onto the grid box and dedupe."""
     n = dims.n
-    pts = np.clip(s.array, 0, (dims.m - 1, n - 1))
+    pts = np.minimum(np.maximum(s.array, 0), (dims.m - 1, n - 1))
     # Clamping i is monotone, so rows strictly inside the grid stay in order;
     # only the rows merged into row 0 and row n-1 need a sort before the dedupe.
     lo, hi = np.searchsorted(s.array[:, 1], (1, n - 1)) if n > 1 else (0, 0)
@@ -143,8 +144,8 @@ def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]
 
 
 class _CornerPlan(namedtuple("_CornerPlan", "removed moves")):
-    """One corner's edit, in real coordinates: remove one point (an (i, j)
-    tuple), and move others (a tuple of LatticePoint pairs, source first)."""
+    """One corner's edit, in real coordinates: remove one point (an (i, j) tuple) and move others,
+    an (N, 4) int64 array of (i, j, u, v) rows, source (i, j) first, sorted row-major by source."""
 
     __slots__ = ()
 
@@ -197,6 +198,19 @@ def _corner_moves(k: Radius, si: int, zj: int,
     return moves
 
 
+@functools.lru_cache(maxsize=256)
+def _frame_plan(corner: Corner, k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase, np.ndarray]:
+    """_corner_shape(k, si) and the moves, rotated by the corner's matrix and sorted row-major by
+    source: a read-only (N, 4) int64 array of (i, j, u, v) offsets from the frame origin (_corner)."""
+    ((a, b), (c, d)), _ = _ROTATIONS[corner]
+    zj, slope_l1, case = _corner_shape(k, si)
+    rotated = sorted((c * i + d * j, a * i + b * j, a * u + b * v, c * u + d * v)
+                     for (i, j), (u, v) in _corner_moves(k, si, zj, case).items())
+    moves = np.array([(i, j, u, v) for j, i, u, v in rotated], dtype=np.int64).reshape(-1, 4)
+    moves.flags.writeable = False
+    return zj, slope_l1, case, moves
+
+
 def _corner(corner: Corner, dims: GridDims, k: Radius, ell: Residue) -> tuple[CornerContext, _CornerPlan]:
     """One corner's context, in its frame, and its plan, in real coordinates.
 
@@ -207,10 +221,12 @@ def _corner(corner: Corner, dims: GridDims, k: Radius, ell: Residue) -> tuple[Co
     is the first code point from column -k on the north row of Y.  Along
     that row phi is linear in the frame's i, phi = origin + step * i
     (mod p) with step = (k+1)a + kc for the matrix's first column (a, c),
-    so si is one modular solve.  Every move is rotated with the integer
-    matrix, and one sort of plain (j, i, ...) tuples puts the sources in
-    row-major order.  _corner_step checks m, n > 2p; ell is mod p, since
-    its callers have built base_set(dims, k, ell), which checks that.
+    so si is one modular solve.  The plan's offsets from the frame origin
+    (x0, y0) are a pure function of (corner, k, si): _corner_shape,
+    _corner_moves and the rotation read nothing else.  So _frame_plan
+    memoizes them, read-only, and each call gets a translated copy; its
+    256 plans hold at most 2,352 moves each (k = 48, the largest k corner
+    removal reaches), about 19 MB.
     """
     kk, p = k.k, k.p
     ((a, b), (c, d)), (sx, sy) = _ROTATIONS[corner]
@@ -219,12 +235,9 @@ def _corner(corner: Corner, dims: GridDims, k: Radius, ell: Residue) -> tuple[Co
     x0, y0 = b * north + sx * (dims.m - 1), d * north + sy * (dims.n - 1)
     origin, step = (kk + 1) * x0 + kk * y0, (kk + 1) * a + kk * c
     si = (pow(step, -1, p) * (ell.value - origin) + kk) % p - kk
-    zj, slope_l1, case = _corner_shape(k, si)
-    rotated = sorted((c * i + d * j + y0, a * i + b * j + x0, a * u + b * v + x0, c * u + d * v + y0)
-                     for (i, j), (u, v) in _corner_moves(k, si, zj, case).items())
-    moves = tuple((LatticePoint(i, j), LatticePoint(u, v)) for j, i, u, v in rotated)
+    zj, slope_l1, case, moves = _frame_plan(corner, k, si)
     ctx = CornerContext(corner, LatticePoint(si, north), LatticePoint(-1, north + zj), slope_l1, case)
-    return ctx, _CornerPlan((a * si + x0, c * si + y0), moves)
+    return ctx, _CornerPlan((a * si + x0, c * si + y0), moves + (x0, y0, x0, y0))
 
 
 def _apply_plans(dims: GridDims, k: Radius, s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
@@ -237,23 +250,25 @@ def _apply_plans(dims: GridDims, k: Radius, s_set: VertexSet, plans: list[_Corne
     Only the two bands that hold every plan (_corner_step) are edited:
     Y's south p rows (j < p-k) and its north p rows (j >= n+k-p), which
     one binary search on the row column bounds.  The edit works on keys,
-    Y's row-major index (j+k)(m+2k) + (i+k), below 2**62 since Y's sides
-    are at most 2**31, so int64 holds it: deleted points are found by
-    binary search on the bands' keys, the targets' keys are added, and
+    Y's row-major index j(m+2k) + i, of magnitude below 2**63 since Y's
+    sides are at most 2**31, so int64 holds it: deleted points are found
+    by binary search on the bands' keys, the targets' keys are added, and
     one sort and one divmod give the edited bands back as points.  The
-    rest of the set is copied once, never sorted.
+    rest of the set is copied once, never sorted.  plans is not empty.
     """
-    kk, w, north = k.k, dims.m + 2 * k.k, dims.n + k.k - k.p
-    whole = s_set.array
-    lo, hi = np.searchsorted(whole[:, 1], (k.p - kk, north))
-    keys = (np.concatenate((whole[:lo], whole[hi:])) + kk) @ (1, w)
-    gone = [plan.removed for plan in plans] + [src for plan in plans for src, _ in plan.moves]
+    kk, p = k.k, k.p
+    w, north = dims.m + 2 * kk, dims.n + kk - p
+    whole, key = s_set.array, np.array((1, w))
+    lo, hi = np.searchsorted(whole[:, 1], (p - kk, north))
+    keys = np.concatenate((whole[:lo], whole[hi:])) @ key
+    removed, moves = zip(*plans)
+    moves = np.concatenate(moves)
     keep = np.ones(len(keys), dtype=bool)
-    keep[np.searchsorted(keys, [(i + kk) + (j + kk) * w for i, j in gone])] = False
-    added = np.array([(i + kk) + (j + kk) * w for plan in plans for _, (i, j) in plan.moves], dtype=np.int64)
-    j, i = np.divmod(np.sort(np.concatenate((keys[keep], added))), w)
-    edited = np.column_stack((i, j)) - kk
-    cut = np.searchsorted(j, north + kk)
+    keep[np.searchsorted(keys, np.concatenate((removed, moves[:, :2])) @ key)] = False
+    added = moves[:, 2:] @ key
+    j, i = np.divmod(np.sort(np.concatenate((keys[keep], added))) + kk, w)  # i + k lies in [0, m+2k)
+    edited = np.column_stack((i - kk, j))
+    cut = np.searchsorted(j, north)
     return VertexSet(np.concatenate((edited[:cut], whole[lo:hi], edited[cut:])))
 
 
@@ -263,18 +278,17 @@ def _corner_step(dims: GridDims, k: Radius,
 
     Corner plans exist only for m, n > 2p, where the four corners cannot
     interact, which is checked here, and for a residue mod p, which
-    base_set has checked before any call.  The rest is Python-int
-    arithmetic on the rotations' integer matrices, with no numpy call.  No
-    two plans touch the same point.  In its frame, with Y's north row at
-    j = 0, every point a plan removes, moves or fills lies in the p x p
-    window of columns -k..p-k-1 and rows -(p-1)..0: a steep scan stops at
-    z.j >= 1-p and lifts z to row z.j+1 <= 0; a shallow candidate moves
-    only if (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s lies
-    in column s.i within p rows, so east shifts end by column s.i.  In
-    real coordinates the windows lie in Y's columns, NW and NE in Y's
-    north p rows (j >= n+k-p), SW and SE in its south p rows (j < p-k).
-    The two bands are disjoint once n > 2p-2k-1, and the two windows
-    within a band once m > 2p-2k-1, both implied by m, n > 2p.
+    base_set has checked before any call.  No two plans touch the same
+    point.  In its frame, with Y's north row at j = 0, every point a plan
+    removes, moves or fills lies in the p x p window of columns -k..p-k-1
+    and rows -(p-1)..0: a steep scan stops at z.j >= 1-p and lifts z to
+    row z.j+1 <= 0; a shallow candidate moves only if
+    (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s lies in
+    column s.i within p rows, so east shifts end by column s.i.  In real
+    coordinates the windows lie in Y's columns, NW and NE in Y's north p
+    rows (j >= n+k-p), SW and SE in its south p rows (j < p-k).  The two
+    bands are disjoint once n > 2p-2k-1, and the two windows within a
+    band once m > 2p-2k-1, both implied by m, n > 2p.
     """
     p = k.p
     if dims.m <= 2 * p or dims.n <= 2 * p:
@@ -292,6 +306,8 @@ def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
     windows of _corner_step.
     """
     removed = sorted((plan.removed for plan in plans), key=lambda q: (q[1], q[0]))  # row-major
+    moves = np.concatenate([plan.moves for plan in plans]).reshape(-1, 2).tolist() if plans else []
+    points = map(tuple.__new__, repeat(LatticePoint), moves)  # source, target, source, ...
     return ConstructionTrace(
         dims=dims,
         k=k,
@@ -300,7 +316,7 @@ def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
         corner_removal_applied=contexts is not None,
         corner_cases=contexts,
         removed=VertexSet(np.fromiter(chain.from_iterable(removed), np.int64, 2 * len(removed)).reshape(-1, 2)),
-        shifted_pairs=tuple(move for plan in plans for move in plan.moves),
+        shifted_pairs=tuple(zip(points, points)),
         projection_merged=merged,
         final_size=len(final),
     )
@@ -360,8 +376,8 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     check_dense_size(dims, k)
     ell, _ = best_residue(dims, k)
     base = base_set(dims, k, ell)
-    contexts, plans = None, []
-    if dims.m > 2 * k.p and dims.n > 2 * k.p:
+    contexts, plans, p = None, [], k.p
+    if dims.m > 2 * p and dims.n > 2 * p:
         contexts, plans = _corner_step(dims, k, ell)
     shifted = _apply_plans(dims, k, base, plans) if plans else base
     projected = project_inward(dims, shifted)

@@ -259,11 +259,9 @@ def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:
     (c0 - r*k/(k+1)) mod p from i_lo and then every p columns, so one
     repeat over the rows lists the points already sorted.
     """
-    if ell.modulus != k.p:
-        raise DomainError(
-            f"residue modulus {ell.modulus} does not match p={k.p} for k={k.k}"
-        )
     kk, p = k.k, k.p
+    if ell.modulus != p:
+        raise DomainError(f"residue modulus {ell.modulus} does not match p={p} for k={kk}")
     inv = pow(kk + 1, -1, p)
     c0 = (inv * (ell.value - kk * box.j_lo) - box.i_lo) % p
     rows = np.arange(box.height, dtype=np.int64)
@@ -298,15 +296,8 @@ def fiber_counts_in_box(k: Radius, box: Box) -> np.ndarray:
     j = np.arange(rest, dtype=np.int64) + box.j_lo % p
     start = (box.i_lo % p + (inv * kk % p) * j) % p
     end = start + r
-    diff = np.zeros(p, dtype=np.int64)
-    np.add.at(diff, start, 1)
-    np.add.at(diff, end % p, -1)
+    diff = np.bincount(start, minlength=p) - np.bincount(end % p, minlength=p)
     diff[0] += np.count_nonzero(end >= p)  # intervals that wrap past p - 1
-    np.cumsum(diff, out=diff)
-    ell = np.arange(p, dtype=np.int64)
-    ell *= kk + 1
-    ell %= p
-    counts = np.empty(p, dtype=np.int64)
-    counts[ell] = diff
+    counts = np.cumsum(diff)[np.arange(p, dtype=np.int64) * inv % p]  # ell's count sits at u = ell/(k+1)
     counts += per_row * box.height + periods * r
     return counts

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from kdom.construction import (
     _corner_shape,
     _corner_step,
     _CornerPlan,
+    _frame_plan,
 )
 from kdom.lattice import COORD_LIMIT, phi
 
@@ -55,6 +55,11 @@ def _classify_corner(dims, k, ell, corner):
 def _corner_plan(ctx, dims, k, ell):
     """The plan of one classified corner, in real coordinates."""
     return _corner(ctx.corner, dims, k, ell)[1]
+
+
+def _plan_moves(pairs):
+    """A plan's moves array from (source, target) pairs, in the order given."""
+    return np.array([(*src, *dst) for src, dst in pairs], dtype=np.int64).reshape(-1, 4)
 
 
 def test_best_residue_uniform_when_side_is_p():
@@ -245,7 +250,7 @@ def test_corner_plans_lie_in_the_edge_bands_of_y():
             for v in range(p):
                 contexts, plans = _corner_step(dims, k, Residue(v, p))
                 for ctx, plan in zip(contexts, plans):
-                    points = np.array([plan.removed, *chain(*plan.moves)], dtype=np.int64)
+                    points = np.concatenate(([plan.removed], plan.moves.reshape(-1, 2)))
                     lo, hi = rows[ctx.corner]
                     assert (points.min(axis=0) >= (-kk, lo)).all(), (kk, m, n, v, ctx.corner)
                     assert (points.max(axis=0) <= (m + kk - 1, hi)).all(), (kk, m, n, v, ctx.corner)
@@ -257,6 +262,30 @@ def test_corner_plans_keep_domination_locally_up_to_k20():
     # corner removal (test_corner_removal_reaches_k48_and_no_further)
     for kk in range(1, 21):
         assert certify(kk)[2] == [], kk
+
+
+def test_a_cached_frame_plan_is_read_only():
+    # the memo hands one array to every caller, so no caller may write to it
+    for corner in CORNER_ORDER:
+        moves = _frame_plan(corner, K2, 1)[3]  # s.i = 1 at k = 2 is steep: z and the points above it move
+        assert len(moves)
+        with pytest.raises(ValueError, match="read-only"):
+            moves[0, 0] += 1
+        ctx, plan = _corner(corner, GridDims(30, 31), K2, Residue(0, 13))
+        plan.moves[:] = 0  # the plan _corner returns is a translated copy of the cached one
+        assert (_frame_plan(corner, K2, ctx.s.i)[3] != 0).any()
+
+
+def test_frame_plan_memo_stays_within_its_bound():
+    _frame_plan.cache_clear()
+    keys = [(corner, Radius(kk), si) for kk in range(1, 5) for si in range(-kk, Radius(kk).p - kk)
+            for corner in CORNER_ORDER]
+    assert len(keys) > 256
+    for corner, k, si in keys:
+        assert _frame_plan(corner, k, si)[:3] == _corner_shape(k, si)
+        assert _frame_plan.cache_info().currsize <= 256
+    info = _frame_plan.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (len(keys), 256, 256)
 
 
 def _explicit_maps(m, n):
@@ -476,9 +505,9 @@ def test_verification_failure_carries_uncovered(monkeypatch):
     # the steep moves of the NW corner, whose frame is the real plane
     north = ctx.s.j
     moves = _corner_moves(K2, ctx.s.i, ctx.z.j - north, CornerCase.STEEP_SLOPE)
-    steep = _CornerPlan(tuple(ctx.s), tuple(sorted(
-        ((LatticePoint(i, j + north), LatticePoint(u, v + north)) for (i, j), (u, v) in moves.items()),
-        key=lambda pair: (pair[0].j, pair[0].i))))
+    steep = _CornerPlan(tuple(ctx.s), _plan_moves(sorted(
+        (((i, j + north), (u, v + north)) for (i, j), (u, v) in moves.items()),
+        key=lambda pair: (pair[0][1], pair[0][0]))))
     corner_of = construction._corner
     monkeypatch.setattr(construction, "_corner",
                         lambda c, *args: (forged, steep) if c is Corner.NW else corner_of(c, *args))
@@ -493,8 +522,9 @@ def test_verification_failure_carries_uncovered(monkeypatch):
 
 def _reference_apply_plan(points, plan):
     """The set-based corner edit, kept as the reference for the array version."""
-    current = set(points) - {plan.removed, *(src for src, _ in plan.moves)}
-    return VertexSet.from_iterable(current | {dst for _, dst in plan.moves})
+    moves = plan.moves.tolist()
+    current = set(points) - {tuple(plan.removed), *((i, j) for i, j, _, _ in moves)}
+    return VertexSet.from_iterable(current | {(u, v) for _, _, u, v in moves})
 
 
 # Y's south band, rows -k..p-k-1 in Y's columns, holds every point of the random universes
@@ -515,7 +545,7 @@ def _fitting_plans(rng, universe, count):
     plans = []
     while inside and len(plans) < count:
         moves = min(rng.randint(0, 5), len(inside) - 1, len(outside))
-        plans.append(_CornerPlan(inside.pop(), tuple((inside.pop(), outside.pop()) for _ in range(moves))))
+        plans.append(_CornerPlan(inside.pop(), _plan_moves([(inside.pop(), outside.pop()) for _ in range(moves)])))
     return pts, plans
 
 
@@ -532,7 +562,7 @@ def test_apply_plan_matches_the_set_reference():
 
 def test_apply_plan_moves_a_source_onto_a_free_target():
     pts = VertexSet.from_iterable([(0, 0), (3, 0), (1, 2)])
-    moved = _apply_plans(_BAND_DIMS, _BAND_K, pts, [_CornerPlan(LatticePoint(0, 0), ((LatticePoint(3, 0), LatticePoint(0, 2)),))])
+    moved = _apply_plans(_BAND_DIMS, _BAND_K, pts, [_CornerPlan((0, 0), np.array([(3, 0, 0, 2)], dtype=np.int64))])
     assert list(moved) == [LatticePoint(0, 2), LatticePoint(1, 2)]
 
 
@@ -619,10 +649,10 @@ def test_remove_corners_matches_the_corner_by_corner_reference():
         plans = [_corner_plan(ctx, dims, k, ell) for ctx in trace.corner_cases]
         assert [ctx.corner for ctx in trace.corner_cases] == list(CORNER_ORDER)
         assert trace.removed == VertexSet.from_iterable(plan.removed for plan in plans)
-        assert trace.shifted_pairs == tuple(move for plan in plans for move in plan.moves)
+        assert trace.shifted_pairs == tuple(((i, j), (u, v)) for plan in plans for i, j, u, v in plan.moves.tolist())
         assert (trace.base_size, trace.final_size) == (len(base), len(out))
         # the plans are proved only for the base set, so any other set is refused
-        near = sorted({q for plan in plans for q in (plan.removed, *chain(*plan.moves))})
+        near = sorted({q for plan in plans for q in (plan.removed, *map(tuple, plan.moves.reshape(-1, 2).tolist()))})
         drops = tuple(rng.randrange(len(base)) for _ in range(rng.randint(0, 3)))
         adds = [rng.choice(near) if rng.random() < 0.5 else
                 (rng.randint(-2 * k.k, dims.m + 2 * k.k), rng.randint(-2 * k.k, dims.n + 2 * k.k))

@@ -13,6 +13,7 @@ import hashlib
 
 from kdom import GridDims, Radius, construct
 from kdom.cli import SetFile, main, save_setfile, trace_lines
+from kdom.construction import _frame_plan
 
 # (m, n, k): corner removal needs m, n > 2p (p = 5, 13, 25, 41, 61 for k = 1..5).
 GOLDEN_GRIDS = (
@@ -51,3 +52,18 @@ def test_table_csv_matches_the_golden_digest(capsys):
     for kk in (2, 3):
         assert main(["table", "--csv", "--build", "--k", str(kk)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TABLE_CSV_SHA256
+
+
+def test_digests_match_with_a_cold_and_a_warm_plan_memo(capsys):
+    # construct's corner plans come from a memo of _frame_plan; a hit must give what a miss builds
+    def table_csv():
+        for kk in (2, 3):
+            assert main(["table", "--csv", "--build", "--k", str(kk)]) == 0
+        return capsys.readouterr().out
+
+    for text, digest in ((golden_text, GOLDEN_SHA256), (table_csv, TABLE_CSV_SHA256)):
+        _frame_plan.cache_clear()
+        for memo in ("cold", "warm"):  # the warm run finds every plan in the memo
+            misses = _frame_plan.cache_info().misses
+            assert hashlib.sha256(text().encode()).hexdigest() == digest, memo
+            assert (_frame_plan.cache_info().misses > misses) == (memo == "cold"), memo
