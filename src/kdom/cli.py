@@ -326,24 +326,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="build a dominating set")
-    c.add_argument("-m", type=int, required=True)
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("-k", type=int, required=True)
+    def grid_command(name, func, help):
+        """A subcommand that takes -m, -n and -k."""
+        command = sub.add_parser(name, help=help)
+        for flag in ("-m", "-n", "-k"):
+            command.add_argument(flag, type=int, required=True)
+        command.set_defaults(func=func)
+        return command
+
+    c = grid_command("construct", cmd_construct, "build a dominating set")
     c.add_argument("-o", "--output", default=None, help="set file (default stdout)")
     c.add_argument("--trace", default=None, help="write the construction trace here")
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="check a set file for domination")
     v.add_argument("setfile")
     v.add_argument("--k", type=int, default=None, help="override the file's k")
     v.set_defaults(func=cmd_verify)
 
-    b = sub.add_parser("bound", help="print the closed-form bounds")
-    b.add_argument("-m", type=int, required=True)
-    b.add_argument("-n", type=int, required=True)
-    b.add_argument("-k", type=int, required=True)
-    b.set_defaults(func=cmd_bound)
+    grid_command("bound", cmd_bound, "print the closed-form bounds")
 
     t = sub.add_parser("table", help="bound comparison table")
     t.add_argument("--k", type=int, default=3)
@@ -354,14 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("-o", "--output", default=None)
     t.set_defaults(func=cmd_table)
 
-    e = sub.add_parser("exact", help="exact minimum for desk-scale grids")
-    e.add_argument("-m", type=int, required=True)
-    e.add_argument("-n", type=int, required=True)
-    e.add_argument("-k", type=int, required=True)
+    e = grid_command("exact", cmd_exact, "exact minimum for desk-scale grids")
     e.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="search-node budget (deterministic)")
     e.add_argument("--witness", action="store_true", help="print the witness points")
-    e.set_defaults(func=cmd_exact)
 
     r = sub.add_parser("render", help="draw a set file")
     r.add_argument("setfile")

@@ -19,7 +19,7 @@ import enum
 import functools
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .lattice import (
     VertexSet,
     fiber_counts_in_box,
     inverse_image_in_box,
-    repeats,
+    pairs_of_keys,
 )
 
 
@@ -111,14 +111,16 @@ def base_set(dims: GridDims, k: Radius, ell: Residue) -> VertexSet:
 
 def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     """Clamp every point onto the grid box and dedupe."""
-    n = dims.n
-    pts = np.minimum(np.maximum(s.array, 0), (dims.m - 1, n - 1))
-    # Clamping i is monotone, so rows strictly inside the grid stay in order;
-    # only the rows merged into row 0 and row n-1 need a sort before the dedupe.
-    lo, hi = np.searchsorted(s.array[:, 1], (1, n - 1)) if n > 1 else (0, 0)
-    for a, b in ((0, lo), (hi, len(pts))):
-        pts[a:b] = pts[a:b][np.argsort(pts[a:b, 0], kind="stable")]
-    return VertexSet(pts.compress(~repeats(pts), axis=0))
+    m, n, pts = dims.m, dims.n, s.array
+    # On row-major keys j*m + i < 2**62.  Clamping i is monotone, so rows strictly inside the grid
+    # stay in order; only the keys of the rows merged into row 0 and row n-1 need a sort.
+    lo, hi = pts[:, 1].searchsorted((1, n - 1)) if n > 1 else (0, 0)
+    keys = np.minimum(np.maximum(pts[:, 0], 0), m - 1)  # the keys of row 0
+    keys[lo:hi] += pts[lo:hi, 1] * m
+    keys[hi:] += (n - 1) * m
+    for a, b in ((0, lo), (hi, len(keys))):
+        keys[a:b] = keys[a:b][keys[a:b].argsort(kind="stable")]
+    return VertexSet(pairs_of_keys(np.concatenate((keys[:1], keys[1:].compress(keys[1:] != keys[:-1]))), m))
 
 
 def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]:
@@ -236,8 +238,9 @@ def _corner(corner: Corner, dims: GridDims, k: Radius, ell: Residue) -> tuple[Co
     origin, step = (kk + 1) * x0 + kk * y0, (kk + 1) * a + kk * c
     si = (pow(step, -1, p) * (ell.value - origin) + kk) % p - kk
     zj, slope_l1, case, moves = _frame_plan(corner, k, si)
-    ctx = CornerContext(corner, LatticePoint(si, north), LatticePoint(-1, north + zj), slope_l1, case)
-    return ctx, _CornerPlan((a * si + x0, c * si + y0), moves + (x0, y0, x0, y0))
+    s, z = tuple.__new__(LatticePoint, (si, north)), tuple.__new__(LatticePoint, (-1, north + zj))
+    ctx = tuple.__new__(CornerContext, (corner, s, z, slope_l1, case))
+    return ctx, tuple.__new__(_CornerPlan, ((a * si + x0, c * si + y0), moves + (x0, y0, x0, y0)))
 
 
 def _apply_plans(dims: GridDims, k: Radius, s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
@@ -250,25 +253,25 @@ def _apply_plans(dims: GridDims, k: Radius, s_set: VertexSet, plans: list[_Corne
     Only the two bands that hold every plan (_corner_step) are edited:
     Y's south p rows (j < p-k) and its north p rows (j >= n+k-p), which
     one binary search on the row column bounds.  The edit works on keys,
-    Y's row-major index j(m+2k) + i, of magnitude below 2**63 since Y's
-    sides are at most 2**31, so int64 holds it: deleted points are found
-    by binary search on the bands' keys, the targets' keys are added, and
-    one sort and one divmod give the edited bands back as points.  The
-    rest of the set is copied once, never sorted.  plans is not empty.
+    Y's row-major index j(m+2k) + i < 2**62 + 2**31 (Y's sides are at
+    most 2**31): each source's key becomes its target's, each removed
+    point's 2**63 - 1, and one sort (which puts those last, to be cut)
+    and one divmod give the edited bands back as points.  The rest of
+    the set is copied once, never sorted.  plans is not empty.
     """
     kk, p = k.k, k.p
     w, north = dims.m + 2 * kk, dims.n + kk - p
-    whole, key = s_set.array, np.array((1, w))
-    lo, hi = np.searchsorted(whole[:, 1], (p - kk, north))
-    keys = np.concatenate((whole[:lo], whole[hi:])) @ key
+    whole = s_set.array
+    lo, hi = whole[:, 1].searchsorted((p - kk, north))
+    keys = np.concatenate((whole[:lo], whole[hi:])) @ (1, w)
     removed, moves = zip(*plans)
-    moves = np.concatenate(moves)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[np.searchsorted(keys, np.concatenate((removed, moves[:, :2])) @ key)] = False
-    added = moves[:, 2:] @ key
-    j, i = np.divmod(np.sort(np.concatenate((keys[keep], added))) + kk, w)  # i + k lies in [0, m+2k)
-    edited = np.column_stack((i - kk, j))
-    cut = np.searchsorted(j, north)
+    moved = np.concatenate(moves).reshape(-1, 2) @ (1, w)  # source, target, source, ...
+    at = keys.searchsorted(np.array(removed) @ (1, w))
+    keys[keys.searchsorted(moved[::2])] = moved[1::2]
+    keys[at] = 2 ** 63 - 1
+    edited = pairs_of_keys(np.sort(keys)[:-len(plans)] + kk, w)  # i + k lies in [0, m+2k)
+    edited[:, 0] -= kk
+    cut = edited[:, 1].searchsorted(north)
     return VertexSet(np.concatenate((edited[:cut], whole[lo:hi], edited[cut:])))
 
 
@@ -308,18 +311,10 @@ def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
     removed = sorted((plan.removed for plan in plans), key=lambda q: (q[1], q[0]))  # row-major
     moves = np.concatenate([plan.moves for plan in plans]).reshape(-1, 2).tolist() if plans else []
     points = map(tuple.__new__, repeat(LatticePoint), moves)  # source, target, source, ...
-    return ConstructionTrace(
-        dims=dims,
-        k=k,
-        chosen_residue=ell,
-        base_size=len(base),
-        corner_removal_applied=contexts is not None,
-        corner_cases=contexts,
-        removed=VertexSet(np.fromiter(chain.from_iterable(removed), np.int64, 2 * len(removed)).reshape(-1, 2)),
-        shifted_pairs=tuple(zip(points, points)),
-        projection_merged=merged,
-        final_size=len(final),
-    )
+    return tuple.__new__(ConstructionTrace, (
+        dims, k, ell, len(base), contexts is not None, contexts,
+        VertexSet(np.array(removed, dtype=np.int64).reshape(-1, 2)),
+        tuple(zip(points, points)), merged, len(final)))
 
 
 def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,

@@ -27,6 +27,7 @@ from .lattice import (
     Validated,
     VertexSet,
     integers,
+    pairs_of_keys,
 )
 
 # The coverage kernel holds one (m+4k+1) x (n+4k) int32 difference array
@@ -128,8 +129,7 @@ def verify_domination(dims: GridDims, k: Radius, s: VertexSet) -> CoverageReport
     freqs[:2] = dims.area - covered, covered - len(excess)
     uncovered = VertexSet.empty()
     if freqs[0]:
-        uj, ui = np.divmod(np.flatnonzero(mult.T == 0), dims.m)  # j*m + i: row-major, as VertexSet requires
-        uncovered = VertexSet(np.column_stack((ui, uj)))
+        uncovered = VertexSet(pairs_of_keys(np.flatnonzero(mult.T == 0), dims.m))  # row-major, as VertexSet requires
     histogram = {c: f for c, f in enumerate(freqs.tolist()) if f}
     return CoverageReport(covered, uncovered, histogram)
 

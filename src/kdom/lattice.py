@@ -32,7 +32,7 @@ OUT_OF_RANGE = "vertex coordinates must satisfy |c| < 2**62"
 
 def integers(*values) -> bool:
     """True iff every value is an int and none is a bool."""
-    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+    return all(type(v) is int or isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
 class LatticePoint(namedtuple("LatticePoint", "i j")):
@@ -174,6 +174,13 @@ def canonical_order(pairs: np.ndarray) -> np.ndarray:
     return np.argsort((j - j_lo) * w + (i - i_lo), kind="stable")
 
 
+def pairs_of_keys(keys: np.ndarray, w: int) -> np.ndarray:
+    """The (i, j) rows of row-major keys j*w + i, 0 <= i < w."""
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, w, out=(pairs[:, 1], pairs[:, 0]))
+    return pairs
+
+
 def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
     """Mask of the rows of a canonically sorted array that equal the row before them."""
     mask = np.zeros(len(sorted_pairs), dtype=bool)
@@ -198,7 +205,7 @@ class VertexSet:
     def __init__(self, array: np.ndarray):
         if array.dtype != np.int64:  # __hash__ reads the bytes, so equal sets must share a dtype
             raise DomainError(f"a vertex set is an int64 array, got {array.dtype}")
-        array.flags.writeable = False
+        array.setflags(write=False)
         self.array = array
         self._points = None
 
@@ -263,18 +270,16 @@ def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:
     if ell.modulus != p:
         raise DomainError(f"residue modulus {ell.modulus} does not match p={p} for k={kk}")
     inv = pow(kk + 1, -1, p)
+    back = p - inv * kk % p  # row j + 1's first hit lies back columns east of row j's, mod p
     c0 = (inv * (ell.value - kk * box.j_lo) - box.i_lo) % p
-    rows = np.arange(box.height, dtype=np.int64)
-    first = (c0 - (inv * kk % p) * (rows % p)) % p
-    hits = (box.width - 1 - first) // p + 1
-    starts = np.cumsum(hits) - hits
-    pairs = np.empty((int(hits.sum()), 2), dtype=np.int64)
-    pairs[:, 1] = np.repeat(rows, hits)
-    pairs[:, 0] = np.arange(len(pairs), dtype=np.int64)
-    pairs[:, 0] -= np.repeat(starts, hits)
-    pairs[:, 0] *= p
-    pairs[:, 0] += np.repeat(first, hits)
-    pairs += (box.i_lo, box.j_lo)
+    first = np.arange(c0, c0 + back * box.height, back, dtype=np.int64) % p
+    hits = (box.width - 1 + p - first) // p
+    ends = hits.cumsum()
+    first += box.i_lo - p * (ends - hits)  # the row's first column, less p per point listed before it
+    pairs = np.empty((int(ends[-1]), 2), dtype=np.int64)
+    pairs[:, 1] = np.arange(box.j_lo, box.j_hi + 1, dtype=np.int64).repeat(hits)
+    pairs[:, 0] = np.arange(0, len(pairs) * p, p, dtype=np.int64)
+    pairs[:, 0] += first.repeat(hits)
     return VertexSet(pairs)
 
 
@@ -293,11 +298,12 @@ def fiber_counts_in_box(k: Radius, box: Box) -> np.ndarray:
     inv = pow(kk + 1, -1, p)
     per_row, r = divmod(box.width, p)
     periods, rest = divmod(box.height, p)
-    j = np.arange(rest, dtype=np.int64) + box.j_lo % p
-    start = (box.i_lo % p + (inv * kk % p) * j) % p
+    step = inv * kk % p
+    c0 = box.i_lo % p + step * (box.j_lo % p)
+    start = np.arange(c0, c0 + step * rest, step, dtype=np.int64) % p
     end = start + r
     diff = np.bincount(start, minlength=p) - np.bincount(end % p, minlength=p)
     diff[0] += np.count_nonzero(end >= p)  # intervals that wrap past p - 1
-    counts = np.cumsum(diff)[np.arange(p, dtype=np.int64) * inv % p]  # ell's count sits at u = ell/(k+1)
+    counts = diff.cumsum()[np.arange(0, p * inv, inv) % p]  # ell's count sits at u = ell/(k+1)
     counts += per_row * box.height + periods * r
     return counts

@@ -2,7 +2,10 @@
 CSV, must not change.
 
 GOLDEN_SHA256 was computed from the set-file text and the trace lines
-of `construct` on GOLDEN_GRIDS.  Any change to the chosen residue, the
+of `construct` on GOLDEN_GRIDS, and SWEEP_SHA256 the same way on
+SWEEP_GRIDS, the 169 grids 27..39 squared at k = 2 of the benchmark's
+sweep workload: every (m mod p, n mod p) pair, so every k = 2 corner
+configuration, which GOLDEN_GRIDS do not all reach.  Any change to the chosen residue, the
 corner plans, the projection, the point order or the file format changes
 it.  TABLE_CSV_SHA256 is the digest of `kdom table --csv --build` at
 k = 2 and then k = 3.  If an output change is intended, recompute the
@@ -24,13 +27,16 @@ GOLDEN_GRIDS = (
     (123, 124, 5), (130, 127, 5), (70, 71, 5), (1, 200, 5),
 )
 
+SWEEP_GRIDS = tuple((m, n, 2) for m in range(27, 40) for n in range(27, 40))
+
 GOLDEN_SHA256 = "a2fb403ac08fd0388534fa7b8cde161c8b2f7bfe1f424a9300244042db0b9e74"
+SWEEP_SHA256 = "c94a5f8dadefdcf417e4dc5f9ea528e6b950f333c71783b06a66a14e1eb6fdf0"
 TABLE_CSV_SHA256 = "90538857bf42cbb8c5bd758320ce6269981fb84d96fa052ec17096e8e974a8e1"
 
 
-def golden_text() -> str:
+def golden_text(grids=GOLDEN_GRIDS) -> str:
     parts = []
-    for m, n, kk in GOLDEN_GRIDS:
+    for m, n, kk in grids:
         pts, trace = construct(GridDims(m, n), Radius(kk))
         flags = ("projected",) if trace.corner_removal_applied else ("projected", "no-corner-removal")
         parts.append(save_setfile(SetFile(kk, m, n, pts, flags)))
@@ -46,6 +52,12 @@ def test_golden_grids_cover_every_path():
 
 def test_construct_outputs_match_the_golden_digest():
     assert hashlib.sha256(golden_text().encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_sweep_grids_match_their_digest():
+    p = Radius(2).p
+    assert {(m % p, n % p) for m, n, _ in SWEEP_GRIDS} == {(a, b) for a in range(p) for b in range(p)}
+    assert hashlib.sha256(golden_text(SWEEP_GRIDS).encode()).hexdigest() == SWEEP_SHA256
 
 
 def test_table_csv_matches_the_golden_digest(capsys):

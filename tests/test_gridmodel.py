@@ -12,6 +12,8 @@ from kdom import (
     Residue,
     VertexSet,
     DomainError,
+    base_set,
+    best_residue,
     inverse_image_in_box,
     is_dominating,
     neighborhood_box,
@@ -44,6 +46,19 @@ def test_neighborhood_box():
     assert b.area == 144
     assert neighborhood_box(GridDims(1, 1), Radius(1)).area == 9
     assert neighborhood_box(GridDims(51, 52), Radius(3)).area == 57 * 58 == 3306
+
+
+@pytest.mark.parametrize("dims", [GridDims(2 ** 31, 1), GridDims(1, 2 ** 31), GridDims(2 ** 31 - 1, 7)],
+                         ids=lambda d: f"{d.m}x{d.n}")
+def test_box_side_cap_is_reached_through_the_pipeline(dims):
+    # the grid fits the cap, its k = 1 margin box does not
+    k = Radius(1)
+    for stage in (lambda: neighborhood_box(dims, k), lambda: best_residue(dims, k),
+                  lambda: base_set(dims, k, Residue(0, k.p))):
+        with pytest.raises(DomainError) as refused:
+            stage()
+        assert str(refused.value) == "box side exceeds the supported cap 2147483648"
+    assert neighborhood_box(GridDims(2 ** 31 - 2, 1), k) == Box(-1, 2 ** 31 - 2, -1, 1)
 
 
 def test_dims_validation():

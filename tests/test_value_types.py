@@ -1,5 +1,6 @@
 """The value types are named tuples, plus VertexSet; each is rebuilt through its constructor on every path."""
 import copy
+import enum
 import pickle
 
 import numpy as np
@@ -123,3 +124,23 @@ def test_every_vertex_set_the_library_builds_is_int64():
     for dtype in (np.int32, np.uint64, object):
         with pytest.raises(DomainError, match=f"int64 array, got {np.dtype(dtype)}"):
             VertexSet(np.array([[1, 2]], dtype=dtype))
+
+
+class _Small(enum.IntEnum):
+    THREE = 3
+    FIVE = 5
+
+
+@pytest.mark.parametrize("make, fields, message", [
+    (GridDims, (3, 5), "grid dims must be integers"),
+    (Radius, (3,), "k must be an integer"),
+    (Residue, (3, 5), "residue fields must be integers"),
+    (Box, (3, 5, 3, 5), "box bounds must be integers"),
+], ids=lambda x: x.__name__ if isinstance(x, type) else None)
+def test_integer_fields_take_int_subclasses_but_not_bool_or_numpy_ints(make, fields, message):
+    # the int fast path of integers() must give the answers of its isinstance path
+    members = [_Small(v) for v in fields]
+    assert make(*members) == make(*fields) and type(make(*members)[0]) is _Small
+    for bad in (True, np.int64(fields[0])):
+        with pytest.raises(DomainError, match=message):
+            make(bad, *fields[1:])
