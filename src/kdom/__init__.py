@@ -42,7 +42,6 @@ from .lattice import (
     Box,
     LatticePoint,
     Radius,
-    Residue,
     VertexSet,
     inverse_image_in_box,
     phi,

@@ -15,8 +15,7 @@ from .gridmodel import GridDims
 from .lattice import Radius
 
 
-class BoundRow(namedtuple("BoundRow", "m n new_bound fss_bound chang_bound bijm_bound constructed_size",
-                          defaults=(None, None, None))):
+class BoundRow(namedtuple("BoundRow", "m n new_bound fss_bound constructed_size", defaults=(None,))):
     """One comparison-table row; a bound is None outside its domain, and so
     is constructed_size where it was not built."""
 
@@ -87,11 +86,10 @@ def comparison_table(
 ) -> list[BoundRow]:
     """One BoundRow per (m, n); per-row domain errors never abort the table.
 
-    chang_bound is filled in at k=1 and bijm_bound at k=2, each inside
-    its own domain.  With build=True the construction pipeline runs per
-    row and its size is recorded, or None where construct raises
-    DomainError: a grid beyond the dense cap, which construct keeps so
-    that kdom verify can check every set it returns.
+    With build=True the construction pipeline runs per row and its size
+    is recorded, or None where construct raises DomainError: a grid
+    beyond the dense cap, which construct keeps so that kdom verify can
+    check every set it returns.
     """
     rows = []
     for m, n in pairs:
@@ -103,8 +101,6 @@ def comparison_table(
                 n=n,
                 new_bound=nb,
                 fss_bound=_in_domain(fss_bound, m, n, k),
-                chang_bound=_in_domain(chang_bound, m, n) if k.k == 1 else None,
-                bijm_bound=_in_domain(bijm_bound, m, n) if k.k == 2 else None,
                 constructed_size=built,
             )
         )

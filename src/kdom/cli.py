@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 
-from .bounds import TABLE1_PAIRS, comparison_table, cor_bound
+from .bounds import (TABLE1_PAIRS, _in_domain, bijm_bound, chang_bound, comparison_table, cor_bound, fss_bound,
+                     new_bound)
 from .construction import ConstructionTrace, construct
 from .errors import DomainError, KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
 from .gridmodel import GridDims, check_dense_size, verify_domination
-from .lattice import LatticePoint, Radius, Validated, VertexSet, _as_pairs, canonical_order, repeats
+from .lattice import LatticePoint, Radius, Validated, VertexSet, _as_pairs, canonical_order, integers, repeats
 
 MAGIC = "kdom v1"
 KNOWN_FLAGS = ("projected", "no-corner-removal")
@@ -35,11 +37,15 @@ class SetFile(Validated, namedtuple("SetFile", "k m n points flags", defaults=((
     __slots__ = ()
 
     def _check(self):
+        if not integers(self.k, self.m, self.n):
+            raise SetFileError(f"header values must be integers: k={self.k!r} m={self.m!r} n={self.n!r}")
         if self.k < 1 or self.m < 1 or self.n < 1:
             raise SetFileError(f"header values must be >= 1: k={self.k} m={self.m} n={self.n}")
         for f in self.flags:
             if f not in KNOWN_FLAGS:
                 raise SetFileError(f"unknown flag {f!r}")
+        if not isinstance(self.points, VertexSet):
+            raise SetFileError(f"points must be a VertexSet, got {type(self.points).__name__}")
         if "projected" in self.flags:
             a = self.points.array
             off = (a[:, 0] < 0) | (a[:, 0] >= self.m) | (a[:, 1] < 0) | (a[:, 1] >= self.n)
@@ -175,17 +181,17 @@ def trace_lines(trace: ConstructionTrace) -> list[str]:
         f"k={trace.k.k}",
         f"m={trace.dims.m}",
         f"n={trace.dims.n}",
-        f"residue={trace.chosen_residue.value}",
+        f"residue={trace.chosen_residue}",
         f"base_size={trace.base_size}",
         f"corner_removal={'yes' if trace.corner_removal_applied else 'no'}",
     ]
     if trace.corner_cases is not None:
         for ctx in trace.corner_cases:
-            tag = ctx.corner.value
-            slope = "none" if ctx.slope_l1 is None else str(ctx.slope_l1)
+            tag, s, z = ctx.corner.value, ctx.s, ctx.z
+            slope = "none" if s == z else str(Fraction(s.j - z.j, s.i - z.i))  # of L1, the line through z and s
             lines.append(f"corner_{tag}_case={ctx.case.value}")
-            lines.append(f"corner_{tag}_s={ctx.s.i},{ctx.s.j}")
-            lines.append(f"corner_{tag}_z={ctx.z.i},{ctx.z.j}")
+            lines.append(f"corner_{tag}_s={s.i},{s.j}")
+            lines.append(f"corner_{tag}_z={z.i},{z.j}")
             lines.append(f"corner_{tag}_slope_l1={slope}")
     for pt in trace.removed:
         lines.append(f"removed={pt.i},{pt.j}")
@@ -234,13 +240,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    k = Radius(args.k)
-    row = comparison_table([(args.m, args.n)], k)[0]
-    fields = {"new": row.new_bound, "cor": cor_bound(args.m, args.n, k), "fss": row.fss_bound}
+    m, n, k = args.m, args.n, Radius(args.k)
+    fields = {"new": _in_domain(new_bound, m, n, k), "cor": cor_bound(m, n, k),
+              "fss": _in_domain(fss_bound, m, n, k)}
     if args.k == 1:
-        fields["chang"] = row.chang_bound
+        fields["chang"] = _in_domain(chang_bound, m, n)
     if args.k == 2:
-        fields["bijm"] = row.bijm_bound
+        fields["bijm"] = _in_domain(bijm_bound, m, n)
     print(" ".join(f"{name}={'n/a (domain)' if value is None else value}" for name, value in fields.items()))
     return 0
 

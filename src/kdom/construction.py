@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 from collections import namedtuple
-from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
@@ -34,7 +33,6 @@ from .gridmodel import (
 from .lattice import (
     LatticePoint,
     Radius,
-    Residue,
     VertexSet,
     fiber_counts_in_box,
     inverse_image_in_box,
@@ -68,14 +66,14 @@ _ROTATIONS = {
 }
 
 
-class CornerContext(namedtuple("CornerContext", "corner s z slope_l1 case")):
+class CornerContext(namedtuple("CornerContext", "corner s z case")):
     """Geometry of one corner in its own (rotated) frame.
 
     s is the westernmost code point on the frame's north boundary row of
     Y; z the northernmost code point one column west of the frame grid.
-    slope_l1 (a Fraction) is None exactly when s and z coincide (s on
-    column -1), a degenerate configuration handled like the negative-slope
-    case.
+    The line L1 through z and s has slope (s.j - z.j)/(s.i - z.i), except
+    where s and z coincide (s on column -1), a degenerate configuration
+    handled like the negative-slope case.
     """
 
     __slots__ = ()
@@ -85,6 +83,7 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "dims k chosen_residue b
                                    " corner_cases removed shifted_pairs projection_merged final_size")):
     """Audit record of one construction run.
 
+    chosen_residue is the int in [0, p) whose fiber was built;
     corner_cases is None where corner removal is skipped; removed is a
     VertexSet, and shifted_pairs holds (source, target) LatticePoint pairs.
     """
@@ -92,20 +91,20 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "dims k chosen_residue b
     __slots__ = ()
 
 
-def best_residue(dims: GridDims, k: Radius) -> tuple[Residue, int]:
-    """The residue whose fiber meets Y in the fewest points.
+def best_residue(dims: GridDims, k: Radius) -> tuple[int, int]:
+    """The residue, an int in [0, p), whose fiber meets Y in the fewest points, and that count.
 
     Ties break toward the smallest residue value.  The p fibers partition
     Y, so the counts sum to |Y| and the winning count never exceeds
     floor((m+2k)(n+2k)/p), the mean count.  O(p) work.
     """
     counts = fiber_counts_in_box(k, neighborhood_box(dims, k))
-    value = int(counts.argmin())
-    return Residue(value, k.p), int(counts[value])
+    ell = int(counts.argmin())
+    return ell, int(counts[ell])
 
 
-def base_set(dims: GridDims, k: Radius, ell: Residue) -> VertexSet:
-    """The fiber of ell intersected with the k-margin box Y."""
+def base_set(dims: GridDims, k: Radius, ell: int) -> VertexSet:
+    """The fiber of ell intersected with the k-margin box Y; refuses an ell outside [0, p)."""
     return inverse_image_in_box(k, ell, neighborhood_box(dims, k))
 
 
@@ -123,8 +122,8 @@ def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     return VertexSet(pairs_of_keys(np.concatenate((keys[:1], keys[1:].compress(keys[1:] != keys[:-1]))), m))
 
 
-def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]:
-    """z.j, the slope of L1 and the case of the corner whose code is s + L, s = (si, 0).
+def _corner_shape(k: Radius, si: int) -> tuple[int, CornerCase]:
+    """z.j and the case of the corner whose code is s + L, s = (si, 0).
 
     Frame coordinates with the north row of Y at j = 0: z = (-1, zj) is
     the northernmost code point on column -1.
@@ -132,17 +131,12 @@ def _corner_shape(k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase]
     kk, p = k.k, k.p
     # (-1, zj) is on s + L iff zj = (k+1)(si+1)/k (mod p); z takes the largest zj <= 0.
     zj = -(-(kk + 1) * (si + 1) * pow(kk, -1, p) % p)
-    if si == -1:
-        # s sits on column -1, so s = z: its ball misses the grid, like Case 1.
-        return zj, None, CornerCase.NEGATIVE_SLOPE
-    delta, rise = si + 1, -zj
-    if si < -1:
-        case = CornerCase.NEGATIVE_SLOPE
-    elif (kk + 1) * rise > kk * delta:  # rise/delta > k/(k+1), by cross multiplication
-        case = CornerCase.STEEP_SLOPE
-    else:
-        case = CornerCase.SHALLOW_SLOPE
-    return zj, Fraction(rise, delta), case
+    if si <= -1:
+        # at si = -1, s sits on column -1, so s = z: its ball misses the grid, like Case 1.
+        return zj, CornerCase.NEGATIVE_SLOPE
+    if (kk + 1) * -zj > kk * (si + 1):  # L1's slope -zj/(si+1) > k/(k+1), by cross multiplication
+        return zj, CornerCase.STEEP_SLOPE
+    return zj, CornerCase.SHALLOW_SLOPE
 
 
 class _CornerPlan(namedtuple("_CornerPlan", "removed moves")):
@@ -201,19 +195,19 @@ def _corner_moves(k: Radius, si: int, zj: int,
 
 
 @functools.lru_cache(maxsize=256)
-def _frame_plan(corner: Corner, k: Radius, si: int) -> tuple[int, Fraction | None, CornerCase, np.ndarray]:
+def _frame_plan(corner: Corner, k: Radius, si: int) -> tuple[int, CornerCase, np.ndarray]:
     """_corner_shape(k, si) and the moves, rotated by the corner's matrix and sorted row-major by
     source: a read-only (N, 4) int64 array of (i, j, u, v) offsets from the frame origin (_corner)."""
     ((a, b), (c, d)), _ = _ROTATIONS[corner]
-    zj, slope_l1, case = _corner_shape(k, si)
+    zj, case = _corner_shape(k, si)
     rotated = sorted((c * i + d * j, a * i + b * j, a * u + b * v, c * u + d * v)
                      for (i, j), (u, v) in _corner_moves(k, si, zj, case).items())
     moves = np.array([(i, j, u, v) for j, i, u, v in rotated], dtype=np.int64).reshape(-1, 4)
     moves.flags.writeable = False
-    return zj, slope_l1, case, moves
+    return zj, case, moves
 
 
-def _corner(corner: Corner, dims: GridDims, k: Radius, ell: Residue) -> tuple[CornerContext, _CornerPlan]:
+def _corner(corner: Corner, dims: GridDims, k: Radius, ell: int) -> tuple[CornerContext, _CornerPlan]:
     """One corner's context, in its frame, and its plan, in real coordinates.
 
     The frame is the rotation real = matrix @ frame + shift of _ROTATIONS,
@@ -236,10 +230,10 @@ def _corner(corner: Corner, dims: GridDims, k: Radius, ell: Residue) -> tuple[Co
     # the real point of frame (0, north): the origin of the frame with its north row at j = 0
     x0, y0 = b * north + sx * (dims.m - 1), d * north + sy * (dims.n - 1)
     origin, step = (kk + 1) * x0 + kk * y0, (kk + 1) * a + kk * c
-    si = (pow(step, -1, p) * (ell.value - origin) + kk) % p - kk
-    zj, slope_l1, case, moves = _frame_plan(corner, k, si)
+    si = (pow(step, -1, p) * (ell - origin) + kk) % p - kk
+    zj, case, moves = _frame_plan(corner, k, si)
     s, z = tuple.__new__(LatticePoint, (si, north)), tuple.__new__(LatticePoint, (-1, north + zj))
-    ctx = tuple.__new__(CornerContext, (corner, s, z, slope_l1, case))
+    ctx = tuple.__new__(CornerContext, (corner, s, z, case))
     return ctx, tuple.__new__(_CornerPlan, ((a * si + x0, c * si + y0), moves + (x0, y0, x0, y0)))
 
 
@@ -276,11 +270,11 @@ def _apply_plans(dims: GridDims, k: Radius, s_set: VertexSet, plans: list[_Corne
 
 
 def _corner_step(dims: GridDims, k: Radius,
-                 ell: Residue) -> tuple[tuple[CornerContext, ...], list[_CornerPlan]]:
+                 ell: int) -> tuple[tuple[CornerContext, ...], list[_CornerPlan]]:
     """The four corners' contexts and plans, in CORNER_ORDER.
 
     Corner plans exist only for m, n > 2p, where the four corners cannot
-    interact, which is checked here, and for a residue mod p, which
+    interact, which is checked here, and for a residue in [0, p), which
     base_set has checked before any call.  No two plans touch the same
     point.  In its frame, with Y's north row at j = 0, every point a plan
     removes, moves or fills lies in the p x p window of columns -k..p-k-1
@@ -300,7 +294,7 @@ def _corner_step(dims: GridDims, k: Radius,
     return contexts, list(plans)
 
 
-def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
+def _trace(dims: GridDims, k: Radius, ell: int, base: VertexSet,
            contexts: tuple[CornerContext, ...] | None, plans: list[_CornerPlan],
            merged: int, final: VertexSet) -> ConstructionTrace:
     """The audit record of one run; contexts is None where corner removal is skipped.
@@ -317,16 +311,16 @@ def _trace(dims: GridDims, k: Radius, ell: Residue, base: VertexSet,
         tuple(zip(points, points)), merged, len(final)))
 
 
-def remove_corners(dims: GridDims, k: Radius, ell: Residue, s_set: VertexSet,
+def remove_corners(dims: GridDims, k: Radius, ell: int, s_set: VertexSet,
                    verify: bool = True) -> tuple[VertexSet, ConstructionTrace]:
     """Remove one code point at each corner of Y, preserving domination.
 
     s_set must equal base_set(dims, k, ell), the only set the corner plans
-    are proved for.  The base set is rebuilt first, which refuses a
-    residue not mod p; then the plans, which refuse m or n <= 2p; then
-    any set but the rebuild is refused.  Each raises DomainError.  The
-    four plans are applied to the rebuild in one edit, as construct
-    applies them.  With verify, the edited set is checked once on the
+    are proved for.  The base set is rebuilt first, which refuses an ell
+    that is not an int in [0, p); then the plans, which refuse m or
+    n <= 2p; then any set but the rebuild is refused.  Each raises
+    DomainError.  The four plans are applied to the rebuild in one edit,
+    as construct applies them.  With verify, the edited set is checked once on the
     whole grid, and a failure raises VerificationError carrying the
     uncovered vertices.
     """

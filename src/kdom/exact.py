@@ -27,7 +27,7 @@ import numpy as np
 from .construction import construct
 from .errors import DomainError
 from .gridmodel import GridDims
-from .lattice import Radius, VertexSet
+from .lattice import Radius, VertexSet, pairs_of_keys
 
 DEFAULT_MAX_CELLS = 144
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -219,8 +219,7 @@ def exact_gamma(
         # distinct cells; the caller's index j*m + i sorts row-major, as VertexSet requires
         if flip:
             indices = [c % width * dims.m + c // width for c in indices]
-        j, i = np.divmod(np.array(sorted(indices), dtype=np.int64), dims.m)
-        return VertexSet(np.column_stack((i, j)))
+        return VertexSet(pairs_of_keys(np.array(sorted(indices), dtype=np.int64), dims.m))
 
     size = lower
     try:

@@ -65,7 +65,7 @@ class Validated:
 
 
 class Radius(Validated, namedtuple("Radius", "k")):
-    """Domination distance k >= 1 with its derived modulus p = 2k^2+2k+1.
+    """Domination distance k >= 1 with p = 2k^2+2k+1; a residue is an int in [0, p).
 
     p = k^2 + (k+1)^2 is also the point count of the closed radius-k ball.
     """
@@ -83,22 +83,6 @@ class Radius(Validated, namedtuple("Radius", "k")):
     @property
     def p(self) -> int:
         return 2 * self.k * self.k + 2 * self.k + 1
-
-
-class Residue(Validated, namedtuple("Residue", "value modulus")):
-    """An element of Z_p, stored as its canonical representative in [0, p-1]."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if not integers(self.value, self.modulus):
-            raise DomainError(f"residue fields must be integers, got {self!r}")
-        if self.modulus < 1:
-            raise DomainError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise DomainError(
-                f"residue value {self.value} outside [0, {self.modulus - 1}]"
-            )
 
 
 class Box(Validated, namedtuple("Box", "i_lo i_hi j_lo j_hi")):
@@ -125,10 +109,6 @@ class Box(Validated, namedtuple("Box", "i_lo i_hi j_lo j_hi")):
     @property
     def height(self) -> int:
         return self.j_hi - self.j_lo + 1
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
 
 
 def _as_pairs(points) -> np.ndarray:
@@ -196,8 +176,9 @@ class VertexSet:
     j and then by i, every |c| < COORD_LIMIT.  `points` and iteration
     build LatticePoint views of it on first use.  Build sets with
     from_iterable; the constructor takes an array that is already
-    canonical and refuses any dtype but int64.  Copying and unpickling
-    go through the constructor, so the copy is read-only too.
+    canonical and refuses any dtype but int64 and any shape but (N, 2).
+    Copying and unpickling go through the constructor, so the copy is
+    read-only too.
     """
 
     __slots__ = ("array", "_points")
@@ -205,6 +186,8 @@ class VertexSet:
     def __init__(self, array: np.ndarray):
         if array.dtype != np.int64:  # __hash__ reads the bytes, so equal sets must share a dtype
             raise DomainError(f"a vertex set is an int64 array, got {array.dtype}")
+        if array.ndim != 2 or array.shape[1] != 2:
+            raise DomainError(f"a vertex set is an (N, 2) array of (i, j) rows, got shape {array.shape}")
         array.setflags(write=False)
         self.array = array
         self._points = None
@@ -254,24 +237,26 @@ class VertexSet:
         return f"VertexSet({list(self.points)!r})"
 
 
-def phi(k: Radius, point: LatticePoint) -> Residue:
+def phi(k: Radius, point: LatticePoint) -> int:
     """The homomorphism (i, j) -> (k+1)*i + k*j reduced into [0, p-1]."""
-    return Residue(((k.k + 1) * point[0] + k.k * point[1]) % k.p, k.p)
+    if not integers(*point):
+        raise DomainError(f"point coordinates must be integers, got {point!r}")
+    return ((k.k + 1) * point[0] + k.k * point[1]) % k.p
 
 
-def inverse_image_in_box(k: Radius, ell: Residue, box: Box) -> VertexSet:
-    """All fiber points of ell inside the box, row-major ordered.
+def inverse_image_in_box(k: Radius, ell: int, box: Box) -> VertexSet:
+    """All fiber points of the residue ell, an int in [0, p), inside the box, row-major ordered.
 
     Row j_lo + r first meets the fiber at column offset
     (c0 - r*k/(k+1)) mod p from i_lo and then every p columns, so one
     repeat over the rows lists the points already sorted.
     """
     kk, p = k.k, k.p
-    if ell.modulus != p:
-        raise DomainError(f"residue modulus {ell.modulus} does not match p={p} for k={kk}")
+    if not (integers(ell) and 0 <= ell < p):
+        raise DomainError(f"residues mod p={p} must be integers in [0, {p - 1}], got {ell!r}")
     inv = pow(kk + 1, -1, p)
     back = p - inv * kk % p  # row j + 1's first hit lies back columns east of row j's, mod p
-    c0 = (inv * (ell.value - kk * box.j_lo) - box.i_lo) % p
+    c0 = (inv * (ell - kk * box.j_lo) - box.i_lo) % p
     first = np.arange(c0, c0 + back * box.height, back, dtype=np.int64) % p
     hits = (box.width - 1 + p - first) // p
     ends = hits.cumsum()

@@ -38,22 +38,22 @@ def brute_fiber(k, ell, box):
     hits = []
     for j in range(box[2], box[3] + 1):
         for i in range(box[0], box[1] + 1):
-            if phi(rad, LatticePoint(i, j)).value == ell % rad.p:
+            if phi(rad, LatticePoint(i, j)) == ell % rad.p:
                 hits.append((i, j))
     return hits
 
 
 def count_in_box(k, ell, box):
-    """Fiber points of ell in the box, counted row by row: the reference for
-    the closed form in kdom.lattice.fiber_counts_in_box."""
-    if ell.modulus != k.p:
-        raise DomainError(f"residue modulus {ell.modulus} does not match p={k.p} for k={k.k}")
+    """Fiber points of the residue ell, an int in [0, p), in the box, counted row by row:
+    the reference for the closed form in kdom.lattice.fiber_counts_in_box."""
+    if not 0 <= ell < k.p:
+        raise DomainError(f"residue {ell} outside [0, {k.p - 1}] for k={k.k}")
     kk, p = k.k, k.p
     inv = pow(kk + 1, -1, p)
     total = 0
     for j in range(box.j_lo, box.j_hi + 1):
         # smallest i >= i_lo with (k+1)*i + k*j = ell (mod p); hits are p apart
-        first = box.i_lo + (inv * (ell.value - kk * j) - box.i_lo) % p
+        first = box.i_lo + (inv * (ell - kk * j) - box.i_lo) % p
         if first <= box.i_hi:
             total += (box.i_hi - first) // p + 1
     return total

@@ -63,7 +63,7 @@ def certify(kk):
     p = k.p
     largest, failures = 0, []
     for si in range(-kk, p - kk):
-        zj, _, case = _corner_shape(k, si)
+        zj, case = _corner_shape(k, si)
         moves = _corner_moves(k, si, zj, case)
         largest = max(largest, len(moves))
         gone = np.array([(si, 0), *moves], dtype=np.int64)

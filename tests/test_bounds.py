@@ -135,4 +135,5 @@ def test_comparison_table_with_build():
 
 def test_bound_row_is_plain_data():
     row = BoundRow(m=51, n=52, new_bound=128, fss_bound=139)
-    assert row.chang_bound is None and row.bijm_bound is None
+    assert row._fields == ("m", "n", "new_bound", "fss_bound", "constructed_size")
+    assert row.constructed_size is None

@@ -13,7 +13,6 @@ from kdom import (
     GridDims,
     LatticePoint,
     Radius,
-    Residue,
     VerificationError,
     VertexSet,
     base_set,
@@ -28,6 +27,7 @@ from kdom import (
     verify_domination,
 )
 from kdom import construction, gridmodel
+from kdom.cli import trace_lines
 from kdom.construction import (
     CORNER_ORDER,
     Corner,
@@ -57,6 +57,11 @@ def _corner_plan(ctx, dims, k, ell):
     return _corner(ctx.corner, dims, k, ell)[1]
 
 
+def _slope(ctx):
+    """The slope of L1, through z and s, or None where s = z."""
+    return None if ctx.s == ctx.z else Fraction(ctx.s.j - ctx.z.j, ctx.s.i - ctx.z.i)
+
+
 def _plan_moves(pairs):
     """A plan's moves array from (source, target) pairs, in the order given."""
     return np.array([(*src, *dst) for src, dst in pairs], dtype=np.int64).reshape(-1, 4)
@@ -66,26 +71,26 @@ def test_best_residue_uniform_when_side_is_p():
     # m + 2k = 25 = p: every residue counts (25*25)/25 = 25; tie-break
     # lands on the smallest residue
     ell, count = best_residue(GridDims(19, 19), K3)
-    assert (ell.value, count) == (0, 25)
+    assert (type(ell), ell, count) == (int, 0, 25)
     for v in range(25):
-        assert count_in_box(K3, Residue(v, 25), neighborhood_box(GridDims(19, 19), K3)) == 25
+        assert count_in_box(K3, v, neighborhood_box(GridDims(19, 19), K3)) == 25
 
 
 def test_best_residue_51x52():
     ell, count = best_residue(GridDims(51, 52), K3)
     assert count <= 3306 // 25 == 132
     box = neighborhood_box(GridDims(51, 52), K3)
-    counts = [count_in_box(K3, Residue(v, 25), box) for v in range(25)]
+    counts = [count_in_box(K3, v, box) for v in range(25)]
     assert count == min(counts)
-    assert ell.value == min(v for v, c in enumerate(counts) if c == count)
+    assert ell == min(v for v, c in enumerate(counts) if c == count)
 
 
 def _assert_best_residue_is_min_count(m, n, k):
     box = neighborhood_box(GridDims(m, n), k)
-    counts = [count_in_box(k, Residue(v, k.p), box) for v in range(k.p)]
+    counts = [count_in_box(k, v, box) for v in range(k.p)]
     ell, count = best_residue(GridDims(m, n), k)
     assert count == min(counts), (m, n, k)
-    assert ell.value == counts.index(count), (m, n, k)  # ties go to the smallest residue
+    assert type(ell) is int and ell == counts.index(count), (m, n, k)  # ties go to the smallest residue
 
 
 @pytest.mark.parametrize("kk", [1, 2, 3, 4])
@@ -113,7 +118,7 @@ def test_best_residue_tiny_grid():
 def test_base_set_known_6x6_fiber():
     # the 6x6, k=3 margin box meets the 0-residue fiber in exactly six
     # points; projection clamps the four outside ones onto the grid
-    pts = base_set(GridDims(6, 6), K3, Residue(0, 25))
+    pts = base_set(GridDims(6, 6), K3, 0)
     assert {tuple(q) for q in pts} == {(0, 0), (4, 3), (-3, 4), (1, 7), (7, -1), (8, 6)}
     assert is_dominating(GridDims(6, 6), K3, pts)
     projected = project_inward(GridDims(6, 6), pts)
@@ -122,7 +127,7 @@ def test_base_set_known_6x6_fiber():
 
 
 def test_base_set_sizes_13x13():
-    sizes = [len(base_set(GridDims(13, 13), K2, Residue(v, 13))) for v in range(13)]
+    sizes = [len(base_set(GridDims(13, 13), K2, v)) for v in range(13)]
     assert min(sizes) <= 289 // 13 == 22
 
 
@@ -130,7 +135,7 @@ def test_base_set_always_dominates():
     for dims in (GridDims(1, 1), GridDims(4, 9), GridDims(13, 13), GridDims(40, 31)):
         for k in (K1, K2, K3):
             for v in range(0, k.p, max(1, k.p // 5)):
-                pts = base_set(dims, k, Residue(v, k.p))
+                pts = base_set(dims, k, v)
                 assert is_dominating(dims, k, pts)
 
 
@@ -166,38 +171,45 @@ def test_projection_preserves_domination():
 
 def test_classify_corner_requires_big_grid():
     with pytest.raises(DomainError, match="corner removal needs"):
-        _corner_step(GridDims(6, 6), K3, Residue(0, 25))
+        _corner_step(GridDims(6, 6), K3, 0)
     with pytest.raises(DomainError, match="corner removal needs"):
-        _corner_step(GridDims(100, 26), K2, Residue(0, 13))
+        _corner_step(GridDims(100, 26), K2, 0)
 
 
 def test_classify_corner_cases_27x27_k2():
     dims = GridDims(27, 27)
     # residues chosen so the NW corner hits each case; values derived by
     # solving 3*s_i + 2*28 = ell (mod 13) for the boundary scan
-    ctx = _classify_corner(dims, K2, Residue(12, 13), Corner.NW)
+    ctx = _classify_corner(dims, K2, 12, Corner.NW)
     assert ctx.case is CornerCase.SHALLOW_SLOPE
-    assert ctx.slope_l1 == Fraction(1, 8)
+    assert _slope(ctx) == Fraction(1, 8)
     assert (tuple(ctx.s), tuple(ctx.z)) == ((7, 28), (-1, 27))
 
-    ctx = _classify_corner(dims, K2, Residue(11, 13), Corner.NW)
+    ctx = _classify_corner(dims, K2, 11, Corner.NW)
     assert ctx.case is CornerCase.NEGATIVE_SLOPE
-    assert ctx.slope_l1 == Fraction(-8, 1)
+    assert _slope(ctx) == Fraction(-8, 1)
 
-    ctx = _classify_corner(dims, K2, Residue(1, 13), Corner.NW)
+    ctx = _classify_corner(dims, K2, 1, Corner.NW)
     assert ctx.case is CornerCase.NEGATIVE_SLOPE
-    assert ctx.slope_l1 is None  # s and z coincide on column -1
+    assert _slope(ctx) is None  # s and z coincide on column -1
     assert ctx.s == ctx.z
 
-    ctx = _classify_corner(dims, K2, Residue(4, 13), Corner.NW)
+    ctx = _classify_corner(dims, K2, 4, Corner.NW)
     assert ctx.case is CornerCase.STEEP_SLOPE
-    assert ctx.slope_l1 == Fraction(5, 1)
+    assert _slope(ctx) == Fraction(5, 1)
 
 
 def test_slopes_are_exact_rationals():
-    ctx = _classify_corner(GridDims(27, 27), K2, Residue(4, 13), Corner.NW)
-    assert isinstance(ctx.slope_l1, Fraction)
-    assert ctx.slope_l1 > Fraction(2, 3)  # steep: L1 rises faster than L2, of slope k/(k+1)
+    # the trace prints L1's slope exactly, and a corner is steep iff L1 rises faster than L2, of slope k/(k+1)
+    dims = GridDims(27, 27)
+    for ell in range(13):
+        _, trace = remove_corners(dims, K2, ell, base_set(dims, K2, ell), verify=False)
+        printed = dict(line.split("=", 1) for line in trace_lines(trace))
+        for ctx in trace.corner_cases:
+            slope = printed[f"corner_{ctx.corner.value}_slope_l1"]
+            assert slope == ("none" if _slope(ctx) is None else str(_slope(ctx))), (ell, ctx)
+            steep = slope != "none" and Fraction(slope) > Fraction(2, 3)
+            assert steep == (ctx.case is CornerCase.STEEP_SLOPE), (ell, ctx)
 
 
 def test_equality_shallow_slope_is_k_over_k_plus_1():
@@ -205,8 +217,8 @@ def test_equality_shallow_slope_is_k_over_k_plus_1():
     dims = GridDims(27, 27)
     found = False
     for v in range(13):
-        ctx = _classify_corner(dims, K2, Residue(v, 13), Corner.NW)
-        if ctx.case is CornerCase.SHALLOW_SLOPE and ctx.slope_l1 == Fraction(2, 3):
+        ctx = _classify_corner(dims, K2, v, Corner.NW)
+        if ctx.case is CornerCase.SHALLOW_SLOPE and _slope(ctx) == Fraction(2, 3):
             found = True
     assert found
 
@@ -222,14 +234,13 @@ def test_apply_corner_case_every_corner_and_residue():
         p = k.p
         dims = GridDims(2 * p + 1, 2 * p + 2)
         offsets = {corner: set() for corner in CORNER_ORDER}
-        for v in range(p):
-            ell = Residue(v, p)
+        for ell in range(p):
             pts = base_set(dims, k, ell)
             for corner in CORNER_ORDER:
                 ctx = _classify_corner(dims, k, ell, corner)
                 offsets[corner].add(ctx.s.i)
                 out = _apply_plans(dims, k, pts, [_corner_plan(ctx, dims, k, ell)])
-                assert is_dominating(dims, k, out), (kk, v, corner)
+                assert is_dominating(dims, k, out), (kk, ell, corner)
                 assert len(out) == len(pts) - 1
         for corner, seen in offsets.items():
             assert len(seen) == p, (kk, corner)
@@ -248,7 +259,7 @@ def test_corner_plans_lie_in_the_edge_bands_of_y():
             rows = {Corner.NW: (n + kk - p, n + kk - 1), Corner.NE: (n + kk - p, n + kk - 1),
                     Corner.SW: (-kk, p - kk - 1), Corner.SE: (-kk, p - kk - 1)}
             for v in range(p):
-                contexts, plans = _corner_step(dims, k, Residue(v, p))
+                contexts, plans = _corner_step(dims, k, v)
                 for ctx, plan in zip(contexts, plans):
                     points = np.concatenate(([plan.removed], plan.moves.reshape(-1, 2)))
                     lo, hi = rows[ctx.corner]
@@ -267,13 +278,13 @@ def test_corner_plans_keep_domination_locally_up_to_k20():
 def test_a_cached_frame_plan_is_read_only():
     # the memo hands one array to every caller, so no caller may write to it
     for corner in CORNER_ORDER:
-        moves = _frame_plan(corner, K2, 1)[3]  # s.i = 1 at k = 2 is steep: z and the points above it move
+        moves = _frame_plan(corner, K2, 1)[2]  # s.i = 1 at k = 2 is steep: z and the points above it move
         assert len(moves)
         with pytest.raises(ValueError, match="read-only"):
             moves[0, 0] += 1
-        ctx, plan = _corner(corner, GridDims(30, 31), K2, Residue(0, 13))
+        ctx, plan = _corner(corner, GridDims(30, 31), K2, 0)
         plan.moves[:] = 0  # the plan _corner returns is a translated copy of the cached one
-        assert (_frame_plan(corner, K2, ctx.s.i)[3] != 0).any()
+        assert (_frame_plan(corner, K2, ctx.s.i)[2] != 0).any()
 
 
 def test_frame_plan_memo_stays_within_its_bound():
@@ -282,7 +293,7 @@ def test_frame_plan_memo_stays_within_its_bound():
             for corner in CORNER_ORDER]
     assert len(keys) > 256
     for corner, k, si in keys:
-        assert _frame_plan(corner, k, si)[:3] == _corner_shape(k, si)
+        assert _frame_plan(corner, k, si)[:2] == _corner_shape(k, si)
         assert _frame_plan.cache_info().currsize <= 256
     info = _frame_plan.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (len(keys), 256, 256)
@@ -308,15 +319,14 @@ def test_frame_rotations_match_the_explicit_maps():
         for _ in range(3):
             m, n = rng.randint(2 * p + 1, 5 * p), rng.randint(2 * p + 1, 5 * p)
             explicit, height = _explicit_maps(m, n)
-            for v in range(p):
-                ell = Residue(v, p)
+            for ell in range(p):
                 for corner in CORNER_ORDER:
                     ctx, plan = _corner(corner, GridDims(m, n), k, ell)
                     north = height[corner] + kk - 1
                     assert ctx.s.j == north, (kk, m, n, corner)
-                    assert plan.removed == explicit[corner](*ctx.s), (kk, m, n, v, corner)
+                    assert plan.removed == explicit[corner](*ctx.s), (kk, m, n, ell, corner)
                     first = next(i for i in range(-kk, p - kk) if phi(k, explicit[corner](i, north)) == ell)
-                    assert ctx.s.i == first, (kk, m, n, v, corner)
+                    assert ctx.s.i == first, (kk, m, n, ell, corner)
 
 
 def _reference_corner_trace(dims, k, ell):
@@ -335,8 +345,8 @@ def _reference_corner_trace(dims, k, ell):
             return LatticePoint(*explicit[corner](q[0], q[1] + north))  # from the frame with north at j = 0
 
         si = next(i for i in range(-k.k, k.p - k.k) if phi(k, real((i, 0))) == ell)
-        zj, slope, case = _corner_shape(k, si)
-        contexts.append(CornerContext(corner, LatticePoint(si, north), LatticePoint(-1, north + zj), slope, case))
+        zj, case = _corner_shape(k, si)
+        contexts.append(CornerContext(corner, LatticePoint(si, north), LatticePoint(-1, north + zj), case))
         removed.append(real((si, 0)))
         moves = [(real(a), real(b)) for a, b in _corner_moves(k, si, zj, case).items()]
         pairs += sorted(moves, key=lambda ab: (ab[0].j, ab[0].i))
@@ -349,13 +359,12 @@ def test_corner_trace_matches_the_explicit_map_reference():
         p = k.p
         for m, n in ((2 * p + 1, 2 * p + 1), (3 * p + 2, 2 * p + 1), (2 * p + 3, 3 * p - 1)):
             dims = GridDims(m, n)
-            for v in range(p):
-                ell = Residue(v, p)
+            for ell in range(p):
                 _, trace = remove_corners(dims, k, ell, base_set(dims, k, ell), verify=False)
                 contexts, removed, pairs = _reference_corner_trace(dims, k, ell)
-                assert trace.corner_cases == contexts, (kk, m, n, v)
-                assert trace.removed == removed, (kk, m, n, v)
-                assert trace.shifted_pairs == pairs, (kk, m, n, v)
+                assert trace.corner_cases == contexts, (kk, m, n, ell)
+                assert trace.removed == removed, (kk, m, n, ell)
+                assert trace.shifted_pairs == pairs, (kk, m, n, ell)
                 assert {type(q) for pair in trace.shifted_pairs for q in pair} <= {LatticePoint}
 
 
@@ -467,14 +476,14 @@ def test_construct_sweep_small():
 
 
 def test_mismatched_residue_modulus_rejected():
-    # base_set refuses the foreign modulus before remove_corners plans anything
-    with pytest.raises(DomainError, match="residue modulus 25 does not match p=13"):
-        remove_corners(GridDims(27, 27), K2, Residue(0, 25), VertexSet.empty())
+    # 13 is a residue mod 25, not mod 13: base_set refuses it before remove_corners plans anything
+    with pytest.raises(DomainError, match=r"residues mod p=13 must be integers in \[0, 12\], got 13"):
+        remove_corners(GridDims(27, 27), K2, 13, VertexSet.empty())
 
 
 def test_remove_corners_rejects_wrong_set():
     dims = GridDims(27, 27)
-    ell = Residue(4, 13)
+    ell = 4
     with pytest.raises(DomainError, match=r"takes only base_set\(dims, k, ell\)"):
         remove_corners(dims, K2, ell, VertexSet.from_iterable([(0, 0)]))
 
@@ -482,7 +491,7 @@ def test_remove_corners_rejects_wrong_set():
 def test_remove_corners_rejects_a_same_size_set_off_the_fiber_or_outside_y():
     # each set has the base set's size: one point leaves the fiber, or leaves Y along it
     dims = GridDims(27, 27)
-    ell = Residue(4, 13)
+    ell = 4
     base = base_set(dims, K2, ell)
     box = neighborhood_box(dims, K2)
     first, last = base.points[0], base.points[-1]
@@ -499,7 +508,7 @@ def test_remove_corners_rejects_a_same_size_set_off_the_fiber_or_outside_y():
 
 def test_verification_failure_carries_uncovered(monkeypatch):
     dims = GridDims(27, 27)
-    ell = Residue(12, 13)  # a genuinely shallow corner
+    ell = 12  # a genuinely shallow corner
     ctx = _classify_corner(dims, K2, ell, Corner.NW)
     forged = ctx._replace(case=CornerCase.STEEP_SLOPE)
     # the steep moves of the NW corner, whose frame is the real plane
@@ -607,8 +616,7 @@ def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
         p = k.p
         for m, n in ((2 * p + 1, 2 * p + 1), (2 * p + 2, 2 * p + 3), (3 * p, 3 * p + 1), (5 * p + 2, 4 * p)):
             dims = GridDims(m, n)
-            for v in range(0, p, max(1, p // 6)):
-                ell = Residue(v, p)
+            for ell in range(0, p, max(1, p // 6)):
                 base = base_set(dims, k, ell)
                 plans = [_corner_plan(_classify_corner(dims, k, ell, c), dims, k, ell) for c in CORNER_ORDER]
                 assert _apply_plans(dims, k, base, plans) == _one_by_one(dims, k, base, plans)

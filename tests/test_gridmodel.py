@@ -9,7 +9,6 @@ from kdom import (
     Box,
     GridDims,
     Radius,
-    Residue,
     VertexSet,
     DomainError,
     base_set,
@@ -43,9 +42,11 @@ def bfs_distance(m, n, a, b):
 def test_neighborhood_box():
     b = neighborhood_box(GridDims(6, 6), Radius(3))
     assert b == Box(-3, 8, -3, 8)
-    assert b.area == 144
-    assert neighborhood_box(GridDims(1, 1), Radius(1)).area == 9
-    assert neighborhood_box(GridDims(51, 52), Radius(3)).area == 57 * 58 == 3306
+    assert (b.width, b.height) == (12, 12)
+    b = neighborhood_box(GridDims(1, 1), Radius(1))
+    assert (b.width, b.height) == (3, 3)
+    b = neighborhood_box(GridDims(51, 52), Radius(3))
+    assert (b.width, b.height) == (57, 58)
 
 
 @pytest.mark.parametrize("dims", [GridDims(2 ** 31, 1), GridDims(1, 2 ** 31), GridDims(2 ** 31 - 1, 7)],
@@ -54,7 +55,7 @@ def test_box_side_cap_is_reached_through_the_pipeline(dims):
     # the grid fits the cap, its k = 1 margin box does not
     k = Radius(1)
     for stage in (lambda: neighborhood_box(dims, k), lambda: best_residue(dims, k),
-                  lambda: base_set(dims, k, Residue(0, k.p))):
+                  lambda: base_set(dims, k, 0)):
         with pytest.raises(DomainError) as refused:
             stage()
         assert str(refused.value) == "box side exceeds the supported cap 2147483648"
@@ -176,7 +177,7 @@ def test_fiber_in_margin_box_always_dominates():
         k = rng.randint(1, 4)
         p = Radius(k).p
         dims = GridDims(rng.randint(1, 3 * p), rng.randint(1, 3 * p))
-        ell = Residue(rng.randrange(p), p)
+        ell = rng.randrange(p)
         pts = inverse_image_in_box(Radius(k), ell, neighborhood_box(dims, Radius(k)))
         assert is_dominating(dims, Radius(k), pts), (k, dims, ell)
 

@@ -14,7 +14,6 @@ from kdom import (
     GridDims,
     LatticePoint,
     Radius,
-    Residue,
     VertexSet,
     inverse_image_in_box,
     phi,
@@ -47,8 +46,7 @@ def test_modulus_is_sum_of_squares():
 )
 def test_phi_examples(k, point, expected):
     res = phi(Radius(k), LatticePoint(*point))
-    assert res.value == expected
-    assert res.modulus == Radius(k).p
+    assert type(res) is int and res == expected
 
 
 def test_radius_validation():
@@ -63,10 +61,10 @@ def test_radius_validation():
 
 def test_residue_validation():
     with pytest.raises(DomainError):
-        Residue(13, 13)
+        inverse_image_in_box(Radius(2), 13, Box(0, 12, 0, 0))
     with pytest.raises(DomainError):
-        Residue(-1, 13)
-    assert phi(Radius(2), LatticePoint(-1, -1)) == Residue(8, 13)  # -5 reduced into [0, p-1]
+        inverse_image_in_box(Radius(2), -1, Box(0, 12, 0, 0))
+    assert phi(Radius(2), LatticePoint(-1, -1)) == 8  # -5 reduced into [0, p-1]
 
 
 def test_box_validation():
@@ -75,17 +73,17 @@ def test_box_validation():
     with pytest.raises(DomainError):
         Box(0, 5, 3, 2)
     b = Box(-2, 2, -1, 3)
-    assert (b.width, b.height, b.area) == (5, 5, 25)
+    assert (b.width, b.height) == (5, 5)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Residue(2.0, 13),
-    lambda: Residue(True, 13),
-    lambda: Residue(2, 13.0),
-    lambda: Residue(np.int64(2), 13),
+    lambda: inverse_image_in_box(Radius(2), 2.0, Box(0, 12, 0, 0)),
+    lambda: inverse_image_in_box(Radius(2), True, Box(0, 12, 0, 0)),
+    lambda: inverse_image_in_box(Radius(2), Fraction(2), Box(0, 12, 0, 0)),
+    lambda: inverse_image_in_box(Radius(2), np.int64(2), Box(0, 12, 0, 0)),
     lambda: Box(True, 3, 0, 3),
     lambda: Box(0, 3, 0.0, 3),
-    lambda: phi(Radius(2), (1.5, 2)),  # used to give Residue(8.5, 13)
+    lambda: phi(Radius(2), (1.5, 2)),  # would give 8.5
 ])
 def test_residue_and_box_reject_fields_that_are_not_integers(make):
     with pytest.raises(DomainError, match="must be integers"):
@@ -94,17 +92,17 @@ def test_residue_and_box_reject_fields_that_are_not_integers(make):
 
 def test_inverse_image_one_row():
     # one full row of p points holds exactly one fiber element
-    pts = inverse_image_in_box(Radius(2), Residue(0, 13), Box(0, 12, 0, 0))
+    pts = inverse_image_in_box(Radius(2), 0, Box(0, 12, 0, 0))
     assert list(pts) == [LatticePoint(0, 0)]
 
 
 def test_inverse_image_5x5():
-    pts = inverse_image_in_box(Radius(1), Residue(0, 5), Box(0, 4, 0, 4))
+    pts = inverse_image_in_box(Radius(1), 0, Box(0, 4, 0, 4))
     assert len(pts) == 5
 
 
 def test_inverse_image_row_major_order():
-    pts = list(inverse_image_in_box(Radius(2), Residue(3, 13), Box(-6, 20, -4, 9)))
+    pts = list(inverse_image_in_box(Radius(2), 3, Box(-6, 20, -4, 9)))
     assert pts == sorted(pts, key=lambda q: (q.j, q.i))
 
 
@@ -117,30 +115,31 @@ def test_inverse_image_matches_brute_force():
         i_lo = rng.randint(-30, 10)
         j_lo = rng.randint(-30, 10)
         box = (i_lo, i_lo + rng.randint(0, 40), j_lo, j_lo + rng.randint(0, 40))
-        got = [tuple(q) for q in inverse_image_in_box(Radius(k), Residue(ell, p), Box(*box))]
+        got = [tuple(q) for q in inverse_image_in_box(Radius(k), ell, Box(*box))]
         want = sorted(brute_fiber(k, ell, box), key=lambda q: (q[1], q[0]))
         assert got == want
 
 
 def test_residue_modulus_mismatch_rejected():
+    # a residue mod another p: 24 is one mod 25, not mod 13, and 12 one mod 13, not mod 5
+    with pytest.raises(DomainError, match=r"residues mod p=13 must be integers in \[0, 12\], got 24"):
+        inverse_image_in_box(Radius(2), 24, Box(0, 3, 0, 3))
     with pytest.raises(DomainError):
-        inverse_image_in_box(Radius(2), Residue(0, 5), Box(0, 3, 0, 3))
-    with pytest.raises(DomainError):
-        count_in_box(Radius(3), Residue(1, 13), Box(0, 3, 0, 3))
+        count_in_box(Radius(1), 12, Box(0, 3, 0, 3))
 
 
 @pytest.mark.parametrize("ell", range(13))
 def test_count_multiple_of_p_box(ell):
-    assert count_in_box(Radius(2), Residue(ell, 13), Box(0, 12, 0, 12)) == 13
+    assert count_in_box(Radius(2), ell, Box(0, 12, 0, 12)) == 13
 
 
 def test_count_25x50():
     for ell in (0, 7, 24):
-        assert count_in_box(Radius(3), Residue(ell, 25), Box(0, 24, 0, 49)) == 50
+        assert count_in_box(Radius(3), ell, Box(0, 24, 0, 49)) == 50
 
 
 def test_count_equals_enumeration_7x5():
-    k, ell = Radius(2), Residue(0, 13)
+    k, ell = Radius(2), 0
     box = Box(0, 6, 0, 4)
     assert count_in_box(k, ell, box) == len(inverse_image_in_box(k, ell, box))
 
@@ -150,7 +149,7 @@ def test_count_matches_enumeration_randomized():
     for _ in range(500):
         k = rng.randint(1, 5)
         p = Radius(k).p
-        ell = Residue(rng.randrange(p), p)
+        ell = rng.randrange(p)
         i_lo = rng.randint(-60, 30)
         j_lo = rng.randint(-60, 30)
         box = Box(i_lo, i_lo + rng.randint(0, 59), j_lo, j_lo + rng.randint(0, 59))
@@ -183,8 +182,8 @@ def test_fiber_counts_in_box_match_per_residue_counts():
             cases.append((k, Box(i_lo, i_lo + w, j_lo, j_lo + h)))
     for k, box in cases:
         counts = fiber_counts_in_box(k, box)
-        assert counts.tolist() == [count_in_box(k, Residue(v, k.p), box) for v in range(k.p)]
-        assert counts.sum() == box.area
+        assert counts.tolist() == [count_in_box(k, v, box) for v in range(k.p)]
+        assert counts.sum() == box.width * box.height
 
 
 @pytest.mark.parametrize("k,size", [(1, 5), (5, 61)])
@@ -242,7 +241,7 @@ def test_row_and_column_spacing():
         p = Radius(k).p
         box = Box(0, 3 * p - 1, 0, 3 * p - 1)
         for ell in range(0, p, max(1, p // 7)):
-            pts = inverse_image_in_box(Radius(k), Residue(ell, p), box)
+            pts = inverse_image_in_box(Radius(k), ell, box)
             rows = {}
             cols = {}
             for (i, j) in pts:
@@ -354,7 +353,7 @@ def test_vertexset_equality_is_by_content():
 def test_inverse_image_matches_brute_fiber(k, ell, i_lo, j_lo, w, h):
     p = Radius(k).p
     box = (i_lo, i_lo + w, j_lo, j_lo + h)
-    got = inverse_image_in_box(Radius(k), Residue(ell % p, p), Box(*box))
+    got = inverse_image_in_box(Radius(k), ell % p, Box(*box))
     want = sorted(brute_fiber(k, ell, box), key=lambda q: (q[1], q[0]))
     assert [tuple(q) for q in got] == want
     assert got == VertexSet.from_iterable(want)
@@ -403,7 +402,8 @@ def test_from_iterable_takes_the_limit_and_refuses_past_it(edge):
 
 
 def test_box_takes_the_limit_and_refuses_past_it():
-    assert Box(TOP - 4, TOP, -TOP, 3 - TOP).area == 20
+    box = Box(TOP - 4, TOP, -TOP, 3 - TOP)
+    assert (box.width, box.height) == (5, 4)
     for bounds in ((COORD_LIMIT - 4, COORD_LIMIT, 0, 0), (-COORD_LIMIT, 1 - COORD_LIMIT, 0, 0),
                    (0, 0, COORD_LIMIT, COORD_LIMIT), (0, 0, -COORD_LIMIT, 3 - COORD_LIMIT)):
         with pytest.raises(DomainError, match=r"\|c\| < 2\*\*62"):

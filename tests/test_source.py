@@ -85,3 +85,17 @@ def test_no_module_builds_an_object_array():
                     dtypes += node.args  # astype's dtype, or a numpy call's positional one
                 found += [f"{path.name}:{node.lineno}" for arg in dtypes if is_object(arg)]
     assert found == []
+
+
+def test_every_validated_type_checks_its_integer_fields():
+    # a _check that compares a field with < alone lets a bool, a float or a numpy int through,
+    # and the type then writes what its readers refuse; every Validated subclass calls integers()
+    checks = {}
+    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and "Validated" in {getattr(base, "id", None) for base in node.bases}:
+                calls = {getattr(call.func, "id", None) for method in node.body
+                         if isinstance(method, ast.FunctionDef) and method.name == "_check"
+                         for call in ast.walk(method) if isinstance(call, ast.Call)}
+                checks[node.name] = "integers" in calls
+    assert "SetFile" in checks and sorted(name for name, calls_integers in checks.items() if not calls_integers) == []

@@ -12,13 +12,14 @@ from kdom import (
     GridDims,
     LatticePoint,
     Radius,
-    Residue,
     SetFileError,
     VertexSet,
+    base_set,
     comparison_table,
     construct,
     exact_gamma,
     inverse_image_in_box,
+    remove_corners,
     verify_domination,
 )
 from kdom.cli import SetFile, load_setfile
@@ -32,7 +33,6 @@ def _values():
         LatticePoint(1, -2),
         dims,
         k,
-        Residue(3, 13),
         Box(-2, 2, -1, 3),
         verify_domination(dims, k, points),
         trace.corner_cases[0],
@@ -58,17 +58,18 @@ def test_value_types_are_tuples_that_survive_pickle_and_copy(value):
     (GridDims(3, 4), "m", 0, DomainError),
     (GridDims(3, 4), "n", 2.0, DomainError),
     (Radius(2), "k", 2001, DomainError),
-    (Residue(3, 13), "value", 13, DomainError),
-    (Residue(3, 13), "modulus", True, DomainError),
+    (SetFile(1, 3, 3, VertexSet.empty()), "k", True, SetFileError),
+    (SetFile(1, 3, 3, VertexSet.empty()), "m", np.int64(3), SetFileError),
     (Box(0, 3, 0, 3), "i_hi", -1, DomainError),
     (SetFile(1, 3, 3, VertexSet.empty()), "flags", ("mystery",), SetFileError),
     (SetFile(1, 3, 3, VertexSet.empty()), "k", 0, SetFileError),
     (SetFile(1, 3, 3, VertexSet.from_iterable([(2, 0)]), ("projected",)), "m", 2, SetFileError),
     (GridDims(3, 4), "m", 2 ** 31 + 1, DomainError),
     (Radius(2), "k", 2.0, DomainError),
-    (Residue(0, 13), "modulus", 0, DomainError),
+    (SetFile(1, 3, 3, VertexSet.empty()), "n", 1.5, SetFileError),
     (Box(0, 3, 0, 3), "i_hi", 2 ** 31, DomainError),
     (Box(0, 3, 0, 3), "j_lo", -(2 ** 62), DomainError),
+    (SetFile(1, 3, 3, VertexSet.empty()), "points", [(0, 0)], SetFileError),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_validated_types_reject_the_same_fields_on_every_path(good, field, bad, error):
     cls = type(good)
@@ -108,7 +109,7 @@ def test_every_vertex_set_the_library_builds_is_int64():
         VertexSet.empty(),
         VertexSet.from_iterable([]),
         VertexSet.from_iterable([(3, -1), (COORD_LIMIT - 1, 2)]),
-        inverse_image_in_box(k, Residue(5, 13), Box(1 - COORD_LIMIT, 60 - COORD_LIMIT, -7, 40)),
+        inverse_image_in_box(k, 5, Box(1 - COORD_LIMIT, 60 - COORD_LIMIT, -7, 40)),
         load_setfile("kdom v1\n2 5 5 2\n4 4\n0 1\n").points,
         load_setfile("kdom v1\n2 5 5 2\n+4 4\n0 1\n").points,  # the line-by-line reader
         built,
@@ -124,6 +125,11 @@ def test_every_vertex_set_the_library_builds_is_int64():
     for dtype in (np.int32, np.uint64, object):
         with pytest.raises(DomainError, match=f"int64 array, got {np.dtype(dtype)}"):
             VertexSet(np.array([[1, 2]], dtype=dtype))
+    # nor an int64 array of any shape but (N, 2) rows
+    for shape in ((4,), (3, 3), (2, 2, 1)):
+        with pytest.raises(DomainError) as refused:
+            VertexSet(np.zeros(shape, dtype=np.int64))
+        assert str(refused.value) == f"a vertex set is an (N, 2) array of (i, j) rows, got shape {shape}"
 
 
 class _Small(enum.IntEnum):
@@ -131,16 +137,35 @@ class _Small(enum.IntEnum):
     FIVE = 5
 
 
-@pytest.mark.parametrize("make, fields, message", [
-    (GridDims, (3, 5), "grid dims must be integers"),
-    (Radius, (3,), "k must be an integer"),
-    (Residue, (3, 5), "residue fields must be integers"),
-    (Box, (3, 5, 3, 5), "box bounds must be integers"),
-], ids=lambda x: x.__name__ if isinstance(x, type) else None)
-def test_integer_fields_take_int_subclasses_but_not_bool_or_numpy_ints(make, fields, message):
+@pytest.mark.parametrize("make, fields, error, message", [
+    (GridDims, (3, 5), DomainError, "grid dims must be integers"),
+    (Radius, (3,), DomainError, "k must be an integer"),
+    (Box, (3, 5, 3, 5), DomainError, "box bounds must be integers"),
+    (SetFile, (3, 5, 5, VertexSet.empty()), SetFileError, "header values must be integers"),
+], ids=lambda x: x.__name__ if isinstance(x, type) and not issubclass(x, Exception) else None)
+def test_integer_fields_take_int_subclasses_but_not_bool_or_numpy_ints(make, fields, error, message):
     # the int fast path of integers() must give the answers of its isinstance path
-    members = [_Small(v) for v in fields]
+    members = [_Small(v) if type(v) is int else v for v in fields]
     assert make(*members) == make(*fields) and type(make(*members)[0]) is _Small
     for bad in (True, np.int64(fields[0])):
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(error, match=message):
             make(bad, *fields[1:])
+
+
+def _remove_corners(ell):
+    dims, k = GridDims(27, 27), Radius(2)
+    return remove_corners(dims, k, ell, base_set(dims, k, 3))
+
+
+@pytest.mark.parametrize("enter", [
+    lambda ell: inverse_image_in_box(Radius(2), ell, Box(-2, 28, -2, 28)),
+    lambda ell: base_set(GridDims(27, 27), Radius(2), ell),
+    _remove_corners,
+], ids=["inverse_image_in_box", "base_set", "remove_corners"])
+def test_a_residue_is_an_int_in_range_wherever_it_enters(enter):
+    # one check, in inverse_image_in_box, refuses each value with one message, before anything else runs
+    assert enter(_Small.THREE) == enter(3)
+    for bad in (-1, 13, 2.0, True, np.int64(2)):
+        with pytest.raises(DomainError) as refused:
+            enter(bad)
+        assert str(refused.value) == f"residues mod p=13 must be integers in [0, 12], got {bad!r}"
