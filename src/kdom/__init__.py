@@ -40,7 +40,6 @@ from .gridmodel import (
 )
 from .lattice import (
     Box,
-    LatticePoint,
     Radius,
     VertexSet,
     inverse_image_in_box,

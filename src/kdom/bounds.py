@@ -12,7 +12,7 @@ from typing import Sequence
 from .construction import construct
 from .errors import DomainError
 from .gridmodel import GridDims
-from .lattice import Radius
+from .lattice import Radius, integers
 
 
 class BoundRow(namedtuple("BoundRow", "m n new_bound fss_bound constructed_size", defaults=(None,))):
@@ -22,20 +22,23 @@ class BoundRow(namedtuple("BoundRow", "m n new_bound fss_bound constructed_size"
     __slots__ = ()
 
 
+def _require(m, n, least: int, domain: str) -> None:
+    """Raise DomainError unless m and n are ints >= least; domain opens the message."""
+    if not integers(m, n):
+        raise DomainError(f"grid dims must be integers, got {m!r}x{n!r}")
+    if m < least or n < least:
+        raise DomainError(f"{domain}, got {m}x{n}")
+
+
 def new_bound(m: int, n: int, k: Radius) -> int:
     """floor((m+2k)(n+2k)/p) - 4, valid for m, n > 2p."""
-    p = k.p
-    if m <= 2 * p or n <= 2 * p:
-        raise DomainError(
-            f"new bound needs m, n > 2p = {2 * p}, got {m}x{n}"
-        )
-    return (m + 2 * k.k) * (n + 2 * k.k) // p - 4
+    _require(m, n, 2 * k.p + 1, f"new bound needs m, n > 2p = {2 * k.p}")
+    return (m + 2 * k.k) * (n + 2 * k.k) // k.p - 4
 
 
 def cor_bound(m: int, n: int, k: Radius) -> int:
     """floor((m+2k)(n+2k)/p); valid for every grid."""
-    if m < 1 or n < 1:
-        raise DomainError(f"grid dims must be >= 1, got {m}x{n}")
+    _require(m, n, 1, "grid dims must be >= 1")
     return (m + 2 * k.k) * (n + 2 * k.k) // k.p
 
 
@@ -45,8 +48,7 @@ def fss_bound(m: int, n: int, k: Radius) -> int:
     The sum goes over the common denominator 4p before the single outer
     ceiling; ceiling the terms separately would overshoot.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"grid dims must be >= 1, got {m}x{n}")
+    _require(m, n, 1, "grid dims must be >= 1")
     p = k.p
     numerator = 4 * (m + 2 * k.k) * (n + 2 * k.k) + p * p
     return -(-numerator // (4 * p))
@@ -54,8 +56,7 @@ def fss_bound(m: int, n: int, k: Radius) -> int:
 
 def chang_bound(m: int, n: int) -> int:
     """floor((m+2)(n+2)/5) - 4 for ordinary domination, m, n > 8."""
-    if m <= 8 or n <= 8:
-        raise DomainError(f"chang bound needs m, n > 8, got {m}x{n}")
+    _require(m, n, 9, "chang bound needs m, n > 8")
     return (m + 2) * (n + 2) // 5 - 4
 
 
@@ -66,8 +67,7 @@ def bijm_bound(m: int, n: int) -> int:
     threshold; this library requires m, n > 26 (= 2p at k=2) so the
     domain matches new_bound's.
     """
-    if m <= 26 or n <= 26:
-        raise DomainError(f"bijm bound needs m, n > 26, got {m}x{n}")
+    _require(m, n, 27, "bijm bound needs m, n > 26")
     return (m + 4) * (n + 4) // 13 - 4
 
 

@@ -22,7 +22,7 @@ from .construction import ConstructionTrace, construct
 from .errors import DomainError, KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
 from .gridmodel import GridDims, check_dense_size, verify_domination
-from .lattice import LatticePoint, Radius, Validated, VertexSet, _as_pairs, canonical_order, integers, repeats
+from .lattice import Radius, Validated, VertexSet, _as_pairs, canonical_order, integers, repeats
 
 MAGIC = "kdom v1"
 KNOWN_FLAGS = ("projected", "no-corner-removal")
@@ -41,6 +41,8 @@ class SetFile(Validated, namedtuple("SetFile", "k m n points flags", defaults=((
             raise SetFileError(f"header values must be integers: k={self.k!r} m={self.m!r} n={self.n!r}")
         if self.k < 1 or self.m < 1 or self.n < 1:
             raise SetFileError(f"header values must be >= 1: k={self.k} m={self.m} n={self.n}")
+        if not isinstance(self.flags, tuple):
+            raise SetFileError(f"flags must be a tuple, got {type(self.flags).__name__}")
         for f in self.flags:
             if f not in KNOWN_FLAGS:
                 raise SetFileError(f"unknown flag {f!r}")
@@ -138,7 +140,7 @@ def render_ascii(sf: SetFile, coverage: bool = False) -> str:
     return "".join(" ".join(row) + "\n" for row in cells[::-1].tolist())
 
 
-def render_svg(sf: SetFile, diamonds: tuple[LatticePoint, ...] = ()) -> str:
+def render_svg(sf: SetFile, diamonds: tuple[tuple[int, int], ...] = ()) -> str:
     """Grid with the k-margin box in green, grid boundary in red."""
     cell = 20
     k, m, n = sf.k, sf.m, sf.n
@@ -187,16 +189,16 @@ def trace_lines(trace: ConstructionTrace) -> list[str]:
     ]
     if trace.corner_cases is not None:
         for ctx in trace.corner_cases:
-            tag, s, z = ctx.corner.value, ctx.s, ctx.z
-            slope = "none" if s == z else str(Fraction(s.j - z.j, s.i - z.i))  # of L1, the line through z and s
+            tag, (si, sj), (zi, zj) = ctx.corner.value, ctx.s, ctx.z
+            slope = "none" if ctx.s == ctx.z else str(Fraction(sj - zj, si - zi))  # of L1, the line through z and s
             lines.append(f"corner_{tag}_case={ctx.case.value}")
-            lines.append(f"corner_{tag}_s={s.i},{s.j}")
-            lines.append(f"corner_{tag}_z={z.i},{z.j}")
+            lines.append(f"corner_{tag}_s={si},{sj}")
+            lines.append(f"corner_{tag}_z={zi},{zj}")
             lines.append(f"corner_{tag}_slope_l1={slope}")
-    for pt in trace.removed:
-        lines.append(f"removed={pt.i},{pt.j}")
-    for src, dst in trace.shifted_pairs:
-        lines.append(f"shift={src.i},{src.j}>{dst.i},{dst.j}")
+    for i, j in trace.removed:
+        lines.append(f"removed={i},{j}")
+    for (i, j), (u, v) in trace.shifted_pairs:
+        lines.append(f"shift={i},{j}>{u},{v}")
     lines.append(f"projection_merged={trace.projection_merged}")
     lines.append(f"final_size={trace.final_size}")
     return lines
@@ -234,8 +236,8 @@ def cmd_verify(args) -> int:
     print(f"covered={report.covered_count}/{dims.area} "
           f"redundancy={sum(c * f for c, f in hist.items()) - dims.area} "
           f"multiplicity={','.join(f'{c}:{f}' for c, f in hist.items())}")
-    for pt in report.uncovered:
-        print(f"{pt.i} {pt.j}")
+    for i, j in report.uncovered:
+        print(f"{i} {j}")
     return 1 if gaps else 0
 
 
@@ -305,8 +307,8 @@ def cmd_exact(args) -> int:
         return 3
     print(f"gamma={result.gamma}")
     if args.witness:
-        for pt in result.witness:
-            print(f"{pt.i} {pt.j}")
+        for i, j in result.witness:
+            print(f"{i} {j}")
     return 0
 
 
@@ -320,7 +322,7 @@ def cmd_render(args) -> int:
         diamonds = []
         for token in args.diamond or ():
             a, _, b = token.partition(",")
-            diamonds.append(LatticePoint(int(a), int(b)))
+            diamonds.append((int(a), int(b)))
         _write(args.output, render_svg(sf, tuple(diamonds)))
     return 0
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 from collections import namedtuple
-from itertools import repeat
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .gridmodel import (
     verify_domination,
 )
 from .lattice import (
-    LatticePoint,
     Radius,
     VertexSet,
     fiber_counts_in_box,
@@ -70,10 +68,10 @@ class CornerContext(namedtuple("CornerContext", "corner s z case")):
     """Geometry of one corner in its own (rotated) frame.
 
     s is the westernmost code point on the frame's north boundary row of
-    Y; z the northernmost code point one column west of the frame grid.
-    The line L1 through z and s has slope (s.j - z.j)/(s.i - z.i), except
-    where s and z coincide (s on column -1), a degenerate configuration
-    handled like the negative-slope case.
+    Y; z the northernmost code point one column west of the frame grid;
+    both are (i, j) tuples.  The line L1 through z and s has slope
+    (s.j - z.j)/(s.i - z.i), except where s and z coincide (s on column
+    -1), a degenerate configuration handled like the negative-slope case.
     """
 
     __slots__ = ()
@@ -85,7 +83,7 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "dims k chosen_residue b
 
     chosen_residue is the int in [0, p) whose fiber was built;
     corner_cases is None where corner removal is skipped; removed is a
-    VertexSet, and shifted_pairs holds (source, target) LatticePoint pairs.
+    VertexSet, and shifted_pairs holds (source, target) pairs of (i, j) tuples.
     """
 
     __slots__ = ()
@@ -232,8 +230,7 @@ def _corner(corner: Corner, dims: GridDims, k: Radius, ell: int) -> tuple[Corner
     origin, step = (kk + 1) * x0 + kk * y0, (kk + 1) * a + kk * c
     si = (pow(step, -1, p) * (ell - origin) + kk) % p - kk
     zj, case, moves = _frame_plan(corner, k, si)
-    s, z = tuple.__new__(LatticePoint, (si, north)), tuple.__new__(LatticePoint, (-1, north + zj))
-    ctx = tuple.__new__(CornerContext, (corner, s, z, case))
+    ctx = tuple.__new__(CornerContext, (corner, (si, north), (-1, north + zj), case))
     return ctx, tuple.__new__(_CornerPlan, ((a * si + x0, c * si + y0), moves + (x0, y0, x0, y0)))
 
 
@@ -303,12 +300,11 @@ def _trace(dims: GridDims, k: Radius, ell: int, base: VertexSet,
     windows of _corner_step.
     """
     removed = sorted((plan.removed for plan in plans), key=lambda q: (q[1], q[0]))  # row-major
-    moves = np.concatenate([plan.moves for plan in plans]).reshape(-1, 2).tolist() if plans else []
-    points = map(tuple.__new__, repeat(LatticePoint), moves)  # source, target, source, ...
+    i, j, u, v = np.concatenate([plan.moves for plan in plans]).T.tolist() if plans else ((),) * 4
     return tuple.__new__(ConstructionTrace, (
         dims, k, ell, len(base), contexts is not None, contexts,
         VertexSet(np.array(removed, dtype=np.int64).reshape(-1, 2)),
-        tuple(zip(points, points)), merged, len(final)))
+        tuple(zip(zip(i, j), zip(u, v))), merged, len(final)))
 
 
 def remove_corners(dims: GridDims, k: Radius, ell: int, s_set: VertexSet,
@@ -344,8 +340,13 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     proof.  The base set is a perfect Lee code's fiber, so each grid
     cell has exactly one fiber point within k, and it lies in Y
     (acceptance criterion 4); clamping uncovers no cell, as
-    |clamp(x) - g|_1 <= |x - g|_1 for every grid cell g; each plan keeps
-    domination in its p x p window, certified for k <= 20 by
+    |clamp(x) - g|_1 <= |x - g|_1 for every grid cell g.  Where m, n >= 2
+    it merges no two base points either: the clamp's preimage in Y of a
+    grid cell is that cell, a (k+1)-cell segment at an edge or the
+    (k+1)^2 square at a corner, each of L1 diameter <= 2k, and two fiber
+    points are >= 2k+1 apart.  test_projection_merges_nothing_two_wide
+    checks the edited sets too; 1-wide grids can merge (3x1 at k=1).
+    Each plan keeps domination in its p x p window, certified for k <= 20 by
     test_corner_plans_keep_domination_locally_up_to_k20 and for
     21 <= k <= 48 by a run of tests/corner_certificate.py.  Grids too
     large for the coverage kernel are still rejected with DomainError

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -32,13 +32,10 @@ OUT_OF_RANGE = "vertex coordinates must satisfy |c| < 2**62"
 
 def integers(*values) -> bool:
     """True iff every value is an int and none is a bool."""
-    return all(type(v) is int or isinstance(v, int) and not isinstance(v, bool) for v in values)
-
-
-class LatticePoint(namedtuple("LatticePoint", "i j")):
-    """A point of Z^2; i is the column (west->east), j the row (south->north)."""
-
-    __slots__ = ()
+    for v in values:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):  # exact ints skip isinstance
+            return False
+    return True
 
 
 class Validated:
@@ -173,15 +170,15 @@ class VertexSet:
     """A deduplicated vertex set in canonical row-major order.
 
     The set is one read-only (N, 2) int64 array of (i, j) rows, sorted by
-    j and then by i, every |c| < COORD_LIMIT.  `points` and iteration
-    build LatticePoint views of it on first use.  Build sets with
+    j and then by i, every |c| < COORD_LIMIT.  Iteration yields each
+    point as a plain (i, j) tuple of ints.  Build sets with
     from_iterable; the constructor takes an array that is already
     canonical and refuses any dtype but int64 and any shape but (N, 2).
     Copying and unpickling go through the constructor, so the copy is
     read-only too.
     """
 
-    __slots__ = ("array", "_points")
+    __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray):
         if array.dtype != np.int64:  # __hash__ reads the bytes, so equal sets must share a dtype
@@ -190,7 +187,6 @@ class VertexSet:
             raise DomainError(f"a vertex set is an (N, 2) array of (i, j) rows, got shape {array.shape}")
         array.setflags(write=False)
         self.array = array
-        self._points = None
 
     @classmethod
     def from_iterable(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "VertexSet":
@@ -210,17 +206,11 @@ class VertexSet:
     def empty(cls) -> "VertexSet":
         return cls(np.zeros((0, 2), dtype=np.int64))
 
-    @property
-    def points(self) -> tuple[LatticePoint, ...]:
-        if self._points is None:
-            self._points = tuple(map(tuple.__new__, repeat(LatticePoint), zip(*self.array.T.tolist())))
-        return self._points
-
     def __len__(self) -> int:
         return len(self.array)
 
-    def __iter__(self) -> Iterator[LatticePoint]:
-        return iter(self.points)
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(*self.array.T.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VertexSet):
@@ -234,10 +224,10 @@ class VertexSet:
         return type(self), (self.array,)
 
     def __repr__(self) -> str:
-        return f"VertexSet({list(self.points)!r})"
+        return f"VertexSet({list(self)!r})"
 
 
-def phi(k: Radius, point: LatticePoint) -> int:
+def phi(k: Radius, point: tuple[int, int]) -> int:
     """The homomorphism (i, j) -> (k+1)*i + k*j reduced into [0, p-1]."""
     if not integers(*point):
         raise DomainError(f"point coordinates must be integers, got {point!r}")

@@ -1,5 +1,5 @@
 """Shared independent oracles, deliberately dumber than the library paths."""
-from kdom import DomainError, LatticePoint, Radius, phi
+from kdom import DomainError, Radius, phi
 
 
 def brute_dominates(m, n, k, points):
@@ -38,7 +38,7 @@ def brute_fiber(k, ell, box):
     hits = []
     for j in range(box[2], box[3] + 1):
         for i in range(box[0], box[1] + 1):
-            if phi(rad, LatticePoint(i, j)) == ell % rad.p:
+            if phi(rad, (i, j)) == ell % rad.p:
                 hits.append((i, j))
     return hits
 

@@ -64,6 +64,36 @@ def test_fss_single_outer_ceiling():
     assert fss_bound(19, 19, K3) == 32  # 25 + 6.25 -> 32
 
 
+_BOUNDS = {
+    "new": lambda m, n: new_bound(m, n, K3),
+    "cor": lambda m, n: cor_bound(m, n, K3),
+    "fss": lambda m, n: fss_bound(m, n, K3),
+    "chang": chang_bound,
+    "bijm": bijm_bound,
+}
+
+
+@pytest.mark.parametrize("name", _BOUNDS)
+@pytest.mark.parametrize("m, n", [(51.5, 52), (60.0, 61), (True, 52), (60, False)])
+def test_bounds_refuse_dims_that_are_not_integers(name, m, n):
+    with pytest.raises(DomainError) as refused:
+        _BOUNDS[name](m, n)
+    assert str(refused.value) == f"grid dims must be integers, got {m!r}x{n!r}"
+
+
+def test_bounds_name_their_domain_when_they_refuse():
+    messages = {}
+    for name, m, n in (("new", 50, 52), ("cor", 0, 5), ("fss", 5, -1), ("chang", 8, 9), ("bijm", 26, 30)):
+        with pytest.raises(DomainError) as refused:
+            _BOUNDS[name](m, n)
+        messages[name] = str(refused.value)
+    assert messages == {"new": "new bound needs m, n > 2p = 50, got 50x52",
+                        "cor": "grid dims must be >= 1, got 0x5",
+                        "fss": "grid dims must be >= 1, got 5x-1",
+                        "chang": "chang bound needs m, n > 8, got 8x9",
+                        "bijm": "bijm bound needs m, n > 26, got 26x30"}
+
+
 def test_chang_bound():
     assert chang_bound(16, 16) == 60
     assert chang_bound(9, 9) == 121 // 5 - 4 == 20
@@ -117,11 +147,11 @@ def test_comparison_table_empty():
 
 
 def test_comparison_table_reports_domain_errors_per_row():
-    rows = comparison_table([(5, 5), (51, 52), (0, 5)], K3)
+    rows = comparison_table([(5, 5), (51, 52), (0, 5), (True, 52), (51.5, 52)], K3)
     assert rows[0].new_bound is None
     assert rows[1].new_bound == 128
-    # no bound is defined on a grid without vertices; the row is still made
-    assert (rows[2].new_bound, rows[2].fss_bound) == (None, None)
+    # no bound is defined on a grid without vertices, or on dims that are not integers; the row is still made
+    assert [(r.new_bound, r.fss_bound) for r in rows[2:]] == [(None, None)] * 3
 
 
 def test_comparison_table_with_build():

@@ -11,7 +11,6 @@ from corner_certificate import certify
 from kdom import (
     DomainError,
     GridDims,
-    LatticePoint,
     Radius,
     VerificationError,
     VertexSet,
@@ -59,7 +58,8 @@ def _corner_plan(ctx, dims, k, ell):
 
 def _slope(ctx):
     """The slope of L1, through z and s, or None where s = z."""
-    return None if ctx.s == ctx.z else Fraction(ctx.s.j - ctx.z.j, ctx.s.i - ctx.z.i)
+    (si, sj), (zi, zj) = ctx.s, ctx.z
+    return None if ctx.s == ctx.z else Fraction(sj - zj, si - zi)
 
 
 def _plan_moves(pairs):
@@ -141,15 +141,24 @@ def test_base_set_always_dominates():
 
 def test_project_inward_examples():
     dims = GridDims(6, 6)
-    assert project_inward(dims, VertexSet.from_iterable([(-1, 3)])).points == (
-        LatticePoint(0, 3),
-    )
-    assert project_inward(dims, VertexSet.from_iterable([(2, 2)])).points == (
-        LatticePoint(2, 2),
-    )
-    assert project_inward(dims, VertexSet.from_iterable([(-2, 7)])).points == (
-        LatticePoint(0, 5),
-    )
+    assert list(project_inward(dims, VertexSet.from_iterable([(-1, 3)]))) == [(0, 3)]
+    assert list(project_inward(dims, VertexSet.from_iterable([(2, 2)]))) == [(2, 2)]
+    assert list(project_inward(dims, VertexSet.from_iterable([(-2, 7)]))) == [(0, 5)]
+
+
+def test_projection_merges_nothing_two_wide():
+    # construct's no-merge argument, on the edited sets too: where m, n >= 2 the size is
+    # best_residue's count, less 4 where corners were removed; 1-wide grids can merge
+    for k in (K1, K2, K3):
+        for m in range(2, 2 * k.p + 4):
+            for n in range(2, 2 * k.p + 4):
+                dims = GridDims(m, n)
+                trace = construct(dims, k)[1]
+                assert trace.projection_merged == 0, (k, m, n)
+                assert trace.base_size == best_residue(dims, k)[1], (k, m, n)
+                assert trace.final_size == trace.base_size - 4 * trace.corner_removal_applied, (k, m, n)
+    for m in (3, 8):
+        assert construct(GridDims(m, 1), K1)[1].projection_merged == 1, m
 
 
 def test_projection_preserves_domination():
@@ -238,7 +247,7 @@ def test_apply_corner_case_every_corner_and_residue():
             pts = base_set(dims, k, ell)
             for corner in CORNER_ORDER:
                 ctx = _classify_corner(dims, k, ell, corner)
-                offsets[corner].add(ctx.s.i)
+                offsets[corner].add(ctx.s[0])
                 out = _apply_plans(dims, k, pts, [_corner_plan(ctx, dims, k, ell)])
                 assert is_dominating(dims, k, out), (kk, ell, corner)
                 assert len(out) == len(pts) - 1
@@ -284,7 +293,7 @@ def test_a_cached_frame_plan_is_read_only():
             moves[0, 0] += 1
         ctx, plan = _corner(corner, GridDims(30, 31), K2, 0)
         plan.moves[:] = 0  # the plan _corner returns is a translated copy of the cached one
-        assert (_frame_plan(corner, K2, ctx.s.i)[2] != 0).any()
+        assert (_frame_plan(corner, K2, ctx.s[0])[2] != 0).any()
 
 
 def test_frame_plan_memo_stays_within_its_bound():
@@ -323,10 +332,10 @@ def test_frame_rotations_match_the_explicit_maps():
                 for corner in CORNER_ORDER:
                     ctx, plan = _corner(corner, GridDims(m, n), k, ell)
                     north = height[corner] + kk - 1
-                    assert ctx.s.j == north, (kk, m, n, corner)
+                    assert ctx.s[1] == north, (kk, m, n, corner)
                     assert plan.removed == explicit[corner](*ctx.s), (kk, m, n, ell, corner)
                     first = next(i for i in range(-kk, p - kk) if phi(k, explicit[corner](i, north)) == ell)
-                    assert ctx.s.i == first, (kk, m, n, ell, corner)
+                    assert ctx.s[0] == first, (kk, m, n, ell, corner)
 
 
 def _reference_corner_trace(dims, k, ell):
@@ -342,14 +351,14 @@ def _reference_corner_trace(dims, k, ell):
         north = height[corner] + k.k - 1
 
         def real(q):
-            return LatticePoint(*explicit[corner](q[0], q[1] + north))  # from the frame with north at j = 0
+            return explicit[corner](q[0], q[1] + north)  # from the frame with north at j = 0
 
         si = next(i for i in range(-k.k, k.p - k.k) if phi(k, real((i, 0))) == ell)
         zj, case = _corner_shape(k, si)
-        contexts.append(CornerContext(corner, LatticePoint(si, north), LatticePoint(-1, north + zj), case))
+        contexts.append(CornerContext(corner, (si, north), (-1, north + zj), case))
         removed.append(real((si, 0)))
         moves = [(real(a), real(b)) for a, b in _corner_moves(k, si, zj, case).items()]
-        pairs += sorted(moves, key=lambda ab: (ab[0].j, ab[0].i))
+        pairs += sorted(moves, key=lambda ab: (ab[0][1], ab[0][0]))
     return tuple(contexts), VertexSet.from_iterable(removed), tuple(pairs)
 
 
@@ -365,7 +374,7 @@ def test_corner_trace_matches_the_explicit_map_reference():
                 assert trace.corner_cases == contexts, (kk, m, n, ell)
                 assert trace.removed == removed, (kk, m, n, ell)
                 assert trace.shifted_pairs == pairs, (kk, m, n, ell)
-                assert {type(q) for pair in trace.shifted_pairs for q in pair} <= {LatticePoint}
+                assert all(type(q) is tuple and {type(c) for c in q} == {int} for pair in trace.shifted_pairs for q in pair)
 
 
 def test_remove_corners_11x11_k1():
@@ -494,10 +503,10 @@ def test_remove_corners_rejects_a_same_size_set_off_the_fiber_or_outside_y():
     ell = 4
     base = base_set(dims, K2, ell)
     box = neighborhood_box(dims, K2)
-    first, last = base.points[0], base.points[-1]
-    off_fiber = [q for q in base if q != first] + [(first.i + 1, first.j)]  # phi moves by k+1
-    outside = [q for q in base if q != last] + [(last.i + K2.p, last.j)]  # phi is kept
-    assert first.i + 1 <= box.i_hi < last.i + K2.p
+    (fi, fj), *_, (li, lj) = base
+    off_fiber = [q for q in base if q != (fi, fj)] + [(fi + 1, fj)]  # phi moves by k+1
+    outside = [q for q in base if q != (li, lj)] + [(li + K2.p, lj)]  # phi is kept
+    assert fi + 1 <= box.i_hi < li + K2.p
     for points in (off_fiber, outside):
         wrong = VertexSet.from_iterable(points)
         assert len(wrong) == len(base)
@@ -512,9 +521,9 @@ def test_verification_failure_carries_uncovered(monkeypatch):
     ctx = _classify_corner(dims, K2, ell, Corner.NW)
     forged = ctx._replace(case=CornerCase.STEEP_SLOPE)
     # the steep moves of the NW corner, whose frame is the real plane
-    north = ctx.s.j
-    moves = _corner_moves(K2, ctx.s.i, ctx.z.j - north, CornerCase.STEEP_SLOPE)
-    steep = _CornerPlan(tuple(ctx.s), _plan_moves(sorted(
+    (si, north), (_, zj) = ctx.s, ctx.z
+    moves = _corner_moves(K2, si, zj - north, CornerCase.STEEP_SLOPE)
+    steep = _CornerPlan(ctx.s, _plan_moves(sorted(
         (((i, j + north), (u, v + north)) for (i, j), (u, v) in moves.items()),
         key=lambda pair: (pair[0][1], pair[0][0]))))
     corner_of = construction._corner
@@ -560,7 +569,7 @@ def _fitting_plans(rng, universe, count):
 
 def test_apply_plan_matches_the_set_reference():
     rng = random.Random(23)
-    universe = [LatticePoint(i, j) for i in range(-3, 5) for j in range(-3, 5)]
+    universe = [(i, j) for i in range(-3, 5) for j in range(-3, 5)]
     sizes = set()
     for _ in range(3000):
         pts, [plan] = _fitting_plans(rng, universe, 1)
@@ -572,7 +581,7 @@ def test_apply_plan_matches_the_set_reference():
 def test_apply_plan_moves_a_source_onto_a_free_target():
     pts = VertexSet.from_iterable([(0, 0), (3, 0), (1, 2)])
     moved = _apply_plans(_BAND_DIMS, _BAND_K, pts, [_CornerPlan((0, 0), np.array([(3, 0, 0, 2)], dtype=np.int64))])
-    assert list(moved) == [LatticePoint(0, 2), LatticePoint(1, 2)]
+    assert list(moved) == [(0, 2), (1, 2)]
 
 
 def test_corner_edit_sorts_only_the_two_row_bands(monkeypatch):
@@ -624,7 +633,7 @@ def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
 
 def test_apply_plans_matches_the_set_reference_plan_by_plan():
     rng = random.Random(31)
-    universe = [LatticePoint(i, j) for i in range(-3, 9) for j in range(-3, 9)]
+    universe = [(i, j) for i in range(-3, 9) for j in range(-3, 9)]
     for _ in range(1500):
         pts, plans = _fitting_plans(rng, universe, rng.randint(1, 4))
         want = pts

@@ -12,7 +12,6 @@ from kdom import (
     Box,
     DomainError,
     GridDims,
-    LatticePoint,
     Radius,
     VertexSet,
     inverse_image_in_box,
@@ -45,7 +44,7 @@ def test_modulus_is_sum_of_squares():
     ],
 )
 def test_phi_examples(k, point, expected):
-    res = phi(Radius(k), LatticePoint(*point))
+    res = phi(Radius(k), point)
     assert type(res) is int and res == expected
 
 
@@ -64,7 +63,7 @@ def test_residue_validation():
         inverse_image_in_box(Radius(2), 13, Box(0, 12, 0, 0))
     with pytest.raises(DomainError):
         inverse_image_in_box(Radius(2), -1, Box(0, 12, 0, 0))
-    assert phi(Radius(2), LatticePoint(-1, -1)) == 8  # -5 reduced into [0, p-1]
+    assert phi(Radius(2), (-1, -1)) == 8  # -5 reduced into [0, p-1]
 
 
 def test_box_validation():
@@ -93,7 +92,7 @@ def test_residue_and_box_reject_fields_that_are_not_integers(make):
 def test_inverse_image_one_row():
     # one full row of p points holds exactly one fiber element
     pts = inverse_image_in_box(Radius(2), 0, Box(0, 12, 0, 0))
-    assert list(pts) == [LatticePoint(0, 0)]
+    assert list(pts) == [(0, 0)]
 
 
 def test_inverse_image_5x5():
@@ -103,7 +102,7 @@ def test_inverse_image_5x5():
 
 def test_inverse_image_row_major_order():
     pts = list(inverse_image_in_box(Radius(2), 3, Box(-6, 20, -4, 9)))
-    assert pts == sorted(pts, key=lambda q: (q.j, q.i))
+    assert pts == sorted(pts, key=lambda q: (q[1], q[0]))
 
 
 def test_inverse_image_matches_brute_force():
@@ -267,19 +266,20 @@ def test_row_and_column_spacing():
 def test_translation_covariance(k, i, j, a):
     rad = Radius(k)
     p = rad.p
-    base = phi(rad, LatticePoint(i, j))
-    assert phi(rad, LatticePoint(i + a * p, j)) == base
-    assert phi(rad, LatticePoint(i, j + a * p)) == base
+    base = phi(rad, (i, j))
+    assert phi(rad, (i + a * p, j)) == base
+    assert phi(rad, (i, j + a * p)) == base
 
 
 def test_vertexset_canonical():
     vs = VertexSet.from_iterable([(3, 1), (0, 2), (3, 1), (1, 1)])
     # deduped, row-major: ascending j, then ascending i
-    assert list(vs) == [LatticePoint(1, 1), LatticePoint(3, 1), LatticePoint(0, 2)]
+    assert list(vs) == [(1, 1), (3, 1), (0, 2)]
     assert len(vs) == 3
-    assert LatticePoint(3, 1) in vs
-    assert LatticePoint(9, 9) not in vs
-    assert repr(VertexSet.from_iterable([(3, -1)])) == "VertexSet([LatticePoint(i=3, j=-1)])"
+    assert (3, 1) in vs
+    assert (9, 9) not in vs
+    assert repr(VertexSet.from_iterable([(3, -1)])) == "VertexSet([(3, -1)])"
+    assert list(VertexSet.empty()) == [] and repr(VertexSet.empty()) == "VertexSet([])"
 
 
 _coordinate = st.one_of(st.integers(-40, 40), st.sampled_from([TOP, -TOP, TOP - 1]))
@@ -290,9 +290,7 @@ _coordinate = st.one_of(st.integers(-40, 40), st.sampled_from([TOP, -TOP, TOP - 
 def test_from_iterable_is_sorted_set(pts):
     want = sorted(set(pts), key=lambda q: (q[1], q[0]))
     from_list = VertexSet.from_iterable(pts)
-    assert [tuple(q) for q in from_list] == want
-    assert from_list.points == tuple(LatticePoint(*q) for q in want)
-    assert all(type(q) is LatticePoint and type(q.i) is type(q.j) is int for q in from_list.points)
+    assert list(from_list) == want
     assert len(from_list) == len(want)
     assert all(q in from_list for q in pts)
     from_array = VertexSet.from_iterable(np.array(pts, dtype=np.int64).reshape(-1, 2))

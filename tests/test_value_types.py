@@ -10,7 +10,6 @@ from kdom import (
     Box,
     DomainError,
     GridDims,
-    LatticePoint,
     Radius,
     SetFileError,
     VertexSet,
@@ -30,7 +29,6 @@ def _values():
     dims, k = GridDims(27, 27), Radius(2)
     points, trace = construct(dims, k)
     return [
-        LatticePoint(1, -2),
         dims,
         k,
         Box(-2, 2, -1, 3),
@@ -70,6 +68,7 @@ def test_value_types_are_tuples_that_survive_pickle_and_copy(value):
     (Box(0, 3, 0, 3), "i_hi", 2 ** 31, DomainError),
     (Box(0, 3, 0, 3), "j_lo", -(2 ** 62), DomainError),
     (SetFile(1, 3, 3, VertexSet.empty()), "points", [(0, 0)], SetFileError),
+    (SetFile(1, 3, 3, VertexSet.empty()), "flags", "projected", SetFileError),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_validated_types_reject_the_same_fields_on_every_path(good, field, bad, error):
     cls = type(good)
@@ -101,11 +100,10 @@ def test_vertex_set_copies_and_unpickles_read_only(points):
             back.array[0, 0] = 99
 
 
-def test_every_vertex_set_the_library_builds_is_int64():
-    # one representation: __hash__ hashes the array's bytes, which only int64 rows make canonical
+def _library_sets():
     dims, k = GridDims(27, 27), Radius(2)
     built, trace = construct(dims, k)
-    sets = [
+    return [
         VertexSet.empty(),
         VertexSet.from_iterable([]),
         VertexSet.from_iterable([(3, -1), (COORD_LIMIT - 1, 2)]),
@@ -119,7 +117,13 @@ def test_every_vertex_set_the_library_builds_is_int64():
         verify_domination(dims, k, built).uncovered,
         exact_gamma(GridDims(3, 4), Radius(1)).witness,
         exact_gamma(GridDims(4, 3), Radius(1)).witness,
+        base_set(dims, k, 3),
     ]
+
+
+def test_every_vertex_set_the_library_builds_is_int64():
+    # one representation: __hash__ hashes the array's bytes, which only int64 rows make canonical
+    sets = _library_sets()
     assert [(vs.array.dtype, vs.array.ndim) for vs in sets] == [(np.int64, 2)] * len(sets)
     # the constructor refuses any other dtype, since __hash__ hashes the array's bytes
     for dtype in (np.int32, np.uint64, object):
@@ -130,6 +134,17 @@ def test_every_vertex_set_the_library_builds_is_int64():
         with pytest.raises(DomainError) as refused:
             VertexSet(np.zeros(shape, dtype=np.int64))
         assert str(refused.value) == f"a vertex set is an (N, 2) array of (i, j) rows, got shape {shape}"
+
+
+def test_every_vertex_set_the_library_builds_iterates_as_pairs_of_ints():
+    # a point is a plain (i, j) tuple of Python ints, however the set was built
+    for vs in _library_sets():
+        points = list(vs)
+        assert {(type(q), len(q)) for q in points} <= {(tuple, 2)}
+        assert {type(c) for q in points for c in q} <= {int}
+        assert points == [tuple(row) for row in vs.array.tolist()]
+    vs = VertexSet.from_iterable([(3, 1), (0, 2)])
+    assert (3, 1) in vs and (1, 3) not in vs
 
 
 class _Small(enum.IntEnum):
