@@ -3,8 +3,8 @@
 The pipeline intersects the best fiber of the diagonal code with the
 k-margin box Y, removes one code point at each corner of Y via the
 three-case shift procedure (only where m, n > 2p), and finally clamps
-every out-of-grid point onto the grid.  construct states the size bound
-and why its result dominates.
+every out-of-grid point onto the grid, all on one integer key per
+point.  construct states the size bound and why its result dominates.
 
 Corner geometry is always computed in a rotated frame that carries the
 corner onto the northwest corner of Y.  A quarter turn (never a
@@ -22,20 +22,8 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .gridmodel import (
-    GridDims,
-    check_dense_size,
-    is_dominating,
-    neighborhood_box,
-    verify_domination,
-)
-from .lattice import (
-    Radius,
-    VertexSet,
-    fiber_counts_in_box,
-    inverse_image_in_box,
-    pairs_of_keys,
-)
+from .gridmodel import GridDims, check_dense_size, is_dominating, neighborhood_box, verify_domination
+from .lattice import Radius, Rows, VertexSet, fiber_counts_in_box, fiber_keys, inverse_image_in_box, pairs_of_keys
 
 
 class Corner(enum.Enum):
@@ -52,6 +40,7 @@ class CornerCase(enum.Enum):
 
 
 CORNER_ORDER = (Corner.NW, Corner.NE, Corner.SW, Corner.SE)
+_NO_PLAN = (None, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 4), dtype=np.int64))  # _corner_step's, no corners
 
 
 # The rotation carrying each corner of Y onto NW, as real = matrix @ frame +
@@ -67,23 +56,33 @@ _ROTATIONS = {
 class CornerContext(namedtuple("CornerContext", "corner s z case")):
     """Geometry of one corner in its own (rotated) frame.
 
-    s is the westernmost code point on the frame's north boundary row of
-    Y; z the northernmost code point one column west of the frame grid;
-    both are (i, j) tuples.  The line L1 through z and s has slope
-    (s.j - z.j)/(s.i - z.i), except where s and z coincide (s on column
-    -1), a degenerate configuration handled like the negative-slope case.
+    s is the westernmost code point on the frame's north row of Y; z the
+    northernmost code point one column west of the frame grid; both are
+    (i, j) tuples.  L1, through z and s, has slope (s.j - z.j)/(s.i - z.i),
+    except where s = z (s on column -1), handled like the negative case.
     """
 
     __slots__ = ()
+
+
+class ShiftedPairs(Rows):
+    """A run's moves: the stacked (N, 4) array of _corner_step, read-only; iteration yields
+    ((i, j), (u, v)) pairs, source and target, of plain int tuples."""
+
+    __slots__ = ()
+    WIDTH, NAME, ROW = 4, "a moves array", "(i, j, u, v)"
+
+    def __iter__(self):
+        i, j, u, v = self.array.T.tolist()
+        return zip(zip(i, j), zip(u, v))
 
 
 class ConstructionTrace(namedtuple("ConstructionTrace", "dims k chosen_residue base_size corner_removal_applied"
                                    " corner_cases removed shifted_pairs projection_merged final_size")):
     """Audit record of one construction run.
 
-    chosen_residue is the int in [0, p) whose fiber was built;
-    corner_cases is None where corner removal is skipped; removed is a
-    VertexSet, and shifted_pairs holds (source, target) pairs of (i, j) tuples.
+    chosen_residue is the int in [0, p) whose fiber was built; corner_cases
+    is None where corner removal is skipped; removed is a VertexSet.
     """
 
     __slots__ = ()
@@ -92,9 +91,8 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "dims k chosen_residue b
 def best_residue(dims: GridDims, k: Radius) -> tuple[int, int]:
     """The residue, an int in [0, p), whose fiber meets Y in the fewest points, and that count.
 
-    Ties break toward the smallest residue value.  The p fibers partition
-    Y, so the counts sum to |Y| and the winning count never exceeds
-    floor((m+2k)(n+2k)/p), the mean count.  O(p) work.
+    Ties break toward the smallest residue.  The p fibers partition Y, so
+    the count never exceeds floor((m+2k)(n+2k)/p), the mean.  O(p) work.
     """
     counts = fiber_counts_in_box(k, neighborhood_box(dims, k))
     ell = int(counts.argmin())
@@ -108,16 +106,30 @@ def base_set(dims: GridDims, k: Radius, ell: int) -> VertexSet:
 
 def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     """Clamp every point onto the grid box and dedupe."""
-    m, n, pts = dims.m, dims.n, s.array
-    # On row-major keys j*m + i < 2**62.  Clamping i is monotone, so rows strictly inside the grid
-    # stay in order; only the keys of the rows merged into row 0 and row n-1 need a sort.
-    lo, hi = pts[:, 1].searchsorted((1, n - 1)) if n > 1 else (0, 0)
-    keys = np.minimum(np.maximum(pts[:, 0], 0), m - 1)  # the keys of row 0
-    keys[lo:hi] += pts[lo:hi, 1] * m
-    keys[hi:] += (n - 1) * m
-    for a, b in ((0, lo), (hi, len(keys))):
-        keys[a:b] = keys[a:b][keys[a:b].argsort(kind="stable")]
-    return VertexSet(pairs_of_keys(np.concatenate((keys[:1], keys[1:].compress(keys[1:] != keys[:-1]))), m))
+    n, pts = dims.n, s.array
+    lo, hi = pts[:, 1].searchsorted((1, n - 1)) if n > 1 else (0, 0)  # the rows merged into rows 0 and n-1
+    return VertexSet(pairs_of_keys(_settle(_grid_keys(dims, pts[:, 0].copy(), pts[:, 1].copy(), 0), lo, hi), dims.m))
+
+
+def _grid_keys(dims: GridDims, i: np.ndarray, j: np.ndarray, off: int) -> np.ndarray:
+    """Grid keys j*m + i < 2**62 of the points (i - off, j - off) clamped onto the grid; edits i and j."""
+    np.minimum(np.maximum(i, off, out=i), dims.m + off - 1, out=i)  # np.clip's result, at less cost per call
+    np.minimum(np.maximum(j, off, out=j), dims.n + off - 1, out=j)
+    j *= dims.m
+    j += i - off * (dims.m + 1)
+    return j
+
+
+def _settle(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The keys, with the bands [:lo] and [hi:] sorted in place, less the -1 sentinels and the repeats.
+    The keys outside the bands must be in order: then one neighbour compare finds each repeat and
+    each sentinel, which sorts first in its band."""
+    keys[:lo].sort()
+    keys[hi:].sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = keys[:1] >= 0
+    np.greater(keys[1:], keys[:-1], out=keep[1:])
+    return keys.compress(keep)
 
 
 def _corner_shape(k: Radius, si: int) -> tuple[int, CornerCase]:
@@ -135,13 +147,6 @@ def _corner_shape(k: Radius, si: int) -> tuple[int, CornerCase]:
     if (kk + 1) * -zj > kk * (si + 1):  # L1's slope -zj/(si+1) > k/(k+1), by cross multiplication
         return zj, CornerCase.STEEP_SLOPE
     return zj, CornerCase.SHALLOW_SLOPE
-
-
-class _CornerPlan(namedtuple("_CornerPlan", "removed moves")):
-    """One corner's edit, in real coordinates: remove one point (an (i, j) tuple) and move others,
-    an (N, 4) int64 array of (i, j, u, v) rows, source (i, j) first, sorted row-major by source."""
-
-    __slots__ = ()
 
 
 def _corner_moves(k: Radius, si: int, zj: int,
@@ -205,22 +210,21 @@ def _frame_plan(corner: Corner, k: Radius, si: int) -> tuple[int, CornerCase, np
     return zj, case, moves
 
 
-def _corner(corner: Corner, dims: GridDims, k: Radius, ell: int) -> tuple[CornerContext, _CornerPlan]:
-    """One corner's context, in its frame, and its plan, in real coordinates.
+def _corner(corner: Corner, dims: GridDims, k: Radius,
+            ell: int) -> tuple[CornerContext, tuple[int, ...], np.ndarray]:
+    """One corner's context, in its frame; its removed point and its frame origin (x0, y0, x0, y0),
+    in one tuple; and its moves, as offsets from the frame origin.
 
-    The frame is the rotation real = matrix @ frame + shift of _ROTATIONS,
-    in plain integers, that carries the corner onto the NW corner of Y.
-    A quarter turn maps the Lee lattice L = {(k+1)i + kj = 0 (mod p)}
-    onto itself, so in the frame the code is s + L, where s = (si, north)
-    is the first code point from column -k on the north row of Y.  Along
-    that row phi is linear in the frame's i, phi = origin + step * i
-    (mod p) with step = (k+1)a + kc for the matrix's first column (a, c),
-    so si is one modular solve.  The plan's offsets from the frame origin
-    (x0, y0) are a pure function of (corner, k, si): _corner_shape,
-    _corner_moves and the rotation read nothing else.  So _frame_plan
-    memoizes them, read-only, and each call gets a translated copy; its
-    256 plans hold at most 2,352 moves each (k = 48, the largest k corner
-    removal reaches), about 19 MB.
+    The frame is the rotation real = matrix @ frame + shift of _ROTATIONS
+    that carries the corner onto the NW corner of Y.  A quarter turn maps
+    the Lee lattice L = {(k+1)i + kj = 0 (mod p)} onto itself, so in the
+    frame the code is s + L, where s = (si, north) is the first code point
+    from column -k on the north row of Y.  Along that row phi is linear in
+    the frame's i, phi = origin + step * i (mod p) with step = (k+1)a + kc
+    for the matrix's first column (a, c), so si is one modular solve.  The
+    offsets are a pure function of (corner, k, si), which _frame_plan
+    memoizes, read-only: at most 256 plans of at most 2,352 moves each
+    (k = 48, the largest k corner removal reaches), about 19 MB.
     """
     kk, p = k.k, k.p
     ((a, b), (c, d)), (sx, sy) = _ROTATIONS[corner]
@@ -231,54 +235,22 @@ def _corner(corner: Corner, dims: GridDims, k: Radius, ell: int) -> tuple[Corner
     si = (pow(step, -1, p) * (ell - origin) + kk) % p - kk
     zj, case, moves = _frame_plan(corner, k, si)
     ctx = tuple.__new__(CornerContext, (corner, (si, north), (-1, north + zj), case))
-    return ctx, tuple.__new__(_CornerPlan, ((a * si + x0, c * si + y0), moves + (x0, y0, x0, y0)))
+    return ctx, (a * si + x0, c * si + y0, x0, y0, x0, y0), moves
 
 
-def _apply_plans(dims: GridDims, k: Radius, s_set: VertexSet, plans: list[_CornerPlan]) -> VertexSet:
-    """Delete every plan's removed point and shift sources and insert its targets, in one edit.
+def _corner_step(dims: GridDims, k: Radius, ell: int) -> tuple[tuple[CornerContext, ...], np.ndarray, np.ndarray]:
+    """The four corners' contexts and their stacked plan, in CORNER_ORDER and real coordinates: the
+    removed points, a (4, 2) int64 array, and the moves, one (N, 4) int64 array of (i, j, u, v) rows,
+    source (i, j) and target (u, v), row-major by source within a corner.
 
-    The plans must come from the set's own base set, through _corner_step
-    on the grid, k and residue it was built from.  Then every deleted
-    point is in the set, and the targets are distinct points outside it
-    that no plan deletes (_corner_moves), so no fault is checked for.
-    Only the two bands that hold every plan (_corner_step) are edited:
-    Y's south p rows (j < p-k) and its north p rows (j >= n+k-p), which
-    one binary search on the row column bounds.  The edit works on keys,
-    Y's row-major index j(m+2k) + i < 2**62 + 2**31 (Y's sides are at
-    most 2**31): each source's key becomes its target's, each removed
-    point's 2**63 - 1, and one sort (which puts those last, to be cut)
-    and one divmod give the edited bands back as points.  The rest of
-    the set is copied once, never sorted.  plans is not empty.
-    """
-    kk, p = k.k, k.p
-    w, north = dims.m + 2 * kk, dims.n + kk - p
-    whole = s_set.array
-    lo, hi = whole[:, 1].searchsorted((p - kk, north))
-    keys = np.concatenate((whole[:lo], whole[hi:])) @ (1, w)
-    removed, moves = zip(*plans)
-    moved = np.concatenate(moves).reshape(-1, 2) @ (1, w)  # source, target, source, ...
-    at = keys.searchsorted(np.array(removed) @ (1, w))
-    keys[keys.searchsorted(moved[::2])] = moved[1::2]
-    keys[at] = 2 ** 63 - 1
-    edited = pairs_of_keys(np.sort(keys)[:-len(plans)] + kk, w)  # i + k lies in [0, m+2k)
-    edited[:, 0] -= kk
-    cut = edited[:, 1].searchsorted(north)
-    return VertexSet(np.concatenate((edited[:cut], whole[lo:hi], edited[cut:])))
-
-
-def _corner_step(dims: GridDims, k: Radius,
-                 ell: int) -> tuple[tuple[CornerContext, ...], list[_CornerPlan]]:
-    """The four corners' contexts and plans, in CORNER_ORDER.
-
-    Corner plans exist only for m, n > 2p, where the four corners cannot
-    interact, which is checked here, and for a residue in [0, p), which
-    base_set has checked before any call.  No two plans touch the same
-    point.  In its frame, with Y's north row at j = 0, every point a plan
-    removes, moves or fills lies in the p x p window of columns -k..p-k-1
-    and rows -(p-1)..0: a steep scan stops at z.j >= 1-p and lifts z to
-    row z.j+1 <= 0; a shallow candidate moves only if
-    (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s lies in
-    column s.i within p rows, so east shifts end by column s.i.  In real
+    Plans exist only for m, n > 2p, checked here, where the four corners
+    cannot interact, and for a residue in [0, p), which fiber_keys checks
+    first.  No two plans touch the same point.  In its frame, with Y's
+    north row at j = 0, every point a plan removes, moves or fills lies in
+    the p x p window of columns -k..p-k-1 and rows -(p-1)..0: a steep scan
+    stops at z.j >= 1-p and lifts z to row z.j+1 <= 0; a shallow candidate
+    moves only if (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s
+    lies in column s.i within p rows, so east shifts end by column s.i.  In real
     coordinates the windows lie in Y's columns, NW and NE in Y's north p
     rows (j >= n+k-p), SW and SE in its south p rows (j < p-k).  The two
     bands are disjoint once n > 2p-2k-1, and the two windows within a
@@ -287,52 +259,80 @@ def _corner_step(dims: GridDims, k: Radius,
     p = k.p
     if dims.m <= 2 * p or dims.n <= 2 * p:
         raise DomainError(f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}")
-    contexts, plans = zip(*(_corner(corner, dims, k, ell) for corner in CORNER_ORDER))
-    return contexts, list(plans)
+    contexts, rows, frames = zip(*(_corner(corner, dims, k, ell) for corner in CORNER_ORDER))
+    rows = np.array(rows, dtype=np.int64)
+    moves = np.concatenate(frames)
+    moves += rows[:, 2:].repeat([len(f) for f in frames], axis=0)
+    return contexts, rows[:, :2], moves
 
 
-def _trace(dims: GridDims, k: Radius, ell: int, base: VertexSet,
-           contexts: tuple[CornerContext, ...] | None, plans: list[_CornerPlan],
-           merged: int, final: VertexSet) -> ConstructionTrace:
-    """The audit record of one run; contexts is None where corner removal is skipped.
+def _apply_plans(dims: GridDims, k: Radius, keys: np.ndarray, removed: np.ndarray,
+                 moves: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """Overwrite, in place, each source's key by its target's in a base set's ascending Y keys.
 
-    The removed points need no dedupe: they lie in the four disjoint p x p
-    windows of _corner_step.
+    A Y key is a point's row-major index in Y, (j+k)(m+2k) + (i+k) < 2**62
+    + 2**31.  The plan (_corner_step, or _NO_PLAN) must come from the base
+    set's grid, k and residue: then every deleted point is in the set, and
+    the targets are distinct points outside it that no plan deletes
+    (_corner_moves), so no fault is checked for.  Returns the bounds lo, hi
+    of the edge bands, Y's rows j < p-k and j >= n+k-p, which hold every
+    plan (_corner_step), or without plans the rows j < 1 and j >= n-1 that
+    the clamp merges (one band if n = 1); and the removed keys' positions,
+    for the caller's -1 sentinels (_settle).
     """
-    removed = sorted((plan.removed for plan in plans), key=lambda q: (q[1], q[0]))  # row-major
-    i, j, u, v = np.concatenate([plan.moves for plan in plans]).T.tolist() if plans else ((),) * 4
+    kk, p, n, w, r = k.k, k.p, dims.n, dims.m + 2 * k.k, len(removed)
+    rows = (p - kk, n + kk - p) if r else (1, n - 1) if n > 1 else (-kk, -kk)
+    bounds = ((-kk, rows[0]), (-kk, rows[1]))  # the first points of the bands' rows
+    q = np.concatenate((removed, moves.reshape(-1, 2), bounds)) @ (1, w) + kk * (w + 1)
+    found = keys.searchsorted(q)  # removed, then source, target, source, ..., then the bounds
+    keys[found[r:-2:2]] = q[r + 1:-2:2]
+    return found[-2], found[-1], found[:r]  # only the bands lose their order
+
+
+def _trace(dims: GridDims, k: Radius, ell: int, base_size: int, contexts: tuple[CornerContext, ...] | None,
+           removed: np.ndarray, moves: np.ndarray, merged: int, final: VertexSet) -> ConstructionTrace:
+    """The audit record of one run; contexts is None where corner removal is skipped.  The removed
+    points need no dedupe: they lie in the four disjoint p x p windows of _corner_step."""
     return tuple.__new__(ConstructionTrace, (
-        dims, k, ell, len(base), contexts is not None, contexts,
-        VertexSet(np.array(removed, dtype=np.int64).reshape(-1, 2)),
-        tuple(zip(zip(i, j), zip(u, v))), merged, len(final)))
+        dims, k, ell, base_size, contexts is not None, contexts,
+        VertexSet(removed[np.lexsort(removed.T)]), ShiftedPairs(moves), merged, len(final)))
 
 
 def remove_corners(dims: GridDims, k: Radius, ell: int, s_set: VertexSet,
                    verify: bool = True) -> tuple[VertexSet, ConstructionTrace]:
     """Remove one code point at each corner of Y, preserving domination.
 
-    s_set must equal base_set(dims, k, ell), the only set the corner plans
-    are proved for.  The base set is rebuilt first, which refuses an ell
-    that is not an int in [0, p); then the plans, which refuse m or
-    n <= 2p; then any set but the rebuild is refused.  Each raises
-    DomainError.  The four plans are applied to the rebuild in one edit,
-    as construct applies them.  With verify, the edited set is checked once on the
-    whole grid, and a failure raises VerificationError carrying the
-    uncovered vertices.
+    s_set must equal base_set(dims, k, ell), the only set the plans are
+    proved for.  The base set is rebuilt first, which refuses an ell that
+    is not an int in [0, p); then the plans, which refuse m or n <= 2p;
+    then any set but the rebuild.  Each raises DomainError.  The rebuild's
+    Y keys take the same edit as in construct, with no clamp.  With verify,
+    the edited set is checked once on the whole grid, and a failure raises
+    VerificationError carrying the uncovered vertices.
     """
     base = base_set(dims, k, ell)
-    contexts, plans = _corner_step(dims, k, ell)
+    contexts, removed, moves = _corner_step(dims, k, ell)
     if s_set != base:
         raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
-    current = _apply_plans(dims, k, base, plans)
+    w = dims.m + 2 * k.k
+    keys = (base.array + k.k) @ (1, w)
+    lo, hi, gone = _apply_plans(dims, k, keys, removed, moves)
+    keys[gone] = -1
+    current = VertexSet(pairs_of_keys(_settle(keys, lo, hi), w) - k.k)
     if verify and not is_dominating(dims, k, current):
         uncovered = verify_domination(dims, k, current).uncovered
         raise VerificationError(f"corner shifts broke domination ({len(uncovered)} uncovered)", uncovered=uncovered)
-    return current, _trace(dims, k, ell, base, contexts, plans, 0, current)
+    return current, _trace(dims, k, ell, len(base), contexts, removed, moves, 0, current)
 
 
 def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     """Full pipeline: best residue, base set, corner removal, projection.
+
+    Each point is one key from the fiber to the clamp: the fiber's
+    ascending Y keys, edited in place by the stacked plan, then one divmod,
+    one clamp and one grid key j*m + i.  Only the two edge bands are
+    sorted: no plan touches the other rows, which lie strictly inside the
+    grid, and clamping i is monotone, so they stay in order (_settle).
 
     For m, n > 2p the result has at most floor((m+2k)(n+2k)/p) - 4
     points; otherwise corner removal is skipped and the floor bound
@@ -346,29 +346,27 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     (k+1)^2 square at a corner, each of L1 diameter <= 2k, and two fiber
     points are >= 2k+1 apart.  test_projection_merges_nothing_two_wide
     checks the edited sets too; 1-wide grids can merge (3x1 at k=1).
-    Each plan keeps domination in its p x p window, certified for k <= 20 by
-    test_corner_plans_keep_domination_locally_up_to_k20 and for
+    Each plan keeps domination in its p x p window, certified for k <= 20
+    by test_corner_plans_keep_domination_locally_up_to_k20 and for
     21 <= k <= 48 by a run of tests/corner_certificate.py.  Grids too
-    large for the coverage kernel are still rejected with DomainError
-    up front, so kdom verify can check every set construct returns, and
-    corner removal never runs past k = 48: at k = 49 the smallest grid
-    with corners, (2p+1)^2, is over the cap
-    (test_corner_removal_reaches_k48_and_no_further).
+    large for the coverage kernel are rejected with DomainError up front,
+    so kdom verify can check every set construct returns, and corner
+    removal never runs past k = 48: at k = 49, (2p+1)^2 is over the cap.
 
     The base set's size needs no check against best_residue's count:
-    fiber_counts_in_box counts floor(W/p) points per row of width W, plus
-    one where the row's W mod p leftover columns hold a fiber point,
-    which is what inverse_image_in_box lists.  Tests check both against
-    a row-by-row reference count on random boxes (acceptance criterion 5,
-    test_count_matches_enumeration_randomized and
-    test_fiber_counts_in_box_match_per_residue_counts).
+    both count floor(W/p) points per row of width W, plus one where the
+    row's W mod p leftover columns hold a fiber point, as tests check on
+    random boxes (acceptance criterion 5).
     """
     check_dense_size(dims, k)
-    ell, _ = best_residue(dims, k)
-    base = base_set(dims, k, ell)
-    contexts, plans, p = None, [], k.p
-    if dims.m > 2 * p and dims.n > 2 * p:
-        contexts, plans = _corner_step(dims, k, ell)
-    shifted = _apply_plans(dims, k, base, plans) if plans else base
-    projected = project_inward(dims, shifted)
-    return projected, _trace(dims, k, ell, base, contexts, plans, len(shifted) - len(projected), projected)
+    box = neighborhood_box(dims, k)
+    ell = int(fiber_counts_in_box(k, box).argmin())  # best_residue's choice
+    keys = fiber_keys(k, ell, box)
+    contexts, removed, moves = _corner_step(dims, k, ell) if min(dims) > 2 * k.p else _NO_PLAN
+    lo, hi, gone = _apply_plans(dims, k, keys, removed, moves)
+    j, i = np.divmod(keys, box.width)
+    grid = _grid_keys(dims, i, j, k.k)
+    grid[gone] = -1
+    final = VertexSet(pairs_of_keys(_settle(grid, lo, hi), dims.m))
+    merged = len(keys) - len(removed) - len(final)
+    return final, _trace(dims, k, ell, len(keys), contexts, removed, moves, merged, final)

@@ -114,6 +114,8 @@ def _as_pairs(points) -> np.ndarray:
     Raises TypeError on a bool coordinate, through operator.index on one
     that is not an integer, and DomainError on one that int64 cannot hold.
     """
+    if isinstance(points, np.ndarray) and points.dtype == np.int64 and points.shape[1:] == (2,):
+        return points  # int64 holds only integers, and canonical_order checks the bound
     pts = points.tolist() if isinstance(points, np.ndarray) else list(points)
     try:
         pairs = set(map(len, pts)) <= {2}
@@ -166,27 +168,45 @@ def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
     return mask
 
 
-class VertexSet:
-    """A deduplicated vertex set in canonical row-major order.
-
-    The set is one read-only (N, 2) int64 array of (i, j) rows, sorted by
-    j and then by i, every |c| < COORD_LIMIT.  Iteration yields each
-    point as a plain (i, j) tuple of ints.  Build sets with
-    from_iterable; the constructor takes an array that is already
-    canonical and refuses any dtype but int64 and any shape but (N, 2).
-    Copying and unpickling go through the constructor, so the copy is
-    read-only too.
-    """
+class Rows:
+    """A read-only (N, WIDTH) int64 array, compared, hashed and pickled by value.  The constructor
+    refuses any other dtype or shape; copying and unpickling go through it, so copies are read-only."""
 
     __slots__ = ("array",)
+    WIDTH, NAME, ROW = 2, "a vertex set", "(i, j)"
 
     def __init__(self, array: np.ndarray):
-        if array.dtype != np.int64:  # __hash__ reads the bytes, so equal sets must share a dtype
-            raise DomainError(f"a vertex set is an int64 array, got {array.dtype}")
-        if array.ndim != 2 or array.shape[1] != 2:
-            raise DomainError(f"a vertex set is an (N, 2) array of (i, j) rows, got shape {array.shape}")
+        if array.dtype != np.int64:  # __hash__ reads the bytes, so equal values must share a dtype
+            raise DomainError(f"{self.NAME} is an int64 array, got {array.dtype}")
+        if array.ndim != 2 or array.shape[1] != self.WIDTH:
+            raise DomainError(f"{self.NAME} is an (N, {self.WIDTH}) array of {self.ROW} rows, got shape {array.shape}")
         array.setflags(write=False)
         self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.array.shape == other.array.shape and bool((self.array == other.array).all())
+
+    def __hash__(self) -> int:
+        return hash(self.array.tobytes())
+
+    def __reduce__(self):
+        return type(self), (self.array,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class VertexSet(Rows):
+    """A deduplicated vertex set: one read-only (N, 2) int64 array of (i, j) rows, sorted by j and
+    then by i, every |c| < COORD_LIMIT.  Iteration yields plain (i, j) tuples of ints.  Build sets
+    with from_iterable; the constructor takes an array that is already canonical."""
+
+    __slots__ = ()
 
     @classmethod
     def from_iterable(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "VertexSet":
@@ -206,25 +226,8 @@ class VertexSet:
     def empty(cls) -> "VertexSet":
         return cls(np.zeros((0, 2), dtype=np.int64))
 
-    def __len__(self) -> int:
-        return len(self.array)
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return zip(*self.array.T.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VertexSet):
-            return NotImplemented
-        return self.array.shape == other.array.shape and bool((self.array == other.array).all())
-
-    def __hash__(self) -> int:
-        return hash(self.array.tobytes())
-
-    def __reduce__(self):
-        return type(self), (self.array,)
-
-    def __repr__(self) -> str:
-        return f"VertexSet({list(self)!r})"
 
 
 def phi(k: Radius, point: tuple[int, int]) -> int:
@@ -234,28 +237,26 @@ def phi(k: Radius, point: tuple[int, int]) -> int:
     return ((k.k + 1) * point[0] + k.k * point[1]) % k.p
 
 
-def inverse_image_in_box(k: Radius, ell: int, box: Box) -> VertexSet:
-    """All fiber points of the residue ell, an int in [0, p), inside the box, row-major ordered.
-
-    Row j_lo + r first meets the fiber at column offset
-    (c0 - r*k/(k+1)) mod p from i_lo and then every p columns, so one
-    repeat over the rows lists the points already sorted.
-    """
-    kk, p = k.k, k.p
+def fiber_keys(k: Radius, ell: int, box: Box) -> np.ndarray:
+    """The fiber points of the residue ell, an int in [0, p), in the box, as ascending keys
+    (j - j_lo) * width + (i - i_lo).  Row j_lo + r first meets the fiber at column offset
+    (c0 - r*k/(k+1)) mod p from i_lo and then every p columns, so one repeat lists them sorted."""
+    kk, p, w = k.k, k.p, box.width
     if not (integers(ell) and 0 <= ell < p):
         raise DomainError(f"residues mod p={p} must be integers in [0, {p - 1}], got {ell!r}")
     inv = pow(kk + 1, -1, p)
     back = p - inv * kk % p  # row j + 1's first hit lies back columns east of row j's, mod p
     c0 = (inv * (ell - kk * box.j_lo) - box.i_lo) % p
     first = np.arange(c0, c0 + back * box.height, back, dtype=np.int64) % p
-    hits = (box.width - 1 + p - first) // p
+    hits = (w - 1 + p - first) // p
     ends = hits.cumsum()
-    first += box.i_lo - p * (ends - hits)  # the row's first column, less p per point listed before it
-    pairs = np.empty((int(ends[-1]), 2), dtype=np.int64)
-    pairs[:, 1] = np.arange(box.j_lo, box.j_hi + 1, dtype=np.int64).repeat(hits)
-    pairs[:, 0] = np.arange(0, len(pairs) * p, p, dtype=np.int64)
-    pairs[:, 0] += first.repeat(hits)
-    return VertexSet(pairs)
+    first += np.arange(0, w * box.height, w, dtype=np.int64) - p * (ends - hits)  # less p per key before the row
+    return np.arange(0, int(ends[-1]) * p, p, dtype=np.int64) + first.repeat(hits)
+
+
+def inverse_image_in_box(k: Radius, ell: int, box: Box) -> VertexSet:
+    """All fiber points of the residue ell, an int in [0, p), inside the box, row-major ordered: fiber_keys as pairs."""
+    return VertexSet(pairs_of_keys(fiber_keys(k, ell, box), box.width) + (box.i_lo, box.j_lo))
 
 
 def fiber_counts_in_box(k: Radius, box: Box) -> np.ndarray:

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -25,35 +29,56 @@ from kdom import (
     remove_corners,
     verify_domination,
 )
-from kdom import construction, gridmodel
+from kdom import construction, gridmodel, lattice
 from kdom.cli import trace_lines
 from kdom.construction import (
     CORNER_ORDER,
     Corner,
     CornerCase,
     CornerContext,
+    ShiftedPairs,
     _apply_plans,
     _corner,
     _corner_moves,
     _corner_shape,
     _corner_step,
-    _CornerPlan,
     _frame_plan,
+    _settle,
 )
-from kdom.lattice import COORD_LIMIT, phi
+from kdom.lattice import COORD_LIMIT, pairs_of_keys, phi
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
 
+# One corner's plan, in real coordinates: the removed (i, j) tuple and an (N, 4) int64 array of
+# (i, j, u, v) moves, sorted row-major by source.  _corner_step stacks the four corners' plans.
+_Plan = namedtuple("_Plan", "removed moves")
+
+
 def _classify_corner(dims, k, ell, corner):
     """Locate s and z for one corner of a grid and classify the slope of L1."""
-    contexts, _ = _corner_step(dims, k, ell)
-    return contexts[CORNER_ORDER.index(corner)]
+    return _corner_step(dims, k, ell)[0][CORNER_ORDER.index(corner)]
 
 
 def _corner_plan(ctx, dims, k, ell):
     """The plan of one classified corner, in real coordinates."""
-    return _corner(ctx.corner, dims, k, ell)[1]
+    _, row, offsets = _corner(ctx.corner, dims, k, ell)
+    return _Plan(row[:2], offsets + row[2:])
+
+
+def _apply(dims, k, points, plans):
+    """The library's corner edit without the clamp, as remove_corners runs it, of plans stacked in order.
+
+    The points must lie in Y; each plan's removed point is deleted, and its
+    sources move onto its targets.
+    """
+    removed = np.array([plan.removed for plan in plans], dtype=np.int64).reshape(-1, 2)
+    moves = np.concatenate([plan.moves for plan in plans]).reshape(-1, 4)
+    w = dims.m + 2 * k.k
+    keys = (points.array + k.k) @ (1, w)  # Y keys
+    lo, hi, gone = _apply_plans(dims, k, keys, removed, moves)
+    keys[gone] = -1
+    return VertexSet(pairs_of_keys(_settle(keys, lo, hi), w) - k.k)
 
 
 def _slope(ctx):
@@ -248,7 +273,7 @@ def test_apply_corner_case_every_corner_and_residue():
             for corner in CORNER_ORDER:
                 ctx = _classify_corner(dims, k, ell, corner)
                 offsets[corner].add(ctx.s[0])
-                out = _apply_plans(dims, k, pts, [_corner_plan(ctx, dims, k, ell)])
+                out = _apply(dims, k, pts, [_corner_plan(ctx, dims, k, ell)])
                 assert is_dominating(dims, k, out), (kk, ell, corner)
                 assert len(out) == len(pts) - 1
         for corner, seen in offsets.items():
@@ -256,7 +281,7 @@ def test_apply_corner_case_every_corner_and_residue():
 
 
 def test_corner_plans_lie_in_the_edge_bands_of_y():
-    # The premise of the one-edit _apply_plans, in real coordinates: every
+    # The premise of the band edit of _apply_plans, in real coordinates: every
     # point a plan removes, moves or fills lies in Y's columns, and in Y's
     # north p rows (j >= n+k-p) at NW and NE, its south p rows (j < p-k)
     # at SW and SE.
@@ -268,7 +293,10 @@ def test_corner_plans_lie_in_the_edge_bands_of_y():
             rows = {Corner.NW: (n + kk - p, n + kk - 1), Corner.NE: (n + kk - p, n + kk - 1),
                     Corner.SW: (-kk, p - kk - 1), Corner.SE: (-kk, p - kk - 1)}
             for v in range(p):
-                contexts, plans = _corner_step(dims, k, v)
+                contexts, removed, moves = _corner_step(dims, k, v)
+                plans = [_corner_plan(ctx, dims, k, v) for ctx in contexts]
+                assert removed.tolist() == [list(plan.removed) for plan in plans]
+                assert (moves == np.concatenate([plan.moves for plan in plans])).all()
                 for ctx, plan in zip(contexts, plans):
                     points = np.concatenate(([plan.removed], plan.moves.reshape(-1, 2)))
                     lo, hi = rows[ctx.corner]
@@ -291,9 +319,11 @@ def test_a_cached_frame_plan_is_read_only():
         assert len(moves)
         with pytest.raises(ValueError, match="read-only"):
             moves[0, 0] += 1
-        ctx, plan = _corner(corner, GridDims(30, 31), K2, 0)
-        plan.moves[:] = 0  # the plan _corner returns is a translated copy of the cached one
-        assert (_frame_plan(corner, K2, ctx.s[0])[2] != 0).any()
+        ctx, _, offsets = _corner(corner, GridDims(30, 31), K2, 0)
+        assert offsets is _frame_plan(corner, K2, ctx.s[0])[2]  # _corner hands out the cached array
+    contexts, _, stacked = _corner_step(GridDims(30, 31), K2, 0)
+    stacked[:] = 0  # the stacked plan is a translated copy of the cached ones
+    assert all((_frame_plan(ctx.corner, K2, ctx.s[0])[2] != 0).any() for ctx in contexts)
 
 
 def test_frame_plan_memo_stays_within_its_bound():
@@ -330,10 +360,10 @@ def test_frame_rotations_match_the_explicit_maps():
             explicit, height = _explicit_maps(m, n)
             for ell in range(p):
                 for corner in CORNER_ORDER:
-                    ctx, plan = _corner(corner, GridDims(m, n), k, ell)
+                    ctx, row, _ = _corner(corner, GridDims(m, n), k, ell)
                     north = height[corner] + kk - 1
                     assert ctx.s[1] == north, (kk, m, n, corner)
-                    assert plan.removed == explicit[corner](*ctx.s), (kk, m, n, ell, corner)
+                    assert row[:2] == explicit[corner](*ctx.s), (kk, m, n, ell, corner)
                     first = next(i for i in range(-kk, p - kk) if phi(k, explicit[corner](i, north)) == ell)
                     assert ctx.s[0] == first, (kk, m, n, ell, corner)
 
@@ -373,7 +403,7 @@ def test_corner_trace_matches_the_explicit_map_reference():
                 contexts, removed, pairs = _reference_corner_trace(dims, k, ell)
                 assert trace.corner_cases == contexts, (kk, m, n, ell)
                 assert trace.removed == removed, (kk, m, n, ell)
-                assert trace.shifted_pairs == pairs, (kk, m, n, ell)
+                assert tuple(trace.shifted_pairs) == pairs, (kk, m, n, ell)
                 assert all(type(q) is tuple and {type(c) for c in q} == {int} for pair in trace.shifted_pairs for q in pair)
 
 
@@ -522,13 +552,12 @@ def test_verification_failure_carries_uncovered(monkeypatch):
     forged = ctx._replace(case=CornerCase.STEEP_SLOPE)
     # the steep moves of the NW corner, whose frame is the real plane
     (si, north), (_, zj) = ctx.s, ctx.z
+    # in frame coordinates, offsets from the frame origin (0, north), as _corner gives them
     moves = _corner_moves(K2, si, zj - north, CornerCase.STEEP_SLOPE)
-    steep = _CornerPlan(ctx.s, _plan_moves(sorted(
-        (((i, j + north), (u, v + north)) for (i, j), (u, v) in moves.items()),
-        key=lambda pair: (pair[0][1], pair[0][0]))))
+    steep = _plan_moves(sorted(moves.items(), key=lambda pair: (pair[0][1], pair[0][0])))
     corner_of = construction._corner
-    monkeypatch.setattr(construction, "_corner",
-                        lambda c, *args: (forged, steep) if c is Corner.NW else corner_of(c, *args))
+    monkeypatch.setattr(construction, "_corner", lambda c, *args: (
+        (forged, (si, north, 0, north, 0, north), steep) if c is Corner.NW else corner_of(c, *args)))
     pts = base_set(dims, K2, ell)
     with pytest.raises(VerificationError) as err:
         remove_corners(dims, K2, ell, pts, verify=True)
@@ -563,7 +592,7 @@ def _fitting_plans(rng, universe, count):
     plans = []
     while inside and len(plans) < count:
         moves = min(rng.randint(0, 5), len(inside) - 1, len(outside))
-        plans.append(_CornerPlan(inside.pop(), _plan_moves([(inside.pop(), outside.pop()) for _ in range(moves)])))
+        plans.append(_Plan(inside.pop(), _plan_moves([(inside.pop(), outside.pop()) for _ in range(moves)])))
     return pts, plans
 
 
@@ -573,26 +602,29 @@ def test_apply_plan_matches_the_set_reference():
     sizes = set()
     for _ in range(3000):
         pts, [plan] = _fitting_plans(rng, universe, 1)
-        assert _apply_plans(_BAND_DIMS, _BAND_K, pts, [plan]) == _reference_apply_plan(pts, plan), (pts, plan)
+        assert _apply(_BAND_DIMS, _BAND_K, pts, [plan]) == _reference_apply_plan(pts, plan), (pts, plan)
         sizes.add(len(plan.moves))
     assert sizes == set(range(6))
 
 
 def test_apply_plan_moves_a_source_onto_a_free_target():
     pts = VertexSet.from_iterable([(0, 0), (3, 0), (1, 2)])
-    moved = _apply_plans(_BAND_DIMS, _BAND_K, pts, [_CornerPlan((0, 0), np.array([(3, 0, 0, 2)], dtype=np.int64))])
+    moved = _apply(_BAND_DIMS, _BAND_K, pts, [_Plan((0, 0), np.array([(3, 0, 0, 2)], dtype=np.int64))])
     assert list(moved) == [(0, 2), (1, 2)]
 
 
 def test_corner_edit_sorts_only_the_two_row_bands(monkeypatch):
-    # ROADMAP aim 1: corner removal costs O(p^2) points per corner, never O(|S| log |S|).
-    # Each band is at most p rows of ceil((m+2k)/p) points, and each corner fills at most p targets.
+    # ROADMAP aim 1: corner removal costs O(p^2) points per corner, never O(|S| log |S|), and
+    # projection sorts no row strictly inside the grid.  Each band is at most p rows of
+    # ceil((m+2k)/p) points, and each corner fills at most p targets.  numpy's sort functions are
+    # seen through the modules' np; every ndarray sort method, in place on a slice too, through a
+    # profile hook, which also sees the sort inside np.sort, np.argsort and np.unique.
     lengths = []
 
     class Recorder:
         def __getattr__(self, name):
             attr = getattr(np, name)
-            if name not in ("sort", "argsort", "lexsort", "unique"):
+            if name not in ("sort", "argsort", "lexsort", "unique", "partition", "argpartition"):
                 return attr
 
             def sort(a, *args, **kwargs):
@@ -600,20 +632,29 @@ def test_corner_edit_sorts_only_the_two_row_bands(monkeypatch):
                 return attr(a, *args, **kwargs)
             return sort
 
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray) and arg.__name__ in (
+                "sort", "argsort", "partition", "argpartition"):
+            lengths.append(arg.__self__.size)
+
     dims, k = GridDims(1000, 1001), K3
-    ell, _ = best_residue(dims, k)
-    base = base_set(dims, k, ell)
-    _, plans = construction._corner_step(dims, k, ell)
-    monkeypatch.setattr(construction, "np", Recorder())
-    edited = _apply_plans(dims, k, base, plans)
-    monkeypatch.undo()
-    assert lengths and max(lengths) <= 2 * (dims.m + 2 * k.k) + 6 * k.p < len(base) // 10
-    assert edited == _one_by_one(dims, k, base, plans)
+    for module in (construction, lattice):
+        monkeypatch.setattr(module, "np", Recorder())
+    sys.setprofile(profile)
+    try:
+        built, trace = construct(dims, k)
+    finally:
+        sys.setprofile(None)
+        monkeypatch.undo()
+    assert lengths and max(lengths) <= 2 * (dims.m + 2 * k.k) + 6 * k.p < trace.base_size // 10
+    base = base_set(dims, k, trace.chosen_residue)
+    plans = [_corner_plan(ctx, dims, k, trace.chosen_residue) for ctx in trace.corner_cases]
+    assert built == project_inward(dims, _one_by_one(dims, k, base, plans))
 
 
 def _one_by_one(dims, k, points, plans):
     for plan in plans:
-        points = _apply_plans(dims, k, points, [plan])
+        points = _apply(dims, k, points, [plan])
     return points
 
 
@@ -628,7 +669,7 @@ def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
             for ell in range(0, p, max(1, p // 6)):
                 base = base_set(dims, k, ell)
                 plans = [_corner_plan(_classify_corner(dims, k, ell, c), dims, k, ell) for c in CORNER_ORDER]
-                assert _apply_plans(dims, k, base, plans) == _one_by_one(dims, k, base, plans)
+                assert _apply(dims, k, base, plans) == _one_by_one(dims, k, base, plans)
 
 
 def test_apply_plans_matches_the_set_reference_plan_by_plan():
@@ -639,7 +680,7 @@ def test_apply_plans_matches_the_set_reference_plan_by_plan():
         want = pts
         for plan in plans:
             want = _reference_apply_plan(want, plan)
-        assert _apply_plans(_BAND_DIMS, _BAND_K, pts, plans) == want, (pts, plans)
+        assert _apply(_BAND_DIMS, _BAND_K, pts, plans) == want, (pts, plans)
 
 
 def _reference_remove_corners(dims, k, ell, points):
@@ -666,7 +707,7 @@ def test_remove_corners_matches_the_corner_by_corner_reference():
         plans = [_corner_plan(ctx, dims, k, ell) for ctx in trace.corner_cases]
         assert [ctx.corner for ctx in trace.corner_cases] == list(CORNER_ORDER)
         assert trace.removed == VertexSet.from_iterable(plan.removed for plan in plans)
-        assert trace.shifted_pairs == tuple(((i, j), (u, v)) for plan in plans for i, j, u, v in plan.moves.tolist())
+        assert tuple(trace.shifted_pairs) == tuple(((i, j), (u, v)) for plan in plans for i, j, u, v in plan.moves.tolist())
         assert (trace.base_size, trace.final_size) == (len(base), len(out))
         # the plans are proved only for the base set, so any other set is refused
         near = sorted({q for plan in plans for q in (plan.removed, *map(tuple, plan.moves.reshape(-1, 2).tolist()))})
@@ -685,18 +726,62 @@ def test_remove_corners_matches_the_corner_by_corner_reference():
     assert changed == {True, False}
 
 
+BENCH_GRIDS = tuple((GridDims(m, n), Radius(kk)) for m, n, kk in (
+    *((m, n, 2) for m in range(27, 40) for n in range(27, 40)),
+    (300, 301, 3), (350, 351, 5), (200, 201, 20), (150, 151, 40)))
+
+
 def test_remove_corners_in_both_bench_forms_matches_construct_before_projection():
-    for dims, k in ((GridDims(11, 11), K1), (GridDims(30, 31), K2), (GridDims(53, 54), K3)):
+    # bench/run.py's staged pipeline, on every grid it builds and three more, against construct
+    corners = set()
+    for dims, k in ((GridDims(11, 11), K1), (GridDims(30, 31), K2), (GridDims(53, 54), K3), *BENCH_GRIDS):
         ell, _ = best_residue(dims, k)
         base = base_set(dims, k, ell)
+        built, built_trace = construct(dims, k)
+        assert (built_trace.chosen_residue, built_trace.base_size) == (ell, len(base))
+        corners.add(built_trace.corner_removal_applied)
+        if not built_trace.corner_removal_applied:  # the bench projects the base set
+            assert min(dims) <= 2 * k.p
+            assert project_inward(dims, base) == built
+            assert (built_trace.corner_cases, len(built_trace.removed), len(built_trace.shifted_pairs)) == (None, 0, 0)
+            continue
         checked, trace = remove_corners(dims, k, ell, base)
         unchecked, unchecked_trace = remove_corners(dims, k, ell, base, verify=False)
-        built, built_trace = construct(dims, k)
         assert checked == unchecked
-        assert project_inward(dims, checked) == built
+        assert project_inward(dims, checked) == built, (dims, k)
         assert trace == unchecked_trace
         before_projection = dict(projection_merged=0, final_size=len(checked))
-        assert trace == built_trace._replace(**before_projection)
+        assert trace == built_trace._replace(**before_projection), (dims, k)
+    assert corners == {True, False}
+
+
+def test_shifted_pairs_is_a_read_only_value_that_iterates_as_pairs_of_ints():
+    dims, k = GridDims(53, 54), K3
+    _, trace = construct(dims, k)
+    _, again = construct(dims, k)
+    moves = trace.shifted_pairs
+    assert type(moves) is ShiftedPairs and moves.array.dtype == np.int64 and moves.array.shape[1] == 4
+    assert len(moves) == len(moves.array) > 0
+    with pytest.raises(ValueError, match="read-only"):
+        moves.array[0, 0] += 1
+    pairs = list(moves)
+    assert pairs == [((i, j), (u, v)) for i, j, u, v in moves.array.tolist()]
+    assert {(type(pair), len(pair)) for pair in pairs} == {(tuple, 2)}
+    assert {type(q) for pair in pairs for q in pair} == {tuple}
+    assert {type(c) for pair in pairs for q in pair for c in q} == {int}
+    # equal traces are equal, and hash equal, however they were built
+    assert again is not trace and again.shifted_pairs.array is not moves.array
+    assert again == trace and hash(again) == hash(trace) and hash(again.shifted_pairs) == hash(moves)
+    assert moves != ShiftedPairs(moves.array[:-1].copy()) and moves != tuple(pairs)
+    copies = [pickle.loads(pickle.dumps(moves, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies + [copy.copy(moves), copy.deepcopy(moves)]:
+        assert type(back) is ShiftedPairs and back == moves and hash(back) == hash(moves)
+        assert not back.array.flags.writeable
+    # the constructor takes only (N, 4) int64 rows
+    with pytest.raises(DomainError, match="a moves array is an int64 array, got int32"):
+        ShiftedPairs(np.zeros((1, 4), dtype=np.int32))
+    with pytest.raises(DomainError, match=r"a moves array is an \(N, 4\) array of \(i, j, u, v\) rows"):
+        ShiftedPairs(np.zeros((1, 2), dtype=np.int64))
 
 
 _coordinate = st.one_of(st.integers(-12, 20), st.sampled_from([COORD_LIMIT - 1, 1 - COORD_LIMIT]))

@@ -18,7 +18,7 @@ from kdom import (
     phi,
     verify_domination,
 )
-from kdom.lattice import COORD_LIMIT, canonical_order, fiber_counts_in_box
+from kdom.lattice import COORD_LIMIT, _as_pairs, canonical_order, fiber_counts_in_box, fiber_keys
 
 TOP = COORD_LIMIT - 1  # the largest coordinate a set or a box may hold; -TOP the smallest
 
@@ -397,6 +397,37 @@ def test_from_iterable_takes_the_limit_and_refuses_past_it(edge):
         if abs(edge) < 2 ** 63:  # an array that int64 holds
             with pytest.raises(DomainError, match=r"\|c\| < 2\*\*62"):
                 VertexSet.from_iterable(np.array(pts, dtype=np.int64))
+
+
+def test_an_int64_pair_array_is_taken_as_it_is():
+    # an (N, 2) int64 array skips the per-coordinate checks: its dtype already says every
+    # coordinate is an integer, and canonical_order checks the bound
+    pts = [(3, 1), (0, 2), (3, 1), (TOP, -TOP), (-5, 7)]
+    arr = np.array(pts, dtype=np.int64)
+    assert _as_pairs(arr) is arr
+    for form in (arr, arr[::-1], np.asfortranarray(arr), np.array(pts, dtype=np.int64)[:, ::-1][:, ::-1]):
+        assert VertexSet.from_iterable(form) == VertexSet.from_iterable(pts)
+    assert VertexSet.from_iterable(arr[:0]) == VertexSet.empty() == VertexSet.from_iterable([])
+    assert arr.flags.writeable and arr.tolist() == [list(q) for q in pts]  # the input is neither edited nor frozen
+    assert VertexSet.from_iterable(arr[:3].astype(np.int32)) == VertexSet.from_iterable(pts[:3])
+    # other dtypes still go through the per-coordinate checks
+    for bad in (arr[:3].astype(float), arr.astype(bool), np.array([[1.5, 2]], dtype=object)):
+        with pytest.raises(DomainError, match="vertex coordinates must be integers"):
+            VertexSet.from_iterable(bad)
+
+
+def test_fiber_keys_are_the_fiber_in_row_major_box_keys():
+    rng = random.Random(43)
+    for _ in range(300):
+        k = Radius(rng.randint(1, 6))
+        i_lo, j_lo = rng.randint(-60, 60), rng.randint(-60, 60)
+        box = Box(i_lo, i_lo + rng.randint(0, 90), j_lo, j_lo + rng.randint(0, 90))
+        ell = rng.randrange(k.p)
+        keys = fiber_keys(k, ell, box)
+        assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+        want = [(j - box.j_lo) * box.width + i - box.i_lo for i, j in inverse_image_in_box(k, ell, box)]
+        assert keys.tolist() == want
+        assert all(phi(k, (box.i_lo + key % box.width, box.j_lo + key // box.width)) == ell for key in want)
 
 
 def test_box_takes_the_limit_and_refuses_past_it():
