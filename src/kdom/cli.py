@@ -140,44 +140,6 @@ def render_ascii(sf: SetFile, coverage: bool = False) -> str:
     return "".join(" ".join(row) + "\n" for row in cells[::-1].tolist())
 
 
-def render_svg(sf: SetFile, diamonds: tuple[tuple[int, int], ...] = ()) -> str:
-    """Grid with the k-margin box in green, grid boundary in red."""
-    cell = 20
-    k, m, n = sf.k, sf.m, sf.n
-    pad = cell
-
-    def x(i):
-        return pad + (i + k) * cell
-
-    def y(j):
-        return pad + (n - 1 + k - j) * cell
-
-    width = 2 * pad + (m + 2 * k - 1) * cell
-    height = 2 * pad + (n + 2 * k - 1) * cell
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    grey = 'stroke="#cccccc" stroke-width="1"/>'
-    parts += [f'<line x1="{x(i)}" y1="{y(n - 1)}" x2="{x(i)}" y2="{y(0)}" {grey}' for i in range(m)]
-    parts += [f'<line x1="{x(0)}" y1="{y(j)}" x2="{x(m - 1)}" y2="{y(j)}" {grey}' for j in range(n)]
-    parts.append(
-        f'<rect x="{x(-k)}" y="{y(n - 1 + k)}" width="{(m + 2 * k - 1) * cell}" '
-        f'height="{(n + 2 * k - 1) * cell}" fill="none" stroke="green" stroke-width="3"/>'
-    )
-    parts.append(
-        f'<rect x="{x(0)}" y="{y(n - 1)}" width="{(m - 1) * cell}" '
-        f'height="{(n - 1) * cell}" fill="none" stroke="red" stroke-width="2"/>'
-    )
-    parts += [f'<circle cx="{x(i)}" cy="{y(j)}" r="5" fill="blue"/>' for i, j in sf.points]
-    for (i, j) in diamonds:
-        pts = f"{x(i + k)},{y(j)} {x(i)},{y(j + k)} {x(i - k)},{y(j)} {x(i)},{y(j - k)}"
-        parts.append(f'<polygon points="{pts}" fill="none" stroke="red" stroke-width="2"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def trace_lines(trace: ConstructionTrace) -> list[str]:
     lines = [
         f"k={trace.k.k}",
@@ -315,15 +277,8 @@ def cmd_exact(args) -> int:
 def cmd_render(args) -> int:
     with open(args.setfile) as fh:
         sf = load_setfile(fh.read())
-    check_dense_size(GridDims(sf.m, sf.n), Radius(sf.k))  # both formats draw every cell
-    if args.format == "ascii":
-        _write(args.output, render_ascii(sf, coverage=args.coverage))
-    else:
-        diamonds = []
-        for token in args.diamond or ():
-            a, _, b = token.partition(",")
-            diamonds.append((int(a), int(b)))
-        _write(args.output, render_svg(sf, tuple(diamonds)))
+    check_dense_size(GridDims(sf.m, sf.n), Radius(sf.k))  # the panel draws every cell
+    _write(args.output, render_ascii(sf, coverage=args.coverage))
     return 0
 
 
@@ -369,10 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("render", help="draw a set file")
     r.add_argument("setfile")
-    r.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     r.add_argument("--coverage", action="store_true", help="shade covered/uncovered cells")
-    r.add_argument("--diamond", action="append", default=None,
-                   help='outline the radius-k ball around "i,j" (svg, repeatable)')
     r.add_argument("-o", "--output", default=None)
     r.set_defaults(func=cmd_render)
     return parser

@@ -303,26 +303,27 @@ def remove_corners(dims: GridDims, k: Radius, ell: int, s_set: VertexSet,
     """Remove one code point at each corner of Y, preserving domination.
 
     s_set must equal base_set(dims, k, ell), the only set the plans are
-    proved for.  The base set is rebuilt first, which refuses an ell that
-    is not an int in [0, p); then the plans, which refuse m or n <= 2p;
-    then any set but the rebuild.  Each raises DomainError.  The rebuild's
-    Y keys take the same edit as in construct, with no clamp.  With verify,
-    the edited set is checked once on the whole grid, and a failure raises
-    VerificationError carrying the uncovered vertices.
+    proved for.  The fiber's Y keys are listed first, as in construct,
+    which refuses an ell that is not an int in [0, p); then the plans,
+    which refuse m or n <= 2p; then any set but those keys as pairs.  Each
+    raises DomainError.  The keys take the same edit as in construct, with
+    no clamp.  With verify, the edited set is checked once on the whole
+    grid, and a failure raises VerificationError carrying the uncovered
+    vertices.
     """
-    base = base_set(dims, k, ell)
+    box = neighborhood_box(dims, k)
+    keys = fiber_keys(k, ell, box)
     contexts, removed, moves = _corner_step(dims, k, ell)
-    if s_set != base:
+    w = box.width
+    if not np.array_equal(s_set.array, pairs_of_keys(keys, w) - k.k):  # base_set's pairs
         raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
-    w = dims.m + 2 * k.k
-    keys = (base.array + k.k) @ (1, w)
     lo, hi, gone = _apply_plans(dims, k, keys, removed, moves)
     keys[gone] = -1
     current = VertexSet(pairs_of_keys(_settle(keys, lo, hi), w) - k.k)
     if verify and not is_dominating(dims, k, current):
         uncovered = verify_domination(dims, k, current).uncovered
         raise VerificationError(f"corner shifts broke domination ({len(uncovered)} uncovered)", uncovered=uncovered)
-    return current, _trace(dims, k, ell, len(base), contexts, removed, moves, 0, current)
+    return current, _trace(dims, k, ell, len(keys), contexts, removed, moves, 0, current)
 
 
 def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:

@@ -1,5 +1,3 @@
-import xml.etree.ElementTree as ET
-
 import pytest
 
 from kdom import SetFileError, VertexSet
@@ -279,6 +277,17 @@ def test_table_build_prints_n_a_for_a_grid_beyond_the_verifier_cap(capsys):
         "M,N,New Bound,Old Bound,Constructed\n51,52,128,139,128\n20000,20001,16010397,16010408,n/a\n", "")
 
 
+def test_table_output_file_holds_what_stdout_shows(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert main(["table", "--csv", "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == TABLE1_CSV
+    assert main(["table", "--k", "2", "--range", "27..31"]) == 0
+    shown = capsys.readouterr().out
+    assert main(["table", "--k", "2", "--range", "27..31", "-o", str(out)]) == 0
+    assert out.read_text() == shown
+
+
 def test_table_text_mode(capsys):
     assert main(["table"]) == 0
     out = capsys.readouterr().out
@@ -324,6 +333,61 @@ def test_render_ascii_6x6(tmp_path, capsys):
     assert panel.count("#") == len(load_setfile(out.read_text()).points)
 
 
+# `kdom render` of construct's 6x6 k=3 set, plain and with --coverage
+RENDER_6X6_K3 = """\
+. . . # . .
+. . . . . .
+# . . . . .
+. . . . . #
+. . . . . .
+. . # . . .
+""", """\
++ + + # + +
++ + + + + +
+# + + + + +
++ + + + + #
++ + + + + +
++ + # + + +
+"""
+
+# the same for a 3x3 k=1 file whose (0, 0) and (2, 1) leave (0, 2) and (1, 2) uncovered
+RENDER_3X3_K1 = """\
+. . .
+. . #
+# . .
+""", """\
+! ! +
++ + #
+# + +
+"""
+
+
+@pytest.mark.parametrize("argv, panels", [
+    (["construct", "-m", "6", "-n", "6", "-k", "3"], RENDER_6X6_K3),
+    (None, RENDER_3X3_K1),
+])
+def test_render_panel_is_pinned_with_and_without_coverage(tmp_path, capsys, argv, panels):
+    path = tmp_path / "s.kdom"
+    if argv is None:
+        path.write_text("kdom v1\n1 3 3 2\n0 0\n2 1\n")
+    else:
+        assert main(argv + ["-o", str(path)]) == 0
+    assert main(["render", str(path)]) == 0
+    assert capsys.readouterr() == (panels[0], "")
+    assert main(["render", str(path), "--coverage"]) == 0
+    assert capsys.readouterr() == (panels[1], "")
+
+
+def test_render_output_file_holds_what_stdout_shows(tmp_path, capsys):
+    path, out = make_file(tmp_path, "kdom v1\n1 3 3 2\n0 0\n2 1\n"), tmp_path / "panel.txt"
+    for extra in ([], ["--coverage"]):
+        assert main(["render", path, *extra]) == 0
+        shown = capsys.readouterr().out
+        assert main(["render", path, "-o", str(out), *extra]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text() == shown
+
+
 def test_render_empty_set(tmp_path, capsys):
     path = make_file(tmp_path, "kdom v1\n1 3 2 0\n")
     assert main(["render", path]) == 0
@@ -339,28 +403,17 @@ def test_render_coverage(tmp_path, capsys):
     assert "#" in panel
 
 
-def test_render_svg_is_wellformed(tmp_path, capsys):
-    out = tmp_path / "s.kdom"
-    main(["construct", "-m", "6", "-n", "6", "-k", "3", "-o", str(out)])
-    assert main(["render", str(out), "--format", "svg", "--diamond", "2,2"]) == 0
-    svg = capsys.readouterr().out
-    root = ET.fromstring(svg)
-    assert root.tag.endswith("svg")
-    assert "polygon" in svg and "circle" in svg
-
-
 def test_render_malformed_exit_2(tmp_path, capsys):
     path = make_file(tmp_path, "garbage\n")
     assert main(["render", path]) == 2
 
 
-def test_render_refuses_a_grid_beyond_the_dense_cap_in_both_formats(tmp_path, capsys):
-    # both formats draw every cell, so both check the header's size before drawing
+def test_render_refuses_a_grid_beyond_the_dense_cap(tmp_path, capsys):
+    # the panel draws every cell, so render checks the header's size before drawing
     path = make_file(tmp_path, "kdom v1\n1 300000 300000 1\n0 0\n")
-    for fmt in ("ascii", "svg"):
-        assert main(["render", path, "--format", fmt]) == 2
+    assert main(["render", path]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.count("300000x300000 at k=1 needs") == 2
+    assert out == "" and err.count("300000x300000 at k=1 needs") == 1
 
 
 def test_verify_exits_2_on_a_coordinate_past_the_limit(tmp_path, capsys):

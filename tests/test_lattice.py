@@ -185,6 +185,28 @@ def test_fiber_counts_in_box_match_per_residue_counts():
         assert counts.sum() == box.width * box.height
 
 
+def test_least_fiber_count_falls_short_of_the_average_by_at_most_half_k():
+    # Delta(a, b) = floor(ab/p) - the least fiber count of an a x b box, for every a, b in [1, p):
+    # construct's base set beats floor(WH/p) by Delta(W mod p, H mod p), and never by more than k // 2
+    def delta(k, i_lo, j_lo, a, b):
+        return a * b // k.p - int(fiber_counts_in_box(k, Box(i_lo, i_lo + a - 1, j_lo, j_lo + b - 1)).min())
+
+    rng = random.Random(9)
+    for kk in range(1, 7):
+        k = Radius(kk)
+        sides = range(1, k.p)
+        gaps = {(a, b): delta(k, 0, 0, a, b) for a in sides for b in sides}
+        worst = max(gaps.values())
+        assert (min(gaps.values()), worst) == (0, kk // 2), kk
+        if kk == 2:
+            assert gaps[2, 7] == worst
+        # the box's offset only rotates the fibers' leftover intervals, so Delta ignores it
+        for _ in range(20):
+            a, b = rng.choice(sides), rng.choice(sides)
+            i_lo, j_lo = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)
+            assert delta(k, i_lo, j_lo, a, b) == gaps[a, b], (kk, i_lo, j_lo, a, b)
+
+
 @pytest.mark.parametrize("k,size", [(1, 5), (5, 61)])
 def test_ball_size_values(k, size):
     assert Radius(k).p == size

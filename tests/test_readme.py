@@ -28,4 +28,4 @@ def test_every_cli_example_runs_and_exits_0(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert (argv, main(argv[1:])) == (argv, 0)
     assert capsys.readouterr().err == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["set.kdom", "set.svg", "set.trace"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["set.kdom", "set.trace"]

@@ -1,8 +1,14 @@
 """Rules on the package source itself."""
+import argparse
 import ast
+import re
+import shlex
 from pathlib import Path
 
 import kdom
+from kdom import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_package_has_no_assert_statements():
@@ -59,7 +65,7 @@ def test_every_public_name_has_a_caller():
                 for node in ast.parse((package / "__init__.py").read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     callers = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
-    callers.append(Path(__file__).resolve().parents[1] / "bench" / "run.py")
+    callers.append(ROOT / "bench" / "run.py")
     read = set()
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -68,6 +74,24 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(exported - read - {"path_gamma", "phi"}) == []
+
+
+def test_every_cli_option_is_passed_by_a_readme_example_or_a_cli_test():
+    # the command-line counterpart of the rule above: an option of a kdom subcommand that no
+    # README CLI example and no main([...]) call in test_cli.py passes is surface nothing runs
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    for node in ast.walk(ast.parse((ROOT / "tests" / "test_cli.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "main" and node.args:
+            if isinstance(node.args[0], ast.List):  # a literal argv; a computed one is not read
+                argvs.append([item.value if isinstance(item, ast.Constant) else None for item in node.args[0].elts])
+    passed = {(argv[0], token) for argv in argvs if argv for token in argv[1:]}
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    unused = [(name, action.option_strings[-1]) for name, command in commands.items() for action in command._actions
+              if action.option_strings and not isinstance(action, argparse._HelpAction)
+              and not any((name, flag) in passed for flag in action.option_strings)]
+    assert sorted(commands) == ["bound", "construct", "exact", "render", "table", "verify"]
+    assert unused == []
 
 
 def test_no_module_builds_an_object_array():
