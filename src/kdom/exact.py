@@ -55,37 +55,38 @@ def path_gamma(n: int, k: Radius) -> int:
     """Domination number of the 1 x n path: ceil(n / (2k+1))."""
     if n < 1:
         raise DomainError(f"path length must be >= 1, got {n}")
-    window = 2 * k.k + 1
-    return -(-n // window)
+    return -(-n // (2 * k.k + 1))
 
 
 def _balls(dims: GridDims, radius: int) -> list[int]:
     """Bitmask of cells within distance radius of each cell (row-major index).
 
-    One template per column holds that column's ball on a strip of 2r+1
-    unclipped rows, as 2r+1 runs of set bits; the ball of (i, j) is
-    column i's template shifted to rows j-r..j+r and masked to the grid.
-    r is radius clamped to m+n-2, the grid's diameter, past which every
-    ball is the whole grid.
+    Row j-r+y of the ball of (i, j), y = 0..2r, is the run of columns
+    max(0, i-s)..min(m-1, i+s), s = r - |y-r|: column i's template on
+    2r+1 unclipped rows, shifted to rows j-r..j+r and masked to the grid.
+    Column i's template is column i-1's shifted one column east, less the
+    bits past column m-1, plus column 0 on the rows with s >= |i|, from an
+    empty one west of column -r.  r is radius clamped to m+n-2, the
+    grid's diameter, past which every ball is the whole grid.
     """
     m, n = dims.m, dims.n
     r = min(radius, m + n - 2)
     full = (1 << m * n) - 1
-    templates = []
-    for i in range(m):
-        mask = 0
-        for row in range(2 * r + 1):
-            span = r - abs(row - r)
-            a = max(0, i - span)
-            mask |= ((1 << (min(m - 1, i + span) - a + 1)) - 1) << (row * m + a)
-        templates.append(mask)
-    return [(mask << j * m) >> r * m & full for j in range(n) for mask in templates]
+    col0 = ((1 << (2 * r + 1) * m) - 1) // ((1 << m) - 1)  # column 0 of each of the 2r+1 rows
+    east = col0 * ((1 << m) - 2)  # every column but 0
+    template, templates = 0, []
+    for i in range(-r, m):
+        a = abs(i) * m  # col0 >> 2a << a keeps rows |i|..2r-|i|, where s >= |i|
+        template = template << 1 & east | col0 >> 2 * a << a
+        templates.append(template)
+    templates, rm = templates[r:], r * m  # the ball of (i, j) is column i's template << (j-r)m
+    return [mask >> a & full for a in range(rm, rm - min(r, n) * m, -m) for mask in templates] + [
+        mask << a & full for a in range(0, (n - r) * m, m) for mask in templates]
 
 
 def _greedy(full: int, balls: list[int]) -> list[int]:
     """Deterministic greedy cover, the answer when the node budget runs out."""
-    covered = 0
-    chosen = []
+    covered, chosen = 0, []
     while covered != full:
         best_gain, best_c = -1, -1
         for c, ball in enumerate(balls):
@@ -124,9 +125,11 @@ def exact_gamma(
     complete and the memo below stays sound.
 
     One dominator covers at most cap cells, the largest ball clipped to
-    the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path).  So
-    the search starts at ceil(mn/cap), and prunes a branch once
-    ceil(uncovered/cap) exceeds the dominators it may still add.
+    the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path): the
+    ball of the central cell (m//2, n//2), since a ball is a stack of runs
+    and along each axis the clipped run of any half-width is longest
+    around the centre.  So the search starts at ceil(mn/cap), and prunes
+    a branch once ceil(uncovered/cap) exceeds the dominators it may add.
 
     The second bound is a packing.  Two cells share a candidate dominator
     iff they lie within 2k of each other; far[v], the radius-2k ball of v
@@ -156,15 +159,12 @@ def exact_gamma(
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
     area = dims.area
     if area > DEFAULT_MAX_CELLS:
-        raise DomainError(
-            f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {DEFAULT_MAX_CELLS}"
-        )
+        raise DomainError(f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {DEFAULT_MAX_CELLS}")
     width, flip = min(dims.m, dims.n), dims.m > dims.n
     shape = GridDims(width, area // width)
     balls = _balls(shape, k.k)
     full = (1 << area) - 1
-    cap = max(ball.bit_count() for ball in balls)
-    lower = -(-area // cap)
+    cap = balls[shape.n // 2 * width + width // 2].bit_count()
     apart = [full ^ far for far in _balls(shape, 2 * k.k)]
 
     nodes = 0
@@ -221,7 +221,7 @@ def exact_gamma(
             indices = [c % width * dims.m + c // width for c in indices]
         return VertexSet(pairs_of_keys(np.array(sorted(indices), dtype=np.int64), dims.m))
 
-    size = lower
+    size = -(-area // cap)
     try:
         while (found := search(size, 0, [])) is None:
             size += 1

@@ -164,7 +164,7 @@ def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
     """Mask of the rows of a canonically sorted array that equal the row before them."""
     mask = np.zeros(len(sorted_pairs), dtype=bool)
     if len(sorted_pairs) > 1:
-        np.all(sorted_pairs[1:] == sorted_pairs[:-1], axis=1, out=mask[1:])
+        np.logical_and(*(sorted_pairs[1:] == sorted_pairs[:-1]).T, out=mask[1:])  # i equal and j equal
     return mask
 
 

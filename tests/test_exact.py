@@ -383,11 +383,23 @@ def test_shifted_ball_templates_match_the_per_row_construction():
 
 
 def test_balls_and_far_masks_match_all_pairs_distances():
+    # every shape up to 64 cells, and shapes up to the 144-cell cap in both orientations
+    shapes = [(m, n) for m in range(1, 65) for n in range(1, 64 // m + 1)]
+    for m, n in ((12, 12), (11, 13), (9, 16), (8, 18), (5, 28), (3, 48), (2, 72), (1, 144)):
+        shapes += [(m, n), (n, m)]
     for k in (1, 2, 3):
-        for m in range(1, 65):
-            for n in range(1, 64 // m + 1):
-                assert _balls(GridDims(m, n), k) == manhattan_masks(m, n, k), (m, n, k)
-                assert _balls(GridDims(m, n), 2 * k) == manhattan_masks(m, n, 2 * k), (m, n, k)
+        for m, n in shapes:
+            assert _balls(GridDims(m, n), k) == manhattan_masks(m, n, k), (m, n, k)
+            assert _balls(GridDims(m, n), 2 * k) == manhattan_masks(m, n, 2 * k), (m, n, k)
+
+
+def test_the_central_ball_is_the_largest():
+    # exact_gamma reads cap off the ball of (m // 2, n // 2); radii 1-12 and one past the diameter
+    for m in range(1, 145):
+        for n in range(1, 144 // m + 1):
+            for radius in (*range(1, 13), m + n - 1):
+                balls = _balls(GridDims(m, n), radius)
+                assert balls[n // 2 * m + m // 2].bit_count() == max(map(int.bit_count, balls)), (m, n, radius)
 
 
 def test_balls_past_the_diameter_are_the_whole_grid():
