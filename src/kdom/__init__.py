@@ -14,8 +14,6 @@ from .bounds import (
     new_bound,
 )
 from .construction import (
-    Corner,
-    CornerCase,
     CornerContext,
     ConstructionTrace,
     base_set,

@@ -151,9 +151,9 @@ def trace_lines(trace: ConstructionTrace) -> list[str]:
     ]
     if trace.corner_cases is not None:
         for ctx in trace.corner_cases:
-            tag, (si, sj), (zi, zj) = ctx.corner.value, ctx.s, ctx.z
+            tag, (si, sj), (zi, zj) = ctx.corner, ctx.s, ctx.z
             slope = "none" if ctx.s == ctx.z else str(Fraction(sj - zj, si - zi))  # of L1, the line through z and s
-            lines.append(f"corner_{tag}_case={ctx.case.value}")
+            lines.append(f"corner_{tag}_case={ctx.case}")
             lines.append(f"corner_{tag}_s={si},{sj}")
             lines.append(f"corner_{tag}_z={zi},{zj}")
             lines.append(f"corner_{tag}_slope_l1={slope}")
@@ -205,8 +205,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     m, n, k = args.m, args.n, Radius(args.k)
-    fields = {"new": _in_domain(new_bound, m, n, k), "cor": cor_bound(m, n, k),
-              "fss": _in_domain(fss_bound, m, n, k)}
+    fields = {"new": _in_domain(new_bound, m, n, k), "cor": cor_bound(m, n, k), "fss": fss_bound(m, n, k)}
     if args.k == 1:
         fields["chang"] = _in_domain(chang_bound, m, n)
     if args.k == 2:

@@ -10,12 +10,13 @@ Corner geometry is always computed in a rotated frame that carries the
 corner onto the northwest corner of Y.  A quarter turn (never a
 reflection) maps the code lattice onto itself, so every corner's case
 and plan are functions of k and the offset of s along Y's north row
-alone.  Case classification uses exact integer cross products; no
-floating point enters this module.
+alone.  A corner is one of the strings "NW", "NE", "SW", "SE" and its
+case one of "negative", "steep", "shallow", the words the trace prints.
+Case classification uses exact integer cross products; no floating
+point enters this module.
 """
 from __future__ import annotations
 
-import enum
 import functools
 from collections import namedtuple
 
@@ -26,40 +27,28 @@ from .gridmodel import GridDims, check_dense_size, is_dominating, neighborhood_b
 from .lattice import Radius, Rows, VertexSet, fiber_counts_in_box, fiber_keys, inverse_image_in_box, pairs_of_keys
 
 
-class Corner(enum.Enum):
-    NW = "NW"
-    NE = "NE"
-    SW = "SW"
-    SE = "SE"
-
-
-class CornerCase(enum.Enum):
-    NEGATIVE_SLOPE = "negative"
-    STEEP_SLOPE = "steep"
-    SHALLOW_SLOPE = "shallow"
-
-
-CORNER_ORDER = (Corner.NW, Corner.NE, Corner.SW, Corner.SE)
 _NO_PLAN = (None, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 4), dtype=np.int64))  # _corner_step's, no corners
 
 
 # The rotation carrying each corner of Y onto NW, as real = matrix @ frame +
 # shift, with the shift in units of (m - 1, n - 1).
 _ROTATIONS = {
-    Corner.NW: (((1, 0), (0, 1)), (0, 0)),
-    Corner.NE: (((0, 1), (-1, 0)), (0, 1)),
-    Corner.SW: (((0, -1), (1, 0)), (1, 0)),
-    Corner.SE: (((-1, 0), (0, -1)), (1, 1)),
+    "NW": (((1, 0), (0, 1)), (0, 0)),
+    "NE": (((0, 1), (-1, 0)), (0, 1)),
+    "SW": (((0, -1), (1, 0)), (1, 0)),
+    "SE": (((-1, 0), (0, -1)), (1, 1)),
 }
+CORNER_ORDER = tuple(_ROTATIONS)
 
 
 class CornerContext(namedtuple("CornerContext", "corner s z case")):
     """Geometry of one corner in its own (rotated) frame.
 
-    s is the westernmost code point on the frame's north row of Y; z the
-    northernmost code point one column west of the frame grid; both are
-    (i, j) tuples.  L1, through z and s, has slope (s.j - z.j)/(s.i - z.i),
-    except where s = z (s on column -1), handled like the negative case.
+    corner is "NW", "NE", "SW" or "SE"; s is the westernmost code point on
+    the frame's north row of Y; z the northernmost code point one column
+    west of the frame grid; both are (i, j) tuples.  L1, through z and s,
+    has slope (s.j - z.j)/(s.i - z.i), except where s = z (s on column -1),
+    handled like the negative case; case is "negative", "steep" or "shallow".
     """
 
     __slots__ = ()
@@ -132,7 +121,7 @@ def _settle(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return keys.compress(keep)
 
 
-def _corner_shape(k: Radius, si: int) -> tuple[int, CornerCase]:
+def _corner_shape(k: Radius, si: int) -> tuple[int, str]:
     """z.j and the case of the corner whose code is s + L, s = (si, 0).
 
     Frame coordinates with the north row of Y at j = 0: z = (-1, zj) is
@@ -143,14 +132,13 @@ def _corner_shape(k: Radius, si: int) -> tuple[int, CornerCase]:
     zj = -(-(kk + 1) * (si + 1) * pow(kk, -1, p) % p)
     if si <= -1:
         # at si = -1, s sits on column -1, so s = z: its ball misses the grid, like Case 1.
-        return zj, CornerCase.NEGATIVE_SLOPE
+        return zj, "negative"
     if (kk + 1) * -zj > kk * (si + 1):  # L1's slope -zj/(si+1) > k/(k+1), by cross multiplication
-        return zj, CornerCase.STEEP_SLOPE
-    return zj, CornerCase.SHALLOW_SLOPE
+        return zj, "steep"
+    return zj, "shallow"
 
 
-def _corner_moves(k: Radius, si: int, zj: int,
-                  case: CornerCase) -> dict[tuple[int, int], tuple[int, int]]:
+def _corner_moves(k: Radius, si: int, zj: int, case: str) -> dict[tuple[int, int], tuple[int, int]]:
     """The shifts, source -> target, of the corner whose code is s + L, s = (si, 0).
 
     Frame coordinates with the north row of Y at j = 0; z = (-1, zj).
@@ -181,13 +169,13 @@ def _corner_moves(k: Radius, si: int, zj: int,
                 yield i, j
 
     moves: dict[tuple[int, int], tuple[int, int]] = {}
-    if case is CornerCase.STEEP_SLOPE:
+    if case == "steep":
         delta, rise = si + 1, -zj
         for i, j in west_of_s(zj):
             if delta * (j - zj) - rise * (i + 1) >= 0:
                 moves[(i, j)] = (i + 1, j)
         moves[(-1, zj)] = (0, zj + 1)
-    elif case is CornerCase.SHALLOW_SLOPE:
+    elif case == "shallow":
         for i, j in west_of_s(1 - p):
             cross = j * (kk + 1) - kk * (i - si)
             if cross == 0:
@@ -198,7 +186,7 @@ def _corner_moves(k: Radius, si: int, zj: int,
 
 
 @functools.lru_cache(maxsize=256)
-def _frame_plan(corner: Corner, k: Radius, si: int) -> tuple[int, CornerCase, np.ndarray]:
+def _frame_plan(corner: str, k: Radius, si: int) -> tuple[int, str, np.ndarray]:
     """_corner_shape(k, si) and the moves, rotated by the corner's matrix and sorted row-major by
     source: a read-only (N, 4) int64 array of (i, j, u, v) offsets from the frame origin (_corner)."""
     ((a, b), (c, d)), _ = _ROTATIONS[corner]
@@ -210,8 +198,7 @@ def _frame_plan(corner: Corner, k: Radius, si: int) -> tuple[int, CornerCase, np
     return zj, case, moves
 
 
-def _corner(corner: Corner, dims: GridDims, k: Radius,
-            ell: int) -> tuple[CornerContext, tuple[int, ...], np.ndarray]:
+def _corner(corner: str, dims: GridDims, k: Radius, ell: int) -> tuple[CornerContext, tuple[int, ...], np.ndarray]:
     """One corner's context, in its frame; its removed point and its frame origin (x0, y0, x0, y0),
     in one tuple; and its moves, as offsets from the frame origin.
 

@@ -27,7 +27,7 @@ import numpy as np
 from .construction import construct
 from .errors import DomainError
 from .gridmodel import GridDims
-from .lattice import Radius, VertexSet, pairs_of_keys
+from .lattice import Radius, VertexSet, integers, pairs_of_keys
 
 DEFAULT_MAX_CELLS = 144
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -155,6 +155,8 @@ def exact_gamma(
     failed, so a greedy cover of at most that size is returned as exact;
     otherwise the answer is the budget-flagged upper value.
     """
+    if not integers(node_budget):
+        raise DomainError(f"node budget must be an integer, got {node_budget!r}")
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
     area = dims.area

@@ -91,7 +91,7 @@ def main(argv):
         print(f"k={kk} p={p} largest_plan={largest} seconds={time.perf_counter() - start:.1f}"
               f" failures={len(failures)}", flush=True)
         for si, case, check in failures:
-            print(f"  si={si} case={case.value}: {check}", flush=True)
+            print(f"  si={si} case={case}: {check}", flush=True)
         failed += len(failures)
     return 1 if failed else 0
 

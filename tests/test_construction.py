@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corner_certificate
 from conftest import brute_dominates, count_in_box
 from corner_certificate import certify
 from kdom import (
@@ -33,8 +34,6 @@ from kdom import construction, gridmodel, lattice
 from kdom.cli import trace_lines
 from kdom.construction import (
     CORNER_ORDER,
-    Corner,
-    CornerCase,
     CornerContext,
     ShiftedPairs,
     _apply_plans,
@@ -214,22 +213,22 @@ def test_classify_corner_cases_27x27_k2():
     dims = GridDims(27, 27)
     # residues chosen so the NW corner hits each case; values derived by
     # solving 3*s_i + 2*28 = ell (mod 13) for the boundary scan
-    ctx = _classify_corner(dims, K2, 12, Corner.NW)
-    assert ctx.case is CornerCase.SHALLOW_SLOPE
+    ctx = _classify_corner(dims, K2, 12, "NW")
+    assert ctx.case == "shallow"
     assert _slope(ctx) == Fraction(1, 8)
     assert (tuple(ctx.s), tuple(ctx.z)) == ((7, 28), (-1, 27))
 
-    ctx = _classify_corner(dims, K2, 11, Corner.NW)
-    assert ctx.case is CornerCase.NEGATIVE_SLOPE
+    ctx = _classify_corner(dims, K2, 11, "NW")
+    assert ctx.case == "negative"
     assert _slope(ctx) == Fraction(-8, 1)
 
-    ctx = _classify_corner(dims, K2, 1, Corner.NW)
-    assert ctx.case is CornerCase.NEGATIVE_SLOPE
+    ctx = _classify_corner(dims, K2, 1, "NW")
+    assert ctx.case == "negative"
     assert _slope(ctx) is None  # s and z coincide on column -1
     assert ctx.s == ctx.z
 
-    ctx = _classify_corner(dims, K2, 4, Corner.NW)
-    assert ctx.case is CornerCase.STEEP_SLOPE
+    ctx = _classify_corner(dims, K2, 4, "NW")
+    assert ctx.case == "steep"
     assert _slope(ctx) == Fraction(5, 1)
 
 
@@ -240,10 +239,10 @@ def test_slopes_are_exact_rationals():
         _, trace = remove_corners(dims, K2, ell, base_set(dims, K2, ell), verify=False)
         printed = dict(line.split("=", 1) for line in trace_lines(trace))
         for ctx in trace.corner_cases:
-            slope = printed[f"corner_{ctx.corner.value}_slope_l1"]
+            slope = printed[f"corner_{ctx.corner}_slope_l1"]
             assert slope == ("none" if _slope(ctx) is None else str(_slope(ctx))), (ell, ctx)
             steep = slope != "none" and Fraction(slope) > Fraction(2, 3)
-            assert steep == (ctx.case is CornerCase.STEEP_SLOPE), (ell, ctx)
+            assert steep == (ctx.case == "steep"), (ell, ctx)
 
 
 def test_equality_shallow_slope_is_k_over_k_plus_1():
@@ -251,8 +250,8 @@ def test_equality_shallow_slope_is_k_over_k_plus_1():
     dims = GridDims(27, 27)
     found = False
     for v in range(13):
-        ctx = _classify_corner(dims, K2, v, Corner.NW)
-        if ctx.case is CornerCase.SHALLOW_SLOPE and _slope(ctx) == Fraction(2, 3):
+        ctx = _classify_corner(dims, K2, v, "NW")
+        if ctx.case == "shallow" and _slope(ctx) == Fraction(2, 3):
             found = True
     assert found
 
@@ -290,8 +289,8 @@ def test_corner_plans_lie_in_the_edge_bands_of_y():
         p = k.p
         for m, n in ((2 * p + 1, 2 * p + 2), (2 * p + 3, 3 * p + 2)):
             dims = GridDims(m, n)
-            rows = {Corner.NW: (n + kk - p, n + kk - 1), Corner.NE: (n + kk - p, n + kk - 1),
-                    Corner.SW: (-kk, p - kk - 1), Corner.SE: (-kk, p - kk - 1)}
+            rows = {"NW": (n + kk - p, n + kk - 1), "NE": (n + kk - p, n + kk - 1),
+                    "SW": (-kk, p - kk - 1), "SE": (-kk, p - kk - 1)}
             for v in range(p):
                 contexts, removed, moves = _corner_step(dims, k, v)
                 plans = [_corner_plan(ctx, dims, k, v) for ctx in contexts]
@@ -310,6 +309,24 @@ def test_corner_plans_keep_domination_locally_up_to_k20():
     # corner removal (test_corner_removal_reaches_k48_and_no_further)
     for kk in range(1, 21):
         assert certify(kk)[2] == [], kk
+
+
+def test_certificate_script_reports_each_failure(monkeypatch, capsys):
+    # the script's own report: one summary line per k, then one line per failing offset and check
+    assert corner_certificate.main(["1", "2"]) == 0
+    assert [line.rsplit(" ", 1)[1] for line in capsys.readouterr().out.splitlines()] == ["failures=0"] * 2
+    moves_of = corner_certificate._corner_moves
+
+    def no_lift(k, si, zj, case):  # a steep plan that leaves z = (-1, zj) where it is
+        moves = moves_of(k, si, zj, case)
+        if case == "steep":
+            del moves[(-1, zj)]
+        return moves
+
+    monkeypatch.setattr(corner_certificate, "_corner_moves", no_lift)
+    assert corner_certificate.main(["1", "2"]) == 1
+    report = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    assert report == [f"  si={si} case=steep: nothing stranded" for si in (0, 2, 0, 1, 3, 4, 6, 9)]
 
 
 def test_a_cached_frame_plan_is_read_only():
@@ -341,12 +358,12 @@ def test_frame_plan_memo_stays_within_its_bound():
 def _explicit_maps(m, n):
     """Each corner's frame -> real map written out, and the frame's north row of Y."""
     maps = {
-        Corner.NW: lambda i, j: (i, j),
-        Corner.NE: lambda i, j: (j, n - 1 - i),
-        Corner.SW: lambda i, j: (m - 1 - j, i),
-        Corner.SE: lambda i, j: (m - 1 - i, n - 1 - j),
+        "NW": lambda i, j: (i, j),
+        "NE": lambda i, j: (j, n - 1 - i),
+        "SW": lambda i, j: (m - 1 - j, i),
+        "SE": lambda i, j: (m - 1 - i, n - 1 - j),
     }
-    height = {Corner.NW: n, Corner.NE: m, Corner.SW: m, Corner.SE: n}
+    height = {"NW": n, "NE": m, "SW": m, "SE": n}
     return maps, height
 
 
@@ -548,16 +565,16 @@ def test_remove_corners_rejects_a_same_size_set_off_the_fiber_or_outside_y():
 def test_verification_failure_carries_uncovered(monkeypatch):
     dims = GridDims(27, 27)
     ell = 12  # a genuinely shallow corner
-    ctx = _classify_corner(dims, K2, ell, Corner.NW)
-    forged = ctx._replace(case=CornerCase.STEEP_SLOPE)
+    ctx = _classify_corner(dims, K2, ell, "NW")
+    forged = ctx._replace(case="steep")
     # the steep moves of the NW corner, whose frame is the real plane
     (si, north), (_, zj) = ctx.s, ctx.z
     # in frame coordinates, offsets from the frame origin (0, north), as _corner gives them
-    moves = _corner_moves(K2, si, zj - north, CornerCase.STEEP_SLOPE)
+    moves = _corner_moves(K2, si, zj - north, "steep")
     steep = _plan_moves(sorted(moves.items(), key=lambda pair: (pair[0][1], pair[0][0])))
     corner_of = construction._corner
     monkeypatch.setattr(construction, "_corner", lambda c, *args: (
-        (forged, (si, north, 0, north, 0, north), steep) if c is Corner.NW else corner_of(c, *args)))
+        (forged, (si, north, 0, north, 0, north), steep) if c == "NW" else corner_of(c, *args)))
     pts = base_set(dims, K2, ell)
     with pytest.raises(VerificationError) as err:
         remove_corners(dims, K2, ell, pts, verify=True)

@@ -319,6 +319,11 @@ def test_budget_flagging():
     assert (zero.time_budget_exceeded, zero.nodes_explored) == (True, 1)
     with pytest.raises(DomainError):
         exact_gamma(GridDims(8, 8), K1, node_budget=-1)
+    # nor is anything but an int: no bool, float or numpy integer
+    for bad in (True, 2.5, 1e9, np.int64(50), "5", None):
+        with pytest.raises(DomainError) as refused:
+            exact_gamma(GridDims(8, 8), K1, node_budget=bad)
+        assert str(refused.value) == f"node budget must be an integer, got {bad!r}"
 
 
 def test_a_greedy_cover_of_the_size_being_searched_is_exact():

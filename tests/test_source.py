@@ -57,6 +57,19 @@ def test_value_types_are_not_dataclasses():
     assert found == []
 
 
+def test_no_module_imports_enum():
+    # corners and cases are the plain strings the trace prints; an Enum class
+    # would only wrap them again and be built on every import of kdom
+    found = []
+    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name == "enum"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "enum":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_public_name_has_a_caller():
     # a name kdom exports that no other module of the package, nor the benchmark,
     # reads is surface kept for nothing; the test oracles are the exception
