@@ -4,15 +4,7 @@ Construction via residue classes of the diagonal lattice code, corner
 removal, exact branch-and-bound ground truth, closed-form bounds, and a
 CLI (see `kdom --help`).
 """
-from .bounds import (
-    BoundRow,
-    bijm_bound,
-    chang_bound,
-    comparison_table,
-    cor_bound,
-    fss_bound,
-    new_bound,
-)
+from .bounds import cor_bound, fss_bound, new_bound
 from .construction import (
     CornerContext,
     ConstructionTrace,

@@ -6,20 +6,8 @@ returning a number its proof does not back.
 """
 from __future__ import annotations
 
-from collections import namedtuple
-from typing import Sequence
-
-from .construction import construct
 from .errors import DomainError
-from .gridmodel import GridDims
 from .lattice import Radius, integers
-
-
-class BoundRow(namedtuple("BoundRow", "m n new_bound fss_bound constructed_size", defaults=(None,))):
-    """One comparison-table row; a bound is None outside its domain, and so
-    is constructed_size where it was not built."""
-
-    __slots__ = ()
 
 
 def _require(m, n, least: int, domain: str) -> None:
@@ -31,7 +19,11 @@ def _require(m, n, least: int, domain: str) -> None:
 
 
 def new_bound(m: int, n: int, k: Radius) -> int:
-    """floor((m+2k)(n+2k)/p) - 4, valid for m, n > 2p."""
+    """floor((m+2k)(n+2k)/p) - 4, valid for m, n > 2p.
+
+    At k=1 this is Chang's (m+2)(n+2)/5 - 4 form, and at k=2 the published
+    (m+4)(n+4)/13 - 4 form for 2-distance domination.
+    """
     _require(m, n, 2 * k.p + 1, f"new bound needs m, n > 2p = {2 * k.p}")
     return (m + 2 * k.k) * (n + 2 * k.k) // k.p - 4
 
@@ -52,59 +44,6 @@ def fss_bound(m: int, n: int, k: Radius) -> int:
     p = k.p
     numerator = 4 * (m + 2 * k.k) * (n + 2 * k.k) + p * p
     return -(-numerator // (4 * p))
-
-
-def chang_bound(m: int, n: int) -> int:
-    """floor((m+2)(n+2)/5) - 4 for ordinary domination, m, n > 8."""
-    _require(m, n, 9, "chang bound needs m, n > 8")
-    return (m + 2) * (n + 2) // 5 - 4
-
-
-def bijm_bound(m: int, n: int) -> int:
-    """floor((m+4)(n+4)/13) - 4 for 2-distance domination.
-
-    Stated in the literature for "large m and n" with no numeric
-    threshold; this library requires m, n > 26 (= 2p at k=2) so the
-    domain matches new_bound's.
-    """
-    _require(m, n, 27, "bijm bound needs m, n > 26")
-    return (m + 4) * (n + 4) // 13 - 4
-
-
-def _in_domain(bound, *args) -> int | None:
-    """bound(*args), or None outside the bound's domain."""
-    try:
-        return bound(*args)
-    except DomainError:
-        return None
-
-
-def comparison_table(
-    pairs: Sequence[tuple[int, int]],
-    k: Radius,
-    build: bool = False,
-) -> list[BoundRow]:
-    """One BoundRow per (m, n); per-row domain errors never abort the table.
-
-    With build=True the construction pipeline runs per row and its size
-    is recorded, or None where construct raises DomainError: a grid
-    beyond the dense cap, which construct keeps so that kdom verify can
-    check every set it returns.
-    """
-    rows = []
-    for m, n in pairs:
-        nb = _in_domain(new_bound, m, n, k)
-        built = _in_domain(lambda: len(construct(GridDims(m, n), k)[0])) if build and nb is not None else None
-        rows.append(
-            BoundRow(
-                m=m,
-                n=n,
-                new_bound=nb,
-                fss_bound=_in_domain(fss_bound, m, n, k),
-                constructed_size=built,
-            )
-        )
-    return rows
 
 
 TABLE1_PAIRS = (

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (TABLE1_PAIRS, _in_domain, bijm_bound, chang_bound, comparison_table, cor_bound, fss_bound,
-                     new_bound)
+from .bounds import TABLE1_PAIRS, cor_bound, fss_bound, new_bound
 from .construction import ConstructionTrace, construct
 from .errors import DomainError, KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
@@ -203,13 +202,17 @@ def cmd_verify(args) -> int:
     return 1 if gaps else 0
 
 
+def _in_domain(bound, *args) -> int | None:
+    """bound(*args), or None outside the bound's domain."""
+    try:
+        return bound(*args)
+    except DomainError:
+        return None
+
+
 def cmd_bound(args) -> int:
     m, n, k = args.m, args.n, Radius(args.k)
     fields = {"new": _in_domain(new_bound, m, n, k), "cor": cor_bound(m, n, k), "fss": fss_bound(m, n, k)}
-    if args.k == 1:
-        fields["chang"] = _in_domain(chang_bound, m, n)
-    if args.k == 2:
-        fields["bijm"] = _in_domain(bijm_bound, m, n)
     print(" ".join(f"{name}={'n/a (domain)' if value is None else value}" for name, value in fields.items()))
     return 0
 
@@ -228,26 +231,23 @@ def _parse_pairs(args) -> list[tuple[int, int]]:
         if ":" in spec:
             spec, step_text = spec.split(":")
             step = int(step_text)
+            if step < 1:
+                raise DomainError(f"range step must be >= 1, got {step}")
         lo, _, hi = spec.partition("..")
         return [(m, m + 1) for m in range(int(lo), int(hi) + 1, step)]
     return list(TABLE1_PAIRS)
 
 
-def _cell(value) -> str:
-    return "n/a" if value is None else str(value)
-
-
 def cmd_table(args) -> int:
-    rows = comparison_table(_parse_pairs(args), Radius(args.k), build=args.build)
-    header = ["M", "N", "New Bound", "Old Bound"]
-    if args.build:
-        header.append("Constructed")
-    table = [header]
-    for r in rows:
-        cells = [_cell(r.m), _cell(r.n), _cell(r.new_bound), _cell(r.fss_bound)]
-        if args.build:
-            cells.append(_cell(r.constructed_size))
-        table.append(cells)
+    """One row per pair; a cell reads n/a where its bound, or construct, refuses the grid."""
+    pairs, k = _parse_pairs(args), Radius(args.k)
+    table = [["M", "N", "New Bound", "Old Bound"] + (["Constructed"] if args.build else [])]
+    for m, n in pairs:
+        new = _in_domain(new_bound, m, n, k)
+        row = [m, n, new, _in_domain(fss_bound, m, n, k)]
+        if args.build:  # built only where new_bound holds; construct refuses grids past the dense cap
+            row.append(None if new is None else _in_domain(lambda: len(construct(GridDims(m, n), k)[0])))
+        table.append(["n/a" if cell is None else str(cell) for cell in row])
     if args.csv:
         out = [",".join(cells) for cells in table]
     else:

@@ -14,8 +14,6 @@ from kdom import (
     Box,
     GridDims,
     Radius,
-    bijm_bound,
-    chang_bound,
     construct,
     cor_bound,
     exact_gamma,
@@ -225,9 +223,9 @@ def test_criterion_8_bound_domination():
             for m in range(2 * p + 1, 2 * p + 201):
                 for n in range(2 * p + 1, 2 * p + 201, 7):
                     assert new_bound(m, n, k) < fss_bound(m, n, k)
-        for m in range(11, 120):
+        for m in range(11, 120):  # Chang's form
             for n in range(11, 120, 3):
-                assert chang_bound(m, n) == new_bound(m, n, Radius(1))
-        for m in range(27, 140):
+                assert (m + 2) * (n + 2) // 5 - 4 == new_bound(m, n, Radius(1))
+        for m in range(27, 140):  # the published k=2 form
             for n in range(27, 140, 3):
-                assert bijm_bound(m, n) == new_bound(m, n, Radius(2))
+                assert (m + 4) * (n + 4) // 13 - 4 == new_bound(m, n, Radius(2))

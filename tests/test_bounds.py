@@ -1,18 +1,6 @@
 import pytest
 
-from kdom import (
-    BoundRow,
-    DomainError,
-    GridDims,
-    Radius,
-    bijm_bound,
-    chang_bound,
-    comparison_table,
-    construct,
-    cor_bound,
-    fss_bound,
-    new_bound,
-)
+from kdom import DomainError, Radius, cor_bound, fss_bound, new_bound
 from kdom.bounds import TABLE1_PAIRS
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
@@ -68,8 +56,6 @@ _BOUNDS = {
     "new": lambda m, n: new_bound(m, n, K3),
     "cor": lambda m, n: cor_bound(m, n, K3),
     "fss": lambda m, n: fss_bound(m, n, K3),
-    "chang": chang_bound,
-    "bijm": bijm_bound,
 }
 
 
@@ -83,41 +69,41 @@ def test_bounds_refuse_dims_that_are_not_integers(name, m, n):
 
 def test_bounds_name_their_domain_when_they_refuse():
     messages = {}
-    for name, m, n in (("new", 50, 52), ("cor", 0, 5), ("fss", 5, -1), ("chang", 8, 9), ("bijm", 26, 30)):
+    for name, m, n in (("new", 50, 52), ("cor", 0, 5), ("fss", 5, -1)):
         with pytest.raises(DomainError) as refused:
             _BOUNDS[name](m, n)
         messages[name] = str(refused.value)
     assert messages == {"new": "new bound needs m, n > 2p = 50, got 50x52",
                         "cor": "grid dims must be >= 1, got 0x5",
-                        "fss": "grid dims must be >= 1, got 5x-1",
-                        "chang": "chang bound needs m, n > 8, got 8x9",
-                        "bijm": "bijm bound needs m, n > 26, got 26x30"}
+                        "fss": "grid dims must be >= 1, got 5x-1"}
+
+
+# new_bound at k=1 is Chang's form and at k=2 the published k=2 form; each is written out as the oracle
 
 
 def test_chang_bound():
-    assert chang_bound(16, 16) == 60
-    assert chang_bound(9, 9) == 121 // 5 - 4 == 20
+    assert new_bound(16, 16, K1) == 18 * 18 // 5 - 4 == 60
     with pytest.raises(DomainError):
-        chang_bound(8, 9)
+        new_bound(10, 11, K1)  # Chang's form holds from m, n > 8, new_bound's domain from m, n > 10
 
 
 def test_chang_equals_new_bound_at_k1():
     for m in range(11, 41):
         for n in range(11, 41):
-            assert chang_bound(m, n) == new_bound(m, n, K1)
+            assert (m + 2) * (n + 2) // 5 - 4 == new_bound(m, n, K1)
 
 
 def test_bijm_bound():
-    assert bijm_bound(27, 27) == 961 // 13 - 4 == 69
-    assert bijm_bound(30, 40) == 34 * 44 // 13 - 4 == 111
+    assert new_bound(27, 27, K2) == 961 // 13 - 4 == 69
+    assert new_bound(30, 40, K2) == 34 * 44 // 13 - 4 == 111
     with pytest.raises(DomainError):
-        bijm_bound(26, 30)
+        new_bound(26, 30, K2)
 
 
 def test_bijm_equals_new_bound_at_k2():
     for m in range(27, 57):
         for n in range(27, 57):
-            assert bijm_bound(m, n) == new_bound(m, n, K2)
+            assert (m + 4) * (n + 4) // 13 - 4 == new_bound(m, n, K2)
 
 
 def test_new_beats_fss_strictly():
@@ -137,33 +123,5 @@ def test_new_bound_symmetry_and_cor_gap():
 
 
 def test_comparison_table_reproduces_table1():
-    rows = comparison_table(TABLE1_PAIRS, K3)
-    got = [(r.m, r.n, r.new_bound, r.fss_bound) for r in rows]
+    got = [(m, n, new_bound(m, n, K3), fss_bound(m, n, K3)) for m, n in TABLE1_PAIRS]
     assert got == TABLE1_EXPECTED
-
-
-def test_comparison_table_empty():
-    assert comparison_table([], K3) == []
-
-
-def test_comparison_table_reports_domain_errors_per_row():
-    rows = comparison_table([(5, 5), (51, 52), (0, 5), (True, 52), (51.5, 52)], K3)
-    assert rows[0].new_bound is None
-    assert rows[1].new_bound == 128
-    # no bound is defined on a grid without vertices, or on dims that are not integers; the row is still made
-    assert [(r.new_bound, r.fss_bound) for r in rows[2:]] == [(None, None)] * 3
-
-
-def test_comparison_table_with_build():
-    rows = comparison_table([(51, 52)], K3, build=True)
-    assert rows[0].constructed_size is not None
-    assert rows[0].constructed_size <= rows[0].new_bound
-    # cross-check against a direct pipeline run
-    pts, _ = construct(GridDims(51, 52), K3)
-    assert rows[0].constructed_size == len(pts)
-
-
-def test_bound_row_is_plain_data():
-    row = BoundRow(m=51, n=52, new_bound=128, fss_bound=139)
-    assert row._fields == ("m", "n", "new_bound", "fss_bound", "constructed_size")
-    assert row.constructed_size is None

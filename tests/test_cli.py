@@ -163,53 +163,44 @@ def test_bound_output_out_of_domain(capsys):
     assert "cor=4" in out
 
 
-def test_bound_output_k1_includes_chang(capsys):
-    assert main(["bound", "-m", "16", "-n", "16", "-k", "1"]) == 0
-    assert "chang=60" in capsys.readouterr().out
-
-
-def test_bound_output_k2_includes_bijm(capsys):
-    assert main(["bound", "-m", "30", "-n", "40", "-k", "2"]) == 0
-    assert "bijm=111" in capsys.readouterr().out
-
-
-# Each side is 8 or 9 (the edge of chang_bound's domain), 26 or 27 (bijm_bound's),
-# or 2p and 2p + 1 (new_bound's); 0 is outside every bound's domain.
+# Each side is 2p or 2p + 1 (the edge of new_bound's domain), or 8, 9, 26 or 27 (the edges of
+# Chang's k=1 form, m, n > 8, and of the published k=2 form, m, n > 26, both of which kdom bound
+# reports as new_bound at its k); 0 is outside every bound's domain.
 BOUND_SIDES = {1: (0, 8, 9, 10, 11, 26, 27), 2: (0, 8, 9, 26, 27), 3: (0, 8, 9, 26, 27, 50, 51)}
 
 # `kdom bound -m M -n N -k K` for every 0 < M <= N of BOUND_SIDES[K], as "K M N: stdout".
 BOUND_OUTPUT = """\
-1 8 8: new=n/a (domain) cor=20 fss=22 chang=n/a (domain)
-1 8 9: new=n/a (domain) cor=22 fss=24 chang=n/a (domain)
-1 8 10: new=n/a (domain) cor=24 fss=26 chang=n/a (domain)
-1 8 11: new=n/a (domain) cor=26 fss=28 chang=n/a (domain)
-1 8 26: new=n/a (domain) cor=56 fss=58 chang=n/a (domain)
-1 8 27: new=n/a (domain) cor=58 fss=60 chang=n/a (domain)
-1 9 9: new=n/a (domain) cor=24 fss=26 chang=20
-1 9 10: new=n/a (domain) cor=26 fss=28 chang=22
-1 9 11: new=n/a (domain) cor=28 fss=30 chang=24
-1 9 26: new=n/a (domain) cor=61 fss=63 chang=57
-1 9 27: new=n/a (domain) cor=63 fss=66 chang=59
-1 10 10: new=n/a (domain) cor=28 fss=31 chang=24
-1 10 11: new=n/a (domain) cor=31 fss=33 chang=27
-1 10 26: new=n/a (domain) cor=67 fss=69 chang=63
-1 10 27: new=n/a (domain) cor=69 fss=71 chang=65
-1 11 11: new=29 cor=33 fss=36 chang=29
-1 11 26: new=68 cor=72 fss=75 chang=68
-1 11 27: new=71 cor=75 fss=77 chang=71
-1 26 26: new=152 cor=156 fss=159 chang=152
-1 26 27: new=158 cor=162 fss=164 chang=158
-1 27 27: new=164 cor=168 fss=170 chang=164
-2 8 8: new=n/a (domain) cor=11 fss=15 bijm=n/a (domain)
-2 8 9: new=n/a (domain) cor=12 fss=16 bijm=n/a (domain)
-2 8 26: new=n/a (domain) cor=27 fss=31 bijm=n/a (domain)
-2 8 27: new=n/a (domain) cor=28 fss=32 bijm=n/a (domain)
-2 9 9: new=n/a (domain) cor=13 fss=17 bijm=n/a (domain)
-2 9 26: new=n/a (domain) cor=30 fss=34 bijm=n/a (domain)
-2 9 27: new=n/a (domain) cor=31 fss=35 bijm=n/a (domain)
-2 26 26: new=n/a (domain) cor=69 fss=73 bijm=n/a (domain)
-2 26 27: new=n/a (domain) cor=71 fss=75 bijm=n/a (domain)
-2 27 27: new=69 cor=73 fss=78 bijm=69
+1 8 8: new=n/a (domain) cor=20 fss=22
+1 8 9: new=n/a (domain) cor=22 fss=24
+1 8 10: new=n/a (domain) cor=24 fss=26
+1 8 11: new=n/a (domain) cor=26 fss=28
+1 8 26: new=n/a (domain) cor=56 fss=58
+1 8 27: new=n/a (domain) cor=58 fss=60
+1 9 9: new=n/a (domain) cor=24 fss=26
+1 9 10: new=n/a (domain) cor=26 fss=28
+1 9 11: new=n/a (domain) cor=28 fss=30
+1 9 26: new=n/a (domain) cor=61 fss=63
+1 9 27: new=n/a (domain) cor=63 fss=66
+1 10 10: new=n/a (domain) cor=28 fss=31
+1 10 11: new=n/a (domain) cor=31 fss=33
+1 10 26: new=n/a (domain) cor=67 fss=69
+1 10 27: new=n/a (domain) cor=69 fss=71
+1 11 11: new=29 cor=33 fss=36
+1 11 26: new=68 cor=72 fss=75
+1 11 27: new=71 cor=75 fss=77
+1 26 26: new=152 cor=156 fss=159
+1 26 27: new=158 cor=162 fss=164
+1 27 27: new=164 cor=168 fss=170
+2 8 8: new=n/a (domain) cor=11 fss=15
+2 8 9: new=n/a (domain) cor=12 fss=16
+2 8 26: new=n/a (domain) cor=27 fss=31
+2 8 27: new=n/a (domain) cor=28 fss=32
+2 9 9: new=n/a (domain) cor=13 fss=17
+2 9 26: new=n/a (domain) cor=30 fss=34
+2 9 27: new=n/a (domain) cor=31 fss=35
+2 26 26: new=n/a (domain) cor=69 fss=73
+2 26 27: new=n/a (domain) cor=71 fss=75
+2 27 27: new=69 cor=73 fss=78
 3 8 8: new=n/a (domain) cor=7 fss=15
 3 8 9: new=n/a (domain) cor=8 fss=15
 3 8 26: new=n/a (domain) cor=17 fss=25
@@ -431,6 +422,10 @@ def test_missing_file_exit_2(capsys):
 def test_malformed_pairs_exit_2(capsys):
     assert main(["table", "--pairs", "51xab"]) == 2
     assert main(["table", "--range", "51..x"]) == 2
+    assert main(["table", "--range", "51..57:-2"]) == 2
+    assert main(["table", "--range", "51..57:0"]) == 2
+    assert capsys.readouterr().err.splitlines()[-2:] == ["range step must be >= 1, got -2",
+                                                          "range step must be >= 1, got 0"]
     assert main(["exact", "-m", "2", "-n", "2", "-k", "2001"]) == 2
     assert main(["exact", "-m", "5", "-n", "5", "-k", "1", "--budget", "-3"]) == 2
     assert "node budget must be >= 0, got -3" in capsys.readouterr().err
@@ -446,5 +441,11 @@ def test_grid_beyond_the_dense_verifier_cap_exits_2(tmp_path, capsys):
 
 
 def test_table_prints_a_row_for_a_grid_without_vertices(capsys):
-    assert main(["table", "--csv", "--pairs", "0x5,51x52"]) == 0
-    assert capsys.readouterr() == ("M,N,New Bound,Old Bound\n0,5,n/a,n/a\n51,52,128,139\n", "")
+    assert main(["table", "--csv", "--pairs", "0x5,5x5,51x52"]) == 0
+    assert capsys.readouterr() == ("M,N,New Bound,Old Bound\n0,5,n/a,n/a\n5,5,n/a,12\n51,52,128,139\n", "")
+
+
+def test_table_build_runs_construct_only_where_new_bound_holds(capsys):
+    # construct would build 5x5 at k=3, but no bound backs its size there
+    assert main(["table", "--csv", "--build", "--pairs", "5x5,51x52"]) == 0
+    assert capsys.readouterr() == ("M,N,New Bound,Old Bound,Constructed\n5,5,n/a,12,n/a\n51,52,128,139,128\n", "")

@@ -70,6 +70,22 @@ def test_no_module_imports_enum():
     assert found == []
 
 
+def test_bounds_imports_no_kdom_module_but_errors_and_lattice():
+    # the closed forms are a leaf: were bounds.py to import construct, reading a formula
+    # would load the whole pipeline
+    path = Path(kdom.__file__).parent / "bounds.py"
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:  # from .m import x, or from . import m
+            dotted += [f"kdom.{node.module}"] if node.module else [f"kdom.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted.append(node.module)
+    imported = {name.split(".")[1] if "." in name else name for name in dotted if name.split(".")[0] == "kdom"}
+    assert sorted(imported - {"errors", "lattice"}) == []
+
+
 def test_every_public_name_has_a_caller():
     # a name kdom exports that no other module of the package, nor the benchmark,
     # reads is surface kept for nothing; the test oracles are the exception

@@ -14,7 +14,6 @@ from kdom import (
     SetFileError,
     VertexSet,
     base_set,
-    comparison_table,
     construct,
     exact_gamma,
     inverse_image_in_box,
@@ -35,7 +34,6 @@ def _values():
         verify_domination(dims, k, points),
         trace.corner_cases[0],
         exact_gamma(GridDims(3, 4), Radius(1)),
-        comparison_table([(51, 52)], Radius(3), build=True)[0],
         SetFile(k=2, m=27, n=27, points=points, flags=("projected",)),
         trace,
     ]
