@@ -2,6 +2,7 @@ import pytest
 
 from kdom import DomainError, Radius, cor_bound, fss_bound, new_bound
 from kdom.bounds import TABLE1_PAIRS
+from kdom.cli import _in_domain, main
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
@@ -125,3 +126,18 @@ def test_new_bound_symmetry_and_cor_gap():
 def test_comparison_table_reproduces_table1():
     got = [(m, n, new_bound(m, n, K3), fss_bound(m, n, K3)) for m, n in TABLE1_PAIRS]
     assert got == TABLE1_EXPECTED
+
+
+def test_comparison_table_empty(capsys):
+    assert main(["table", "--pairs", ""]) == 0
+    assert capsys.readouterr() == ("# kdom table k=3\n   M   N New Bound Old Bound\n", "")
+
+
+def test_comparison_table_reports_domain_errors_per_row():
+    # the cells kdom table prints: a bound's DomainError on one grid blanks that cell, not the table
+    pairs = [(5, 5), (51, 52), (0, 5), (True, 52), (51.5, 52)]
+    rows = [(_in_domain(new_bound, m, n, K3), _in_domain(fss_bound, m, n, K3)) for m, n in pairs]
+    assert rows[0] == (None, 12)
+    assert rows[1] == (128, 139)
+    # no bound is defined on a grid without vertices, or on dims that are not integers; the row is still made
+    assert rows[2:] == [(None, None)] * 3
