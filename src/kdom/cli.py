@@ -218,23 +218,25 @@ def cmd_bound(args) -> int:
 
 
 def _parse_pairs(args) -> list[tuple[int, int]]:
+    """(m, n) from --pairs, else --range, else Table 1; a malformed spec is a DomainError naming it."""
     if args.pairs is not None:
-        pairs = []
-        if args.pairs.strip():
-            for token in args.pairs.split(","):
-                a, _, b = token.partition("x")
-                pairs.append((int(a), int(b)))
-        return pairs
+        spec = args.pairs
+        tokens = spec.split(",") if spec.strip() else []
+        try:
+            return [(int(a), int(b)) for a, b in (token.split("x") for token in tokens)]
+        except ValueError:
+            raise DomainError(f"--pairs {spec!r} is not of the form MxN[,MxN...]") from None
     if args.range is not None:
         spec = args.range
-        step = 2
-        if ":" in spec:
-            spec, step_text = spec.split(":")
-            step = int(step_text)
-            if step < 1:
-                raise DomainError(f"range step must be >= 1, got {step}")
-        lo, _, hi = spec.partition("..")
-        return [(m, m + 1) for m in range(int(lo), int(hi) + 1, step)]
+        try:
+            ends, colon, step_text = spec.partition(":")
+            lo, hi = map(int, ends.split(".."))
+            step = int(step_text) if colon else 2
+        except ValueError:
+            raise DomainError(f"--range {spec!r} is not of the form LO..HI[:STEP]") from None
+        if step < 1:
+            raise DomainError(f"range step must be >= 1, got {step}")
+        return [(m, m + 1) for m in range(lo, hi + 1, step)]
     return list(TABLE1_PAIRS)
 
 

@@ -12,11 +12,12 @@ whose uncovered cells an earlier one already covers.  A branch is cut by two
 lower bounds on the dominators it still needs (the uncovered area over
 the largest ball, and a packing of uncovered cells that share no
 candidate dominator, read off each cell's radius-2k ball, its far mask)
-and by a memo of the coverage states that have already failed.  A
-coverage state is one Python int bitmask of any width; grids are capped
-at 144 cells (12 x 12) to keep a search desk-scale, and are searched
-with rows no longer than columns.  The node budget (not wall time)
-makes runs bit-reproducible.
+and by a memo of the uncovered sets that have already failed.  A node
+is its uncovered set, one Python int bitmask of any width, and the
+dominators left; the witness is built on the way back from a full
+cover.  Grids are capped at 144 cells (12 x 12) to keep a search
+desk-scale, and are searched with rows no longer than columns.  The
+node budget (not wall time) makes runs bit-reproducible.
 """
 from __future__ import annotations
 
@@ -121,7 +122,7 @@ def exact_gamma(
     already tried, y, covers every uncovered cell that x covers: a cover
     that uses x still covers with y in its place.  Of candidates that
     cover the same uncovered cells only the lowest is tried.  The order
-    and the skips are functions of the covered set, so the search stays
+    and the skips are functions of the uncovered set, so the search stays
     complete and the memo below stays sound.
 
     One dominator covers at most cap cells, the largest ball clipped to
@@ -129,7 +130,8 @@ def exact_gamma(
     ball of the central cell (m//2, n//2), since a ball is a stack of runs
     and along each axis the clipped run of any half-width is longest
     around the centre.  So the search starts at ceil(mn/cap), and prunes
-    a branch once ceil(uncovered/cap) exceeds the dominators it may add.
+    a branch once uncovered > slots * cap, that is once ceil(uncovered/cap)
+    exceeds the slots, the dominators it may still add.
 
     The second bound is a packing.  Two cells share a candidate dominator
     iff they lie within 2k of each other; far[v], the radius-2k ball of v
@@ -141,10 +143,12 @@ def exact_gamma(
     is cut.  A greedy packing need not be the largest; any packing is a
     sound bound.
 
-    Since the branch vertex is a function of the covered set, whether a
-    call fails depends only on (covered, slots), and a failure with s
-    slots implies one with fewer.  So the memo maps each covered set to
-    the most slots that failed from it, across the deepening sizes.
+    Since the branch vertex is a function of the uncovered set, whether a
+    call fails depends only on (uncovered, slots), and a failure with s
+    slots implies one with fewer.  So the memo maps each uncovered set to
+    the most slots that failed from it, across the deepening sizes.  A
+    call that reaches a full cover returns an empty list, and each caller
+    on the way back appends its candidate: that list is the witness.
     Both bounds and the memo cut only subtrees that would fail: the
     branch order is unchanged, so the search finds the same witness as
     one without them, and only nodes_explored falls.  The bounds count
@@ -167,32 +171,29 @@ def exact_gamma(
     balls = _balls(shape, k.k)
     full = (1 << area) - 1
     cap = balls[shape.n // 2 * width + width // 2].bit_count()
-    apart = [full ^ far for far in _balls(shape, 2 * k.k)]
+    # apart[c + 1], indexed by the bit_length() of c's bit: the cells sharing no candidate with c
+    apart = [0] + [full ^ far for far in _balls(shape, 2 * k.k)]
 
     nodes = 0
     failed: dict[int, int] = {}
 
-    def search(target: int, covered: int, chosen: list[int]) -> list[int] | None:
+    def search(uncovered: int, slots: int) -> list[int] | None:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise _BudgetExhausted
-        if covered == full:
-            return list(chosen)
-        slots = target - len(chosen)
-        if failed.get(covered, -1) >= slots:
-            return None
-        uncovered = full & ~covered
-        if -(-uncovered.bit_count() // cap) > slots:
+        if not uncovered:
+            return []
+        if failed.get(uncovered, -1) >= slots or uncovered.bit_count() > slots * cap:
             return None
         v = (uncovered & -uncovered).bit_length() - 1
         # pack uncovered cells that pairwise share no candidate, lowest first;
-        # each needs its own dominator
-        rest, need = uncovered & apart[v], 1
-        while rest and need <= slots:
-            rest &= apart[(rest & -rest).bit_length() - 1]
-            need += 1
-        c = balls[v] >> v << v if need <= slots else 0
+        # each needs its own dominator, so the branch is cut once none is left
+        rest, left = uncovered & apart[v + 1], slots
+        while rest and left:
+            rest &= apart[(rest & -rest).bit_length()]
+            left -= 1
+        c = balls[v] >> v << v if left else 0
         options = []
         while c:
             cand = (c & -c).bit_length() - 1
@@ -207,14 +208,12 @@ def exact_gamma(
                     break  # a kept candidate covers all that this one would
             else:
                 kept.append(gain)
-                chosen.append(cand)
-                hit = search(target, covered | gain, chosen)
-                chosen.pop()
-                if hit is not None:
+                if (hit := search(uncovered ^ gain, slots - 1)) is not None:
+                    hit.append(cand)
                     return hit
         if len(failed) >= MAX_FAILED_STATES:
             failed.clear()  # loses pruning, never a solution
-        failed[covered] = slots
+        failed[uncovered] = slots
         return None
 
     def to_set(indices: list[int]) -> VertexSet:
@@ -225,7 +224,7 @@ def exact_gamma(
 
     size = -(-area // cap)
     try:
-        while (found := search(size, 0, [])) is None:
+        while (found := search(full, size)) is None:
             size += 1
         return ExactResult(size, size, to_set(found), nodes, False)
     except _BudgetExhausted:

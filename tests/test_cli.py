@@ -307,6 +307,15 @@ def test_exact_budget_prints_the_solver_lower_bound(capsys):
     assert capsys.readouterr().out == "gamma>=31 gamma<=35 budget exceeded (1001 nodes)\n"
 
 
+def test_exact_budget_boundary_pins_stdout(capsys):
+    # 6x10 at k=1 takes 1,237 nodes: one fewer is flagged, exactly that many is not
+    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "1236"]) == 3
+    assert capsys.readouterr().out == "gamma>=16 gamma<=18 budget exceeded (1237 nodes)\n"
+    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "1237", "--witness"]) == 0
+    assert capsys.readouterr().out == (
+        "gamma=16\n1 0\n5 0\n3 1\n0 2\n2 3\n4 3\n5 3\n2 4\n0 5\n5 5\n3 6\n1 7\n4 8\n5 8\n0 9\n2 9\n")
+
+
 def test_exact_witness(capsys):
     assert main(["exact", "-m", "1", "-n", "5", "-k", "2", "--witness"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -426,6 +435,15 @@ def test_malformed_pairs_exit_2(capsys):
     assert main(["table", "--range", "51..57:0"]) == 2
     assert capsys.readouterr().err.splitlines()[-2:] == ["range step must be >= 1, got -2",
                                                           "range step must be >= 1, got 0"]
+    # each malformed spec is named with its option, not with Python's unpack or int() message
+    for option, spec in (("--range", "51..57:2:3"), ("--range", "51"), ("--range", "51..57:"),
+                         ("--pairs", "51x52x53"), ("--pairs", "51x52,53")):
+        assert main(["table", option, spec]) == 2
+        form = "LO..HI[:STEP]" if option == "--range" else "MxN[,MxN...]"
+        assert capsys.readouterr().err == f"{option} '{spec}' is not of the form {form}\n"
+    # a range running backwards is an empty table, not an error
+    assert main(["table", "--csv", "--range", "57..51"]) == 0
+    assert capsys.readouterr() == ("M,N,New Bound,Old Bound\n", "")
     assert main(["exact", "-m", "2", "-n", "2", "-k", "2001"]) == 2
     assert main(["exact", "-m", "5", "-n", "5", "-k", "1", "--budget", "-3"]) == 2
     assert "node budget must be >= 0, got -3" in capsys.readouterr().err

@@ -326,6 +326,18 @@ def test_budget_flagging():
         assert str(refused.value) == f"node budget must be an integer, got {bad!r}"
 
 
+@pytest.mark.parametrize("m,n,k,nodes", [(6, 10, 1, 1_237), (8, 8, 2, 317)])
+def test_a_budget_of_exactly_the_nodes_needed_is_enough(m, n, k, nodes):
+    dims, rad = GridDims(m, n), Radius(k)
+    whole = exact_gamma(dims, rad)
+    assert (whole.nodes_explored, whole.time_budget_exceeded) == (nodes, False)
+    assert exact_gamma(dims, rad, node_budget=nodes) == whole
+    # one node short, it runs out at the last node of the search at size gamma
+    short = exact_gamma(dims, rad, node_budget=nodes - 1)
+    assert (short.time_budget_exceeded, short.nodes_explored, short.lower_bound) == (True, nodes, whole.gamma)
+    assert short.gamma > whole.gamma
+
+
 def test_a_greedy_cover_of_the_size_being_searched_is_exact():
     # 1x64 k=1 starts at ceil(64/3) = 22, the size of greedy's cover, so when
     # the budget runs out there every smaller size has failed
