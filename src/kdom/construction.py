@@ -29,6 +29,9 @@ from .lattice import Radius, Rows, VertexSet, fiber_counts_in_box, fiber_keys, i
 
 _NO_PLAN = (None, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 4), dtype=np.int64))  # _corner_step's, no corners
 
+# The largest k whose corner plans are certified to keep domination (_corner_step refuses more): k <= 20
+# by test_corner_plans_keep_domination_locally_up_to_k20, 21..48 by a recorded run of corner_certificate.py.
+CERTIFIED_K = 48
 
 # The rotation carrying each corner of Y onto NW, as real = matrix @ frame +
 # shift, with the shift in units of (m - 1, n - 1).
@@ -211,7 +214,7 @@ def _corner(corner: str, dims: GridDims, k: Radius, ell: int) -> tuple[CornerCon
     for the matrix's first column (a, c), so si is one modular solve.  The
     offsets are a pure function of (corner, k, si), which _frame_plan
     memoizes, read-only: at most 256 plans of at most 2,352 moves each
-    (k = 48, the largest k corner removal reaches), about 19 MB.
+    (k = CERTIFIED_K, the largest k _corner_step accepts), about 19 MB.
     """
     kk, p = k.k, k.p
     ((a, b), (c, d)), (sx, sy) = _ROTATIONS[corner]
@@ -231,13 +234,14 @@ def _corner_step(dims: GridDims, k: Radius, ell: int) -> tuple[tuple[CornerConte
     source (i, j) and target (u, v), row-major by source within a corner.
 
     Plans exist only for m, n > 2p, checked here, where the four corners
-    cannot interact, and for a residue in [0, p), which fiber_keys checks
-    first.  No two plans touch the same point.  In its frame, with Y's
-    north row at j = 0, every point a plan removes, moves or fills lies in
-    the p x p window of columns -k..p-k-1 and rows -(p-1)..0: a steep scan
-    stops at z.j >= 1-p and lifts z to row z.j+1 <= 0; a shallow candidate
-    moves only if (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s
-    lies in column s.i within p rows, so east shifts end by column s.i.  In real
+    cannot interact, for k <= CERTIFIED_K, checked next, and for a residue
+    in [0, p), which fiber_keys checks first.  No two plans touch the same
+    point.  In its frame, with Y's north row at j = 0, every point a plan
+    removes, moves or fills lies in the p x p window of columns -k..p-k-1
+    and rows -(p-1)..0: a steep scan stops at z.j >= 1-p and lifts z to
+    row z.j+1 <= 0; a shallow candidate moves only if
+    (k+1)j >= k(i - s.i) >= -k(p-1); and no code point but s lies in
+    column s.i within p rows, so east shifts end by column s.i.  In real
     coordinates the windows lie in Y's columns, NW and NE in Y's north p
     rows (j >= n+k-p), SW and SE in its south p rows (j < p-k).  The two
     bands are disjoint once n > 2p-2k-1, and the two windows within a
@@ -246,6 +250,8 @@ def _corner_step(dims: GridDims, k: Radius, ell: int) -> tuple[tuple[CornerConte
     p = k.p
     if dims.m <= 2 * p or dims.n <= 2 * p:
         raise DomainError(f"corner removal needs m, n > 2p = {2 * p}, got {dims.m}x{dims.n}")
+    if k.k > CERTIFIED_K:
+        raise DomainError(f"corner removal is certified only for k <= {CERTIFIED_K}, got k={k.k}")
     contexts, rows, frames = zip(*(_corner(corner, dims, k, ell) for corner in CORNER_ORDER))
     rows = np.array(rows, dtype=np.int64)
     moves = np.concatenate(frames)
@@ -334,12 +340,11 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     (k+1)^2 square at a corner, each of L1 diameter <= 2k, and two fiber
     points are >= 2k+1 apart.  test_projection_merges_nothing_two_wide
     checks the edited sets too; 1-wide grids can merge (3x1 at k=1).
-    Each plan keeps domination in its p x p window, certified for k <= 20
-    by test_corner_plans_keep_domination_locally_up_to_k20 and for
-    21 <= k <= 48 by a run of tests/corner_certificate.py.  Grids too
-    large for the coverage kernel are rejected with DomainError up front,
-    so kdom verify can check every set construct returns, and corner
-    removal never runs past k = 48: at k = 49, (2p+1)^2 is over the cap.
+    Each plan keeps domination in its p x p window, certified for
+    k <= CERTIFIED_K, and _corner_step refuses any larger k with
+    DomainError.  Grids too large for the coverage kernel are rejected
+    with DomainError up front, so kdom verify can check every set
+    construct returns.
 
     The base set's size needs no check against best_residue's count:
     both count floor(W/p) points per row of width W, plus one where the

@@ -30,7 +30,7 @@ from .errors import DomainError
 from .gridmodel import GridDims
 from .lattice import Radius, VertexSet, integers, pairs_of_keys
 
-DEFAULT_MAX_CELLS = 144
+MAX_CELLS = 144
 DEFAULT_NODE_BUDGET = 5_000_000
 # Entries of the failed-state memo before it is cleared: about 30 MB at
 # 144 cells.  A full-budget search of 12 x 12 at k=1 would otherwise
@@ -164,8 +164,8 @@ def exact_gamma(
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
     area = dims.area
-    if area > DEFAULT_MAX_CELLS:
-        raise DomainError(f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {DEFAULT_MAX_CELLS}")
+    if area > MAX_CELLS:
+        raise DomainError(f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {MAX_CELLS}")
     width, flip = min(dims.m, dims.n), dims.m > dims.n
     shape = GridDims(width, area // width)
     balls = _balls(shape, k.k)

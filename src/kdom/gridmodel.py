@@ -34,7 +34,8 @@ from .lattice import (
 # and scatters into it SCATTER_CHUNK int64 flat indices at a time;
 # check_dense_size caps the difference array's cells plus one chunk.
 # With the m x n int32 count that is about 0.8 GB at the cap.  8000x8001
-# at k=5 needs 64,336,441 + 65,536.
+# at k=5 needs 64,336,441 + 65,536.  The cap bounds memory only: corner
+# removal's range of k is construction.CERTIFIED_K.
 MAX_DENSE_CELLS = 100_000_000
 # Flat indices the kernel builds and scatters per step (at least one
 # point's 2k+1 per step), so a dense set at large k never holds

@@ -1,4 +1,8 @@
 """Shared independent oracles, deliberately dumber than the library paths."""
+import itertools
+
+import numpy as np
+
 from kdom import DomainError, Radius, phi
 
 
@@ -41,6 +45,34 @@ def brute_fiber(k, ell, box):
             if phi(rad, (i, j)) == ell % rad.p:
                 hits.append((i, j))
     return hits
+
+
+def fiber_window(k, ell, lo, hi):
+    """Boolean array of fiber membership for lo <= i, j <= hi, indexed [i - lo, j - lo]."""
+    coords = np.arange(lo, hi + 1)
+    vals = (k + 1) * coords[:, None] + k * coords[None, :]
+    return (vals % Radius(k).p) == ell
+
+
+def naive_gamma(m, n, k):
+    """Subset enumeration by increasing size over ball bitmasks."""
+    cells = [(i, j) for j in range(n) for i in range(m)]
+    full = (1 << len(cells)) - 1
+    masks = []
+    for (i, j) in cells:
+        mask = 0
+        for idx, (a, b) in enumerate(cells):
+            if abs(i - a) + abs(j - b) <= k:
+                mask |= 1 << idx
+        masks.append(mask)
+    for size in range(1, len(cells) + 1):
+        for combo in itertools.combinations(range(len(cells)), size):
+            acc = 0
+            for c in combo:
+                acc |= masks[c]
+            if acc == full:
+                return size
+    raise AssertionError("unreachable: the full set always dominates")
 
 
 def count_in_box(k, ell, box):

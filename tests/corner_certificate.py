@@ -15,7 +15,9 @@ corners' windows are disjoint, which is why construction runs no overlap
 check.
 
 tests/test_construction.py certifies k <= 20 in tier-1.  Run as a script
-for larger k, one line per k and a non-zero exit on any failure:
+for larger k, one line per k and a non-zero exit on any failure.  The
+run must cover every k up to kdom.construction.CERTIFIED_K, the largest
+k corner removal accepts; raise that constant only past a clean run:
 
     PYTHONPATH=src python tests/corner_certificate.py 21 48
 """

@@ -3,13 +3,12 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
-import itertools
 import random
 import time
 
 import numpy as np
 
-from conftest import count_in_box
+from conftest import count_in_box, fiber_window, naive_gamma
 from kdom import (
     Box,
     GridDims,
@@ -96,12 +95,6 @@ def test_criterion_3_small_grid_bound():
                     assert not trace.corner_removal_applied
 
 
-def _fiber_window(kk, ell, lo, hi):
-    coords = np.arange(lo, hi + 1)
-    vals = (kk + 1) * coords[:, None] + kk * coords[None, :]
-    return (vals % (2 * kk * kk + 2 * kk + 1)) == ell
-
-
 def test_criterion_4_perfect_code_property():
     with _Criterion(4, "each 3p x 3p window point sees exactly one code point "
                        "within k; rows/columns have spacing p", 10.0):
@@ -109,7 +102,7 @@ def test_criterion_4_perfect_code_property():
             p = Radius(kk).p
             w = 3 * p
             for ell in range(p):
-                code = _fiber_window(kk, ell, -kk, w - 1 + kk)
+                code = fiber_window(kk, ell, -kk, w - 1 + kk)
                 counts = np.zeros((w, w), dtype=np.int32)
                 for dx in range(-kk, kk + 1):
                     span = kk - abs(dx)
@@ -163,26 +156,6 @@ def test_criterion_5_fiber_counting():
             assert best <= box.width * box.height // p
 
 
-def _naive_gamma(m, n, kk):
-    cells = [(i, j) for j in range(n) for i in range(m)]
-    full = (1 << len(cells)) - 1
-    masks = []
-    for (i, j) in cells:
-        mask = 0
-        for idx, (a, b) in enumerate(cells):
-            if abs(i - a) + abs(j - b) <= kk:
-                mask |= 1 << idx
-        masks.append(mask)
-    for size in range(1, len(cells) + 1):
-        for combo in itertools.combinations(range(len(cells)), size):
-            acc = 0
-            for c in combo:
-                acc |= masks[c]
-            if acc == full:
-                return size
-    raise AssertionError("unreachable")
-
-
 def test_criterion_6_oracle_consistency():
     with _Criterion(6, "exact solver matches naive enumeration, the path "
                        "formula, and never beats the construction", 300.0):
@@ -192,7 +165,7 @@ def test_criterion_6_oracle_consistency():
             for (m, n) in grids:
                 res = exact_gamma(GridDims(m, n), k)
                 assert not res.time_budget_exceeded
-                assert res.gamma == _naive_gamma(m, n, kk), (m, n, kk)
+                assert res.gamma == naive_gamma(m, n, kk), (m, n, kk)
         for kk in (1, 2, 3):
             k = Radius(kk)
             for n in range(1, 31):

@@ -33,6 +33,7 @@ from kdom import (
 from kdom import construction, gridmodel, lattice
 from kdom.cli import trace_lines
 from kdom.construction import (
+    CERTIFIED_K,
     CORNER_ORDER,
     CornerContext,
     ShiftedPairs,
@@ -501,15 +502,26 @@ def test_construct_runs_no_coverage_kernel(monkeypatch):
     assert calls == []
 
 
-def test_corner_removal_reaches_k48_and_no_further():
-    # corner_certificate certifies the plans for k <= 48; the dense cap keeps
-    # construct from any grid with corners, m, n > 2p, at k = 49
+def test_corner_removal_reaches_k48_and_no_further(monkeypatch):
+    # the plans are certified for k <= CERTIFIED_K = 48 (test_corner_plans_keep_domination_locally_up_to_k20
+    # and a recorded run of corner_certificate 21 48), and _corner_step refuses k = 49 on every path, whatever
+    # the dense cap: raising the constant fails this test until the certificate covers the new k
+    assert CERTIFIED_K == 48
     p = Radius(48).p
     _, trace = construct(GridDims(2 * p + 1, 2 * p + 1), Radius(48))
     assert trace.corner_removal_applied
-    p = Radius(49).p
-    with pytest.raises(DomainError, match="verifier cells"):
-        construct(GridDims(2 * p + 1, 2 * p + 1), Radius(49))
+    k = Radius(49)
+    dims = GridDims(2 * k.p + 1, 2 * k.p + 1)  # 9803 x 9803, the smallest grid with corners at k = 49
+    refused = "corner removal is certified only for k <= 48, got k=49"
+    base = base_set(dims, k, 0)
+    for verify in (False, True):
+        with pytest.raises(DomainError, match=refused):
+            remove_corners(dims, k, 0, base, verify=verify)
+    with pytest.raises(DomainError, match="verifier cells"):  # construct checks the dense cap first
+        construct(dims, k)
+    monkeypatch.setattr(gridmodel, "MAX_DENSE_CELLS", 101_000_000)  # admits 100,055,536 cells
+    with pytest.raises(DomainError, match=refused):
+        construct(dims, k)
 
 
 def test_construct_size_never_beats_exact_optimum():
@@ -613,17 +625,6 @@ def _fitting_plans(rng, universe, count):
     return pts, plans
 
 
-def test_apply_plan_matches_the_set_reference():
-    rng = random.Random(23)
-    universe = [(i, j) for i in range(-3, 5) for j in range(-3, 5)]
-    sizes = set()
-    for _ in range(3000):
-        pts, [plan] = _fitting_plans(rng, universe, 1)
-        assert _apply(_BAND_DIMS, _BAND_K, pts, [plan]) == _reference_apply_plan(pts, plan), (pts, plan)
-        sizes.add(len(plan.moves))
-    assert sizes == set(range(6))
-
-
 def test_apply_plan_moves_a_source_onto_a_free_target():
     pts = VertexSet.from_iterable([(0, 0), (3, 0), (1, 2)])
     moved = _apply(_BAND_DIMS, _BAND_K, pts, [_Plan((0, 0), np.array([(3, 0, 0, 2)], dtype=np.int64))])
@@ -690,14 +691,19 @@ def test_apply_plans_in_one_edit_equals_one_plan_at_a_time():
 
 
 def test_apply_plans_matches_the_set_reference_plan_by_plan():
+    # one to four plans per draw, single plans included, with every move count 0..5
     rng = random.Random(31)
     universe = [(i, j) for i in range(-3, 9) for j in range(-3, 9)]
+    sizes, counts = set(), set()
     for _ in range(1500):
         pts, plans = _fitting_plans(rng, universe, rng.randint(1, 4))
+        counts.add(len(plans))
         want = pts
         for plan in plans:
             want = _reference_apply_plan(want, plan)
+            sizes.add(len(plan.moves))
         assert _apply(_BAND_DIMS, _BAND_K, pts, plans) == want, (pts, plans)
+    assert (sizes, counts) == (set(range(6)), {1, 2, 3, 4})
 
 
 def _reference_remove_corners(dims, k, ell, points):

@@ -1,11 +1,11 @@
 import gc
-import itertools
 import random
 from functools import cache
 
 import numpy as np
 import pytest
 
+from conftest import naive_gamma
 import kdom.exact
 from kdom import (
     DomainError,
@@ -22,27 +22,6 @@ from kdom import (
 from kdom.exact import _balls, _greedy
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
-
-
-def naive_gamma(m, n, k):
-    """Subset enumeration by increasing size over ball bitmasks."""
-    cells = [(i, j) for j in range(n) for i in range(m)]
-    full = (1 << len(cells)) - 1
-    masks = []
-    for (i, j) in cells:
-        mask = 0
-        for idx, (a, b) in enumerate(cells):
-            if abs(i - a) + abs(j - b) <= k:
-                mask |= 1 << idx
-        masks.append(mask)
-    for size in range(1, len(cells) + 1):
-        for combo in itertools.combinations(range(len(cells)), size):
-            acc = 0
-            for c in combo:
-                acc |= masks[c]
-            if acc == full:
-                return size
-    raise AssertionError("unreachable: the full set always dominates")
 
 
 def kept_candidates(balls, v, uncovered):

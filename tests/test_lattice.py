@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_fiber, count_in_box
+from conftest import brute_fiber, count_in_box, fiber_window
 from kdom import (
     Box,
     DomainError,
@@ -231,22 +231,14 @@ def test_coprimality():
         assert math.gcd(k + 1, p) == 1
 
 
-def _code_window(k, ell, lo, hi):
-    """Boolean array of fiber membership for lo <= i, j <= hi."""
-    coords = np.arange(lo, hi + 1)
-    vals = (k + 1) * coords[:, None] + k * coords[None, :]
-    return (vals % Radius(k).p) == ell
-
-
 def test_perfect_code_property():
     # every point of a 3p x 3p window sees exactly one fiber element
     # within distance k, for every residue, k <= 5
     for k in range(1, 6):
         p = Radius(k).p
         w = 3 * p
-        grid = _code_window(k, 0, -k, w - 1 + k)
         for ell in range(p):
-            code = _code_window(k, ell, -k, w - 1 + k)
+            code = fiber_window(k, ell, -k, w - 1 + k)
             counts = np.zeros((w, w), dtype=np.int32)
             for dx in range(-k, k + 1):
                 span = k - abs(dx)

@@ -70,6 +70,20 @@ def test_no_module_imports_enum():
     assert found == []
 
 
+def test_no_module_restates_the_certified_k():
+    # corner removal's certified range is construction.CERTIFIED_K alone: an int literal 48 or 49
+    # anywhere else in the code (docstrings are strings) would state the boundary a second time
+    assigned, found = [], []
+    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                   and [getattr(target, "id", None) for target in node.targets] == ["CERTIFIED_K"]}
+        assigned += [path.name] * len(allowed)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and type(node.value) is int and node.value in (48, 49) and id(node) not in allowed]
+    assert (assigned, found) == (["construction.py"], [])
+
+
 def test_bounds_imports_no_kdom_module_but_errors_and_lattice():
     # the closed forms are a leaf: were bounds.py to import construct, reading a formula
     # would load the whole pipeline
