@@ -15,9 +15,13 @@ candidate dominator, read off each cell's radius-2k ball, its far mask)
 and by a memo of the uncovered sets that have already failed.  A node
 is its uncovered set, one Python int bitmask of any width, and the
 dominators left; the witness is built on the way back from a full
-cover.  Grids are capped at 144 cells (12 x 12) to keep a search
-desk-scale, and are searched with rows no longer than columns.  The
-node budget (not wall time) makes runs bit-reproducible.
+cover.  The search reads bit b as cell area-1-b, the grid turned by
+180 degrees, so the lowest uncovered cell is the set's highest bit;
+the turn maps each ball onto the ball of the turned cell, so one list
+of row-major masks serves the search and the greedy cover.  Grids are
+capped at 144 cells (12 x 12) to keep a search desk-scale, and are
+searched with rows no longer than columns.  The node budget (not wall
+time) makes runs bit-reproducible.
 """
 from __future__ import annotations
 
@@ -154,6 +158,15 @@ def exact_gamma(
     one without them, and only nodes_explored falls.  The bounds count
     dominators of any kind, so the candidate rules keep them sound.
 
+    In the search, bit b of a mask stands for cell area-1-b, the cell of
+    the grid turned by 180 degrees, so the lowest uncovered cell in
+    row-major order is the highest set bit, found with one bit_length(),
+    as is each pick of the packing.  The turn maps the radius-r ball of a
+    cell onto the ball of the turned cell, so balls[b] and far[b], built
+    row-major, are also the turned masks of cell area-1-b: the greedy
+    cover reads them row-major and the search turned, from one list.
+    The sort key and the witness use the row-major index area-1-b.
+
     Sizes are searched upward from ceil(mn/cap) until one succeeds.  If
     the node budget runs out at some size, every smaller size has
     failed, so a greedy cover of at most that size is returned as exact;
@@ -186,20 +199,20 @@ def exact_gamma(
             return []
         if failed.get(uncovered, -1) >= slots or uncovered.bit_count() > slots * cap:
             return None
-        v = (uncovered & -uncovered).bit_length() - 1
+        v = uncovered.bit_length() - 1  # the lowest uncovered cell, area-1-v
         # pack uncovered cells that pairwise share no candidate, lowest first;
         # each needs its own dominator, so the branch is cut once none is left
         rest, left = uncovered & apart[v + 1], slots
         while rest and left:
-            rest &= apart[(rest & -rest).bit_length()]
+            rest &= apart[rest.bit_length()]
             left -= 1
-        c = balls[v] >> v << v if left else 0
+        c = balls[v] & (2 << v) - 1 if left else 0
         options = []
         while c:
-            cand = (c & -c).bit_length() - 1
-            c &= c - 1
-            gain = balls[cand] & uncovered
-            options.append((-gain.bit_count(), cand, gain))
+            b = c.bit_length() - 1
+            c ^= 1 << b
+            gain = balls[b] & uncovered
+            options.append((-gain.bit_count(), area - 1 - b, gain))
         options.sort()
         kept = []
         for _, cand, gain in options:

@@ -98,7 +98,7 @@ def test_criterion_3_small_grid_bound():
 def test_criterion_4_perfect_code_property():
     with _Criterion(4, "each 3p x 3p window point sees exactly one code point "
                        "within k; rows/columns have spacing p", 10.0):
-        for kk in range(1, 5):
+        for kk in range(1, 6):
             p = Radius(kk).p
             w = 3 * p
             for ell in range(p):

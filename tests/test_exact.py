@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from functools import cache
 
@@ -461,3 +462,42 @@ def test_nodes_on_the_benchmark_grids():
     grids = [(m, n, k) for k in (1, 2) for m in range(3, 65) for n in range(m, 65) if m * n <= 64]
     grids.append((1, 64, 1))
     assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 9_461
+
+
+def reversed_bits(mask, width):
+    """mask with bit b moved to bit width-1-b."""
+    return int(format(mask, f"0{width}b")[::-1], 2)
+
+
+def test_a_ball_reversed_is_the_ball_of_the_rotated_cell():
+    # search reads bit b as cell area-1-b, the grid turned by 180 degrees, and
+    # takes its balls and far masks from _balls unchanged; radii 1-4, 6 and one
+    # past the diameter m+n-2
+    for m in range(1, 65):
+        for n in range(1, 64 // m + 1):
+            area = m * n
+            for radius in (1, 2, 3, 4, 6, m + n - 1):
+                balls = _balls(GridDims(m, n), radius)
+                for c in range(area):
+                    assert balls[area - 1 - c] == reversed_bits(balls[c], area), (m, n, radius, c)
+
+
+# the exact workload's 99 searches, then budgets 0-500 on k=1 grids in both orientations and 8x8 k=2
+DIGEST_CASES = [(m, n, k, None) for k in (1, 2) for m in range(3, 65) for n in range(m, 65) if m * n <= 64]
+DIGEST_CASES.append((1, 64, 1, None))
+DIGEST_CASES += [(m, n, k, budget) for budget in (0, 1, 5, 50, 500)
+                 for m, n, k in ((8, 8, 1), (6, 10, 1), (10, 6, 1), (9, 7, 1), (1, 64, 1), (8, 8, 2))]
+DIGEST_SHA256 = "c315adda4cab3915586b9758cb5d6fd6855ed416345d3f49f74df0c4b326d219"
+
+
+def test_outputs_on_the_benchmark_grids_and_budgets_are_pinned():
+    # gamma, lower_bound, nodes, the budget flag and the witness, not only the node total;
+    # recompute with the lines below only when an output change is intended
+    lines = []
+    for m, n, k, budget in DIGEST_CASES:
+        kwargs = {} if budget is None else {"node_budget": budget}
+        res = exact_gamma(GridDims(m, n), Radius(k), **kwargs)
+        witness = [(int(i), int(j)) for i, j in res.witness]
+        lines.append(repr((m, n, k, res.gamma, res.lower_bound, res.nodes_explored, res.time_budget_exceeded, witness)))
+    assert len(lines) == 129
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST_SHA256

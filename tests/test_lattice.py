@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_fiber, count_in_box, fiber_window
+from conftest import brute_fiber, count_in_box
 from kdom import (
     Box,
     DomainError,
@@ -229,22 +229,6 @@ def test_coprimality():
         p = Radius(k).p
         assert math.gcd(k, p) == 1
         assert math.gcd(k + 1, p) == 1
-
-
-def test_perfect_code_property():
-    # every point of a 3p x 3p window sees exactly one fiber element
-    # within distance k, for every residue, k <= 5
-    for k in range(1, 6):
-        p = Radius(k).p
-        w = 3 * p
-        for ell in range(p):
-            code = fiber_window(k, ell, -k, w - 1 + k)
-            counts = np.zeros((w, w), dtype=np.int32)
-            for dx in range(-k, k + 1):
-                span = k - abs(dx)
-                for dy in range(-span, span + 1):
-                    counts += code[k + dx:k + dx + w, k + dy:k + dy + w]
-            assert (counts == 1).all(), (k, ell)
 
 
 def test_row_and_column_spacing():
