@@ -19,9 +19,8 @@ cover.  The search reads bit b as cell area-1-b, the grid turned by
 180 degrees, so the lowest uncovered cell is the set's highest bit;
 the turn maps each ball onto the ball of the turned cell, so one list
 of row-major masks serves the search and the greedy cover.  Grids are
-capped at 144 cells (12 x 12) to keep a search desk-scale, and are
 searched with rows no longer than columns.  The node budget (not wall
-time) makes runs bit-reproducible.
+time) makes runs bit-reproducible, and MAX_SEARCH_BITS bounds memory.
 """
 from __future__ import annotations
 
@@ -34,12 +33,11 @@ from .errors import DomainError
 from .gridmodel import GridDims
 from .lattice import Radius, VertexSet, integers, pairs_of_keys
 
-MAX_CELLS = 144
 DEFAULT_NODE_BUDGET = 5_000_000
-# Entries of the failed-state memo before it is cleared: about 30 MB at
-# 144 cells.  A full-budget search of 12 x 12 at k=1 would otherwise
-# store 652,173 of them (47 MB).
-MAX_FAILED_STATES = 1 << 18
+# Mask bits for a search's two tables (2mn masks of mn bits) and its failed-state
+# memo (mn bits per entry), cleared when full: at 144 cells 2^18 entries (about
+# 30 MB), where a full-budget 12 x 12 k=1 search would otherwise store 652,173.
+MAX_SEARCH_BITS = 144 * (2 * 144 + (1 << 18))
 
 
 class ExactResult(namedtuple("ExactResult", "gamma lower_bound witness nodes_explored time_budget_exceeded")):
@@ -170,15 +168,19 @@ def exact_gamma(
     Sizes are searched upward from ceil(mn/cap) until one succeeds.  If
     the node budget runs out at some size, every smaller size has
     failed, so a greedy cover of at most that size is returned as exact;
-    otherwise the answer is the budget-flagged upper value.
+    otherwise the answer is the budget-flagged upper value.  Only the
+    node budget bounds time.  A grid whose tables (2mn^2 bits) leave no
+    room in MAX_SEARCH_BITS for one memo entry (mn bits), one of more
+    than 4,346 cells (66 x 66 but not 65 x 66), is refused before both.
     """
     if not integers(node_budget):
         raise DomainError(f"node budget must be an integer, got {node_budget!r}")
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
     area = dims.area
-    if area > MAX_CELLS:
-        raise DomainError(f"{dims.m}x{dims.n} has {area} cells; exact search is capped at {MAX_CELLS}")
+    if (max_failed := (MAX_SEARCH_BITS - 2 * area * area) // area) < 1:  # memo entries beside the tables
+        raise DomainError(f"{dims.m}x{dims.n} needs {(2 * area + 1) * area} mask bits; "
+                          f"exact search's bit budget is {MAX_SEARCH_BITS}")
     width, flip = min(dims.m, dims.n), dims.m > dims.n
     shape = GridDims(width, area // width)
     balls = _balls(shape, k.k)
@@ -224,7 +226,7 @@ def exact_gamma(
                 if (hit := search(uncovered ^ gain, slots - 1)) is not None:
                     hit.append(cand)
                     return hit
-        if len(failed) >= MAX_FAILED_STATES:
+        if len(failed) >= max_failed:
             failed.clear()  # loses pruning, never a solution
         failed[uncovered] = slots
         return None

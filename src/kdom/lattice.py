@@ -41,17 +41,15 @@ def integers(*values) -> bool:
 class Validated:
     """Base of a namedtuple subclass whose _check method validates the fields.
 
-    Put it first among the bases.  The call, _make, _replace, copying and
-    unpickling all build through __new__, so each runs _check; a plain
-    namedtuple's _make, and so its _replace, would skip it.
+    Put it first among the bases.  The call runs _check from __init__, and
+    _make (so _replace) and __reduce__ (so copying and unpickling) go through
+    the call: namedtuple's own _make and pickle's __newobj__ skip __init__.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __init__(self, *args, **kwargs):
         self._check()
-        return self
 
     @classmethod
     def _make(cls, iterable):

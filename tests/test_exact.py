@@ -19,6 +19,7 @@ from kdom import (
     exact_gamma,
     new_bound,
     path_gamma,
+    verify_domination,
 )
 from kdom.exact import _balls, _greedy
 
@@ -153,9 +154,21 @@ def test_path_gamma_validates():
         path_gamma(0, K1)
 
 
-def test_cell_cap_enforced():
-    with pytest.raises(DomainError):
-        exact_gamma(GridDims(13, 12), K1)
+def test_cell_cap_enforced(monkeypatch):
+    class TablesBuilt(Exception):
+        pass
+
+    def no_tables(*_):
+        raise TablesBuilt
+
+    # 2mn^2 table bits and one mn-bit memo entry must fit MAX_SEARCH_BITS, checked before any table is built
+    monkeypatch.setattr(kdom.exact, "_balls", no_tables)
+    for m, n in ((66, 66), (65, 67), (10**6, 10**6)):
+        with pytest.raises(DomainError, match="bit budget"):
+            exact_gamma(GridDims(m, n), K1)
+    with pytest.raises(TablesBuilt):
+        exact_gamma(GridDims(65, 66), K1)
+    monkeypatch.undo()
     exact_gamma(GridDims(12, 12), K2, node_budget=200)  # 144 cells allowed
 
 
@@ -253,7 +266,7 @@ def test_a_grid_is_searched_with_its_shorter_rows():
 def test_clearing_the_memo_loses_only_pruning(monkeypatch, m, n, k):
     dims, rad = GridDims(m, n), Radius(k)
     whole = exact_gamma(dims, rad)
-    monkeypatch.setattr(kdom.exact, "MAX_FAILED_STATES", 8)
+    monkeypatch.setattr(kdom.exact, "MAX_SEARCH_BITS", (2 * m * n + 8) * m * n)  # the tables and 8 memo entries
     cleared = exact_gamma(dims, rad)
     assert (cleared.gamma, cleared.lower_bound) == (whole.gamma, whole.lower_bound)
     assert cleared.witness == whole.witness
@@ -284,6 +297,15 @@ def test_gamma_proven_at_the_edge_of_the_paper_domain(m, n, k, gamma):
     if min(m, n) > 2 * rad.p:
         # the paper's bound is tight on the smallest grids of its domain
         assert built == gamma == new_bound(m, n, rad)
+
+
+@pytest.mark.parametrize("m,n,k,gamma,nodes", [(14, 14, 2, 20, 103_079), (16, 16, 3, 15, 66_400)])
+def test_gamma_proven_past_144_cells_at_k2_and_k3(m, n, k, gamma, nodes):
+    dims, rad = GridDims(m, n), Radius(k)
+    res = exact_gamma(dims, rad)
+    assert (res.gamma, res.lower_bound, res.nodes_explored, res.time_budget_exceeded) == (gamma, gamma, nodes, False)
+    assert len(res.witness) == gamma
+    assert verify_domination(dims, rad, res.witness).uncovered == VertexSet.empty()
 
 
 def test_budget_flagging():
@@ -380,7 +402,7 @@ def test_shifted_ball_templates_match_the_per_row_construction():
 
 
 def test_balls_and_far_masks_match_all_pairs_distances():
-    # every shape up to 64 cells, and shapes up to the 144-cell cap in both orientations
+    # every shape up to 64 cells, and shapes of 144 cells in both orientations
     shapes = [(m, n) for m in range(1, 65) for n in range(1, 64 // m + 1)]
     for m, n in ((12, 12), (11, 13), (9, 16), (8, 18), (5, 28), (3, 48), (2, 72), (1, 144)):
         shapes += [(m, n), (n, m)]
@@ -391,7 +413,8 @@ def test_balls_and_far_masks_match_all_pairs_distances():
 
 
 def test_the_central_ball_is_the_largest():
-    # exact_gamma reads cap off the ball of (m // 2, n // 2); radii 1-12 and one past the diameter
+    # exact_gamma reads cap off the ball of (m // 2, n // 2); every shape up to 144 cells,
+    # radii 1-12 and one past the diameter
     for m in range(1, 145):
         for n in range(1, 144 // m + 1):
             for radius in (*range(1, 13), m + n - 1):
