@@ -21,7 +21,7 @@ from .construction import ConstructionTrace, construct
 from .errors import DomainError, KdomError, SetFileError
 from .exact import DEFAULT_NODE_BUDGET, exact_gamma
 from .gridmodel import GridDims, check_dense_size, verify_domination
-from .lattice import Radius, Validated, VertexSet, _as_pairs, canonical_order, integers, repeats
+from .lattice import Radius, Validated, VertexSet, integers
 
 MAGIC = "kdom v1"
 KNOWN_FLAGS = ("projected", "no-corner-removal")
@@ -72,8 +72,8 @@ def _flag(line: str) -> str | None:
     return text[1:].strip() if text.startswith("#") else None
 
 
-def _read_body(body: list[str]) -> tuple[list[str], np.ndarray]:
-    """Flags and (i, j) rows: numpy parses save_setfile's layout, the loop below any other text."""
+def _read_body(body: list[str]) -> tuple[list[str], np.ndarray | list[tuple[int, int]]]:
+    """Flags and (i, j) rows as read: numpy parses save_setfile's layout, the loop below any other text."""
     head = next((r for r, line in enumerate(body) if _flag(line) not in KNOWN_FLAGS), len(body))
     if any(map(str.strip, body[head:])):  # loadtxt warns on a text with no data line
         try:
@@ -96,10 +96,11 @@ def _read_body(body: list[str]) -> tuple[list[str], np.ndarray]:
                 pairs.append((int(parts[0]), int(parts[1])))
             except ValueError:
                 raise SetFileError(f"non-integer coordinate in {line.strip()!r}") from None
-    return flags, _as_pairs(pairs)
+    return flags, pairs
 
 
 def load_setfile(text: str) -> SetFile:
+    """Parse a set file: VertexSet.from_iterable canonicalizes the points; a repeat names its first line."""
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise SetFileError(f"missing magic line {MAGIC!r}")
@@ -114,17 +115,15 @@ def load_setfile(text: str) -> SetFile:
         raise SetFileError(f"non-integer header field: {exc}") from None
     try:
         flags, coords = _read_body(lines[2:])
-        order = canonical_order(coords)  # stable, so each vertex's first line sorts first
+        points = VertexSet.from_iterable(coords)
     except DomainError as exc:  # a coordinate past +-2**62
         raise SetFileError(str(exc)) from None
     if len(coords) != count:
         raise SetFileError(f"header count {count} != {len(coords)} body lines")
-    coords = coords.take(order, axis=0)
-    twice = repeats(coords)
-    if twice.any():
-        i, j = coords[np.flatnonzero(twice)[order[twice].argmin()]].tolist()
+    if len(points) < count:  # the lowest line that is no vertex's first repeats an earlier one
+        i, j = coords[np.setdiff1d(np.arange(count), np.unique(coords, axis=0, return_index=True)[1])[0]]
         raise SetFileError(f"duplicate vertex {i} {j}")
-    return SetFile(k=k, m=m, n=n, points=VertexSet(coords), flags=tuple(dict.fromkeys(flags)))
+    return SetFile(k=k, m=m, n=n, points=points, flags=tuple(dict.fromkeys(flags)))
 
 
 def render_ascii(sf: SetFile, coverage: bool = False) -> str:

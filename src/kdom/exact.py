@@ -24,6 +24,7 @@ time) makes runs bit-reproducible, and MAX_SEARCH_BITS bounds memory.
 """
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
 
 import numpy as np
@@ -88,16 +89,17 @@ def _balls(dims: GridDims, radius: int) -> list[int]:
 
 
 def _greedy(full: int, balls: list[int]) -> list[int]:
-    """Deterministic greedy cover, the answer when the node budget runs out."""
+    """Deterministic greedy cover, the answer when the node budget runs out: each pick covers the most
+    uncovered cells, the lowest cell on a tie, and comes off a heap of the gains as last scored."""
+    heap = sorted((-ball.bit_count(), c) for c, ball in enumerate(balls))  # a sorted list is a heap
     covered, chosen = 0, []
     while covered != full:
-        best_gain, best_c = -1, -1
-        for c, ball in enumerate(balls):
-            gain = (ball & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_c = gain, c
-        chosen.append(best_c)
-        covered |= balls[best_c]
+        stale, c = heapq.heappop(heap)
+        if (gain := (balls[c] & ~covered).bit_count()) < -stale:  # fallen since scored: requeue it
+            heapq.heappush(heap, (-gain, c))
+        else:
+            chosen.append(c)
+            covered |= balls[c]
     return chosen
 
 
@@ -168,9 +170,10 @@ def exact_gamma(
     Sizes are searched upward from ceil(mn/cap) until one succeeds.  If
     the node budget runs out at some size, every smaller size has
     failed, so a greedy cover of at most that size is returned as exact;
-    otherwise the answer is the budget-flagged upper value.  Only the
-    node budget bounds time.  A grid whose tables (2mn^2 bits) leave no
-    room in MAX_SEARCH_BITS for one memo entry (mn bits), one of more
+    otherwise the answer is the budget-flagged upper value.  The greedy
+    cover keeps each cell's gain in a heap and re-scores only a popped
+    entry whose gain has fallen.  A grid whose tables (2mn^2 bits) leave
+    no room in MAX_SEARCH_BITS for one memo entry (mn bits), one of more
     than 4,346 cells (66 x 66 but not 65 x 66), is refused before both.
     """
     if not integers(node_budget):

@@ -316,6 +316,12 @@ def test_exact_budget_boundary_pins_stdout(capsys):
         "gamma=16\n1 0\n5 0\n3 1\n0 2\n2 3\n4 3\n5 3\n2 4\n0 5\n5 5\n3 6\n1 7\n4 8\n5 8\n0 9\n2 9\n")
 
 
+def test_exact_budget_zero_on_64x64_falls_back_to_construct(capsys):
+    # the search stops at its first node; construct's 867 points beat the greedy cover's 1,046
+    assert main(["exact", "-m", "64", "-n", "64", "-k", "1", "--budget", "0"]) == 3
+    assert capsys.readouterr().out == "gamma>=820 gamma<=867 budget exceeded (1 nodes)\n"
+
+
 def test_exact_witness(capsys):
     assert main(["exact", "-m", "1", "-n", "5", "-k", "2", "--witness"]) == 0
     out = capsys.readouterr().out.splitlines()

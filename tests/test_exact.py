@@ -364,6 +364,31 @@ def test_exhausted_search_answers_with_the_smaller_of_greedy_and_construct():
         assert res.gamma == len(res.witness), (m, n)
 
 
+def rescanning_greedy(full, balls):
+    """The greedy cover by a full rescan per pick: the cell covering the most
+    uncovered cells, the lowest on a tie."""
+    covered, chosen = 0, []
+    while covered != full:
+        best_gain, best_c = -1, -1
+        for c, ball in enumerate(balls):
+            gain = (ball & ~covered).bit_count()
+            if gain > best_gain:
+                best_gain, best_c = gain, c
+        chosen.append(best_c)
+        covered |= balls[best_c]
+    return chosen
+
+
+def test_the_heap_greedy_picks_what_a_rescan_picks():
+    # the 1,137 (m, n, k) with m <= n, mn <= 144 and k <= 3, each grid in both orientations
+    cases = [(m, n, k) for m in range(1, 13) for n in range(m, 144 // m + 1) for k in (1, 2, 3)]
+    assert len(cases) == 1137
+    for m, n, k in cases:
+        for dims in (GridDims(m, n), GridDims(n, m)):
+            balls, full = _balls(dims, k), (1 << dims.area) - 1
+            assert _greedy(full, balls) == rescanning_greedy(full, balls), (dims, k)
+
+
 def test_determinism():
     a = exact_gamma(GridDims(4, 4), K1)
     b = exact_gamma(GridDims(4, 4), K1)

@@ -84,6 +84,17 @@ def test_no_module_restates_the_certified_k():
     assert (assigned, found) == (["construction.py"], [])
 
 
+def test_no_module_imports_another_modules_private_names():
+    # a rule lives in the module that owns it: a name starting with "_" is that module's
+    # own, and a second module that imports it re-derives the rule instead of calling its owner
+    found = []
+    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "kdom"):
+                found += [f"{path.name}:{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_bounds_imports_no_kdom_module_but_errors_and_lattice():
     # the closed forms are a leaf: were bounds.py to import construct, reading a formula
     # would load the whole pipeline
