@@ -8,11 +8,12 @@ dominator x before v moves to x + (0, 1) from a lower row, or to
 x + (1, 1) (x + (1, 0) on the top row) from v's row, still in v's ball
 and still covering every cell >= v it covered.  Of those candidates it
 tries the ones covering the most uncovered cells first, and skips one
-whose uncovered cells an earlier one already covers.  A branch is cut by two
+whose uncovered cells an earlier one already covers.  A branch is cut by three
 lower bounds on the dominators it still needs (the uncovered area over
-the largest ball, and a packing of uncovered cells that share no
-candidate dominator, read off each cell's radius-2k ball, its far mask)
-and by a memo of the uncovered sets that have already failed.  A node
+the largest ball, the same with border cells weighted up, and a packing
+of uncovered cells that share no candidate dominator, read off each
+cell's radius-2k ball, its far mask) and by a memo of the uncovered sets
+that have already failed.  A node
 is its uncovered set, one Python int bitmask of any width, and the
 dominators left; the witness is built on the way back from a full
 cover.  The search reads bit b as cell area-1-b, the grid turned by
@@ -39,6 +40,9 @@ DEFAULT_NODE_BUDGET = 5_000_000
 # memo (mn bits per entry), cleared when full: at 144 cells 2^18 entries (about
 # 30 MB), where a full-budget 12 x 12 k=1 search would otherwise store 652,173.
 MAX_SEARCH_BITS = 144 * (2 * 144 + (1 << 18))
+# (border, next ring, deeper) cell weights per k, (3, 0, 1) past k=5: the optimum of the
+# two-variable ring LP over half- and quarter-plane candidates, the deeper weight fixed at 1/p
+_RING_WEIGHTS = {1: (10, 5, 7), 2: (12, 0, 5), 3: (5, 0, 2), 4: (11, 0, 4), 5: (29, 0, 10)}
 
 
 class ExactResult(namedtuple("ExactResult", "gamma lower_bound witness nodes_explored time_budget_exceeded")):
@@ -88,6 +92,24 @@ def _balls(dims: GridDims, radius: int) -> list[int]:
         mask << a & full for a in range(0, (n - r) * m, m) for mask in templates]
 
 
+def _rings(dims: GridDims, k: int, balls: list[int]) -> tuple[int, int, int, int, int, int]:
+    """(border, ring, w, lift, dip, heavy): the border ring and the next one as masks, built from
+    row 0 and column 0; the deeper cells' weight w and the other two rings' weights less w; and
+    heavy, the largest weight of a ball.  A mask's weight is w * |mask| + lift * |mask & border|
+    + dip * |mask & ring|.  Balls and rings are symmetric under both mirrors, so one quadrant's
+    balls hold the heaviest, and under the 180-degree turn, so the search reads the rings as built."""
+    m, n = dims.m, dims.n
+    full = (1 << m * n) - 1
+    row, col = (1 << m) - 1, full // ((1 << m) - 1)
+    border = row | row << (n - 1) * m | col | col << m - 1
+    ring = (row << m | row << max(n - 2, 0) * m | col << 1 | col << max(m - 2, 0)) & full & ~border
+    w_border, w_ring, w = _RING_WEIGHTS.get(k, (3, 0, 1))
+    lift, dip = w_border - w, w_ring - w
+    heavy = max(w * ball.bit_count() + lift * (ball & border).bit_count() + dip * (ball & ring).bit_count()
+                for j in range((n + 1) // 2) for ball in balls[j * m:j * m + (m + 1) // 2])
+    return border, ring, w, lift, dip, heavy
+
+
 def _greedy(full: int, balls: list[int]) -> list[int]:
     """Deterministic greedy cover, the answer when the node budget runs out: each pick covers the most
     uncovered cells, the lowest cell on a tie, and comes off a heap of the gains as last scored."""
@@ -133,11 +155,20 @@ def exact_gamma(
     the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path): the
     ball of the central cell (m//2, n//2), since a ball is a stack of runs
     and along each axis the clipped run of any half-width is longest
-    around the centre.  So the search starts at ceil(mn/cap), and prunes
-    a branch once uncovered > slots * cap, that is once ceil(uncovered/cap)
-    exceeds the slots, the dominators it may still add.
+    around the centre.  So the search prunes a branch once
+    uncovered > slots * cap, that is once ceil(uncovered/cap) exceeds the
+    slots, the dominators it may still add.
 
-    The second bound is a packing.  Two cells share a candidate dominator
+    The second bound weighs each cell by its ring: the border, the next
+    ring in, or deeper (_rings, with integer weights per k from
+    _RING_WEIGHTS).  A new dominator covers uncovered cells of total
+    weight at most heavy, the heaviest ball's, so a branch is cut once the
+    uncovered cells weigh more than slots * heavy.  Any nonnegative weights
+    give a sound bound; weighing the border up makes it stronger, since a
+    border cell lies in fewer balls.  The search starts at the larger of
+    ceil(mn/cap) and ceil(weight of the grid / heavy).
+
+    The third bound is a packing.  Two cells share a candidate dominator
     iff they lie within 2k of each other; far[v], the radius-2k ball of v
     (built from the same column templates as the balls), holds the cells
     that share one with v.  The search picks the lowest uncovered cell,
@@ -153,7 +184,7 @@ def exact_gamma(
     the most slots that failed from it, across the deepening sizes.  A
     call that reaches a full cover returns an empty list, and each caller
     on the way back appends its candidate: that list is the witness.
-    Both bounds and the memo cut only subtrees that would fail: the
+    The bounds and the memo cut only subtrees that would fail: the
     branch order is unchanged, so the search finds the same witness as
     one without them, and only nodes_explored falls.  The bounds count
     dominators of any kind, so the candidate rules keep them sound.
@@ -167,7 +198,7 @@ def exact_gamma(
     cover reads them row-major and the search turned, from one list.
     The sort key and the witness use the row-major index area-1-b.
 
-    Sizes are searched upward from ceil(mn/cap) until one succeeds.  If
+    Sizes are searched upward from that start until one succeeds.  If
     the node budget runs out at some size, every smaller size has
     failed, so a greedy cover of at most that size is returned as exact;
     otherwise the answer is the budget-flagged upper value.  The greedy
@@ -191,6 +222,7 @@ def exact_gamma(
     cap = balls[shape.n // 2 * width + width // 2].bit_count()
     # apart[c + 1], indexed by the bit_length() of c's bit: the cells sharing no candidate with c
     apart = [0] + [full ^ far for far in _balls(shape, 2 * k.k)]
+    border, ring, w, lift, dip, heavy = _rings(shape, k.k, balls)
 
     nodes = 0
     failed: dict[int, int] = {}
@@ -202,7 +234,9 @@ def exact_gamma(
             raise _BudgetExhausted
         if not uncovered:
             return []
-        if failed.get(uncovered, -1) >= slots or uncovered.bit_count() > slots * cap:
+        if failed.get(uncovered, -1) >= slots or (count := uncovered.bit_count()) > slots * cap or (
+                w * count + lift * (uncovered & border).bit_count() + dip * (uncovered & ring).bit_count()
+                > slots * heavy):
             return None
         v = uncovered.bit_length() - 1  # the lowest uncovered cell, area-1-v
         # pack uncovered cells that pairwise share no candidate, lowest first;
@@ -240,7 +274,7 @@ def exact_gamma(
             indices = [c % width * dims.m + c // width for c in indices]
         return VertexSet(pairs_of_keys(np.array(sorted(indices), dtype=np.int64), dims.m))
 
-    size = -(-area // cap)
+    size = max(-(-area // cap), -(-(w * area + lift * border.bit_count() + dip * ring.bit_count()) // heavy))
     try:
         while (found := search(full, size)) is None:
             size += 1

@@ -1,7 +1,9 @@
 """exact_gamma past 144 cells, at the default node budget, too slow for tier-1.
 
-Prints, for each grid, gamma, the nodes explored and the process time of
-one exact_gamma call, and checks that its witness dominates; then prints
+Prints, for each grid, gamma, the root lower bound (where the search
+starts: the larger of the area bound and the ring bound), the nodes
+explored and the process time of one exact_gamma call, and checks that
+its witness dominates; then prints
 the line `kdom exact` gives for 18 x 18 at k=2, whose search runs out of
 the default budget, and its exit code.  tests/test_exact.py pins the two
 grids of this reach that take under half a second (14 x 14 k=2 and
@@ -28,7 +30,8 @@ def main():
         seconds = time.process_time() - start
         ok = is_dominating(dims, rad, res.witness)
         bad += not ok
-        print(f"{m}x{n} k={k} gamma={res.gamma} lower={res.lower_bound} nodes={res.nodes_explored} "
+        root = exact_gamma(dims, rad, node_budget=0).lower_bound  # stops at the root, before any size is ruled out
+        print(f"{m}x{n} k={k} gamma={res.gamma} root={root} lower={res.lower_bound} nodes={res.nodes_explored} "
               f"budget_exceeded={res.time_budget_exceeded} seconds={seconds:.2f} dominates={ok}", flush=True)
     print("18x18 k=2: ", end="", flush=True)
     start = time.process_time()

@@ -302,16 +302,17 @@ def test_exact_budget_prints_the_solver_lower_bound(capsys):
     # a 2-row grid caps a k=1 ball at 4 cells, so ceil(64/4) = 16, not ceil(64/5) = 13
     assert main(["exact", "-m", "2", "-n", "32", "-k", "1", "--budget", "3"]) == 3
     assert capsys.readouterr().out.startswith("gamma>=16 gamma<=17 budget exceeded")
-    # the upper value is the smaller of the greedy set (40) and construct's (35)
+    # the upper value is the smaller of the greedy set (40) and construct's (35); the
+    # ring bound starts the search at 32, the ceiling of the covering LP's optimum
     assert main(["exact", "-m", "12", "-n", "12", "-k", "1", "--budget", "1000"]) == 3
-    assert capsys.readouterr().out == "gamma>=31 gamma<=35 budget exceeded (1001 nodes)\n"
+    assert capsys.readouterr().out == "gamma>=32 gamma<=35 budget exceeded (1001 nodes)\n"
 
 
 def test_exact_budget_boundary_pins_stdout(capsys):
-    # 6x10 at k=1 takes 1,237 nodes: one fewer is flagged, exactly that many is not
-    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "1236"]) == 3
-    assert capsys.readouterr().out == "gamma>=16 gamma<=18 budget exceeded (1237 nodes)\n"
-    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "1237", "--witness"]) == 0
+    # 6x10 at k=1 takes 965 nodes: one fewer is flagged, exactly that many is not
+    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "964"]) == 3
+    assert capsys.readouterr().out == "gamma>=16 gamma<=18 budget exceeded (965 nodes)\n"
+    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "965", "--witness"]) == 0
     assert capsys.readouterr().out == (
         "gamma=16\n1 0\n5 0\n3 1\n0 2\n2 3\n4 3\n5 3\n2 4\n0 5\n5 5\n3 6\n1 7\n4 8\n5 8\n0 9\n2 9\n")
 
@@ -319,7 +320,7 @@ def test_exact_budget_boundary_pins_stdout(capsys):
 def test_exact_budget_zero_on_64x64_falls_back_to_construct(capsys):
     # the search stops at its first node; construct's 867 points beat the greedy cover's 1,046
     assert main(["exact", "-m", "64", "-n", "64", "-k", "1", "--budget", "0"]) == 3
-    assert capsys.readouterr().out == "gamma>=820 gamma<=867 budget exceeded (1 nodes)\n"
+    assert capsys.readouterr().out == "gamma>=827 gamma<=867 budget exceeded (1 nodes)\n"
 
 
 def test_exact_witness(capsys):

@@ -1,7 +1,10 @@
 import gc
 import hashlib
+import math
 import random
+from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from kdom import (
     path_gamma,
     verify_domination,
 )
-from kdom.exact import _balls, _greedy
+from kdom.exact import _balls, _greedy, _rings
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
@@ -260,9 +263,9 @@ def test_a_grid_is_searched_with_its_shorter_rows():
         assert res.witness == VertexSet.from_iterable((j, i) for i, j in tr.witness)
 
 
-# 6x6 at k=1 and 8x8 at k=2, since on 5x5 k=1 and 7x7 k=2 the other bounds
-# leave the memo nothing to save
-@pytest.mark.parametrize("m,n,k", [(6, 6, 1), (8, 8, 2), (4, 9, 1)])
+# 6x6 and 5x8 at k=1 and 8x8 at k=2, since on 5x5 and 4x9 at k=1 and 7x7 at k=2
+# the other bounds leave the memo nothing to save
+@pytest.mark.parametrize("m,n,k", [(6, 6, 1), (8, 8, 2), (5, 8, 1)])
 def test_clearing_the_memo_loses_only_pruning(monkeypatch, m, n, k):
     dims, rad = GridDims(m, n), Radius(k)
     whole = exact_gamma(dims, rad)
@@ -299,7 +302,7 @@ def test_gamma_proven_at_the_edge_of_the_paper_domain(m, n, k, gamma):
         assert built == gamma == new_bound(m, n, rad)
 
 
-@pytest.mark.parametrize("m,n,k,gamma,nodes", [(14, 14, 2, 20, 103_079), (16, 16, 3, 15, 66_400)])
+@pytest.mark.parametrize("m,n,k,gamma,nodes", [(14, 14, 2, 20, 58_424), (16, 16, 3, 15, 64_076)])
 def test_gamma_proven_past_144_cells_at_k2_and_k3(m, n, k, gamma, nodes):
     dims, rad = GridDims(m, n), Radius(k)
     res = exact_gamma(dims, rad)
@@ -328,7 +331,7 @@ def test_budget_flagging():
         assert str(refused.value) == f"node budget must be an integer, got {bad!r}"
 
 
-@pytest.mark.parametrize("m,n,k,nodes", [(6, 10, 1, 1_237), (8, 8, 2, 317)])
+@pytest.mark.parametrize("m,n,k,nodes", [(6, 10, 1, 965), (8, 8, 2, 244)])
 def test_a_budget_of_exactly_the_nodes_needed_is_enough(m, n, k, nodes):
     dims, rad = GridDims(m, n), Radius(k)
     whole = exact_gamma(dims, rad)
@@ -503,13 +506,13 @@ def test_packing_bound_never_exceeds_the_dominators_still_needed():
 
 
 def test_nodes_on_the_benchmark_grids():
-    # the exact workload's grids: regression guard for the pruning (28,722 before
-    # the most-coverage-first order and the dominated-candidate skip, 61,778 before
-    # the forward-candidate rule, 243,476 before the packing bound, 3,059,965
-    # before the memo)
+    # the exact workload's grids: regression guard for the pruning (9,461 before
+    # the ring bound, 28,722 before the most-coverage-first order and the
+    # dominated-candidate skip, 61,778 before the forward-candidate rule, 243,476
+    # before the packing bound, 3,059,965 before the memo)
     grids = [(m, n, k) for k in (1, 2) for m in range(3, 65) for n in range(m, 65) if m * n <= 64]
     grids.append((1, 64, 1))
-    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 9_461
+    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 6_762
 
 
 def reversed_bits(mask, width):
@@ -535,7 +538,7 @@ DIGEST_CASES = [(m, n, k, None) for k in (1, 2) for m in range(3, 65) for n in r
 DIGEST_CASES.append((1, 64, 1, None))
 DIGEST_CASES += [(m, n, k, budget) for budget in (0, 1, 5, 50, 500)
                  for m, n, k in ((8, 8, 1), (6, 10, 1), (10, 6, 1), (9, 7, 1), (1, 64, 1), (8, 8, 2))]
-DIGEST_SHA256 = "c315adda4cab3915586b9758cb5d6fd6855ed416345d3f49f74df0c4b326d219"
+DIGEST_SHA256 = "3d230012ec07331fd52f851d5a4b27d66b94d9b4df43b373cc02c7d77feb9869"
 
 
 def test_outputs_on_the_benchmark_grids_and_budgets_are_pinned():
@@ -549,3 +552,81 @@ def test_outputs_on_the_benchmark_grids_and_budgets_are_pinned():
         lines.append(repr((m, n, k, res.gamma, res.lower_bound, res.nodes_explored, res.time_budget_exceeded, witness)))
     assert len(lines) == 129
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST_SHA256
+
+
+# gamma and the witness alone, over the exact workload's 99 searches and three larger proofs:
+# computed before the ring bound and never recomputed since, because a sound cut moves neither
+GAMMA_WITNESS_CASES = [(m, n, k) for m, n, k, budget in DIGEST_CASES[:99]] + [(12, 12, 1), (14, 14, 2), (16, 16, 3)]
+GAMMA_WITNESS_SHA256 = "c3b2b83409afe535bd5091bf4f1ad30028f7f8bd85536c2bbf6705c685b72203"
+
+
+def test_gammas_and_witnesses_are_pinned():
+    lines = []
+    for m, n, k in GAMMA_WITNESS_CASES:
+        res = exact_gamma(GridDims(m, n), Radius(k))
+        lines.append(repr((m, n, k, res.gamma, [(int(i), int(j)) for i, j in res.witness])))
+    assert len(lines) == 102
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GAMMA_WITNESS_SHA256
+
+
+def bits(flags):
+    """The int whose bit c is flags[c]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def test_the_heaviest_ball_bounds_every_ball_and_the_ring_bound_is_sound():
+    # every shape up to 64 cells in both orientations, k <= 4; each cell weighed by its
+    # depth from the border, and gamma from the reference search, which has no ring bound
+    for m in range(1, 65):
+        for n in range(m, 64 // m + 1):
+            for k in (1, 2, 3, 4):
+                gamma = reference_exact_gamma(GridDims(m, n), Radius(k)).gamma
+                for a, b in ((m, n), (n, m)):
+                    dims = GridDims(a, b)
+                    border, ring, w, lift, dip, heavy = _rings(dims, k, _balls(dims, k))
+                    j, i = np.divmod(np.arange(a * b), a)
+                    depth = np.minimum(np.minimum(i, a - 1 - i), np.minimum(j, b - 1 - j))
+                    assert (border, ring) == (bits(depth == 0), bits(depth == 1)), (a, b)
+                    weights = np.array([w + lift, w + dip, w])[np.minimum(depth, 2)]
+                    assert weights.min() >= 0
+                    near = np.abs(i[:, None] - i) + np.abs(j[:, None] - j) <= k
+                    assert heavy == (near @ weights).max(), (a, b, k)
+                    assert -(-int(weights.sum()) // heavy) <= gamma, (a, b, k)
+                    assert exact_gamma(dims, Radius(k), node_budget=0).lower_bound <= gamma, (a, b, k)
+
+
+def ring_lp_optima(k):
+    """The optimal vertices (a, b) of the ring LP, in exact rationals: maximize a + b subject
+    to a|B(x) & border| + b|B(x) & ring| + |B(x) & deeper|/p <= 1 and a, b >= 0, over the
+    candidates x of the quarter-plane i, j >= 0, a cell's ring being min(i, j, 2).  Candidates
+    with i = k+2 see no column below 2, so they are the half-plane's; past k+2 a ball is all
+    deeper.  Each vertex is where two constraints are tight."""
+    p = Radius(k).p
+    offsets = [(di, dj) for di in range(-k, k + 1) for dj in range(abs(di) - k, k - abs(di) + 1)]
+    rows = {(-1, 0, Fraction(0)), (0, -1, Fraction(0))}
+    for x in range(k + 3):
+        for y in range(k + 3):
+            counts = [0, 0, 0]
+            for di, dj in offsets:
+                if x + di >= 0 and y + dj >= 0:
+                    counts[min(x + di, y + dj, 2)] += 1
+            rows.add((counts[0], counts[1], 1 - Fraction(counts[2], p)))
+    vertices = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2):
+        if det := a1 * b2 - a2 * b1:
+            a, b = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+            if all(ra * a + rb * b <= rc for ra, rb, rc in rows):
+                vertices.add((a, b))
+    best = max(a + b for a, b in vertices)
+    return {(a, b) for a, b in vertices if a + b == best}
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_ring_weights_are_an_optimum_of_the_ring_lp(k):
+    # the deeper weight is 1/p, so (border, ring, deeper) = (a, b, 1/p) scaled to coprime
+    # ints; at k=2 the LP ties, and (12, 0, 5) is one of its two optimal vertices
+    dims = GridDims(9, 9)
+    w, lift, dip = _rings(dims, k, _balls(dims, k))[2:5]
+    assert math.gcd(w + lift, w + dip, w) == 1
+    p = Radius(k).p
+    assert (Fraction(w + lift, w * p), Fraction(w + dip, w * p)) in ring_lp_optima(k)
