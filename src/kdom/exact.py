@@ -8,9 +8,9 @@ dominator x before v moves to x + (0, 1) from a lower row, or to
 x + (1, 1) (x + (1, 0) on the top row) from v's row, still in v's ball
 and still covering every cell >= v it covered.  Of those candidates it
 tries the ones covering the most uncovered cells first, and skips one
-whose uncovered cells an earlier one already covers.  A branch is cut by three
-lower bounds on the dominators it still needs (the uncovered area over
-the largest ball, the same with border cells weighted up, and a packing
+whose uncovered cells an earlier one already covers.  A branch is cut by two
+lower bounds on the dominators it still needs (the uncovered cells
+weighted by ring, border cells up, over the heaviest ball, and a packing
 of uncovered cells that share no candidate dominator, read off each
 cell's radius-2k ball, its far mask) and by a memo of the uncovered sets
 that have already failed.  A node
@@ -151,24 +151,20 @@ def exact_gamma(
     and the skips are functions of the uncovered set, so the search stays
     complete and the memo below stays sound.
 
-    One dominator covers at most cap cells, the largest ball clipped to
-    the grid (at most p = 2k^2+2k+1, and only 2k+1 on a 1 x n path): the
-    ball of the central cell (m//2, n//2), since a ball is a stack of runs
-    and along each axis the clipped run of any half-width is longest
-    around the centre.  So the search prunes a branch once
-    uncovered > slots * cap, that is once ceil(uncovered/cap) exceeds the
-    slots, the dominators it may still add.
-
-    The second bound weighs each cell by its ring: the border, the next
+    The first bound weighs each cell by its ring: the border, the next
     ring in, or deeper (_rings, with integer weights per k from
     _RING_WEIGHTS).  A new dominator covers uncovered cells of total
     weight at most heavy, the heaviest ball's, so a branch is cut once the
-    uncovered cells weigh more than slots * heavy.  Any nonnegative weights
-    give a sound bound; weighing the border up makes it stronger, since a
-    border cell lies in fewer balls.  The search starts at the larger of
-    ceil(mn/cap) and ceil(weight of the grid / heavy).
+    uncovered cells weigh more than slots * heavy, the slots being the
+    dominators it may still add.  Any nonnegative weights give a sound
+    bound; weighing the border up makes it stronger, since a border cell
+    lies in fewer balls.  The search starts at ceil(weight of the grid /
+    heavy).  The plain area bound, ceil(uncovered / largest ball), is not
+    checked: the ring start is never below it on the searched shapes up to
+    144 cells at k <= 7, and without it no output or node count moves on
+    any grid of up to 64 cells at k <= 3.
 
-    The third bound is a packing.  Two cells share a candidate dominator
+    The second bound is a packing.  Two cells share a candidate dominator
     iff they lie within 2k of each other; far[v], the radius-2k ball of v
     (built from the same column templates as the balls), holds the cells
     that share one with v.  The search picks the lowest uncovered cell,
@@ -219,7 +215,6 @@ def exact_gamma(
     shape = GridDims(width, area // width)
     balls = _balls(shape, k.k)
     full = (1 << area) - 1
-    cap = balls[shape.n // 2 * width + width // 2].bit_count()
     # apart[c + 1], indexed by the bit_length() of c's bit: the cells sharing no candidate with c
     apart = [0] + [full ^ far for far in _balls(shape, 2 * k.k)]
     border, ring, w, lift, dip, heavy = _rings(shape, k.k, balls)
@@ -234,9 +229,9 @@ def exact_gamma(
             raise _BudgetExhausted
         if not uncovered:
             return []
-        if failed.get(uncovered, -1) >= slots or (count := uncovered.bit_count()) > slots * cap or (
-                w * count + lift * (uncovered & border).bit_count() + dip * (uncovered & ring).bit_count()
-                > slots * heavy):
+        if failed.get(uncovered, -1) >= slots or (
+                w * uncovered.bit_count() + lift * (uncovered & border).bit_count()
+                + dip * (uncovered & ring).bit_count() > slots * heavy):
             return None
         v = uncovered.bit_length() - 1  # the lowest uncovered cell, area-1-v
         # pack uncovered cells that pairwise share no candidate, lowest first;
@@ -274,7 +269,7 @@ def exact_gamma(
             indices = [c % width * dims.m + c // width for c in indices]
         return VertexSet(pairs_of_keys(np.array(sorted(indices), dtype=np.int64), dims.m))
 
-    size = max(-(-area // cap), -(-(w * area + lift * border.bit_count() + dip * ring.bit_count()) // heavy))
+    size = -(-(w * area + lift * border.bit_count() + dip * ring.bit_count()) // heavy)
     try:
         while (found := search(full, size)) is None:
             size += 1

@@ -1,9 +1,8 @@
 """exact_gamma past 144 cells, at the default node budget, too slow for tier-1.
 
 Prints, for each grid, gamma, the root lower bound (where the search
-starts: the larger of the area bound and the ring bound), the nodes
-explored and the process time of one exact_gamma call, and checks that
-its witness dominates; then prints
+starts: the ring bound), the nodes explored and the process time of one
+exact_gamma call, and checks that its witness dominates; then prints
 the line `kdom exact` gives for 18 x 18 at k=2, whose search runs out of
 the default budget, and its exit code.  tests/test_exact.py pins the two
 grids of this reach that take under half a second (14 x 14 k=2 and

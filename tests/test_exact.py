@@ -440,14 +440,17 @@ def test_balls_and_far_masks_match_all_pairs_distances():
             assert _balls(GridDims(m, n), 2 * k) == manhattan_masks(m, n, 2 * k), (m, n, k)
 
 
-def test_the_central_ball_is_the_largest():
-    # exact_gamma reads cap off the ball of (m // 2, n // 2); every shape up to 144 cells,
-    # radii 1-12 and one past the diameter
-    for m in range(1, 145):
-        for n in range(1, 144 // m + 1):
-            for radius in (*range(1, 13), m + n - 1):
-                balls = _balls(GridDims(m, n), radius)
-                assert balls[n // 2 * m + m // 2].bit_count() == max(map(int.bit_count, balls)), (m, n, radius)
+def test_the_ring_start_is_never_below_the_area_bound():
+    # exact_gamma starts at ceil(W(grid) / heavy) and checks no area bound; every searched
+    # shape (rows no longer than columns) up to 144 cells, k = 1-7
+    for m in range(1, 13):
+        for n in range(m, 144 // m + 1):
+            dims = GridDims(m, n)
+            for k in range(1, 8):
+                balls = _balls(dims, k)
+                border, ring, w, lift, dip, heavy = _rings(dims, k, balls)
+                start = -(-(w * m * n + lift * border.bit_count() + dip * ring.bit_count()) // heavy)
+                assert start >= -(-m * n // max(map(int.bit_count, balls))), (m, n, k)
 
 
 def test_balls_past_the_diameter_are_the_whole_grid():
@@ -567,6 +570,23 @@ def test_gammas_and_witnesses_are_pinned():
         lines.append(repr((m, n, k, res.gamma, [(int(i), int(j)) for i, j in res.witness])))
     assert len(lines) == 102
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GAMMA_WITNESS_SHA256
+
+
+# every (m, n, k) with mn <= 64 and k <= 3, in both orientations: 840 searches
+SMALL_CASES = [(m, n, k) for k in (1, 2, 3) for m in range(1, 65) for n in range(1, 64 // m + 1)]
+SMALL_SHA256 = "e5fc14d23ad5c3e15ebf7e400ffe012336ff48825dea131a1c7b0894ed19d907"
+
+
+def test_outputs_on_every_grid_up_to_64_cells_are_pinned():
+    # gamma, lower_bound, nodes, the budget flag and the witness; a solver change that
+    # only drops work must leave this digest as it is
+    lines = []
+    for m, n, k in SMALL_CASES:
+        res = exact_gamma(GridDims(m, n), Radius(k))
+        witness = [(int(i), int(j)) for i, j in res.witness]
+        lines.append(repr((m, n, k, res.gamma, res.lower_bound, res.nodes_explored, res.time_budget_exceeded, witness)))
+    assert len(lines) == 840
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SMALL_SHA256
 
 
 def bits(flags):
