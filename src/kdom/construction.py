@@ -98,9 +98,8 @@ def base_set(dims: GridDims, k: Radius, ell: int) -> VertexSet:
 
 def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     """Clamp every point onto the grid box and dedupe."""
-    n, pts = dims.n, s.array
-    lo, hi = pts[:, 1].searchsorted((1, n - 1)) if n > 1 else (0, 0)  # the rows merged into rows 0 and n-1
-    return VertexSet(pairs_of_keys(_settle(_grid_keys(dims, pts[:, 0].copy(), pts[:, 1].copy(), 0), lo, hi), dims.m))
+    pts = s.array
+    return VertexSet(pairs_of_keys(_settle(_grid_keys(dims, pts[:, 0].copy(), pts[:, 1].copy(), 0)), dims.m))
 
 
 def _grid_keys(dims: GridDims, i: np.ndarray, j: np.ndarray, off: int) -> np.ndarray:
@@ -112,12 +111,11 @@ def _grid_keys(dims: GridDims, i: np.ndarray, j: np.ndarray, off: int) -> np.nda
     return j
 
 
-def _settle(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The keys, with the bands [:lo] and [hi:] sorted in place, less the -1 sentinels and the repeats.
-    The keys outside the bands must be in order: then one neighbour compare finds each repeat and
-    each sentinel, which sorts first in its band."""
-    keys[:lo].sort()
-    keys[hi:].sort()
+def _settle(keys: np.ndarray) -> np.ndarray:
+    """The keys, sorted in place, less the -1 sentinels and the repeats, found by one neighbour compare.
+    One stable sort does it: numpy's stable kind on int64 is timsort, which merges the ascending runs
+    of N keys in O(N log r) for r runs, so linear where r depends on k and the plans alone (construct)."""
+    keys.sort(kind="stable")
     keep = np.empty(len(keys), dtype=bool)
     keep[:1] = keys[:1] >= 0
     np.greater(keys[1:], keys[:-1], out=keep[1:])
@@ -259,27 +257,23 @@ def _corner_step(dims: GridDims, k: Radius, ell: int) -> tuple[tuple[CornerConte
     return contexts, rows[:, :2], moves
 
 
-def _apply_plans(dims: GridDims, k: Radius, keys: np.ndarray, removed: np.ndarray,
-                 moves: np.ndarray) -> tuple[int, int, np.ndarray]:
+def _apply_plans(dims: GridDims, k: Radius, keys: np.ndarray, removed: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """Overwrite, in place, each source's key by its target's in a base set's ascending Y keys.
 
     A Y key is a point's row-major index in Y, (j+k)(m+2k) + (i+k) < 2**62
     + 2**31.  The plan (_corner_step, or _NO_PLAN) must come from the base
     set's grid, k and residue: then every deleted point is in the set, and
     the targets are distinct points outside it that no plan deletes
-    (_corner_moves), so no fault is checked for.  Returns the bounds lo, hi
-    of the edge bands, Y's rows j < p-k and j >= n+k-p, which hold every
-    plan (_corner_step), or without plans the rows j < 1 and j >= n-1 that
-    the clamp merges (one band if n = 1); and the removed keys' positions,
-    for the caller's -1 sentinels (_settle).
+    (_corner_moves), so no fault is checked for.  Returns the removed keys'
+    positions, for the caller's -1 sentinels.  The keys stay in order but
+    for at most two descents per edited key, which _settle's one sort
+    absorbs.
     """
-    kk, p, n, w, r = k.k, k.p, dims.n, dims.m + 2 * k.k, len(removed)
-    rows = (p - kk, n + kk - p) if r else (1, n - 1) if n > 1 else (-kk, -kk)
-    bounds = ((-kk, rows[0]), (-kk, rows[1]))  # the first points of the bands' rows
-    q = np.concatenate((removed, moves.reshape(-1, 2), bounds)) @ (1, w) + kk * (w + 1)
-    found = keys.searchsorted(q)  # removed, then source, target, source, ..., then the bounds
-    keys[found[r:-2:2]] = q[r + 1:-2:2]
-    return found[-2], found[-1], found[:r]  # only the bands lose their order
+    kk, w, r = k.k, dims.m + 2 * k.k, len(removed)
+    q = np.concatenate((removed, moves.reshape(-1, 2))) @ (1, w) + kk * (w + 1)
+    found = keys.searchsorted(q)  # removed, then source, target, source, ...
+    keys[found[r::2]] = q[r + 1::2]
+    return found[:r]
 
 
 def _trace(dims: GridDims, k: Radius, ell: int, base_size: int, contexts: tuple[CornerContext, ...] | None,
@@ -310,9 +304,8 @@ def remove_corners(dims: GridDims, k: Radius, ell: int, s_set: VertexSet,
     w = box.width
     if not np.array_equal(s_set.array, pairs_of_keys(keys, w) - k.k):  # base_set's pairs
         raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
-    lo, hi, gone = _apply_plans(dims, k, keys, removed, moves)
-    keys[gone] = -1
-    current = VertexSet(pairs_of_keys(_settle(keys, lo, hi), w) - k.k)
+    keys[_apply_plans(dims, k, keys, removed, moves)] = -1
+    current = VertexSet(pairs_of_keys(_settle(keys), w) - k.k)
     if verify and not is_dominating(dims, k, current):
         uncovered = verify_domination(dims, k, current).uncovered
         raise VerificationError(f"corner shifts broke domination ({len(uncovered)} uncovered)", uncovered=uncovered)
@@ -324,9 +317,11 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
 
     Each point is one key from the fiber to the clamp: the fiber's
     ascending Y keys, edited in place by the stacked plan, then one divmod,
-    one clamp and one grid key j*m + i.  Only the two edge bands are
-    sorted: no plan touches the other rows, which lie strictly inside the
-    grid, and clamping i is monotone, so they stay in order (_settle).
+    one clamp and one grid key j*m + i, and one stable sort (_settle).
+    The sort is linear here, since the grid keys are ascending but at a
+    few points: each edited key breaks order at most with its two
+    neighbours, and the clamp, monotone within a row, adds one descent
+    where each of Y's 2k rows off the grid joins row 0 or row n-1.
 
     For m, n > 2p the result has at most floor((m+2k)(n+2k)/p) - 4
     points; otherwise corner removal is skipped and the floor bound
@@ -356,10 +351,10 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     ell = int(fiber_counts_in_box(k, box).argmin())  # best_residue's choice
     keys = fiber_keys(k, ell, box)
     contexts, removed, moves = _corner_step(dims, k, ell) if min(dims) > 2 * k.p else _NO_PLAN
-    lo, hi, gone = _apply_plans(dims, k, keys, removed, moves)
+    gone = _apply_plans(dims, k, keys, removed, moves)
     j, i = np.divmod(keys, box.width)
     grid = _grid_keys(dims, i, j, k.k)
     grid[gone] = -1
-    final = VertexSet(pairs_of_keys(_settle(grid, lo, hi), dims.m))
+    final = VertexSet(pairs_of_keys(_settle(grid), dims.m))
     merged = len(keys) - len(removed) - len(final)
     return final, _trace(dims, k, ell, len(keys), contexts, removed, moves, merged, final)

@@ -46,11 +46,11 @@ _RING_WEIGHTS = {1: (10, 5, 7), 2: (12, 0, 5), 3: (5, 0, 2), 4: (11, 0, 4), 5: (
 
 
 class ExactResult(namedtuple("ExactResult", "gamma lower_bound witness nodes_explored time_budget_exceeded")):
-    """gamma is exact unless the node budget ran out (a greedy cover no
-    larger than the size being searched is still proven optimal); then it
-    is the size of the smaller of a greedy cover and construct's set
-    (greedy on a tie), the witness, and lower_bound the smallest size not
-    ruled out."""
+    """gamma is exact unless the node budget ran out.  Then the witness is
+    the smaller of a greedy cover and construct's set (greedy on a tie),
+    gamma its size, and lower_bound the smallest size not ruled out, the
+    size being searched; gamma is exact iff that smaller cover is no
+    larger than it, and time_budget_exceeded flags the other case."""
 
     __slots__ = ()
 
@@ -61,6 +61,8 @@ class _BudgetExhausted(Exception):
 
 def path_gamma(n: int, k: Radius) -> int:
     """Domination number of the 1 x n path: ceil(n / (2k+1))."""
+    if not integers(n):
+        raise DomainError(f"path length must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"path length must be >= 1, got {n}")
     return -(-n // (2 * k.k + 1))
@@ -196,12 +198,13 @@ def exact_gamma(
 
     Sizes are searched upward from that start until one succeeds.  If
     the node budget runs out at some size, every smaller size has
-    failed, so a greedy cover of at most that size is returned as exact;
-    otherwise the answer is the budget-flagged upper value.  The greedy
-    cover keeps each cell's gain in a heap and re-scores only a popped
-    entry whose gain has fallen.  A grid whose tables (2mn^2 bits) leave
-    no room in MAX_SEARCH_BITS for one memo entry (mn bits), one of more
-    than 4,346 cells (66 x 66 but not 65 x 66), is refused before both.
+    failed, so the smaller of a greedy cover and construct's set is
+    exact iff it is no larger than that size; otherwise it is the
+    budget-flagged upper value.  The greedy cover keeps each cell's gain
+    in a heap and re-scores only a popped entry whose gain has fallen.
+    A grid whose tables (2mn^2 bits) leave no room in MAX_SEARCH_BITS
+    for one memo entry (mn bits), one of more than 4,346 cells (66 x 66
+    but not 65 x 66), is refused before both.
     """
     if not integers(node_budget):
         raise DomainError(f"node budget must be an integer, got {node_budget!r}")
@@ -276,13 +279,10 @@ def exact_gamma(
         return ExactResult(size, size, to_set(found), nodes, False)
     except _BudgetExhausted:
         # every size below the one being searched has been exhausted, so a
-        # greedy cover of at most that size is optimal
-        greedy = _greedy(full, balls)
-        if len(greedy) <= size:
-            return ExactResult(size, size, to_set(greedy), nodes, False)
-        built = construct(dims, k)[0]
-        witness = built if len(built) < len(greedy) else to_set(greedy)
-        return ExactResult(len(witness), size, witness, nodes, True)
+        # cover of at most that size is optimal
+        greedy, built = to_set(_greedy(full, balls)), construct(dims, k)[0]
+        witness = built if len(built) < len(greedy) else greedy
+        return ExactResult(len(witness), size, witness, nodes, len(witness) > size)
     finally:
         # search refers to itself through its closure; break that cycle so
         # the memo is freed on return, not by the cyclic collector

@@ -323,6 +323,12 @@ def test_exact_budget_zero_on_64x64_falls_back_to_construct(capsys):
     assert capsys.readouterr().out == "gamma>=827 gamma<=867 budget exceeded (1 nodes)\n"
 
 
+def test_exact_budget_run_out_at_construct_size_is_exact(capsys):
+    # construct's 29-point set meets the size being searched when the budget runs out
+    assert main(["exact", "-m", "11", "-n", "11", "-k", "1", "--budget", "27000"]) == 0
+    assert capsys.readouterr().out == "gamma=29\n"
+
+
 def test_exact_witness(capsys):
     assert main(["exact", "-m", "1", "-n", "5", "-k", "2", "--witness"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -76,9 +76,8 @@ def _apply(dims, k, points, plans):
     moves = np.concatenate([plan.moves for plan in plans]).reshape(-1, 4)
     w = dims.m + 2 * k.k
     keys = (points.array + k.k) @ (1, w)  # Y keys
-    lo, hi, gone = _apply_plans(dims, k, keys, removed, moves)
-    keys[gone] = -1
-    return VertexSet(pairs_of_keys(_settle(keys, lo, hi), w) - k.k)
+    keys[_apply_plans(dims, k, keys, removed, moves)] = -1
+    return VertexSet(pairs_of_keys(_settle(keys), w) - k.k)
 
 
 def _slope(ctx):
@@ -281,8 +280,8 @@ def test_apply_corner_case_every_corner_and_residue():
 
 
 def test_corner_plans_lie_in_the_edge_bands_of_y():
-    # The premise of the band edit of _apply_plans, in real coordinates: every
-    # point a plan removes, moves or fills lies in Y's columns, and in Y's
+    # The premise of _corner_step's disjoint corner windows, in real coordinates:
+    # every point a plan removes, moves or fills lies in Y's columns, and in Y's
     # north p rows (j >= n+k-p) at NW and NE, its south p rows (j < p-k)
     # at SW and SE.
     for kk in range(1, 9):
@@ -631,29 +630,30 @@ def test_apply_plan_moves_a_source_onto_a_free_target():
     assert list(moved) == [(0, 2), (1, 2)]
 
 
-def test_corner_edit_sorts_only_the_two_row_bands(monkeypatch):
-    # ROADMAP aim 1: corner removal costs O(p^2) points per corner, never O(|S| log |S|), and
-    # projection sorts no row strictly inside the grid.  Each band is at most p rows of
-    # ceil((m+2k)/p) points, and each corner fills at most p targets.  numpy's sort functions are
-    # seen through the modules' np; every ndarray sort method, in place on a slice too, through a
-    # profile hook, which also sees the sort inside np.sort, np.argsort and np.unique.
-    lengths = []
+def test_corner_edit_sorts_once_keys_out_of_order_at_few_points(monkeypatch):
+    # ROADMAP aim 1: corner removal costs O(p^2) points per corner, never O(|S| log |S|).  construct
+    # sorts its keys once, stably: timsort is linear on keys that are out of order at a number of
+    # points that depends on k and the plans alone.  The clamp's 2k row joins break the order, and
+    # each removed or shifted key at most with its two neighbours.  np.lexsort is seen through the
+    # modules' np; every ndarray sort method, with a copy of the keys it gets, through a profile
+    # hook, which also sees the sort inside np.sort, np.argsort and np.unique.
+    sorted_keys = []
 
     class Recorder:
         def __getattr__(self, name):
             attr = getattr(np, name)
-            if name not in ("sort", "argsort", "lexsort", "unique", "partition", "argpartition"):
+            if name != "lexsort":
                 return attr
 
-            def sort(a, *args, **kwargs):
-                lengths.append(np.shape(a)[-1] if name == "lexsort" else len(a))
-                return attr(a, *args, **kwargs)
-            return sort
+            def lexsort(keys, *args, **kwargs):
+                sorted_keys.append(np.array(keys[-1]))  # the primary key
+                return attr(keys, *args, **kwargs)
+            return lexsort
 
     def profile(frame, event, arg):
         if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray) and arg.__name__ in (
                 "sort", "argsort", "partition", "argpartition"):
-            lengths.append(arg.__self__.size)
+            sorted_keys.append(arg.__self__.ravel().copy())
 
     dims, k = GridDims(1000, 1001), K3
     for module in (construction, lattice):
@@ -664,7 +664,10 @@ def test_corner_edit_sorts_only_the_two_row_bands(monkeypatch):
     finally:
         sys.setprofile(None)
         monkeypatch.undo()
-    assert lengths and max(lengths) <= 2 * (dims.m + 2 * k.k) + 6 * k.p < trace.base_size // 10
+    large = [keys for keys in sorted_keys if len(keys) > len(trace.removed)]
+    assert [len(keys) for keys in large] == [trace.base_size]
+    descents = int(np.count_nonzero(large[0][1:] < large[0][:-1]))
+    assert descents <= 2 * k.k + 2 * (len(trace.removed) + len(trace.shifted_pairs)) < trace.base_size // 100
     base = base_set(dims, k, trace.chosen_residue)
     plans = [_corner_plan(ctx, dims, k, trace.chosen_residue) for ctx in trace.corner_cases]
     assert built == project_inward(dims, _one_by_one(dims, k, base, plans))

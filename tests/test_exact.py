@@ -153,8 +153,9 @@ def test_path_gamma_window_boundary():
 
 
 def test_path_gamma_validates():
-    with pytest.raises(DomainError):
-        path_gamma(0, K1)
+    for bad in (0, 2.5, True, "5"):
+        with pytest.raises(DomainError):
+            path_gamma(bad, K1)
 
 
 def test_cell_cap_enforced(monkeypatch):
@@ -365,6 +366,17 @@ def test_exhausted_search_answers_with_the_smaller_of_greedy_and_construct():
         assert res.time_budget_exceeded, (m, n)
         assert res.witness == (built if winner == "construct" else greedy), (m, n)
         assert res.gamma == len(res.witness), (m, n)
+
+
+def test_construct_meeting_the_size_being_searched_is_exact():
+    # at 11x11 k=1 the budget runs out while size 29 is searched; greedy's cover is larger, but
+    # construct's 29 points meet that size, and every smaller size has failed
+    dims = GridDims(11, 11)
+    res = exact_gamma(dims, K1, node_budget=27_000)
+    built = construct(dims, K1)[0]
+    assert len(_greedy((1 << dims.area) - 1, _balls(dims, K1.k))) > 29
+    assert (res.gamma, res.lower_bound, res.time_budget_exceeded, res.nodes_explored) == (29, 29, False, 27_001)
+    assert res.witness == built
 
 
 def rescanning_greedy(full, balls):

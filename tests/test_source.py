@@ -177,3 +177,23 @@ def test_every_validated_type_checks_its_integer_fields():
                          for call in ast.walk(method) if isinstance(call, ast.Call)}
                 checks[node.name] = "integers" in calls
     assert "SetFile" in checks and sorted(name for name, calls_integers in checks.items() if not calls_integers) == []
+
+
+def test_every_numpy_sort_is_stable():
+    # construct's one sort is linear because numpy's stable kind on int64 is timsort, which merges
+    # ascending runs; the default kind, introsort, takes three to five times as long on those keys.
+    # A .sort( on a name bound to a list display is a list's; np.lexsort is always stable
+    checked, found = 0, []
+    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lists = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, (ast.List, ast.ListComp)) for target in node.targets
+                 if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("sort", "argsort"):
+                if node.func.attr == "sort" and getattr(node.func.value, "id", None) in lists:
+                    continue
+                checked += 1
+                if not any(kw.arg == "kind" and getattr(kw.value, "value", None) == "stable" for kw in node.keywords):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert checked >= 2 and found == []
