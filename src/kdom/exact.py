@@ -10,10 +10,14 @@ and still covering every cell >= v it covered.  Of those candidates it
 tries the ones covering the most uncovered cells first, and skips one
 whose uncovered cells an earlier one already covers.  A branch is cut by two
 lower bounds on the dominators it still needs (the uncovered cells
-weighted by ring, border cells up, over the heaviest ball, and a packing
-of uncovered cells that share no candidate dominator, read off each
-cell's radius-2k ball, its far mask) and by a memo of the uncovered sets
-that have already failed.  A node
+weighted by ring, border cells up, over the heaviest ball, and, only
+where that bound leaves less than one ball of slack, a packing of
+uncovered cells that share no candidate dominator, read off each cell's
+radius-2k ball, its far mask), by a memo of the uncovered sets that have
+already failed, and by a short list per branch cell of recent failures,
+any of which a superset cannot beat.  On a square grid the root counts
+a failed candidate's transpose as tried.  Each cut drops only subtrees that
+hold no cover, so the witness is the one found without them.  A node
 is its uncovered set, one Python int bitmask of any width, and the
 dominators left; the witness is built on the way back from a full
 cover.  The search reads bit b as cell area-1-b, the grid turned by
@@ -36,13 +40,15 @@ from .gridmodel import GridDims
 from .lattice import Radius, VertexSet, integers, pairs_of_keys
 
 DEFAULT_NODE_BUDGET = 5_000_000
-# Mask bits for a search's two tables (2mn masks of mn bits) and its failed-state
-# memo (mn bits per entry), cleared when full: at 144 cells 2^18 entries (about
-# 30 MB), where a full-budget 12 x 12 k=1 search would otherwise store 652,173.
+# Mask bits for a search's two tables (2mn masks of mn bits), its failed-state
+# memo and its per-cell lists of recent failures (mn bits per entry), cleared
+# when full: at 144 cells 2^18 entries (about 30 MB); 13 x 14 k=1 fills its
+# 207,274 entries and clears them 8 times in its 3.9M nodes.
 MAX_SEARCH_BITS = 144 * (2 * 144 + (1 << 18))
 # (border, next ring, deeper) cell weights per k, (3, 0, 1) past k=5: the optimum of the
 # two-variable ring LP over half- and quarter-plane candidates, the deeper weight fixed at 1/p
 _RING_WEIGHTS = {1: (10, 5, 7), 2: (12, 0, 5), 3: (5, 0, 2), 4: (11, 0, 4), 5: (29, 0, 10)}
+_RECENT_FAILURES = 8  # failed uncovered sets kept per branch cell for the superset cut
 
 
 class ExactResult(namedtuple("ExactResult", "gamma lower_bound witness nodes_explored time_budget_exceeded")):
@@ -174,18 +180,32 @@ def exact_gamma(
     uncovered and pairwise share no candidate, so each needs its own new
     dominator, and a branch with fewer dominators left than picked cells
     is cut.  A greedy packing need not be the largest; any packing is a
-    sound bound.
+    sound bound.  It runs only where the ring bound leaves less than
+    heavy of slack (slots * heavy less the uncovered weight): on the
+    exact workload's grids, 5 of 717 packings at larger slack cut.
 
     Since the branch vertex is a function of the uncovered set, whether a
     call fails depends only on (uncovered, slots), and a failure with s
     slots implies one with fewer.  So the memo maps each uncovered set to
     the most slots that failed from it, across the deepening sizes.  A
-    call that reaches a full cover returns an empty list, and each caller
-    on the way back appends its candidate: that list is the witness.
-    The bounds and the memo cut only subtrees that would fail: the
-    branch order is unchanged, so the search finds the same witness as
-    one without them, and only nodes_explored falls.  The bounds count
-    dominators of any kind, so the candidate rules keep them sound.
+    call fails exactly when slots balls cannot cover its uncovered set,
+    and a superset needs at least as many, so the search also keeps, per
+    branch cell, the last _RECENT_FAILURES (uncovered, slots) that failed
+    there, and cuts a node whose uncovered set contains one of them that
+    failed with at least its slots.  The lists do not replace the memo:
+    without it 12 x 12 k=1 takes 5x the nodes and time.  On a square
+    grid the transpose maps the grid, its balls and the root onto
+    themselves, so when a candidate fails at the root of a size, so
+    does its transpose.  The root then counts the transpose as tried:
+    the dominance test skips it, and any later candidate whose uncovered
+    cells it covers, whose subtrees hold no cover either.  A call that
+    reaches a full cover returns an empty list, and each caller on the
+    way back appends its candidate: that list is the witness.  The
+    bounds, the memo, the superset cut and the transpose cut only
+    subtrees that would fail: the branch order is unchanged, so the
+    search finds the same witness as one without them, and only
+    nodes_explored falls.  The bounds count dominators of any kind, so
+    the candidate rules keep them sound.
 
     In the search, bit b of a mask stands for cell area-1-b, the cell of
     the grid turned by 180 degrees, so the lowest uncovered cell in
@@ -202,8 +222,10 @@ def exact_gamma(
     exact iff it is no larger than that size; otherwise it is the
     budget-flagged upper value.  The greedy cover keeps each cell's gain
     in a heap and re-scores only a popped entry whose gain has fallen.
-    A grid whose tables (2mn^2 bits) leave no room in MAX_SEARCH_BITS
-    for one memo entry (mn bits), one of more than 4,346 cells (66 x 66
+    The memo entries and the list entries (mn bits each) are counted
+    together against what the tables leave of MAX_SEARCH_BITS, and both
+    are cleared once they reach it.  A grid whose tables (2mn^2 bits)
+    leave no room for one entry, one of more than 4,346 cells (66 x 66
     but not 65 x 66), is refused before both.
     """
     if not integers(node_budget):
@@ -211,7 +233,7 @@ def exact_gamma(
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
     area = dims.area
-    if (max_failed := (MAX_SEARCH_BITS - 2 * area * area) // area) < 1:  # memo entries beside the tables
+    if (max_failed := (MAX_SEARCH_BITS - 2 * area * area) // area) < 1:  # memo and list entries beside the tables
         raise DomainError(f"{dims.m}x{dims.n} needs {(2 * area + 1) * area} mask bits; "
                           f"exact search's bit budget is {MAX_SEARCH_BITS}")
     width, flip = min(dims.m, dims.n), dims.m > dims.n
@@ -222,28 +244,38 @@ def exact_gamma(
     apart = [0] + [full ^ far for far in _balls(shape, 2 * k.k)]
     border, ring, w, lift, dip, heavy = _rings(shape, k.k, balls)
 
-    nodes = 0
+    nodes = held = 0
     failed: dict[int, int] = {}
+    recent = [()] * area  # per branch bit, the last (uncovered, slots) that failed there, newest first
+    corner = area - 1 if dims.m == dims.n else -1  # the root's branch bit, on a square grid
 
     def search(uncovered: int, slots: int) -> list[int] | None:
-        nonlocal nodes
+        nonlocal nodes, held
         nodes += 1
         if nodes > node_budget:
             raise _BudgetExhausted
         if not uncovered:
             return []
-        if failed.get(uncovered, -1) >= slots or (
-                w * uncovered.bit_count() + lift * (uncovered & border).bit_count()
-                + dip * (uncovered & ring).bit_count() > slots * heavy):
+        if failed.get(uncovered, -1) >= slots:
+            return None
+        slack = slots * heavy - (w * uncovered.bit_count() + lift * (uncovered & border).bit_count()
+                                 + dip * (uncovered & ring).bit_count())
+        if slack < 0:
             return None
         v = uncovered.bit_length() - 1  # the lowest uncovered cell, area-1-v
-        # pack uncovered cells that pairwise share no candidate, lowest first;
-        # each needs its own dominator, so the branch is cut once none is left
-        rest, left = uncovered & apart[v + 1], slots
-        while rest and left:
-            rest &= apart[rest.bit_length()]
-            left -= 1
-        c = balls[v] & (2 << v) - 1 if left else 0
+        for seen, more in recent[v]:
+            if more >= slots and seen & uncovered == seen:
+                return None  # a subset of these uncovered cells failed with as many slots
+        if slack < heavy:
+            # pack uncovered cells that pairwise share no candidate, lowest first;
+            # each needs its own dominator, so the branch is cut once none is left
+            rest, left = uncovered & apart[v + 1], slots
+            while rest and left:
+                rest &= apart[rest.bit_length()]
+                left -= 1
+            if not left:
+                return None
+        c = balls[v] & (2 << v) - 1
         options = []
         while c:
             b = c.bit_length() - 1
@@ -261,9 +293,15 @@ def exact_gamma(
                 if (hit := search(uncovered ^ gain, slots - 1)) is not None:
                     hit.append(cand)
                     return hit
-        if len(failed) >= max_failed:
+                if v == corner:  # the root: the transpose of cand fails too, so keep it as tried
+                    kept.append(balls[area - 1 - (cand % width * width + cand // width)])
+        if len(failed) + held >= max_failed:
             failed.clear()  # loses pruning, never a solution
+            recent[:] = [()] * area
+            held = 0
         failed[uncovered] = slots
+        held += len(recent[v]) < _RECENT_FAILURES
+        recent[v] = ((uncovered, slots),) + recent[v][:_RECENT_FAILURES - 1]
         return None
 
     def to_set(indices: list[int]) -> VertexSet:

@@ -309,10 +309,10 @@ def test_exact_budget_prints_the_solver_lower_bound(capsys):
 
 
 def test_exact_budget_boundary_pins_stdout(capsys):
-    # 6x10 at k=1 takes 965 nodes: one fewer is flagged, exactly that many is not
-    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "964"]) == 3
-    assert capsys.readouterr().out == "gamma>=16 gamma<=18 budget exceeded (965 nodes)\n"
-    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "965", "--witness"]) == 0
+    # 6x10 at k=1 takes 684 nodes: one fewer is flagged, exactly that many is not
+    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "683"]) == 3
+    assert capsys.readouterr().out == "gamma>=16 gamma<=18 budget exceeded (684 nodes)\n"
+    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "684", "--witness"]) == 0
     assert capsys.readouterr().out == (
         "gamma=16\n1 0\n5 0\n3 1\n0 2\n2 3\n4 3\n5 3\n2 4\n0 5\n5 5\n3 6\n1 7\n4 8\n5 8\n0 9\n2 9\n")
 
@@ -325,7 +325,7 @@ def test_exact_budget_zero_on_64x64_falls_back_to_construct(capsys):
 
 def test_exact_budget_run_out_at_construct_size_is_exact(capsys):
     # construct's 29-point set meets the size being searched when the budget runs out
-    assert main(["exact", "-m", "11", "-n", "11", "-k", "1", "--budget", "27000"]) == 0
+    assert main(["exact", "-m", "11", "-n", "11", "-k", "1", "--budget", "14000"]) == 0
     assert capsys.readouterr().out == "gamma=29\n"
 
 

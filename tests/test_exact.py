@@ -43,7 +43,8 @@ def kept_candidates(balls, v, uncovered):
 
 
 def reference_exact_gamma(dims, k, forward=True):
-    """exact_gamma's branch-and-bound without the packing bound, the failed-state memo or a budget.
+    """exact_gamma's branch-and-bound without the packing bound, the failed-state memo, the superset
+    cut, the root transpose or a budget.
 
     It branches on the candidates at or after the branch cell, most
     uncovered cells covered first, and skips one whose uncovered cells an
@@ -176,7 +177,7 @@ def test_cell_cap_enforced(monkeypatch):
     exact_gamma(GridDims(12, 12), K2, node_budget=200)  # 144 cells allowed
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_memo_finds_what_the_memo_free_search_finds(k):
     grids = [(m, n) for m in range(3, 37) for n in range(m, 37) if m * n <= 36]
     for m, n in grids:
@@ -303,7 +304,8 @@ def test_gamma_proven_at_the_edge_of_the_paper_domain(m, n, k, gamma):
         assert built == gamma == new_bound(m, n, rad)
 
 
-@pytest.mark.parametrize("m,n,k,gamma,nodes", [(14, 14, 2, 20, 58_424), (16, 16, 3, 15, 64_076)])
+@pytest.mark.parametrize("m,n,k,gamma,nodes", [(14, 14, 2, 20, 29_172), (16, 16, 3, 15, 31_699)],
+                         ids=["14x14-k2", "16x16-k3"])
 def test_gamma_proven_past_144_cells_at_k2_and_k3(m, n, k, gamma, nodes):
     dims, rad = GridDims(m, n), Radius(k)
     res = exact_gamma(dims, rad)
@@ -332,7 +334,7 @@ def test_budget_flagging():
         assert str(refused.value) == f"node budget must be an integer, got {bad!r}"
 
 
-@pytest.mark.parametrize("m,n,k,nodes", [(6, 10, 1, 965), (8, 8, 2, 244)])
+@pytest.mark.parametrize("m,n,k,nodes", [(6, 10, 1, 684), (8, 8, 2, 151)], ids=["6x10-k1", "8x8-k2"])
 def test_a_budget_of_exactly_the_nodes_needed_is_enough(m, n, k, nodes):
     dims, rad = GridDims(m, n), Radius(k)
     whole = exact_gamma(dims, rad)
@@ -369,13 +371,13 @@ def test_exhausted_search_answers_with_the_smaller_of_greedy_and_construct():
 
 
 def test_construct_meeting_the_size_being_searched_is_exact():
-    # at 11x11 k=1 the budget runs out while size 29 is searched; greedy's cover is larger, but
-    # construct's 29 points meet that size, and every smaller size has failed
+    # at 11x11 k=1 the budget runs out while size 29 is searched (nodes 10,486 to 18,224); greedy's
+    # cover is larger, but construct's 29 points meet that size, and every smaller size has failed
     dims = GridDims(11, 11)
-    res = exact_gamma(dims, K1, node_budget=27_000)
+    res = exact_gamma(dims, K1, node_budget=14_000)
     built = construct(dims, K1)[0]
     assert len(_greedy((1 << dims.area) - 1, _balls(dims, K1.k))) > 29
-    assert (res.gamma, res.lower_bound, res.time_budget_exceeded, res.nodes_explored) == (29, 29, False, 27_001)
+    assert (res.gamma, res.lower_bound, res.time_budget_exceeded, res.nodes_explored) == (29, 29, False, 14_001)
     assert res.witness == built
 
 
@@ -521,13 +523,14 @@ def test_packing_bound_never_exceeds_the_dominators_still_needed():
 
 
 def test_nodes_on_the_benchmark_grids():
-    # the exact workload's grids: regression guard for the pruning (9,461 before
-    # the ring bound, 28,722 before the most-coverage-first order and the
-    # dominated-candidate skip, 61,778 before the forward-candidate rule, 243,476
-    # before the packing bound, 3,059,965 before the memo)
+    # the exact workload's grids: regression guard for the pruning (6,762 before the
+    # superset cut, the root transpose and the packing gate, 9,461 before the ring
+    # bound, 28,722 before the most-coverage-first order and the dominated-candidate
+    # skip, 61,778 before the forward-candidate rule, 243,476 before the packing
+    # bound, 3,059,965 before the memo)
     grids = [(m, n, k) for k in (1, 2) for m in range(3, 65) for n in range(m, 65) if m * n <= 64]
     grids.append((1, 64, 1))
-    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 6_762
+    assert sum(exact_gamma(GridDims(m, n), Radius(k)).nodes_explored for m, n, k in grids) == 5_573
 
 
 def reversed_bits(mask, width):
@@ -548,12 +551,25 @@ def test_a_ball_reversed_is_the_ball_of_the_rotated_cell():
                     assert balls[area - 1 - c] == reversed_bits(balls[c], area), (m, n, radius, c)
 
 
+def test_the_transpose_maps_the_root_candidates_and_their_balls_onto_each_other():
+    # on a square grid the root's candidates are the ball of cell 0, and the search counts the
+    # transpose c % m * m + c // m of a failed one as tried, reading its ball from the same table
+    for m in range(1, 9):
+        for k in (1, 2, 3, 2 * m):
+            balls = _balls(GridDims(m, m), k)
+            root = [c for c in range(m * m) if balls[0] >> c & 1]
+            for c in root:
+                t = c % m * m + c // m
+                assert t in root, (m, k, c)
+                assert balls[t] == sum(1 << (b % m * m + b // m) for b in range(m * m) if balls[c] >> b & 1), (m, k, c)
+
+
 # the exact workload's 99 searches, then budgets 0-500 on k=1 grids in both orientations and 8x8 k=2
 DIGEST_CASES = [(m, n, k, None) for k in (1, 2) for m in range(3, 65) for n in range(m, 65) if m * n <= 64]
 DIGEST_CASES.append((1, 64, 1, None))
 DIGEST_CASES += [(m, n, k, budget) for budget in (0, 1, 5, 50, 500)
                  for m, n, k in ((8, 8, 1), (6, 10, 1), (10, 6, 1), (9, 7, 1), (1, 64, 1), (8, 8, 2))]
-DIGEST_SHA256 = "3d230012ec07331fd52f851d5a4b27d66b94d9b4df43b373cc02c7d77feb9869"
+DIGEST_SHA256 = "38a87a922e3eff0654a26337d8f7a94e72793277fed3b031620ec1ae15a74a5a"
 
 
 def test_outputs_on_the_benchmark_grids_and_budgets_are_pinned():
@@ -586,7 +602,7 @@ def test_gammas_and_witnesses_are_pinned():
 
 # every (m, n, k) with mn <= 64 and k <= 3, in both orientations: 840 searches
 SMALL_CASES = [(m, n, k) for k in (1, 2, 3) for m in range(1, 65) for n in range(1, 64 // m + 1)]
-SMALL_SHA256 = "e5fc14d23ad5c3e15ebf7e400ffe012336ff48825dea131a1c7b0894ed19d907"
+SMALL_SHA256 = "888e244b9015cb7657b5a80be1fda3c9c42e7a332ed37d6782d34deccfe78157"
 
 
 def test_outputs_on_every_grid_up_to_64_cells_are_pinned():
@@ -599,6 +615,21 @@ def test_outputs_on_every_grid_up_to_64_cells_are_pinned():
         lines.append(repr((m, n, k, res.gamma, res.lower_bound, res.nodes_explored, res.time_budget_exceeded, witness)))
     assert len(lines) == 840
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SMALL_SHA256
+
+
+# the same 840 searches without the node counts, computed before the superset cut, the root
+# transpose and the packing gate: a cut that drops only failing subtrees leaves it as it is
+SMALL_NODE_FREE_SHA256 = "0932e52aa844f755f00ea1d7c9504895630b81371cb834481c4bea14c6906880"
+
+
+def test_outputs_but_node_counts_on_every_grid_up_to_64_cells_are_pinned():
+    lines = []
+    for m, n, k in SMALL_CASES:
+        res = exact_gamma(GridDims(m, n), Radius(k))
+        witness = [(int(i), int(j)) for i, j in res.witness]
+        lines.append(repr((m, n, k, res.gamma, res.lower_bound, res.time_budget_exceeded, witness)))
+    assert len(lines) == 840
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SMALL_NODE_FREE_SHA256
 
 
 def bits(flags):
