@@ -1,31 +1,10 @@
 """Exact minimum k-distance domination for desk-scale grids.
 
-Independent ground truth for the constructive pipeline: iterative
-deepening on the set size with branch-and-bound.  Each node branches on
-v, the lowest uncovered cell in row-major order, and only on the cells
-of v's ball at or after v: every cell before v is covered, and a
-dominator x before v moves to x + (0, 1) from a lower row, or to
-x + (1, 1) (x + (1, 0) on the top row) from v's row, still in v's ball
-and still covering every cell >= v it covered.  Of those candidates it
-tries the ones covering the most uncovered cells first, and skips one
-whose uncovered cells an earlier one already covers.  A branch is cut by two
-lower bounds on the dominators it still needs (the uncovered cells
-weighted by ring, border cells up, over the heaviest ball, and, only
-where that bound leaves less than one ball of slack, a packing of
-uncovered cells that share no candidate dominator, read off each cell's
-radius-2k ball, its far mask), by a memo of the uncovered sets that have
-already failed, and by a short list per branch cell of recent failures,
-any of which a superset cannot beat.  On a square grid the root counts
-a failed candidate's transpose as tried.  Each cut drops only subtrees that
-hold no cover, so the witness is the one found without them.  A node
-is its uncovered set, one Python int bitmask of any width, and the
-dominators left; the witness is built on the way back from a full
-cover.  The search reads bit b as cell area-1-b, the grid turned by
-180 degrees, so the lowest uncovered cell is the set's highest bit;
-the turn maps each ball onto the ball of the turned cell, so one list
-of row-major masks serves the search and the greedy cover.  Grids are
-searched with rows no longer than columns.  The node budget (not wall
-time) makes runs bit-reproducible, and MAX_SEARCH_BITS bounds memory.
+Independent ground truth for the constructive pipeline: exact_gamma
+deepens on the set size with branch-and-bound.  A node budget, not wall
+time, bounds its time, so runs are bit-reproducible, and MAX_SEARCH_BITS
+bounds its memory.  exact_gamma's docstring gives the branching rule,
+the cuts and why each one is sound.
 """
 from __future__ import annotations
 
@@ -42,8 +21,7 @@ from .lattice import Radius, VertexSet, integers, pairs_of_keys
 DEFAULT_NODE_BUDGET = 5_000_000
 # Mask bits for a search's two tables (2mn masks of mn bits), its failed-state
 # memo and its per-cell lists of recent failures (mn bits per entry), cleared
-# when full: at 144 cells 2^18 entries (about 30 MB); 13 x 14 k=1 fills its
-# 207,274 entries and clears them 8 times in its 3.9M nodes.
+# when full: at 144 cells 2^18 entries (about 30 MB).
 MAX_SEARCH_BITS = 144 * (2 * 144 + (1 << 18))
 # (border, next ring, deeper) cell weights per k, (3, 0, 1) past k=5: the optimum of the
 # two-variable ring LP over half- and quarter-plane candidates, the deeper weight fixed at 1/p
@@ -167,10 +145,7 @@ def exact_gamma(
     dominators it may still add.  Any nonnegative weights give a sound
     bound; weighing the border up makes it stronger, since a border cell
     lies in fewer balls.  The search starts at ceil(weight of the grid /
-    heavy).  The plain area bound, ceil(uncovered / largest ball), is not
-    checked: the ring start is never below it on the searched shapes up to
-    144 cells at k <= 7, and without it no output or node count moves on
-    any grid of up to 64 cells at k <= 3.
+    heavy).
 
     The second bound is a packing.  Two cells share a candidate dominator
     iff they lie within 2k of each other; far[v], the radius-2k ball of v
@@ -181,8 +156,7 @@ def exact_gamma(
     dominator, and a branch with fewer dominators left than picked cells
     is cut.  A greedy packing need not be the largest; any packing is a
     sound bound.  It runs only where the ring bound leaves less than
-    heavy of slack (slots * heavy less the uncovered weight): on the
-    exact workload's grids, 5 of 717 packings at larger slack cut.
+    heavy of slack (slots * heavy less the uncovered weight).
 
     Since the branch vertex is a function of the uncovered set, whether a
     call fails depends only on (uncovered, slots), and a failure with s
@@ -192,13 +166,12 @@ def exact_gamma(
     and a superset needs at least as many, so the search also keeps, per
     branch cell, the last _RECENT_FAILURES (uncovered, slots) that failed
     there, and cuts a node whose uncovered set contains one of them that
-    failed with at least its slots.  The lists do not replace the memo:
-    without it 12 x 12 k=1 takes 5x the nodes and time.  On a square
-    grid the transpose maps the grid, its balls and the root onto
-    themselves, so when a candidate fails at the root of a size, so
-    does its transpose.  The root then counts the transpose as tried:
-    the dominance test skips it, and any later candidate whose uncovered
-    cells it covers, whose subtrees hold no cover either.  A call that
+    failed with at least its slots.  On a square grid the transpose maps
+    the grid, its balls and the root onto themselves, so when a candidate
+    fails at the root of a size, so does its transpose.  The root then
+    counts the transpose as tried: the dominance test skips it, and any
+    later candidate whose uncovered cells it covers, whose subtrees hold
+    no cover either.  A call that
     reaches a full cover returns an empty list, and each caller on the
     way back appends its candidate: that list is the witness.  The
     bounds, the memo, the superset cut and the transpose cut only

@@ -1,19 +1,8 @@
 import pytest
 
-from kdom import SetFileError, VertexSet
+from kdom import GridDims, Radius, SetFileError, VertexSet, exact_gamma
 from kdom.cli import SetFile, load_setfile, main, save_setfile
-
-TABLE1_CSV = (
-    "M,N,New Bound,Old Bound\n"
-    "51,52,128,139\n"
-    "53,54,137,148\n"
-    "55,56,147,158\n"
-    "57,58,157,168\n"
-    "59,60,167,178\n"
-    "61,62,178,189\n"
-    "63,64,189,200\n"
-    "65,66,200,211\n"
-)
+from test_acceptance import TABLE1_CSV
 
 
 def make_file(tmp_path, text, name="set.kdom"):
@@ -242,11 +231,6 @@ def test_bound_output_is_pinned_at_every_domain_edge(capsys):
     assert "".join(lines) == BOUND_OUTPUT
 
 
-def test_table_default_reproduces_table1_csv(capsys):
-    assert main(["table", "--csv"]) == 0
-    assert capsys.readouterr().out == TABLE1_CSV
-
-
 def test_table_empty_range(capsys):
     assert main(["table", "--csv", "--pairs", ""]) == 0
     assert capsys.readouterr().out == "M,N,New Bound,Old Bound\n"
@@ -309,10 +293,11 @@ def test_exact_budget_prints_the_solver_lower_bound(capsys):
 
 
 def test_exact_budget_boundary_pins_stdout(capsys):
-    # 6x10 at k=1 takes 684 nodes: one fewer is flagged, exactly that many is not
-    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "683"]) == 3
-    assert capsys.readouterr().out == "gamma>=16 gamma<=18 budget exceeded (684 nodes)\n"
-    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", "684", "--witness"]) == 0
+    # a budget one node short of 6x10 k=1's whole search is flagged, exactly that many is not
+    nodes = exact_gamma(GridDims(6, 10), Radius(1)).nodes_explored
+    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", str(nodes - 1)]) == 3
+    assert capsys.readouterr().out == f"gamma>=16 gamma<=18 budget exceeded ({nodes} nodes)\n"
+    assert main(["exact", "-m", "6", "-n", "10", "-k", "1", "--budget", str(nodes), "--witness"]) == 0
     assert capsys.readouterr().out == (
         "gamma=16\n1 0\n5 0\n3 1\n0 2\n2 3\n4 3\n5 3\n2 4\n0 5\n5 5\n3 6\n1 7\n4 8\n5 8\n0 9\n2 9\n")
 
@@ -324,8 +309,10 @@ def test_exact_budget_zero_on_64x64_falls_back_to_construct(capsys):
 
 
 def test_exact_budget_run_out_at_construct_size_is_exact(capsys):
-    # construct's 29-point set meets the size being searched when the budget runs out
-    assert main(["exact", "-m", "11", "-n", "11", "-k", "1", "--budget", "14000"]) == 0
+    # one node short of the whole 11x11 k=1 search, the budget runs out while size 29 is
+    # searched, and construct's 29-point set meets that size
+    budget = exact_gamma(GridDims(11, 11), Radius(1)).nodes_explored - 1
+    assert main(["exact", "-m", "11", "-n", "11", "-k", "1", "--budget", str(budget)]) == 0
     assert capsys.readouterr().out == "gamma=29\n"
 
 
