@@ -96,6 +96,19 @@ def _rings(dims: GridDims, k: int, balls: list[int]) -> tuple[int, int, int, int
     return border, ring, w, lift, dip, heavy
 
 
+def _images(dims: GridDims, c: int) -> list[int]:
+    """The images of cell c (row-major index) under the grid's symmetries but the identity: the
+    east-west mirror, the north-south one and the 180-degree turn, then on a square grid the
+    transpose and its compositions with those three, one cell per symmetry in that order.  Each
+    symmetry maps the grid onto itself and the ball of every cell onto the ball of its image."""
+    m, n = dims.m, dims.n
+    i, j = c % m, c // m
+    cells = [(m - 1 - i, j), (i, n - 1 - j), (m - 1 - i, n - 1 - j)]
+    if m == n:
+        cells += [(y, x) for x, y in [(i, j)] + cells]
+    return [y * m + x for x, y in cells]
+
+
 def _greedy(full: int, balls: list[int]) -> list[int]:
     """Deterministic greedy cover, the answer when the node budget runs out: each pick covers the most
     uncovered cells, the lowest cell on a tie, and comes off a heap of the gains as last scored."""
@@ -166,19 +179,36 @@ def exact_gamma(
     and a superset needs at least as many, so the search also keeps, per
     branch cell, the last _RECENT_FAILURES (uncovered, slots) that failed
     there, and cuts a node whose uncovered set contains one of them that
-    failed with at least its slots.  On a square grid the transpose maps
-    the grid, its balls and the root onto themselves, so when a candidate
-    fails at the root of a size, so does its transpose.  The root then
-    counts the transpose as tried: the dominance test skips it, and any
-    later candidate whose uncovered cells it covers, whose subtrees hold
-    no cover either.  A call that
-    reaches a full cover returns an empty list, and each caller on the
-    way back appends its candidate: that list is the witness.  The
-    bounds, the memo, the superset cut and the transpose cut only
-    subtrees that would fail: the branch order is unchanged, so the
-    search finds the same witness as one without them, and only
-    nodes_explored falls.  The bounds count dominators of any kind, so
-    the candidate rules keep them sound.
+    failed with at least its slots.
+
+    The search also carries allowed, the cells not yet ruled out, and
+    branches only on allowed candidates.  When a candidate x fails at a
+    node, no cover of the node's uncovered set with its slots uses x: the
+    rest of such a cover would cover what x leaves with one slot fewer.
+    A later sibling's subtree reaches the node's uncovered set less more
+    balls, with as many fewer slots, and a cover there that used x would
+    complete one at the node, so x is cleared for those subtrees.  At the
+    root, the one node with cell 0 uncovered (branch bit area-1), the
+    failure says that no cover of the grid of this size uses x.  Each
+    symmetry of the grid (_images: both mirrors and the 180-degree turn,
+    and on a square grid the transpose and its compositions with those)
+    maps the grid and its balls onto themselves, so no such cover uses an
+    image of x either.  The images are cleared for the rest of the size,
+    and the root counts them as tried: the dominance test skips each,
+    and any later candidate whose cells one covers, whose subtrees hold no
+    cover either.  Each size starts with every cell allowed.  A cleared
+    cell is in no cover of any node below where it was cleared, so the
+    swap argument above still finds an allowed candidate in any cover, a
+    failure with cells cleared is a failure outright, and what the memo
+    and the lists record stays sound.
+
+    A call that reaches a full cover returns an empty list, and each
+    caller on the way back appends its candidate: that list is the
+    witness.  The bounds, the memo, the superset cut and the cleared
+    cells cut only subtrees that would fail: the branch order is
+    unchanged, so the search finds the same witness as one without them,
+    and only nodes_explored falls.  The bounds count dominators of any
+    kind, so the candidate rules keep them sound.
 
     In the search, bit b of a mask stands for cell area-1-b, the cell of
     the grid turned by 180 degrees, so the lowest uncovered cell in
@@ -220,9 +250,8 @@ def exact_gamma(
     nodes = held = 0
     failed: dict[int, int] = {}
     recent = [()] * area  # per branch bit, the last (uncovered, slots) that failed there, newest first
-    corner = area - 1 if dims.m == dims.n else -1  # the root's branch bit, on a square grid
 
-    def search(uncovered: int, slots: int) -> list[int] | None:
+    def search(uncovered: int, slots: int, allowed: int) -> list[int] | None:
         nonlocal nodes, held
         nodes += 1
         if nodes > node_budget:
@@ -248,7 +277,7 @@ def exact_gamma(
                 left -= 1
             if not left:
                 return None
-        c = balls[v] & (2 << v) - 1
+        c = balls[v] & (2 << v) - 1 & allowed
         options = []
         while c:
             b = c.bit_length() - 1
@@ -263,11 +292,14 @@ def exact_gamma(
                     break  # a kept candidate covers all that this one would
             else:
                 kept.append(gain)
-                if (hit := search(uncovered ^ gain, slots - 1)) is not None:
+                if (hit := search(uncovered ^ gain, slots - 1, allowed)) is not None:
                     hit.append(cand)
                     return hit
-                if v == corner:  # the root: the transpose of cand fails too, so keep it as tried
-                    kept.append(balls[area - 1 - (cand % width * width + cand // width)])
+                allowed ^= 1 << area - 1 - cand  # no cover of uncovered with these slots uses cand
+                if v == area - 1:  # the root: nor does a cover of the grid of this size use an image of cand
+                    for image in _images(shape, cand):
+                        allowed &= ~(1 << area - 1 - image)
+                        kept.append(balls[area - 1 - image])
         if len(failed) + held >= max_failed:
             failed.clear()  # loses pruning, never a solution
             recent[:] = [()] * area
@@ -285,7 +317,7 @@ def exact_gamma(
 
     size = -(-(w * area + lift * border.bit_count() + dip * ring.bit_count()) // heavy)
     try:
-        while (found := search(full, size)) is None:
+        while (found := search(full, size, full)) is None:
             size += 1
         return ExactResult(size, size, to_set(found), nodes, False)
     except _BudgetExhausted:

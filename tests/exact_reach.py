@@ -1,15 +1,15 @@
 """exact_gamma past 144 cells, at the default node budget, too slow for tier-1.
 
-Prints, for each grid (16 x 16 k=2, 20 x 20 k=3, 13 x 12 k=1 and
-13 x 14 k=1), gamma, the root lower bound (where the search starts: the
-ring bound), the nodes explored and the process time of one exact_gamma
-call, and checks that gamma is the known value, that the result is not
-budget-flagged and that its witness dominates; then prints the line
-`kdom exact` gives for 18 x 18 at k=2, whose search runs out of the
-default budget, and its exit code.  tests/test_exact.py pins the two
-grids of this reach that take under half a second (14 x 14 k=2 and
-16 x 16 k=3).  Exits non-zero if a check fails or the budget line's exit
-code is not 3:
+Prints, for each grid (16 x 16 k=2, 20 x 20 k=3, 13 x 12 k=1, 13 x 14
+k=1 and 14 x 14 k=1), gamma, the root lower bound (where the search
+starts: the ring bound), the nodes explored and the process time of one
+exact_gamma call, and checks that gamma is the known value, that the
+result is not budget-flagged and that its witness dominates; then
+prints the line `kdom exact` gives for 18 x 18 at k=2, whose search
+runs out of the default budget, and its exit code.  tests/test_exact.py
+pins the two grids of this reach that take under half a second
+(14 x 14 k=2 and 16 x 16 k=3).  Exits non-zero if a check fails or the
+budget line's exit code is not 3:
 
     PYTHONPATH=src python tests/exact_reach.py
 """
@@ -20,7 +20,7 @@ from kdom import GridDims, Radius, exact_gamma, is_dominating
 from kdom.cli import main as kdom_main
 
 # (m, n, k, gamma)
-GRIDS = ((16, 16, 2, 24), (20, 20, 3, 21), (13, 12, 1, 38), (13, 14, 1, 44))
+GRIDS = ((16, 16, 2, 24), (20, 20, 3, 21), (13, 12, 1, 38), (13, 14, 1, 44), (14, 14, 1, 47))
 
 
 def main():

@@ -284,7 +284,7 @@ def test_exact_budget_exit_code(capsys):
 
 def test_exact_budget_prints_the_solver_lower_bound(capsys):
     # a 2-row grid caps a k=1 ball at 4 cells, so ceil(64/4) = 16, not ceil(64/5) = 13
-    assert main(["exact", "-m", "2", "-n", "32", "-k", "1", "--budget", "3"]) == 3
+    assert main(["exact", "-m", "2", "-n", "32", "-k", "1", "--budget", "2"]) == 3
     assert capsys.readouterr().out.startswith("gamma>=16 gamma<=17 budget exceeded")
     # the upper value is the smaller of the greedy set (40) and construct's (35); the
     # ring bound starts the search at 32, the ceiling of the covering LP's optimum
