@@ -25,7 +25,7 @@ def new_bound(m: int, n: int, k: Radius) -> int:
     (m+4)(n+4)/13 - 4 form for 2-distance domination.
     """
     _require(m, n, 2 * k.p + 1, f"new bound needs m, n > 2p = {2 * k.p}")
-    return (m + 2 * k.k) * (n + 2 * k.k) // k.p - 4
+    return cor_bound(m, n, k) - 4
 
 
 def cor_bound(m: int, n: int, k: Radius) -> int:

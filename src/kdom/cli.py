@@ -252,7 +252,7 @@ def cmd_table(args) -> int:
     if args.csv:
         out = [",".join(cells) for cells in table]
     else:
-        widths = (4, 4, 10, 10, 12)
+        widths = [max(w, 1 + max(map(len, column))) for w, column in zip((4, 4, 10, 10, 12), zip(*table))]
         out = [f"# kdom table k={args.k}"]
         out += ["".join(c.rjust(w) for c, w in zip(cells, widths)) for cells in table]
     _write(args.output, "\n".join(out) + "\n")

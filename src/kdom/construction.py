@@ -277,12 +277,13 @@ def _apply_plans(dims: GridDims, k: Radius, keys: np.ndarray, removed: np.ndarra
 
 
 def _trace(dims: GridDims, k: Radius, ell: int, base_size: int, contexts: tuple[CornerContext, ...] | None,
-           removed: np.ndarray, moves: np.ndarray, merged: int, final: VertexSet) -> ConstructionTrace:
+           removed: np.ndarray, moves: np.ndarray, final: VertexSet) -> ConstructionTrace:
     """The audit record of one run; contexts is None where corner removal is skipped.  The removed
-    points need no dedupe: they lie in the four disjoint p x p windows of _corner_step."""
+    points need no dedupe: they lie in the four disjoint p x p windows of _corner_step.  Moves keep
+    the count, so projection_merged is base_size - removed - final: 0 where nothing is projected."""
     return tuple.__new__(ConstructionTrace, (
-        dims, k, ell, base_size, contexts is not None, contexts,
-        VertexSet(removed[np.lexsort(removed.T)]), ShiftedPairs(moves), merged, len(final)))
+        dims, k, ell, base_size, contexts is not None, contexts, VertexSet(removed[np.lexsort(removed.T)]),
+        ShiftedPairs(moves), base_size - len(removed) - len(final), len(final)))
 
 
 def remove_corners(dims: GridDims, k: Radius, ell: int, s_set: VertexSet,
@@ -309,7 +310,7 @@ def remove_corners(dims: GridDims, k: Radius, ell: int, s_set: VertexSet,
     if verify and not is_dominating(dims, k, current):
         uncovered = verify_domination(dims, k, current).uncovered
         raise VerificationError(f"corner shifts broke domination ({len(uncovered)} uncovered)", uncovered=uncovered)
-    return current, _trace(dims, k, ell, len(keys), contexts, removed, moves, 0, current)
+    return current, _trace(dims, k, ell, len(keys), contexts, removed, moves, current)
 
 
 def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
@@ -334,12 +335,12 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     grid cell is that cell, a (k+1)-cell segment at an edge or the
     (k+1)^2 square at a corner, each of L1 diameter <= 2k, and two fiber
     points are >= 2k+1 apart.  test_projection_merges_nothing_two_wide
-    checks the edited sets too; 1-wide grids can merge (3x1 at k=1).
-    Each plan keeps domination in its p x p window, certified for
-    k <= CERTIFIED_K, and _corner_step refuses any larger k with
-    DomainError.  Grids too large for the coverage kernel are rejected
-    with DomainError up front, so kdom verify can check every set
-    construct returns.
+    checks the edited sets too; 1-wide grids can merge (3x1 at k=1), as
+    the trace's projection_merged, derived in _trace, counts.  Each plan
+    keeps domination in its p x p window, certified for k <= CERTIFIED_K,
+    and _corner_step refuses any larger k with DomainError.  Grids too
+    large for the coverage kernel are rejected with DomainError up front,
+    so kdom verify can check every set construct returns.
 
     The base set's size needs no check against best_residue's count:
     both count floor(W/p) points per row of width W, plus one where the
@@ -356,5 +357,4 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     grid = _grid_keys(dims, i, j, k.k)
     grid[gone] = -1
     final = VertexSet(pairs_of_keys(_settle(grid), dims.m))
-    merged = len(keys) - len(removed) - len(final)
-    return final, _trace(dims, k, ell, len(keys), contexts, removed, moves, merged, final)
+    return final, _trace(dims, k, ell, len(keys), contexts, removed, moves, final)

@@ -6,17 +6,8 @@ import numpy as np
 from kdom import DomainError, Radius, phi
 
 
-def brute_dominates(m, n, k, points):
-    """Per-vertex scan over all dominators; no BFS, no numpy."""
-    pts = list(points)
-    for j in range(n):
-        for i in range(m):
-            if not any(abs(i - a) + abs(j - b) <= k for (a, b) in pts):
-                return False
-    return True
-
-
 def brute_uncovered(m, n, k, points):
+    """Grid vertices, row-major, with no dominator within k: a per-vertex scan, no BFS, no numpy."""
     pts = list(points)
     out = []
     for j in range(n):

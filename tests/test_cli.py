@@ -264,10 +264,16 @@ def test_table_output_file_holds_what_stdout_shows(tmp_path, capsys):
 
 
 def test_table_text_mode(capsys):
-    assert main(["table"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("# kdom table k=3")
-    assert "New Bound" in out
+    # each column is at least one wider than its widest cell, and no narrower than (4, 4, 10, 10)
+    for pairs in ([], ["--pairs", "1000x1001,12345x12346"]):
+        assert main(["table", "--csv", *pairs]) == 0
+        csv_rows = capsys.readouterr().out.splitlines()
+        assert main(["table", *pairs]) == 0
+        title, *text_rows = capsys.readouterr().out.splitlines()
+        assert title == "# kdom table k=3"
+        assert [row.split() for row in text_rows] == [row.replace(",", " ").split() for row in csv_rows], pairs
+        if not pairs:  # Table 1 fits those widths, so its text is what it always was
+            assert text_rows == ["".join(c.rjust(w) for c, w in zip(r.split(","), (4, 4, 10, 10))) for r in csv_rows]
 
 
 def test_exact_cmd(capsys):

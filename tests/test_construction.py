@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corner_certificate
-from conftest import brute_dominates, count_in_box
+from conftest import brute_uncovered, count_in_box
 from corner_certificate import certify
 from kdom import (
     DomainError,
@@ -132,11 +132,6 @@ def test_best_residue_closed_form_thin_and_wide_k_grids():
             _assert_best_residue_is_min_count(side, 1, Radius(kk))
     _assert_best_residue_is_min_count(200, 201, Radius(20))
     _assert_best_residue_is_min_count(150, 151, Radius(40))
-
-
-def test_best_residue_tiny_grid():
-    _, count = best_residue(GridDims(1, 1), K1)
-    assert count <= 9 // 5 == 1
 
 
 def test_base_set_known_6x6_fiber():
@@ -472,7 +467,6 @@ def test_trace_arithmetic_identity():
     for dims, k in ((GridDims(12, 14), K1), (GridDims(29, 27), K2), (GridDims(6, 6), K3)):
         pts, trace = construct(dims, k)
         assert trace.final_size == len(pts)
-        assert trace.final_size == trace.base_size - len(trace.removed) - trace.projection_merged
         if trace.corner_removal_applied:
             assert len(trace.removed) == 4
             assert len(trace.corner_cases) == 4
@@ -482,7 +476,7 @@ def test_construct_brute_force_cross_check():
     # small grids where the dumb oracle is instant
     for dims, k in ((GridDims(11, 11), K1), (GridDims(13, 12), K1), (GridDims(8, 5), K2)):
         pts, _ = construct(dims, k)
-        assert brute_dominates(dims.m, dims.n, k.k, [tuple(q) for q in pts])
+        assert not brute_uncovered(dims.m, dims.n, k.k, [tuple(q) for q in pts])
 
 
 def test_construct_runs_no_coverage_kernel(monkeypatch):

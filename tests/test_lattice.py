@@ -105,56 +105,12 @@ def test_inverse_image_row_major_order():
     assert pts == sorted(pts, key=lambda q: (q[1], q[0]))
 
 
-def test_inverse_image_matches_brute_force():
-    rng = random.Random(7)
-    for _ in range(40):
-        k = rng.randint(1, 5)
-        p = Radius(k).p
-        ell = rng.randrange(p)
-        i_lo = rng.randint(-30, 10)
-        j_lo = rng.randint(-30, 10)
-        box = (i_lo, i_lo + rng.randint(0, 40), j_lo, j_lo + rng.randint(0, 40))
-        got = [tuple(q) for q in inverse_image_in_box(Radius(k), ell, Box(*box))]
-        want = sorted(brute_fiber(k, ell, box), key=lambda q: (q[1], q[0]))
-        assert got == want
-
-
 def test_residue_modulus_mismatch_rejected():
     # a residue mod another p: 24 is one mod 25, not mod 13, and 12 one mod 13, not mod 5
     with pytest.raises(DomainError, match=r"residues mod p=13 must be integers in \[0, 12\], got 24"):
         inverse_image_in_box(Radius(2), 24, Box(0, 3, 0, 3))
     with pytest.raises(DomainError):
         count_in_box(Radius(1), 12, Box(0, 3, 0, 3))
-
-
-@pytest.mark.parametrize("ell", range(13))
-def test_count_multiple_of_p_box(ell):
-    assert count_in_box(Radius(2), ell, Box(0, 12, 0, 12)) == 13
-
-
-def test_count_25x50():
-    for ell in (0, 7, 24):
-        assert count_in_box(Radius(3), ell, Box(0, 24, 0, 49)) == 50
-
-
-def test_count_equals_enumeration_7x5():
-    k, ell = Radius(2), 0
-    box = Box(0, 6, 0, 4)
-    assert count_in_box(k, ell, box) == len(inverse_image_in_box(k, ell, box))
-
-
-def test_count_matches_enumeration_randomized():
-    rng = random.Random(123)
-    for _ in range(500):
-        k = rng.randint(1, 5)
-        p = Radius(k).p
-        ell = rng.randrange(p)
-        i_lo = rng.randint(-60, 30)
-        j_lo = rng.randint(-60, 30)
-        box = Box(i_lo, i_lo + rng.randint(0, 59), j_lo, j_lo + rng.randint(0, 59))
-        assert count_in_box(Radius(k), ell, box) == len(
-            inverse_image_in_box(Radius(k), ell, box)
-        )
 
 
 def test_fiber_counts_in_box_match_per_residue_counts():
@@ -316,7 +272,8 @@ def _canonical_order_cases():
 
 @pytest.mark.parametrize("pairs", list(_canonical_order_cases()), ids=lambda a: f"{a.dtype}-{len(a)}")
 def test_canonical_order_is_lexsort_permutation(pairs):
-    # the identical permutation: load_setfile relies on ties keeping file order
+    # the identical permutation, ties in input order: no output depends on it (load_setfile finds a
+    # repeated line with np.unique), but from_iterable's choice between equal rows stays defined
     if pairs.dtype == object:
         with pytest.raises(DomainError, match=r"\|c\| < 2\*\*62"):
             canonical_order(pairs)
@@ -339,7 +296,7 @@ def test_vertexset_equality_is_by_content():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    k=st.integers(1, 4),
+    k=st.integers(1, 5),
     ell=st.integers(0, 10 ** 6),
     i_lo=st.one_of(st.integers(-60, 60), st.sampled_from([-TOP, TOP - 45])),
     j_lo=st.one_of(st.integers(-60, 60), st.sampled_from([-TOP, TOP - 45])),
