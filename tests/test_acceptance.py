@@ -13,6 +13,7 @@ from kdom import (
     Box,
     GridDims,
     Radius,
+    base_set,
     construct,
     cor_bound,
     exact_gamma,
@@ -154,6 +155,8 @@ def test_criterion_5_fiber_counting():
             box = Box(0, w - 1, 0, h - 1)
             best = min(count_in_box(k, v, box) for v in range(p))
             assert best <= box.width * box.height // p
+        # base_set's fibers too: on 13x13 at k=2, a 17x17 margin box, one is at or below the floor
+        assert min(len(base_set(GridDims(13, 13), Radius(2), v)) for v in range(13)) <= 17 * 17 // 13
 
 
 def test_criterion_6_oracle_consistency():
@@ -197,8 +200,8 @@ def test_criterion_8_bound_domination():
                 for n in range(2 * p + 1, 2 * p + 201, 7):
                     assert new_bound(m, n, k) < fss_bound(m, n, k)
         for m in range(11, 120):  # Chang's form
-            for n in range(11, 120, 3):
+            for n in range(11, 120):
                 assert (m + 2) * (n + 2) // 5 - 4 == new_bound(m, n, Radius(1))
         for m in range(27, 140):  # the published k=2 form
-            for n in range(27, 140, 3):
+            for n in range(27, 140):
                 assert (m + 4) * (n + 4) // 13 - 4 == new_bound(m, n, Radius(2))

@@ -87,6 +87,13 @@ def reference_exact_gamma(dims, k, forward=True):
     return ExactResult(size, size, witness, nodes, False)
 
 
+@cache
+def solved(m, n, k):
+    """exact_gamma at the default budget, searched once per (m, n, k) in a session and shared by the
+    tests below that pin it; only tests that patch nothing call this, so each result is the solver's own."""
+    return exact_gamma(GridDims(m, n), Radius(k))
+
+
 def test_5x5_k1_matches_naive():
     res = exact_gamma(GridDims(5, 5), K1)
     assert res.gamma == naive_gamma(5, 5, 1)
@@ -275,7 +282,7 @@ def test_search_leaves_nothing_for_the_cyclic_collector():
 @pytest.mark.parametrize("m,n,k,gamma", [(10, 10, 1, 24), (11, 11, 1, 29), (12, 12, 1, 35), (10, 10, 2, 11)])
 def test_gamma_proven_at_the_edge_of_the_paper_domain(m, n, k, gamma):
     dims, rad = GridDims(m, n), Radius(k)
-    res = exact_gamma(dims, rad)
+    res = solved(m, n, k)
     assert not res.time_budget_exceeded
     assert res.gamma == res.lower_bound == gamma
     assert is_dominating(dims, rad, res.witness)
@@ -290,7 +297,7 @@ def test_gamma_proven_at_the_edge_of_the_paper_domain(m, n, k, gamma):
                          ids=["14x14-k2", "16x16-k3"])
 def test_gamma_proven_past_144_cells_at_k2_and_k3(m, n, k, gamma, nodes):
     dims, rad = GridDims(m, n), Radius(k)
-    res = exact_gamma(dims, rad)
+    res = solved(m, n, k)
     assert (res.gamma, res.lower_bound, res.nodes_explored, res.time_budget_exceeded) == (gamma, gamma, nodes, False)
     assert len(res.witness) == gamma
     assert verify_domination(dims, rad, res.witness).uncovered == VertexSet.empty()
@@ -592,7 +599,7 @@ GAMMA_WITNESS_SHA256 = "c3b2b83409afe535bd5091bf4f1ad30028f7f8bd85536c2bbf6705c6
 def test_gammas_and_witnesses_are_pinned():
     lines = []
     for m, n, k in GAMMA_WITNESS_CASES:
-        res = exact_gamma(GridDims(m, n), Radius(k))
+        res = solved(m, n, k)
         lines.append(repr((m, n, k, res.gamma, [(int(i), int(j)) for i, j in res.witness])))
     assert len(lines) == 102
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GAMMA_WITNESS_SHA256
@@ -609,7 +616,7 @@ def test_outputs_on_every_grid_up_to_64_cells_are_pinned():
     # solver change that only drops work must leave the node-free digest below as it is
     lines = []
     for m, n, k in SMALL_CASES:
-        res = exact_gamma(GridDims(m, n), Radius(k))
+        res = solved(m, n, k)
         witness = [(int(i), int(j)) for i, j in res.witness]
         lines.append(repr((m, n, k, res.gamma, res.lower_bound, res.nodes_explored, res.time_budget_exceeded, witness)))
     assert len(lines) == 840
@@ -624,7 +631,7 @@ SMALL_NODE_FREE_SHA256 = "0932e52aa844f755f00ea1d7c9504895630b81371cb834481c4bea
 def test_outputs_but_node_counts_on_every_grid_up_to_64_cells_are_pinned():
     lines = []
     for m, n, k in SMALL_CASES:
-        res = exact_gamma(GridDims(m, n), Radius(k))
+        res = solved(m, n, k)
         witness = [(int(i), int(j)) for i, j in res.witness]
         lines.append(repr((m, n, k, res.gamma, res.lower_bound, res.time_budget_exceeded, witness)))
     assert len(lines) == 840

@@ -29,3 +29,12 @@ def test_every_cli_example_runs_and_exits_0(tmp_path, monkeypatch, capsys):
         assert (argv, main(argv[1:])) == (argv, 0)
     assert capsys.readouterr().err == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["set.kdom", "set.trace"]
+
+
+def test_every_test_the_readme_cites_is_defined():
+    # a test that is renamed or folded into another must take the README's citation with it
+    root = Path(__file__).resolve().parents[1]
+    defined = {name for folder in ("tests", "bench") for path in (root / folder).glob("*.py")
+               for name in re.findall(r"^\s*def (test_\w+)", path.read_text(), re.M)}
+    cited = set(re.findall(r"\b(test_\w+)\b(?!\.py)", README))
+    assert cited and sorted(cited - defined) == []
