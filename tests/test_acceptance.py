@@ -14,11 +14,13 @@ from kdom import (
     GridDims,
     Radius,
     base_set,
+    best_residue,
     construct,
     cor_bound,
     exact_gamma,
     fss_bound,
     inverse_image_in_box,
+    neighborhood_box,
     new_bound,
     path_gamma,
     verify_domination,
@@ -142,19 +144,14 @@ def test_criterion_5_fiber_counting():
                 box = Box(0, mult * p - 1, 0, other - 1)
                 for v in range(p):
                     assert count_in_box(k, v, box) == box.width * box.height // p
-        # neither side a multiple: some residue is at or below the floor
-        checked = 0
-        while checked < 200:
-            kk = rng.randint(1, 5)
-            k = Radius(kk)
-            p = k.p
-            w, h = rng.randint(1, 60), rng.randint(1, 60)
-            if w % p == 0 or h % p == 0:
-                continue
-            checked += 1
-            box = Box(0, w - 1, 0, h - 1)
-            best = min(count_in_box(k, v, box) for v in range(p))
-            assert best <= box.width * box.height // p
+        # best_residue picks the first fiber with the fewest points in the k-margin box, at or below the floor
+        for _ in range(200):
+            k = Radius(rng.randint(1, 5))
+            dims = GridDims(rng.randint(1, 60), rng.randint(1, 60))
+            box = neighborhood_box(dims, k)
+            counts = [count_in_box(k, v, box) for v in range(k.p)]
+            assert best_residue(dims, k) == (counts.index(min(counts)), min(counts))
+            assert min(counts) <= (dims.m + 2 * k.k) * (dims.n + 2 * k.k) // k.p
         # base_set's fibers too: on 13x13 at k=2, a 17x17 margin box, one is at or below the floor
         assert min(len(base_set(GridDims(13, 13), Radius(2), v)) for v in range(13)) <= 17 * 17 // 13
 

@@ -221,13 +221,14 @@ def test_table_empty_range(capsys):
 
 
 def test_table_build_range(capsys):
-    assert main(["table", "--csv", "--build", "--range", "51..57:2"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "M,N,New Bound,Old Bound,Constructed"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        m, n, new, old, constructed = line.split(",")
-        assert int(constructed) <= int(new) < int(old)
+    for spec, ms in (("51..57:2", [51, 53, 55, 57]), ("51..53:1", [51, 52, 53])):
+        assert main(["table", "--csv", "--build", "--range", spec]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "M,N,New Bound,Old Bound,Constructed"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == ms
+        for line in lines[1:]:
+            m, n, new, old, constructed = line.split(",")
+            assert int(constructed) <= int(new) < int(old)
 
 
 def test_table_build_prints_n_a_for_a_grid_beyond_the_verifier_cap(capsys):
@@ -369,10 +370,11 @@ def test_render_output_file_holds_what_stdout_shows(tmp_path, capsys):
 
 
 def test_render_empty_set(tmp_path, capsys):
-    path = make_file(tmp_path, "kdom v1\n1 3 2 0\n")
-    assert main(["render", path]) == 0
-    panel = capsys.readouterr().out
-    assert panel == ". . .\n. . .\n"
+    # a file without the projected flag may hold points off the grid, here one at i = m: render leaves it out
+    for text in ("kdom v1\n1 3 2 0\n", "kdom v1\n1 3 2 1\n3 0\n"):
+        path = make_file(tmp_path, text)
+        assert main(["render", path]) == 0
+        assert capsys.readouterr() == (". . .\n. . .\n", "")
 
 
 def test_render_malformed_exit_2(tmp_path, capsys):

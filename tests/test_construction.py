@@ -194,6 +194,8 @@ def test_classify_corner_requires_big_grid():
         _corner_step(GridDims(6, 6), K3, 0)
     with pytest.raises(DomainError, match="corner removal needs"):
         _corner_step(GridDims(100, 26), K2, 0)
+    with pytest.raises(DomainError, match="corner removal needs"):
+        _corner_step(GridDims(26, 100), K2, 0)
 
 
 def test_classify_corner_cases_27x27_k2():

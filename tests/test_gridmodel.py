@@ -71,78 +71,30 @@ def test_dims_validation():
             GridDims(m, n)
 
 
-def test_grid_distance_basics():
-    assert bfs_distance(7, 7, (0, 0), (0, 0)) == 0
-    assert bfs_distance(7, 7, (0, 0), (2, 3)) == 5
-
-
 def test_grid_distance_matches_bfs():
     # graph distance on the grid is |di| + |dj|: the oracles in conftest rely on it
     rng = random.Random(99)
-    for _ in range(30):
-        a = (rng.randrange(7), rng.randrange(7))
-        b = (rng.randrange(7), rng.randrange(7))
+    pairs = [((0, 0), (0, 0)), ((0, 0), (2, 3))]
+    pairs += [((rng.randrange(7), rng.randrange(7)), (rng.randrange(7), rng.randrange(7))) for _ in range(30)]
+    for a, b in pairs:
         assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == bfs_distance(7, 7, a, b)
 
 
-def test_path_center_covers():
-    # the center of a 5-path covers everything at radius 2 (both orientations)
-    rep = verify_domination(GridDims(5, 1), Radius(2), VertexSet.from_iterable([(2, 0)]))
-    assert len(rep.uncovered) == 0
-    rep = verify_domination(GridDims(1, 5), Radius(2), VertexSet.from_iterable([(0, 2)]))
-    assert len(rep.uncovered) == 0
-    # the ends sit at distance exactly 2: at radius 1 they are the only gaps
-    rep = verify_domination(GridDims(1, 5), Radius(1), VertexSet.from_iterable([(0, 2)]))
-    assert [tuple(q) for q in rep.uncovered] == brute_uncovered(1, 5, 1, [(0, 2)]) == [(0, 0), (0, 4)]
-
-
-def test_single_cell_grid():
-    assert is_dominating(GridDims(1, 1), Radius(1), VertexSet.from_iterable([(0, 0)]))
-
-
-def test_full_pipeline_output_verifies_30x30_k2():
-    from kdom import construct
-
-    dims, k = GridDims(30, 30), Radius(2)
-    pts, _ = construct(dims, k)
-    assert is_dominating(dims, k, pts)
-
-
-def test_2x2_corner_misses_diagonal():
-    rep = verify_domination(GridDims(2, 2), Radius(1), VertexSet.from_iterable([(0, 0)]))
-    assert [tuple(q) for q in rep.uncovered] == [(1, 1)]
-    assert rep.covered_count == 3
-    assert not is_dominating(GridDims(2, 2), Radius(1), VertexSet.from_iterable([(0, 0)]))
-
-
-def test_empty_set_everything_uncovered():
-    rep = verify_domination(GridDims(3, 4), Radius(2), VertexSet.empty())
-    assert rep.covered_count == 0
-    assert len(rep.uncovered) == 12
-    assert rep.multiplicity_histogram == {0: 12}
-
-
-def test_monotone_in_added_points():
+def _multiplicity_cases():
+    # by hand: one cell; a 2x2 corner that misses the diagonal; the empty set; a 5-path's center,
+    # which covers it at k=2 both ways and misses its two ends at k=1; a set, then the same set with
+    # three points too far off the grid to cover any of it
+    for m, n, k, pts in ((1, 1, 1, [(0, 0)]), (2, 2, 1, [(0, 0)]), (3, 4, 2, []), (5, 1, 2, [(2, 0)]),
+                         (1, 5, 2, [(0, 2)]), (1, 5, 1, [(0, 2)]), (4, 5, 2, [(1, 1), (-2, 4)]),
+                         (4, 5, 2, [(1, 1), (-2, 4), (-3, 0), (100, 100), (0, -40)])):
+        yield m, n, k, VertexSet.from_iterable(pts)
+    # a set inside the grid, then the same set with one more point
     rng = random.Random(31)
     for _ in range(40):
         m, n, k = rng.randint(2, 10), rng.randint(2, 10), rng.randint(1, 3)
         pts = [(rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, 5))]
-        before = len(verify_domination(GridDims(m, n), Radius(k),
-                                       VertexSet.from_iterable(pts)).uncovered)
-        pts.append((rng.randrange(m), rng.randrange(n)))
-        after = len(verify_domination(GridDims(m, n), Radius(k),
-                                      VertexSet.from_iterable(pts)).uncovered)
-        assert after <= before
-
-
-def test_far_points_do_not_change_report():
-    dims, k = GridDims(4, 5), Radius(2)
-    near = VertexSet.from_iterable([(1, 1), (-2, 4)])
-    with_far = VertexSet.from_iterable(list(near) + [(-3, 0), (100, 100), (0, -40)])
-    assert verify_domination(dims, k, near) == verify_domination(dims, k, with_far)
-
-
-def _multiplicity_cases():
+        yield m, n, k, VertexSet.from_iterable(pts)
+        yield m, n, k, VertexSet.from_iterable(pts + [(rng.randrange(m), rng.randrange(n))])
     # dominators anywhere: inside the grid, in the k-margin, and beyond it
     rng = random.Random(51)
     for _ in range(60):
@@ -184,40 +136,33 @@ def _multiplicity_cases():
         yield m, n, k, VertexSet.from_iterable((i, j) for j in range(n) for i in range(m))
 
 
-def test_multiplicity_matches_brute_ball_count(monkeypatch):
+def test_whole_report_matches_brute_force(monkeypatch):
+    # chunks of one point and of a few points, so that the scatter takes more than one step; the real chunk
+    # comes last, so the report checks after the loop run with it
+    chunks = (1, 9, gridmodel.SCATTER_CHUNK)
+    reached_p = empty = False
     for m, n, k, pts in _multiplicity_cases():
-        want = brute_multiplicity(m, n, k, pts)
-        hist = {}
-        for c in want.values():
-            hist[c] = hist.get(c, 0) + 1
-        # the real chunk, then chunks of one point and of a few points, so
-        # that the scatter takes more than one step
+        dims, rad = GridDims(m, n), Radius(k)
+        counts = brute_multiplicity(m, n, k, pts)
         previous = None
-        for chunk in (gridmodel.SCATTER_CHUNK, 1, 9):
+        for chunk in chunks:
             monkeypatch.setattr(gridmodel, "SCATTER_CHUNK", chunk)
-            mult = _multiplicity(GridDims(m, n), Radius(k), pts)
+            mult = _multiplicity(dims, rad, pts)
             assert mult.shape == (m, n) and mult.dtype == np.int32
             # its callers only read it, so it is a view of the call's own difference array, not a copy
             assert mult.base is not None and (previous is None or not np.shares_memory(mult, previous))
             previous = mult
-            assert {(i, j): int(mult[i, j]) for j in range(n) for i in range(m)} == want, (m, n, k, chunk)
-            assert verify_domination(GridDims(m, n), Radius(k), pts).multiplicity_histogram == hist
-
-
-def test_whole_report_matches_brute_force():
-    reached_p = empty = False
-    for m, n, k, pts in _multiplicity_cases():
-        counts = brute_multiplicity(m, n, k, pts)
+            assert mult.T.ravel().tolist() == list(counts.values()), (m, n, k, chunk)  # both row-major
         hist = {c: list(counts.values()).count(c) for c in sorted(set(counts.values()))}
-        rep = verify_domination(GridDims(m, n), Radius(k), pts)
-        uncovered = brute_uncovered(m, n, k, pts)
+        uncovered = [q for q, c in counts.items() if not c]
+        rep = verify_domination(dims, rad, pts)
         assert rep.covered_count == m * n - hist.get(0, 0), (m, n, k)
         assert [tuple(q) for q in rep.uncovered] == uncovered, (m, n, k)
-        assert is_dominating(GridDims(m, n), Radius(k), pts) == (not uncovered), (m, n, k)
+        assert is_dominating(dims, rad, pts) == (not uncovered), (m, n, k)
         assert rep.uncovered.array.dtype == np.int64
         assert list(rep.multiplicity_histogram.items()) == list(hist.items()), (m, n, k)
         assert all(type(v) is int for v in (rep.covered_count, *rep.multiplicity_histogram.values()))
-        reached_p |= max(hist) == Radius(k).p
+        reached_p |= max(hist) == rad.p
         empty |= len(pts) == 0
     assert reached_p and empty
 
@@ -233,9 +178,16 @@ def test_dense_verifier_cap_raises_before_allocating():
         _multiplicity(GridDims(2 ** 31, 2 ** 31), Radius(1), VertexSet.from_iterable([(0, 0)]))
 
 
-def test_dense_verifier_cap_admits_8000x8001_at_k5():
+def test_dense_verifier_cap_admits_8000x8001_at_k5(monkeypatch):
     k = Radius(5)
     assert (8000 + 2 * k.k) * (8001 + 2 * k.k + 1) <= MAX_DENSE_CELLS
     check_dense_size(GridDims(8000, 8001), k)
     with pytest.raises(DomainError):
         check_dense_size(GridDims(MAX_DENSE_CELLS, 1), Radius(1))
+    # a cap of exactly 3x4's cells at k=1, the difference array and one scatter chunk, admits it; one less does not
+    cells = (3 + 4 + 1) * (4 + 4) + gridmodel.SCATTER_CHUNK
+    monkeypatch.setattr(gridmodel, "MAX_DENSE_CELLS", cells)
+    check_dense_size(GridDims(3, 4), Radius(1))
+    monkeypatch.setattr(gridmodel, "MAX_DENSE_CELLS", cells - 1)
+    with pytest.raises(DomainError, match=f"3x4 at k=1 needs {cells} verifier cells, above the cap of {cells - 1}"):
+        check_dense_size(GridDims(3, 4), Radius(1))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_fiber, count_in_box
@@ -23,12 +23,8 @@ from kdom.lattice import COORD_LIMIT, _as_pairs, canonical_order, fiber_counts_i
 TOP = COORD_LIMIT - 1  # the largest coordinate a set or a box may hold; -TOP the smallest
 
 
-@pytest.mark.parametrize("k,p", [(1, 5), (2, 13), (3, 25)])
-def test_modulus_values(k, p):
-    assert Radius(k).p == p
-
-
 def test_modulus_is_sum_of_squares():
+    assert [Radius(k).p for k in (1, 2, 3)] == [5, 13, 25]
     for k in range(1, 33):
         p = Radius(k).p
         assert p == k * k + (k + 1) * (k + 1)
@@ -89,22 +85,6 @@ def test_residue_and_box_reject_fields_that_are_not_integers(make):
         make()
 
 
-def test_inverse_image_one_row():
-    # one full row of p points holds exactly one fiber element
-    pts = inverse_image_in_box(Radius(2), 0, Box(0, 12, 0, 0))
-    assert list(pts) == [(0, 0)]
-
-
-def test_inverse_image_5x5():
-    pts = inverse_image_in_box(Radius(1), 0, Box(0, 4, 0, 4))
-    assert len(pts) == 5
-
-
-def test_inverse_image_row_major_order():
-    pts = list(inverse_image_in_box(Radius(2), 3, Box(-6, 20, -4, 9)))
-    assert pts == sorted(pts, key=lambda q: (q[1], q[0]))
-
-
 def test_residue_modulus_mismatch_rejected():
     # a residue mod another p: 24 is one mod 25, not mod 13, and 12 one mod 13, not mod 5
     with pytest.raises(DomainError, match=r"residues mod p=13 must be integers in \[0, 12\], got 24"):
@@ -163,13 +143,8 @@ def test_least_fiber_count_falls_short_of_the_average_by_at_most_half_k():
             assert delta(k, i_lo, j_lo, a, b) == gaps[a, b], (kk, i_lo, j_lo, a, b)
 
 
-@pytest.mark.parametrize("k,size", [(1, 5), (5, 61)])
-def test_ball_size_values(k, size):
-    assert Radius(k).p == size
-
-
 def test_ball_size_matches_enumeration():
-    # independent oracle: literal point enumeration of the diamond
+    # independent oracle: literal point enumeration of the diamond, 5 points at k=1 and 61 at k=5
     for k in range(1, 7):
         diamond = {
             (x, y)
@@ -185,29 +160,6 @@ def test_coprimality():
         p = Radius(k).p
         assert math.gcd(k, p) == 1
         assert math.gcd(k + 1, p) == 1
-
-
-def test_row_and_column_spacing():
-    # consecutive fiber hits in any row or column are exactly p apart,
-    # with the first hit inside the leading p cells
-    for k in range(1, 6):
-        p = Radius(k).p
-        box = Box(0, 3 * p - 1, 0, 3 * p - 1)
-        for ell in range(0, p, max(1, p // 7)):
-            pts = inverse_image_in_box(Radius(k), ell, box)
-            rows = {}
-            cols = {}
-            for (i, j) in pts:
-                rows.setdefault(j, []).append(i)
-                cols.setdefault(i, []).append(j)
-            for j in range(3 * p):
-                hits = sorted(rows.get(j, []))
-                assert hits and hits[0] < p
-                assert all(b - a == p for a, b in zip(hits, hits[1:]))
-            for i in range(3 * p):
-                hits = sorted(cols.get(i, []))
-                assert hits and hits[0] < p
-                assert all(b - a == p for a, b in zip(hits, hits[1:]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,6 +255,12 @@ def test_vertexset_equality_is_by_content():
     w=st.integers(0, 45),
     h=st.integers(0, 45),
 )
+@example(k=2, ell=0, i_lo=0, j_lo=0, w=12, h=0)  # one row of p cells holds only (0, 0)
+@example(k=1, ell=0, i_lo=0, j_lo=0, w=4, h=4)  # a p x p box holds p points
+@example(k=2, ell=3, i_lo=-6, j_lo=-4, w=26, h=13)  # a box across the origin, in row-major order
+# 3p x 3p boxes: hits are p apart in every row and column, the first within p cells of the edge
+@example(k=1, ell=2, i_lo=0, j_lo=0, w=14, h=14)
+@example(k=5, ell=40, i_lo=0, j_lo=0, w=182, h=182)
 def test_inverse_image_matches_brute_fiber(k, ell, i_lo, j_lo, w, h):
     p = Radius(k).p
     box = (i_lo, i_lo + w, j_lo, j_lo + h)
