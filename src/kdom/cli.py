@@ -210,8 +210,8 @@ def _in_domain(bound, *args) -> int | None:
 
 
 def cmd_bound(args) -> int:
-    m, n, k = args.m, args.n, Radius(args.k)
-    fields = {"new": _in_domain(new_bound, m, n, k), "cor": cor_bound(m, n, k), "fss": fss_bound(m, n, k)}
+    k, dims = Radius(args.k), GridDims(args.m, args.n)
+    fields = {"new": _in_domain(new_bound, dims, k), "cor": cor_bound(dims, k), "fss": fss_bound(dims, k)}
     print(" ".join(f"{name}={'n/a (domain)' if value is None else value}" for name, value in fields.items()))
     return 0
 
@@ -240,14 +240,15 @@ def _parse_pairs(args) -> list[tuple[int, int]]:
 
 
 def cmd_table(args) -> int:
-    """One row per pair; a cell reads n/a where its bound, or construct, refuses the grid."""
+    """One row per pair; a cell reads n/a where GridDims, its bound, or construct refuses the grid."""
     pairs, k = _parse_pairs(args), Radius(args.k)
     table = [["M", "N", "New Bound", "Old Bound"] + (["Constructed"] if args.build else [])]
     for m, n in pairs:
-        new = _in_domain(new_bound, m, n, k)
-        row = [m, n, new, _in_domain(fss_bound, m, n, k)]
+        dims = _in_domain(GridDims, m, n)
+        new, old = (None, None) if dims is None else (_in_domain(new_bound, dims, k), fss_bound(dims, k))
+        row = [m, n, new, old]
         if args.build:  # built only where new_bound holds; construct refuses grids past the dense cap
-            row.append(None if new is None else _in_domain(lambda: len(construct(GridDims(m, n), k)[0])))
+            row.append(None if new is None else _in_domain(lambda: len(construct(dims, k)[0])))
         table.append(["n/a" if cell is None else str(cell) for cell in row])
     if args.csv:
         out = [",".join(cells) for cells in table]

@@ -43,13 +43,11 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def path_gamma(n: int, k: Radius) -> int:
-    """Domination number of the 1 x n path: ceil(n / (2k+1))."""
-    if not integers(n):
-        raise DomainError(f"path length must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"path length must be >= 1, got {n}")
-    return -(-n // (2 * k.k + 1))
+def path_gamma(dims: GridDims, k: Radius) -> int:
+    """Domination number of the 1 x n path, in either orientation: ceil(n / (2k+1))."""
+    if min(dims) != 1:
+        raise DomainError(f"a path is 1 wide, got {dims.m}x{dims.n}")
+    return -(-dims.area // (2 * k.k + 1))
 
 
 def _balls(dims: GridDims, radius: int) -> list[int]:

@@ -161,8 +161,7 @@ def pairs_of_keys(keys: np.ndarray, w: int) -> np.ndarray:
 def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
     """Mask of the rows of a canonically sorted array that equal the row before them."""
     mask = np.zeros(len(sorted_pairs), dtype=bool)
-    if len(sorted_pairs) > 1:
-        np.logical_and(*(sorted_pairs[1:] == sorted_pairs[:-1]).T, out=mask[1:])  # i equal and j equal
+    np.logical_and(*(sorted_pairs[1:] == sorted_pairs[:-1]).T, out=mask[1:])  # i equal and j equal
     return mask
 
 

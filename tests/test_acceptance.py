@@ -80,7 +80,7 @@ def test_criterion_2_construction_end_to_end():
                     pts, _ = construct(dims, k)
                     report = verify_domination(dims, k, pts)
                     assert len(report.uncovered) == 0, (kk, m, n)
-                    assert len(pts) <= new_bound(m, n, k), (kk, m, n)
+                    assert len(pts) <= new_bound(dims, k), (kk, m, n)
 
 
 def test_criterion_3_small_grid_bound():
@@ -94,7 +94,7 @@ def test_criterion_3_small_grid_bound():
                     pts, trace = construct(dims, k)
                     report = verify_domination(dims, k, pts)
                     assert len(report.uncovered) == 0, (kk, m, n)
-                    assert len(pts) <= cor_bound(m, n, k), (kk, m, n)
+                    assert len(pts) <= cor_bound(dims, k), (kk, m, n)
                     assert not trace.corner_removal_applied
 
 
@@ -169,7 +169,8 @@ def test_criterion_6_oracle_consistency():
         for kk in (1, 2, 3):
             k = Radius(kk)
             for n in range(1, 31):
-                assert exact_gamma(GridDims(1, n), k).gamma == path_gamma(n, k)
+                dims = GridDims(1, n)
+                assert exact_gamma(dims, k).gamma == path_gamma(dims, k)
         for kk in (1, 2):
             k = Radius(kk)
             for (m, n) in grids:
@@ -195,10 +196,11 @@ def test_criterion_8_bound_domination():
             p = k.p
             for m in range(2 * p + 1, 2 * p + 201):
                 for n in range(2 * p + 1, 2 * p + 201, 7):
-                    assert new_bound(m, n, k) < fss_bound(m, n, k)
+                    dims = GridDims(m, n)
+                    assert new_bound(dims, k) < fss_bound(dims, k)
         for m in range(11, 120):  # Chang's form
             for n in range(11, 120):
-                assert (m + 2) * (n + 2) // 5 - 4 == new_bound(m, n, Radius(1))
+                assert (m + 2) * (n + 2) // 5 - 4 == new_bound(GridDims(m, n), Radius(1))
         for m in range(27, 140):  # the published k=2 form
             for n in range(27, 140):
-                assert (m + 4) * (n + 4) // 13 - 4 == new_bound(m, n, Radius(2))
+                assert (m + 4) * (n + 4) // 13 - 4 == new_bound(GridDims(m, n), Radius(2))

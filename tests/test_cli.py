@@ -134,6 +134,9 @@ def test_bound_output_out_of_domain(capsys):
     out = capsys.readouterr().out.strip()
     assert "new=n/a (domain)" in out
     assert "cor=4" in out
+    # GridDims refuses a side past the box cap here as it does for every other command
+    assert main(["bound", "-m", str(2 ** 31 + 1), "-n", "5", "-k", "3"]) == 2
+    assert capsys.readouterr() == ("", "grid side exceeds the supported cap 2147483648\n")
 
 
 # Each side is 2p or 2p + 1 (the edge of new_bound's domain), or 8, 9, 26 or 27 (the edges of

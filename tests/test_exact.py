@@ -126,26 +126,27 @@ def test_thin_grids_finish_within_budget():
             for dims in (GridDims(1, n), GridDims(n, 1)):
                 res = exact_gamma(dims, k)
                 assert not res.time_budget_exceeded, (dims, k)
-                assert res.gamma == path_gamma(n, k)
+                assert res.gamma == path_gamma(dims, k)
                 assert is_dominating(dims, k, res.witness)
 
 
 @pytest.mark.parametrize("n,k,expected", [(4, 1, 2), (5, 2, 1)])
 def test_path_gamma_examples(n, k, expected):
-    assert path_gamma(n, Radius(k)) == expected
+    assert path_gamma(GridDims(1, n), Radius(k)) == expected
 
 
 def test_path_gamma_window_boundary():
     # one vertex covers only 2k+1 of a (2k+2)-path
     for k in (1, 2, 3):
         n = 2 * k + 2
-        assert path_gamma(n, Radius(k)) == 2 == naive_gamma(1, n, k)
+        assert path_gamma(GridDims(1, n), Radius(k)) == 2 == naive_gamma(1, n, k)
 
 
 def test_path_gamma_validates():
-    for bad in (0, 2.5, True, "5"):
-        with pytest.raises(DomainError):
-            path_gamma(bad, K1)
+    # GridDims checks the sides; path_gamma refuses a grid that is not 1 wide in either orientation
+    for m, n in ((2, 5), (5, 2), (2, 2)):
+        with pytest.raises(DomainError, match=f"a path is 1 wide, got {m}x{n}"):
+            path_gamma(GridDims(m, n), K1)
 
 
 def test_cell_cap_enforced(monkeypatch):
@@ -164,6 +165,15 @@ def test_cell_cap_enforced(monkeypatch):
         exact_gamma(GridDims(65, 66), K1)
     monkeypatch.undo()
     exact_gamma(GridDims(12, 12), K2, node_budget=200)  # 144 cells allowed
+    # a budget of exactly the tables and one memo entry runs the search, and finds what the default finds
+    dims = GridDims(4, 4)
+    expected = exact_gamma(dims, K1)
+    monkeypatch.setattr(kdom.exact, "MAX_SEARCH_BITS", (2 * dims.area + 1) * dims.area)
+    res = exact_gamma(dims, K1)
+    assert (res.gamma, res.witness) == (expected.gamma, expected.witness)
+    monkeypatch.setattr(kdom.exact, "MAX_SEARCH_BITS", (2 * dims.area + 1) * dims.area - 1)
+    with pytest.raises(DomainError, match="bit budget"):
+        exact_gamma(dims, K1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -290,7 +300,7 @@ def test_gamma_proven_at_the_edge_of_the_paper_domain(m, n, k, gamma):
     assert built >= gamma
     if min(m, n) > 2 * rad.p:
         # the paper's bound is tight on the smallest grids of its domain
-        assert built == gamma == new_bound(m, n, rad)
+        assert built == gamma == new_bound(dims, rad)
 
 
 @pytest.mark.parametrize("m,n,k,gamma,nodes", [(14, 14, 2, 20, 24_951), (16, 16, 3, 15, 27_634)],
