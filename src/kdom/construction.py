@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DomainError, VerificationError
 from .gridmodel import GridDims, check_dense_size, is_dominating, neighborhood_box, verify_domination
-from .lattice import Radius, Rows, VertexSet, fiber_counts_in_box, fiber_keys, inverse_image_in_box, pairs_of_keys
+from .lattice import (Radius, Rows, VertexSet, fiber_counts_in_box, fiber_keys, inverse_image_in_box, pairs_of_keys,
+                      settle)
 
 
 _NO_PLAN = (None, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 4), dtype=np.int64))  # _corner_step's, no corners
@@ -99,7 +100,7 @@ def base_set(dims: GridDims, k: Radius, ell: int) -> VertexSet:
 def project_inward(dims: GridDims, s: VertexSet) -> VertexSet:
     """Clamp every point onto the grid box and dedupe."""
     pts = s.array
-    return VertexSet(pairs_of_keys(_settle(_grid_keys(dims, pts[:, 0].copy(), pts[:, 1].copy(), 0)), dims.m))
+    return VertexSet(pairs_of_keys(settle(_grid_keys(dims, pts[:, 0].copy(), pts[:, 1].copy(), 0)), dims.m))
 
 
 def _grid_keys(dims: GridDims, i: np.ndarray, j: np.ndarray, off: int) -> np.ndarray:
@@ -109,17 +110,6 @@ def _grid_keys(dims: GridDims, i: np.ndarray, j: np.ndarray, off: int) -> np.nda
     j *= dims.m
     j += i - off * (dims.m + 1)
     return j
-
-
-def _settle(keys: np.ndarray) -> np.ndarray:
-    """The keys, sorted in place, less the -1 sentinels and the repeats, found by one neighbour compare.
-    One stable sort does it: numpy's stable kind on int64 is timsort, which merges the ascending runs
-    of N keys in O(N log r) for r runs, so linear where r depends on k and the plans alone (construct)."""
-    keys.sort(kind="stable")
-    keep = np.empty(len(keys), dtype=bool)
-    keep[:1] = keys[:1] >= 0
-    np.greater(keys[1:], keys[:-1], out=keep[1:])
-    return keys.compress(keep)
 
 
 def _corner_shape(k: Radius, si: int) -> tuple[int, str]:
@@ -266,7 +256,7 @@ def _apply_plans(dims: GridDims, k: Radius, keys: np.ndarray, removed: np.ndarra
     the targets are distinct points outside it that no plan deletes
     (_corner_moves), so no fault is checked for.  Returns the removed keys'
     positions, for the caller's -1 sentinels.  The keys stay in order but
-    for at most two descents per edited key, which _settle's one sort
+    for at most two descents per edited key, which settle's one sort
     absorbs.
     """
     kk, w, r = k.k, dims.m + 2 * k.k, len(removed)
@@ -306,7 +296,7 @@ def remove_corners(dims: GridDims, k: Radius, ell: int, s_set: VertexSet,
     if not np.array_equal(s_set.array, pairs_of_keys(keys, w) - k.k):  # base_set's pairs
         raise DomainError("remove_corners takes only base_set(dims, k, ell), the set its plans fit")
     keys[_apply_plans(dims, k, keys, removed, moves)] = -1
-    current = VertexSet(pairs_of_keys(_settle(keys), w) - k.k)
+    current = VertexSet(pairs_of_keys(settle(keys), w) - k.k)
     if verify and not is_dominating(dims, k, current):
         uncovered = verify_domination(dims, k, current).uncovered
         raise VerificationError(f"corner shifts broke domination ({len(uncovered)} uncovered)", uncovered=uncovered)
@@ -318,7 +308,7 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
 
     Each point is one key from the fiber to the clamp: the fiber's
     ascending Y keys, edited in place by the stacked plan, then one divmod,
-    one clamp and one grid key j*m + i, and one stable sort (_settle).
+    one clamp and one grid key j*m + i, and one stable sort (lattice.settle).
     The sort is linear here, since the grid keys are ascending but at a
     few points: each edited key breaks order at most with its two
     neighbours, and the clamp, monotone within a row, adds one descent
@@ -356,5 +346,5 @@ def construct(dims: GridDims, k: Radius) -> tuple[VertexSet, ConstructionTrace]:
     j, i = np.divmod(keys, box.width)
     grid = _grid_keys(dims, i, j, k.k)
     grid[gone] = -1
-    final = VertexSet(pairs_of_keys(_settle(grid), dims.m))
+    final = VertexSet(pairs_of_keys(settle(grid), dims.m))
     return final, _trace(dims, k, ell, len(keys), contexts, removed, moves, final)

@@ -113,7 +113,7 @@ def _as_pairs(points) -> np.ndarray:
     that is not an integer, and DomainError on one that int64 cannot hold.
     """
     if isinstance(points, np.ndarray) and points.dtype == np.int64 and points.shape[1:] == (2,):
-        return points  # int64 holds only integers, and canonical_order checks the bound
+        return points  # int64 holds only integers, and from_iterable checks the bound
     pts = points.tolist() if isinstance(points, np.ndarray) else list(points)
     try:
         pairs = set(map(len, pts)) <= {2}
@@ -133,24 +133,6 @@ def _as_pairs(points) -> np.ndarray:
         raise DomainError(OUT_OF_RANGE) from None
 
 
-def canonical_order(pairs: np.ndarray) -> np.ndarray:
-    """Indices that sort (i, j) rows row-major: ascending j, then ascending i; stable.
-
-    Raises DomainError if |c| >= COORD_LIMIT, which the extremes show for free.  One stable argsort
-    of the key (j - j_min) w + (i - i_min) while the spans give h w < 2**63; np.lexsort, slower, past that.
-    """
-    if not len(pairs):
-        return np.arange(0)
-    i, j = pairs[:, 0], pairs[:, 1]
-    i_lo, i_hi, j_lo, j_hi = int(i.min()), int(i.max()), int(j.min()), int(j.max())
-    if min(i_lo, j_lo) <= -COORD_LIMIT or max(i_hi, j_hi) >= COORD_LIMIT:
-        raise DomainError(OUT_OF_RANGE)
-    w = i_hi - i_lo + 1
-    if (j_hi - j_lo + 1) * w >= 2 ** 63:
-        return np.lexsort((i, j))
-    return np.argsort((j - j_lo) * w + (i - i_lo), kind="stable")
-
-
 def pairs_of_keys(keys: np.ndarray, w: int) -> np.ndarray:
     """The (i, j) rows of row-major keys j*w + i, 0 <= i < w."""
     pairs = np.empty((len(keys), 2), dtype=np.int64)
@@ -158,11 +140,15 @@ def pairs_of_keys(keys: np.ndarray, w: int) -> np.ndarray:
     return pairs
 
 
-def repeats(sorted_pairs: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a canonically sorted array that equal the row before them."""
-    mask = np.zeros(len(sorted_pairs), dtype=bool)
-    np.logical_and(*(sorted_pairs[1:] == sorted_pairs[:-1]).T, out=mask[1:])  # i equal and j equal
-    return mask
+def settle(keys: np.ndarray) -> np.ndarray:
+    """The keys, sorted in place, less the -1 sentinels and the repeats, found by one neighbour compare.
+    One stable sort does it: numpy's stable kind on int64 is timsort, which merges the ascending runs
+    of N keys in O(N log r) for r runs, so linear where r depends on k and the plans alone (construct)."""
+    keys.sort(kind="stable")
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = keys[:1] >= 0
+    np.greater(keys[1:], keys[:-1], out=keep[1:])
+    return keys.compress(keep)
 
 
 class Rows:
@@ -216,8 +202,18 @@ class VertexSet(Rows):
             pairs = _as_pairs(points)
         except TypeError as exc:  # a bool, or from operator.index
             raise DomainError(f"vertex coordinates must be integers: {exc}") from None
-        pairs = pairs.take(canonical_order(pairs), axis=0)
-        return cls(pairs.compress(~repeats(pairs), axis=0))
+        if not len(pairs):
+            return cls.empty()
+        i, j = pairs[:, 0], pairs[:, 1]
+        i_lo, i_hi, j_lo, j_hi = int(i.min()), int(i.max()), int(j.min()), int(j.max())
+        if min(i_lo, j_lo) <= -COORD_LIMIT or max(i_hi, j_hi) >= COORD_LIMIT:
+            raise DomainError(OUT_OF_RANGE)
+        w = i_hi - i_lo + 1
+        if (j_hi - j_lo + 1) * w < 2 ** 63:  # the row-major key fits int64: construct's sort and dedupe
+            return cls(pairs_of_keys(settle((j - j_lo) * w + (i - i_lo)), w) + (i_lo, j_lo))
+        for column in (0, 1):  # past it, stable sorts by i and then by j give np.lexsort's order
+            pairs = pairs.take(pairs[:, column].argsort(kind="stable"), axis=0)
+        return cls(pairs.compress(np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)], axis=0))
 
     @classmethod
     def empty(cls) -> "VertexSet":

@@ -1,7 +1,7 @@
 import pytest
 
 from kdom import DomainError, GridDims, Radius, cor_bound, fss_bound, new_bound
-from kdom.cli import _in_domain, main
+from kdom.cli import main
 
 K3 = Radius(3)
 
@@ -31,14 +31,10 @@ def test_table_text_of_no_pairs_is_its_title_and_header(capsys):
     assert capsys.readouterr() == ("# kdom table k=3\n   M   N New Bound Old Bound\n", "")
 
 
-def test_table_cells_are_n_a_where_a_bound_refuses_the_grid():
-    # the cells kdom table prints: a DomainError from GridDims or a bound on one grid blanks its cells, not the table
-    pairs = [(5, 5), (51, 52), (0, 5), (5, -1), (2 ** 31 + 1, 5)]
-    rows = []
-    for m, n in pairs:
-        dims = _in_domain(GridDims, m, n)
-        rows.append((None, None) if dims is None else (_in_domain(new_bound, dims, K3), fss_bound(dims, K3)))
-    assert rows[0] == (None, 12)
-    assert rows[1] == (128, 139)
+def test_table_cells_are_n_a_where_a_bound_refuses_the_grid(capsys):
+    # a DomainError from GridDims or a bound on one grid blanks its cells, not the table
+    assert main(["table", "--csv", "--pairs", "5x5,51x52,0x5,5x-1,2147483649x5"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:3] == ["5,5,n/a,12", "51,52,128,139"]
     # no bound is defined on a grid without vertices, or past the side cap; the row is still made
-    assert rows[2:] == [(None, None)] * 3
+    assert [row.split(",")[2:] for row in rows[3:]] == [["n/a", "n/a"]] * 3

@@ -42,9 +42,8 @@ from kdom.construction import (
     _corner_shape,
     _corner_step,
     _frame_plan,
-    _settle,
 )
-from kdom.lattice import COORD_LIMIT, pairs_of_keys, phi
+from kdom.lattice import COORD_LIMIT, pairs_of_keys, phi, settle
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 
@@ -76,7 +75,7 @@ def _apply(dims, k, points, plans):
     w = dims.m + 2 * k.k
     keys = (points.array + k.k) @ (1, w)  # Y keys
     keys[_apply_plans(dims, k, keys, removed, moves)] = -1
-    return VertexSet(pairs_of_keys(_settle(keys), w) - k.k)
+    return VertexSet(pairs_of_keys(settle(keys), w) - k.k)
 
 
 def _slope(ctx):

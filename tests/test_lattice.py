@@ -18,7 +18,7 @@ from kdom import (
     phi,
     verify_domination,
 )
-from kdom.lattice import COORD_LIMIT, _as_pairs, canonical_order, fiber_counts_in_box, fiber_keys
+from kdom.lattice import COORD_LIMIT, _as_pairs, fiber_counts_in_box, fiber_keys
 
 TOP = COORD_LIMIT - 1  # the largest coordinate a set or a box may hold; -TOP the smallest
 
@@ -205,16 +205,16 @@ def test_from_iterable_is_sorted_set(pts):
     assert from_array.array.tolist() == [list(q) for q in want]
 
 
-def _canonical_order_cases():
+def _from_iterable_cases():
     rng = np.random.default_rng(61)
     for size, span in ((1, 1), (2, 0), (60, 3), (400, 20), (300, 10 ** 6), (200, 2 ** 40)):
         a = rng.integers(-span, span + 1, size=(size, 2))
         yield np.concatenate((a, a[rng.integers(0, size, size=size // 2 + 1)]))  # repeated rows
     yield np.zeros((0, 2), dtype=np.int64)
-    # Python ints past the limit, which canonical_order refuses whatever their span
+    # Python ints past the limit, which from_iterable refuses whatever their span
     yield np.array([(10 ** 30, 1), (-(10 ** 30), 1), (5, -(2 ** 70)), (5, 1), (10 ** 30, 1)], dtype=object)
     yield np.array([(2 ** 63, 7), (2 ** 63 + 2, 7), (2 ** 63, 6), (2 ** 63, 7)], dtype=object)  # small span
-    # coordinates at the limit, whose key (j - j_min) w + (i - i_min) would pass 2**63: np.lexsort sorts them
+    # coordinates at the limit, whose key (j - j_min) w + (i - i_min) would pass 2**63: two stable argsorts sort them
     yield np.array([(TOP, 0), (-TOP, 1), (0, 1), (-TOP, 0), (TOP, 1), (0, 0), (-TOP, 0)], dtype=np.int64)
     yield np.array([(0, TOP), (0, -TOP), (1, 0), (0, -TOP), (1, TOP), (-1, 0)], dtype=np.int64)
     yield np.array([(0, 0), (TOP, 1), (0, 1), (TOP, 0), (0, 0)], dtype=np.int64)  # h w = 2**63
@@ -222,17 +222,15 @@ def _canonical_order_cases():
     yield np.array([(0, 0), (TOP, 0), (5, 0), (0, 0)], dtype=np.int64)  # h w = 2**62 fits
 
 
-@pytest.mark.parametrize("pairs", list(_canonical_order_cases()), ids=lambda a: f"{a.dtype}-{len(a)}")
-def test_canonical_order_is_lexsort_permutation(pairs):
-    # the identical permutation, ties in input order: no output depends on it (load_setfile finds a
-    # repeated line with np.unique), but from_iterable's choice between equal rows stays defined
+@pytest.mark.parametrize("pairs", list(_from_iterable_cases()), ids=lambda a: f"{a.dtype}-{len(a)}")
+def test_from_iterable_is_lexsorted_distinct_rows(pairs):
+    # the row-major key's settle, or the two stable argsorts past 2**63, against np.lexsort of the distinct rows
     if pairs.dtype == object:
         with pytest.raises(DomainError, match=r"\|c\| < 2\*\*62"):
-            canonical_order(pairs)
+            VertexSet.from_iterable(pairs)
         return
-    order = canonical_order(pairs)
-    assert order.dtype == np.intp
-    assert order.tolist() == np.lexsort((pairs[:, 0], pairs[:, 1])).tolist()
+    distinct = np.unique(pairs, axis=0)
+    assert VertexSet.from_iterable(pairs).array.tolist() == distinct[np.lexsort(distinct.T)].tolist()
 
 
 def test_vertexset_equality_is_by_content():
@@ -314,7 +312,7 @@ def test_from_iterable_takes_the_limit_and_refuses_past_it(edge):
 
 def test_an_int64_pair_array_is_taken_as_it_is():
     # an (N, 2) int64 array skips the per-coordinate checks: its dtype already says every
-    # coordinate is an integer, and canonical_order checks the bound
+    # coordinate is an integer, and from_iterable checks the bound
     pts = [(3, 1), (0, 2), (3, 1), (TOP, -TOP), (-5, 7)]
     arr = np.array(pts, dtype=np.int64)
     assert _as_pairs(arr) is arr
