@@ -6,7 +6,6 @@ CLI (see `kdom --help`).
 """
 from .bounds import cor_bound, fss_bound, new_bound
 from .construction import (
-    CornerContext,
     ConstructionTrace,
     base_set,
     best_residue,
@@ -20,9 +19,8 @@ from .errors import (
     SetFileError,
     VerificationError,
 )
-from .exact import ExactResult, exact_gamma, path_gamma
+from .exact import exact_gamma, path_gamma
 from .gridmodel import (
-    CoverageReport,
     GridDims,
     is_dominating,
     neighborhood_box,

@@ -5,13 +5,15 @@ between orthogonal neighbors equals Manhattan distance.  Dominators may
 lie outside the grid (the construction keeps them in the enlarged box Y
 until the final projection), so the verifier works on the grid enlarged
 by k on every side and reads off the grid portion.  One coverage kernel
-serves both checks: it costs O(|S| k + mn) array work and one
-(m+4k+1) x (n+4k) int32 difference array.  The report adds one cheap
-pass over the multiplicities: the covered count and the cells above 1
-give the histogram (a good set has few such cells), and the uncovered
-cells are listed by a flat scan only when there are some.  Grids whose
-difference array and one index chunk would exceed MAX_DENSE_CELLS are
-rejected with DomainError before anything is allocated.
+serves both checks.  It runs at radius r = min(k, m+n-1), so that once k
+passes the grid's diameter the arrays follow the grid, not k: it costs
+O(|S| r + mn) array work and one (m+4r+1) x (n+4r) int32 difference
+array.  The report adds one cheap pass over the multiplicities: the
+covered count and the cells above 1 give the histogram (a good set has
+few such cells), and the uncovered cells are listed by a flat scan only
+when there are some.  Grids whose difference array at radius k and one
+index chunk would exceed MAX_DENSE_CELLS are rejected with DomainError
+before anything is allocated.
 """
 from __future__ import annotations
 
@@ -32,10 +34,13 @@ from .lattice import (
 
 # The coverage kernel holds one (m+4k+1) x (n+4k) int32 difference array
 # and scatters into it SCATTER_CHUNK int64 flat indices at a time;
-# check_dense_size caps the difference array's cells plus one chunk.
-# With the m x n int32 count that is about 0.8 GB at the cap.  8000x8001
-# at k=5 needs 64,336,441 + 65,536.  The cap bounds memory only: corner
-# removal's range of k is construction.CERTIFIED_K.
+# check_dense_size caps the difference array's cells plus one chunk.  The
+# multiplicity is a view of that array, and verify_domination's one-byte
+# masks over the grid bring the traced peak to about 6 bytes a cell
+# (tracemalloc, 1000x1001 k=3 and 2000x2001 k=5 with a point dropped), so
+# about 0.6 GB at the cap.  8000x8001 at k=5 needs 64,336,441 + 65,536.
+# The cap bounds memory only: corner removal's range of k is
+# construction.CERTIFIED_K.
 MAX_DENSE_CELLS = 100_000_000
 # Flat indices the kernel builds and scatters per step (at least one
 # point's 2k+1 per step), so a dense set at large k never holds
@@ -95,8 +100,13 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     rows and columns on every side (and one more row below), so no
     segment needs clipping; one cumulative sum along i then gives the
     counts.  The work is O(|S| k + mn).  Points outside the k-padded box
-    cannot reach the grid and are skipped.  The result is a view of the
-    call's own difference array, not a copy: its callers only read it.
+    cannot reach the grid and are skipped.  Past the grid's diameter,
+    m+n-2, the kernel runs at r = m+n-1 < k instead, so the array follows
+    the grid, not k: a point p whose clamp onto the grid is c lies
+    d = |p-c| + |c-g| from each cell g, so dropping the points with
+    |p-c| > k and moving each other one up to k-r toward the grid (along
+    i, then j) keeps every count.  The result is a view of the call's
+    own difference array, not a copy: its callers only read it.
     """
     check_dense_size(dims, k)
     kk, m, n = k.k, dims.m, dims.n
@@ -104,6 +114,15 @@ def _multiplicity(dims: GridDims, k: Radius, s: VertexSet) -> np.ndarray:
     lo, hi = np.searchsorted(pts[:, 1], (-kk, n + kk))  # s is sorted by j, then i
     pts = pts[lo:hi]
     pts = pts.compress((pts[:, 0] >= -kk) & (pts[:, 0] < m + kk), axis=0)
+    r = min(kk, m + n - 1)  # the grid's diameter is m+n-2
+    if r < kk:  # a point up to kk-r from its clamp onto the grid covers every cell at either radius
+        gap = pts.clip(0, (m - 1, n - 1)) - pts
+        near = np.abs(gap).sum(axis=1) <= kk
+        pts, gap = pts.compress(near, axis=0), gap.compress(near, axis=0)
+        di = gap[:, 0].clip(r - kk, kk - r)
+        left = kk - r - np.abs(di)
+        pts = pts + np.stack((di, gap[:, 1].clip(-left, left)), axis=1)
+        kk = r
     w = n + 4 * kk
     diff = np.zeros((m + 4 * kk + 1, w), dtype=np.int32)
     dj = np.arange(-kk, kk + 1)[:, None]

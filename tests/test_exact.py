@@ -13,7 +13,6 @@ from conftest import naive_gamma
 import kdom.exact
 from kdom import (
     DomainError,
-    ExactResult,
     GridDims,
     Radius,
     VertexSet,
@@ -24,7 +23,7 @@ from kdom import (
     path_gamma,
     verify_domination,
 )
-from kdom.exact import _balls, _greedy, _images, _rings
+from kdom.exact import ExactResult, _balls, _greedy, _images, _rings
 
 K1, K2, K3 = Radius(1), Radius(2), Radius(3)
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -171,6 +172,18 @@ def test_coordinates_at_the_limit_are_ignored():
     pts = VertexSet.from_iterable([(1, 1), (COORD_LIMIT - 1, 0), (0, 1 - COORD_LIMIT)])
     rep = verify_domination(GridDims(3, 3), Radius(1), pts)
     assert [tuple(q) for q in rep.uncovered] == brute_uncovered(3, 3, 1, [(1, 1)])
+
+
+def test_verifier_memory_follows_the_grid_not_k():
+    # past the grid's diameter the kernel runs at radius m+n-1, so k=MAX_RADIUS on 1x3 allocates
+    # a few cells, not the (4k+2) x (4k+3) difference array of radius k
+    tracemalloc.start()
+    try:
+        rep = verify_domination(GridDims(1, 3), Radius(MAX_RADIUS), VertexSet.from_iterable([(0, 1)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.covered_count == 3 and peak < 2 ** 20
 
 
 def test_dense_verifier_cap_raises_before_allocating():
