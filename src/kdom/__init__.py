@@ -30,7 +30,6 @@ from .lattice import (
     Box,
     Radius,
     VertexSet,
-    inverse_image_in_box,
     phi,
 )
 

@@ -19,13 +19,13 @@ from kdom import (
     cor_bound,
     exact_gamma,
     fss_bound,
-    inverse_image_in_box,
     neighborhood_box,
     new_bound,
     path_gamma,
     verify_domination,
 )
 from kdom.cli import main
+from kdom.lattice import inverse_image_in_box
 
 
 class _Criterion:

@@ -1,7 +1,7 @@
 import pytest
 
-from kdom import GridDims, Radius, SetFileError, VertexSet, exact_gamma
-from kdom.cli import SetFile, load_setfile, main, save_setfile
+from kdom import GridDims, Radius, SetFileError, exact_gamma
+from kdom.cli import load_setfile, main, save_setfile
 from test_acceptance import TABLE1_CSV
 
 
@@ -63,25 +63,6 @@ def test_verify_k_override(tmp_path):
     assert main(["verify", path, "--k", "2"]) == 0
 
 
-def test_duplicate_vertex_rejected(tmp_path, capsys):
-    path = make_file(tmp_path, "kdom v1\n1 3 3 2\n1 1\n1 1\n")
-    assert main(["verify", path]) == 2
-    assert "duplicate vertex" in capsys.readouterr().err
-
-
-def test_malformed_files(tmp_path):
-    for text in (
-        "not kdom\n1 2 2 0\n",
-        "kdom v1\n1 2\n",
-        "kdom v1\n1 2 2 2\n0 0\n",          # count mismatch
-        "kdom v1\n1 2 2 1\n0 0 0\n",        # bad point line
-        "kdom v1\n0 2 2 0\n",               # k < 1
-        "kdom v1\n1 2 2 1\n# mystery\n0 0\n",
-    ):
-        with pytest.raises(SetFileError):
-            load_setfile(text)
-
-
 @pytest.mark.parametrize("body, message", [
     # the first faulty line wins, whether it holds a bad coordinate or a bad flag
     ("1 3 3 1\n0 x\n# mystery\n", "non-integer coordinate in '0 x'"),
@@ -99,11 +80,17 @@ def test_malformed_files(tmp_path):
     ("1 3 3 1\n# projected\n3 0\n", "point 3,0 outside the 3x3 grid of a projected file"),
     ("", "missing header line"),
     ("1 x 3 3\n", "non-integer header field: invalid literal for int() with base 10: 'x'"),
+    ("1 2\n", "header must be 'k m n count', got '1 2'"),
+    ("1 3 3 1\n# projected\n-1 0\n", "point -1,0 outside the 3x3 grid of a projected file"),
 ])
 def test_load_setfile_messages_and_their_order(body, message):
     with pytest.raises(SetFileError) as err:
         load_setfile("kdom v1\n" + body)
     assert str(err.value) == message
+    # the magic line is checked before anything else
+    with pytest.raises(SetFileError) as err:
+        load_setfile("not kdom\n" + body)
+    assert str(err.value) == "missing magic line 'kdom v1'"
 
 
 def test_load_setfile_accepts_repeated_and_trailing_flags():
@@ -112,12 +99,6 @@ def test_load_setfile_accepts_repeated_and_trailing_flags():
     assert sf.flags == ("projected", "no-corner-removal")
     assert sf.points.array.tolist() == [[0, 0], [1, 1]]
     assert load_setfile("kdom v1\n1 3 3 1\n3 0\n").points.array.tolist() == [[3, 0]]  # not projected
-
-
-def test_projected_flag_enforces_bounds():
-    with pytest.raises(SetFileError):
-        SetFile(k=1, m=3, n=3, points=VertexSet.from_iterable([(-1, 0)]),
-                flags=("projected",))
 
 
 def test_roundtrip_byte_identical(tmp_path):
@@ -271,11 +252,6 @@ def test_exact_cmd(capsys):
     assert capsys.readouterr().out.strip() == "gamma=1"
 
 
-def test_exact_budget_exit_code(capsys):
-    assert main(["exact", "-m", "8", "-n", "8", "-k", "1", "--budget", "40"]) == 3
-    assert "budget exceeded" in capsys.readouterr().out
-
-
 def test_exact_budget_prints_the_solver_lower_bound(capsys):
     # a 2-row grid caps a k=1 ball at 4 cells, so ceil(64/4) = 16, not ceil(64/5) = 13
     assert main(["exact", "-m", "2", "-n", "32", "-k", "1", "--budget", "2"]) == 3
@@ -300,21 +276,6 @@ def test_exact_budget_zero_on_64x64_falls_back_to_construct(capsys):
     # the search stops at its first node; construct's 867 points beat the greedy cover's 1,046
     assert main(["exact", "-m", "64", "-n", "64", "-k", "1", "--budget", "0"]) == 3
     assert capsys.readouterr().out == "gamma>=827 gamma<=867 budget exceeded (1 nodes)\n"
-
-
-def test_exact_budget_run_out_at_construct_size_is_exact(capsys):
-    # one node short of the whole 11x11 k=1 search, the budget runs out while size 29 is
-    # searched, and construct's 29-point set meets that size
-    budget = exact_gamma(GridDims(11, 11), Radius(1)).nodes_explored - 1
-    assert main(["exact", "-m", "11", "-n", "11", "-k", "1", "--budget", str(budget)]) == 0
-    assert capsys.readouterr().out == "gamma=29\n"
-
-
-def test_exact_witness(capsys):
-    assert main(["exact", "-m", "1", "-n", "5", "-k", "2", "--witness"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "gamma=1"
-    assert out[1] == "0 2"
 
 
 # `kdom render` of construct's 6x6 k=3 set, plain and with --coverage

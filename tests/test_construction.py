@@ -446,12 +446,6 @@ def test_construct_size_never_beats_exact_optimum():
         assert exact_gamma(dims, k).gamma <= len(pts)
 
 
-def test_mismatched_residue_modulus_rejected():
-    # 13 is a residue mod 25, not mod 13: base_set refuses it before remove_corners plans anything
-    with pytest.raises(DomainError, match=r"residues mod p=13 must be integers in \[0, 12\], got 13"):
-        remove_corners(GridDims(27, 27), K2, 13, VertexSet.empty())
-
-
 def test_remove_corners_rejects_wrong_set():
     dims = GridDims(27, 27)
     ell = 4

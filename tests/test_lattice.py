@@ -14,11 +14,10 @@ from kdom import (
     GridDims,
     Radius,
     VertexSet,
-    inverse_image_in_box,
     phi,
     verify_domination,
 )
-from kdom.lattice import COORD_LIMIT, _as_pairs, fiber_counts_in_box, fiber_keys
+from kdom.lattice import COORD_LIMIT, _as_pairs, fiber_counts_in_box, fiber_keys, inverse_image_in_box
 
 TOP = COORD_LIMIT - 1  # the largest coordinate a set or a box may hold; -TOP the smallest
 
@@ -44,33 +43,6 @@ def test_phi_examples(k, point, expected):
     assert type(res) is int and res == expected
 
 
-def test_radius_validation():
-    with pytest.raises(DomainError):
-        Radius(0)
-    with pytest.raises(DomainError):
-        Radius(-3)
-    with pytest.raises(DomainError):
-        Radius(2001)
-    Radius(2000)  # envelope boundary is allowed
-
-
-def test_residue_validation():
-    with pytest.raises(DomainError):
-        inverse_image_in_box(Radius(2), 13, Box(0, 12, 0, 0))
-    with pytest.raises(DomainError):
-        inverse_image_in_box(Radius(2), -1, Box(0, 12, 0, 0))
-    assert phi(Radius(2), (-1, -1)) == 8  # -5 reduced into [0, p-1]
-
-
-def test_box_validation():
-    with pytest.raises(DomainError):
-        Box(0, -1, 0, 5)
-    with pytest.raises(DomainError):
-        Box(0, 5, 3, 2)
-    b = Box(-2, 2, -1, 3)
-    assert (b.width, b.height) == (5, 5)
-
-
 @pytest.mark.parametrize("make", [
     lambda: inverse_image_in_box(Radius(2), 2.0, Box(0, 12, 0, 0)),
     lambda: inverse_image_in_box(Radius(2), True, Box(0, 12, 0, 0)),
@@ -83,14 +55,6 @@ def test_box_validation():
 def test_residue_and_box_reject_fields_that_are_not_integers(make):
     with pytest.raises(DomainError, match="must be integers"):
         make()
-
-
-def test_residue_modulus_mismatch_rejected():
-    # a residue mod another p: 24 is one mod 25, not mod 13, and 12 one mod 13, not mod 5
-    with pytest.raises(DomainError, match=r"residues mod p=13 must be integers in \[0, 12\], got 24"):
-        inverse_image_in_box(Radius(2), 24, Box(0, 3, 0, 3))
-    with pytest.raises(DomainError):
-        count_in_box(Radius(1), 12, Box(0, 3, 0, 3))
 
 
 def test_fiber_counts_in_box_match_per_residue_counts():

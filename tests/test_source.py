@@ -9,13 +9,16 @@ import kdom
 from kdom import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(kdom.__file__).parent
+# every package module with its parse tree, parsed once for all the rules below
+TREES = [(path, ast.parse(path.read_text(), str(path))) for path in sorted(PACKAGE.rglob("*.py"))]
 
 
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so invariants must raise explicit errors
     found = []
-    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in TREES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
@@ -24,13 +27,12 @@ def test_package_has_no_assert_statements():
 def test_every_error_type_is_raised_somewhere():
     # an error type nothing raises, itself or as the base of one raised, is dead API;
     # this keeps one from coming back
-    package = Path(kdom.__file__).parent
-    errors = ast.parse((package / "errors.py").read_text())
+    errors = dict(TREES)[PACKAGE / "errors.py"]
     bases = {node.name: [base.id for base in node.bases] for node in errors.body if isinstance(node, ast.ClassDef)}
     defined = set(bases)
     raised = set()
-    for path in sorted(package.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in TREES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", None))
@@ -43,8 +45,8 @@ def test_value_types_are_not_dataclasses():
     # a dataclass generates and execs its methods on every import of kdom;
     # the value types are named tuples, so no module needs dataclasses at all
     found = []
-    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in TREES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name == "dataclasses"]
             elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
@@ -61,8 +63,8 @@ def test_no_module_imports_enum():
     # corners and cases are the plain strings the trace prints; an Enum class
     # would only wrap them again and be built on every import of kdom
     found = []
-    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in TREES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name == "enum"]
             elif isinstance(node, ast.ImportFrom) and node.module == "enum":
@@ -74,8 +76,7 @@ def test_no_module_restates_the_certified_k():
     # corner removal's certified range is construction.CERTIFIED_K alone: an int literal 48 or 49
     # anywhere else in the code (docstrings are strings) would state the boundary a second time
     assigned, found = [], []
-    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in TREES:
         allowed = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
                    and [getattr(target, "id", None) for target in node.targets] == ["CERTIFIED_K"]}
         assigned += [path.name] * len(allowed)
@@ -88,8 +89,8 @@ def test_no_module_imports_another_modules_private_names():
     # a rule lives in the module that owns it: a name starting with "_" is that module's
     # own, and a second module that imports it re-derives the rule instead of calling its owner
     found = []
-    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in TREES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "kdom"):
                 found += [f"{path.name}:{alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert found == []
@@ -98,9 +99,8 @@ def test_no_module_imports_another_modules_private_names():
 def test_bounds_imports_no_kdom_module_but_errors_and_lattice():
     # the closed forms are a leaf: were bounds.py to import construct, reading a formula
     # would load the whole pipeline
-    path = Path(kdom.__file__).parent / "bounds.py"
     dotted = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(dict(TREES)[PACKAGE / "bounds.py"]):
         if isinstance(node, ast.Import):
             dotted += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level:  # from .m import x, or from . import m
@@ -115,15 +115,15 @@ def test_every_public_name_has_a_caller():
     # a name kdom exports that neither the benchmark nor another package module reads is surface
     # kept for nothing; reads in the module it comes from do not count, since they would pass any
     # name that module uses. The test oracles are the exception
-    package = Path(kdom.__file__).parent
-    owner = {alias.asname or alias.name: package / f"{node.module}.py"
-             for node in ast.parse((package / "__init__.py").read_text()).body
+    trees = dict(TREES)
+    owner = {alias.asname or alias.name: PACKAGE / f"{node.module}.py"
+             for node in trees.pop(PACKAGE / "__init__.py").body
              if isinstance(node, ast.ImportFrom) for alias in node.names}
-    callers = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
-    callers.append(ROOT / "bench" / "run.py")
+    bench = ROOT / "bench" / "run.py"
+    trees[bench] = ast.parse(bench.read_text(), str(bench))
     readers = {}
-    for path in callers:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 readers.setdefault(getattr(node, "id", None) or node.attr, set()).add(path)
     unread = {name for name, path in owner.items() if not readers.get(name, set()) - {path}}
@@ -155,8 +155,8 @@ def test_no_module_builds_an_object_array():
                 or getattr(node, "value", None) in ("object", "O"))
 
     found = []
-    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in TREES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func, dtypes = node.func, [kw.value for kw in node.keywords if kw.arg == "dtype"]
                 if isinstance(func, ast.Attribute) and (func.attr == "astype" or getattr(func.value, "id", None) == "np"):
@@ -169,8 +169,8 @@ def test_every_validated_type_checks_its_integer_fields():
     # a _check that compares a field with < alone lets a bool, a float or a numpy int through,
     # and the type then writes what its readers refuse; every Validated subclass calls integers()
     checks = {}
-    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in TREES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and "Validated" in {getattr(base, "id", None) for base in node.bases}:
                 calls = {getattr(call.func, "id", None) for method in node.body
                          if isinstance(method, ast.FunctionDef) and method.name == "_check"
@@ -184,8 +184,7 @@ def test_every_numpy_sort_is_stable():
     # ascending runs; the default kind, introsort, takes three to five times as long on those keys.
     # A .sort( on a name bound to a list display is a list's; np.lexsort is always stable
     checked, found = 0, []
-    for path in sorted(Path(kdom.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in TREES:
         lists = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                  and isinstance(node.value, (ast.List, ast.ListComp)) for target in node.targets
                  if isinstance(target, ast.Name)}

@@ -16,12 +16,11 @@ from kdom import (
     base_set,
     construct,
     exact_gamma,
-    inverse_image_in_box,
     remove_corners,
     verify_domination,
 )
 from kdom.cli import SetFile, load_setfile
-from kdom.lattice import COORD_LIMIT
+from kdom.lattice import COORD_LIMIT, inverse_image_in_box
 
 
 def _values():
@@ -67,6 +66,8 @@ def test_value_types_are_tuples_that_survive_pickle_and_copy(value):
     (Box(0, 3, 0, 3), "j_lo", -(2 ** 62), DomainError),
     (SetFile(1, 3, 3, VertexSet.empty()), "points", [(0, 0)], SetFileError),
     (SetFile(1, 3, 3, VertexSet.empty()), "flags", "projected", SetFileError),
+    (Radius(2), "k", 0, DomainError),
+    (Box(0, 3, 0, 3), "j_hi", -1, DomainError),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_validated_types_reject_the_same_fields_on_every_path(good, field, bad, error):
     cls = type(good)
